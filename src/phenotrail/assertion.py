@@ -46,7 +46,8 @@ class Classifier(Protocol):
     ) -> tuple[AssertionLabel, float]: ...
 
 
-_TOKEN_RE = re.compile(r"(?:[^\W_]|')+|;")
+# A word run (as lexicon._WORD_RUN_RE) or a semicolon.
+_TOKEN_RE = re.compile(r"(?:[^\W_]+|')+|;")
 
 
 def _token_tuple(phrase: str) -> tuple[str, ...]:
@@ -65,7 +66,11 @@ class RuleConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RuleConfig":
         def cues(key: str) -> tuple[tuple[str, ...], ...]:
-            return tuple(_token_tuple(c) for c in raw[key])
+            tokenized = tuple(_token_tuple(c) for c in raw[key])
+            for raw_cue, cue in zip(raw[key], tokenized):
+                if not cue:
+                    raise InputError(f"{key}: cue {raw_cue!r} has no tokens")
+            return tokenized
 
         return cls(
             window_before=int(raw["window_before"]),
@@ -93,11 +98,39 @@ class RuleClassifier:
     breakers end a window early so clauses do not leak cues into each
     other.  Cue precedence when several fire: OTHER > NO > MAYBE > YES.
     Confidence is always 1.0.
+
+    Each sentence is tokenized once for all of its mentions.  A cue can
+    fire only if its first token lies in a window, so a sentence holding
+    no cue's first token labels every mention YES without a window.
     """
 
     def __init__(self, config: RuleConfig | None = None):
-        self.config = config or RuleConfig.load()
+        self._config = cfg = config or RuleConfig.load()
         self.descriptor = "rule-window/v1"
+        self._cue_starts = frozenset(
+            cue[0]
+            for cues in (cfg.attribution_cues, cfg.negation_cues, cfg.uncertainty_cues)
+            for cue in cues
+        )
+        # (sentence, its (lowercased token, start, end) list or None when
+        # no cue can fire); replaced as a whole so sharing stays safe.
+        self._last: tuple[str, list[tuple[str, int, int]] | None] = ("", None)
+
+    @property
+    def config(self) -> RuleConfig:
+        """Read-only, because the cue-start index is built from it."""
+        return self._config
+
+    def _tokens(self, sentence: str) -> list[tuple[str, int, int]] | None:
+        last_sentence, tokens = self._last
+        if sentence != last_sentence:
+            if self._cue_starts.isdisjoint(map(str.lower, _TOKEN_RE.findall(sentence))):
+                tokens = None
+            else:
+                tokens = [(m.group().lower(), m.start(), m.end())
+                          for m in _TOKEN_RE.finditer(sentence)]
+            self._last = (sentence, tokens)
+        return tokens
 
     def classify(
         self, sentence: str, span: tuple[int, int]
@@ -105,9 +138,10 @@ class RuleClassifier:
         start, end = span
         if not (0 <= start < end <= len(sentence)):
             raise InputError(f"mention span {span} outside sentence bounds")
-        cfg = self.config
-        tokens = [(m.group().lower(), m.start(), m.end())
-                  for m in _TOKEN_RE.finditer(sentence)]
+        tokens = self._tokens(sentence)
+        if tokens is None:
+            return AssertionLabel.YES, 1.0
+        cfg = self._config
 
         before: list[str] = []
         for text, _t_start, t_end in reversed(tokens):
@@ -121,7 +155,7 @@ class RuleClassifier:
         before.reverse()
 
         after: list[str] = []
-        for text, t_start, t_end in tokens:
+        for text, t_start, _t_end in tokens:
             if t_start < end:
                 continue
             if text in cfg.scope_breakers:

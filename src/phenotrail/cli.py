@@ -37,6 +37,16 @@ def _parse_span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_window_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--window", type=_parse_span, default=cohort.DEFAULT_WINDOW,
@@ -64,7 +74,7 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         "--include-maybe", action="store_true",
         help="count suspected (MAYBE) mentions as presence",
     )
-    parser.add_argument("--workers", type=int, default=1, metavar="N")
+    parser.add_argument("--workers", type=_positive_int, default=1, metavar="N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,27 +216,21 @@ def _curate_table(args: argparse.Namespace):
     notes = textproc.load_notes(args.notes)
     patients = textproc.load_patients(args.patients)
     matcher = build_matcher(lexicon)
-
-    templates: set[str] = set()
-    if not args.no_template_filter:
-        if args.template_threshold < 2:
-            raise InputError(
-                f"template threshold must be >= 2, got {args.template_threshold}"
-            )
-        fingerprints = cohort.corpus_fingerprints(notes, workers=args.workers)
-        templates = {
-            fp for fp, pats in fingerprints.items()
-            if len(pats) >= args.template_threshold
-        }
+    segmented = cohort.segment_notes(notes)
+    templates = set() if args.no_template_filter else _templates(notes, segmented, args)
 
     classifier: assertion.Classifier
     dump_path = getattr(args, "dump_classification_requests", None)
     responses_path = getattr(args, "classification_responses", None)
+    if dump_path or responses_path:
+        tasks = cohort.classification_tasks(
+            notes, patients, matcher, templates, args.day_range, segmented=segmented
+        )
     if dump_path:
-        _dump_requests(notes, patients, matcher, templates, args, dump_path)
+        with open(dump_path, "w", encoding="utf-8") as handle:
+            assertion.write_classification_requests(tasks, handle)
         return None, None, lexicon
     if responses_path:
-        tasks = _classification_tasks(notes, patients, matcher, templates, args)
         responses = assertion.read_classification_responses(responses_path, len(tasks))
         classifier = assertion.PrecomputedClassifier(responses)
         # Replay requires the serial task order; workers stay at 1.
@@ -245,33 +249,22 @@ def _curate_table(args: argparse.Namespace):
         include_maybe=args.include_maybe,
         workers=workers,
         group_ids=lexicon.group_ids,
+        segmented=segmented,
     )
     return table, rejects, lexicon
 
 
-def _classification_tasks(notes, patients, matcher, templates, args):
-    """Deterministic (sentence, span) task order shared by dump and replay."""
-    lo, hi = args.day_range
-    tasks: list[tuple[str, int, int]] = []
-    for note in notes:
-        record = patients.get(note.patient_id)
-        if record is None:
-            continue
-        day = textproc.relative_day(note.date, record.pcr_date)
-        if day < lo or day > hi:
-            continue
-        for sentence in textproc.segment_sentences(note):
-            if templates and textproc.fingerprint(sentence.text) in templates:
-                continue
-            for mention in matcher.find_mentions(sentence.text):
-                tasks.append((sentence.text, mention.start, mention.end))
-    return tasks
-
-
-def _dump_requests(notes, patients, matcher, templates, args, path: str) -> None:
-    tasks = _classification_tasks(notes, patients, matcher, templates, args)
-    with open(path, "w", encoding="utf-8") as handle:
-        assertion.write_classification_requests(tasks, handle)
+def _templates(notes, segmented, args) -> set[str]:
+    """Fingerprints shared by at least --template-threshold patients."""
+    if args.template_threshold < 2:
+        raise InputError(
+            f"template threshold must be >= 2, got {args.template_threshold}"
+        )
+    fingerprints = cohort.corpus_fingerprints(notes, segmented)
+    return {
+        fp for fp, pats in fingerprints.items()
+        if len(pats) >= args.template_threshold
+    }
 
 
 def _presence_table(args: argparse.Namespace):

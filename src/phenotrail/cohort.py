@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .assertion import AssertionLabel, Classifier
 from .errors import InputError
@@ -23,9 +23,7 @@ from .lexicon import TermMatcher
 from .textproc import (
     ClinicalNote,
     PatientRecord,
-    collect_fingerprint_patients,
     fingerprint,
-    merge_fingerprint_tables,
     relative_day,
     segment_sentences,
 )
@@ -39,6 +37,12 @@ DEFAULT_WINDOW = (-7, -1)
 PRESENCE_HEADER = ("group_id", "relative_day", "cohort", "patient_count")
 PRESENCE_LONG_HEADER = ("group_id", "relative_day", "cohort", "patient_id")
 REJECTS_HEADER = ("note_id", "reason")
+
+# Notes per pool task; smaller corpora are scanned in-process.
+_CHUNK = 2000
+
+# Per note, in note order: its sentences as (text, fingerprint) pairs.
+Segmented = Sequence[Sequence[tuple[str, str]]]
 
 
 @dataclass
@@ -64,92 +68,128 @@ def _validate_day_range(day_range: tuple[int, int]) -> None:
         raise InputError(f"empty day range {day_range}")
 
 
-def _scan_notes(
+def segment_notes(notes: Sequence[ClinicalNote]) -> list[list[tuple[str, str]]]:
+    """Each note's sentences as (text, fingerprint) pairs, in note order.
+
+    This is the corpus's only segmentation pass; the template pass, the
+    presence scan and the classification task walk all read its result.
+    """
+    segmented = []
+    for note in notes:
+        pairs = []
+        for sentence in segment_sentences(note):
+            text = sentence.text
+            pairs.append((text, fingerprint(text)))
+        segmented.append(pairs)
+    return segmented
+
+
+def _aligned(
     notes: Sequence[ClinicalNote],
+    segmented: Segmented | None,
+) -> Segmented:
+    if segmented is None:
+        return segment_notes(notes)
+    if len(segmented) != len(notes):
+        raise ValueError(f"{len(segmented)} segmented notes for {len(notes)} notes")
+    return segmented
+
+
+def corpus_fingerprints(
+    notes: Sequence[ClinicalNote],
+    segmented: Segmented | None = None,
+) -> dict[str, set[str]]:
+    """Fingerprint -> distinct patients over the whole corpus.
+
+    ``segmented`` is ``segment_notes(notes)`` when the caller already has it.
+    """
+    table: dict[str, set[str]] = {}
+    for note, pairs in zip(notes, _aligned(notes, segmented)):
+        for _text, fp in pairs:
+            table.setdefault(fp, set()).add(note.patient_id)
+    return table
+
+
+def _kept_sentences(
+    notes: Sequence[ClinicalNote],
+    segmented: Segmented,
+    patients: Mapping[str, PatientRecord],
+    templates: frozenset[str],
+    day_range: tuple[int, int],
+) -> Iterator[tuple[str, int, str]]:
+    """(patient_id, day, sentence) for each non-template sentence of an
+    in-range note by a known patient, in corpus order."""
+    lo, hi = day_range
+    for note, pairs in zip(notes, segmented):
+        record = patients.get(note.patient_id)
+        if record is None:
+            continue
+        day = relative_day(note.date, record.pcr_date)
+        if day < lo or day > hi:
+            continue
+        for text, fp in pairs:
+            if fp not in templates:
+                yield note.patient_id, day, text
+
+
+def classification_tasks(
+    notes: Sequence[ClinicalNote],
+    patients: Mapping[str, PatientRecord],
+    matcher: TermMatcher,
+    templates: Iterable[str] = (),
+    day_range: tuple[int, int] = DEFAULT_DAY_RANGE,
+    segmented: Segmented | None = None,
+) -> list[tuple[str, int, int]]:
+    """(sentence, span_start, span_end) per mention, in the order in which a
+    serial ``build_presence`` classifies them."""
+    sentences = _kept_sentences(
+        notes, _aligned(notes, segmented), patients, frozenset(templates), day_range
+    )
+    return [
+        (text, mention.start, mention.end)
+        for _pid, _day, text in sentences
+        for mention in matcher.find_mentions(text)
+    ]
+
+
+def _scan(
+    notes: Sequence[ClinicalNote],
+    segmented: Segmented,
     patients: Mapping[str, PatientRecord],
     matcher: TermMatcher,
     classifier: Classifier,
     templates: frozenset[str],
     day_range: tuple[int, int],
     include_maybe: bool,
-) -> tuple[dict[tuple[str, int], set[str]], list[RejectedNote]]:
+) -> dict[tuple[str, int], set[str]]:
     presence: dict[tuple[str, int], set[str]] = {}
-    rejects: list[RejectedNote] = []
     accepted = {AssertionLabel.YES}
     if include_maybe:
         accepted.add(AssertionLabel.MAYBE)
-    lo, hi = day_range
-    for note in notes:
-        record = patients.get(note.patient_id)
-        if record is None:
-            rejects.append(RejectedNote(note.note_id, f"unknown patient_id {note.patient_id!r}"))
-            continue
-        day = relative_day(note.date, record.pcr_date)
-        if day < lo or day > hi:
-            continue
-        for sentence in segment_sentences(note):
-            if templates and fingerprint(sentence.text) in templates:
+    sentences = _kept_sentences(notes, segmented, patients, templates, day_range)
+    for patient_id, day, text in sentences:
+        for mention in matcher.find_mentions(text):
+            label, _confidence = classifier.classify(text, (mention.start, mention.end))
+            if label not in accepted:
                 continue
-            for mention in matcher.find_mentions(sentence.text):
-                label, _confidence = classifier.classify(
-                    sentence.text, (mention.start, mention.end)
-                )
-                if label not in accepted:
-                    continue
-                for group_id in mention.group_ids:
-                    presence.setdefault((group_id, day), set()).add(note.patient_id)
-    return presence, rejects
+            for group_id in mention.group_ids:
+                presence.setdefault((group_id, day), set()).add(patient_id)
+    return presence
 
 
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(patients, matcher, classifier, templates, day_range, include_maybe):
-    _WORKER_STATE.update(
-        patients=patients,
-        matcher=matcher,
-        classifier=classifier,
-        templates=templates,
-        day_range=day_range,
-        include_maybe=include_maybe,
-    )
+def _worker_init(notes, segmented, patients, matcher, classifier, templates,
+                 day_range, include_maybe):
+    _WORKER_STATE["args"] = (notes, segmented, patients, matcher, classifier,
+                             templates, day_range, include_maybe)
 
 
-def _worker_scan(notes: Sequence[ClinicalNote]):
-    state = _WORKER_STATE
-    return _scan_notes(
-        notes,
-        state["patients"],
-        state["matcher"],
-        state["classifier"],
-        state["templates"],
-        state["day_range"],
-        state["include_maybe"],
-    )
-
-
-def _worker_fingerprints(notes: Sequence[ClinicalNote]):
-    pairs = (
-        (sentence.text, note.patient_id)
-        for note in notes
-        for sentence in segment_sentences(note)
-    )
-    return collect_fingerprint_patients(pairs)
-
-
-def _chunks(notes: Sequence[ClinicalNote], size: int) -> list[Sequence[ClinicalNote]]:
-    return [notes[i:i + size] for i in range(0, len(notes), size)]
-
-
-def corpus_fingerprints(
-    notes: Sequence[ClinicalNote], workers: int = 1
-) -> dict[str, set[str]]:
-    """Fingerprint -> distinct patients over the whole corpus."""
-    if workers <= 1 or len(notes) < 2000:
-        return _worker_fingerprints(notes)
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        tables = pool.map(_worker_fingerprints, _chunks(notes, 2000))
-    return merge_fingerprint_tables(tables)
+def _worker_scan(bounds: tuple[int, int]) -> dict[tuple[str, int], set[str]]:
+    lo, hi = bounds
+    notes, segmented, *rest = _WORKER_STATE["args"]
+    return _scan(notes[lo:hi], segmented[lo:hi], *rest)
 
 
 def build_presence(
@@ -162,34 +202,39 @@ def build_presence(
     include_maybe: bool = False,
     workers: int = 1,
     group_ids: Sequence[str] | None = None,
+    segmented: Segmented | None = None,
 ) -> tuple[SymptomPresenceTable, list[RejectedNote]]:
     """Invert the corpus into (phenotype, day) -> patients with a YES mention.
 
     Notes for unknown patients are reported in the rejects list, never
     fatal.  Notes dated outside ``day_range`` are skipped.  The output is
-    independent of note order and worker count.
+    independent of note order and worker count.  ``segmented`` is
+    ``segment_notes(notes)`` when the caller already has it; forked
+    workers read it from the parent rather than segmenting again.
     """
     _validate_day_range(day_range)
-    template_set = frozenset(templates)
+    args = (notes, _aligned(notes, segmented), patients, matcher, classifier, frozenset(templates),
+            day_range, include_maybe)
 
-    if workers <= 1 or len(notes) < 2000:
-        presence, rejects = _scan_notes(
-            notes, patients, matcher, classifier, template_set, day_range, include_maybe
-        )
+    if workers <= 1 or len(notes) < _CHUNK:
+        presence = _scan(*args)
     else:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            workers,
-            initializer=_worker_init,
-            initargs=(patients, matcher, classifier, template_set, day_range, include_maybe),
-        ) as pool:
-            partials = pool.map(_worker_scan, _chunks(notes, 2000))
+        with ctx.Pool(workers, initializer=_worker_init, initargs=args) as pool:
+            partials = pool.map(
+                _worker_scan,
+                [(i, i + _CHUNK) for i in range(0, len(notes), _CHUNK)],
+            )
         presence = {}
-        rejects = []
-        for partial_presence, partial_rejects in partials:
-            for key, pids in partial_presence.items():
+        for partial in partials:
+            for key, pids in partial.items():
                 presence.setdefault(key, set()).update(pids)
-            rejects.extend(partial_rejects)
+
+    rejects = sorted(
+        (RejectedNote(note.note_id, f"unknown patient_id {note.patient_id!r}")
+         for note in notes if note.patient_id not in patients),
+        key=lambda r: r.note_id,
+    )
 
     sizes = {POSITIVE: 0, NEGATIVE: 0}
     arms: dict[str, str] = {}
@@ -206,7 +251,6 @@ def build_presence(
         group_ids=tuple(group_ids),
         patient_arms=arms,
     )
-    rejects.sort(key=lambda r: r.note_id)
     return table, rejects
 
 

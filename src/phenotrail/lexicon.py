@@ -1,16 +1,15 @@
 """Phenotype synonym lexicon and multi-pattern term matching.
 
 A lexicon groups synonym phrases under named phenotype categories.  The
-matcher locates every synonym occurrence inside a sentence in a single
-scan (Aho-Corasick automaton over normalized text), keeps only matches
-that sit on token boundaries, and reports the owning group(s) of each
-surviving hit.
+matcher looks each word run of a normalized sentence up in an index of
+terms keyed by their first word run, keeps only matches that sit on
+token boundaries, and reports the owning group(s) of each surviving hit.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import deque
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
@@ -106,6 +105,10 @@ class Lexicon:
             if not group.terms:
                 raise InputError(f"group {group.group_id!r} has no terms")
             for term in group.terms:
+                if not term or normalize_term(term) != term:
+                    raise InputError(
+                        f"group {group.group_id!r}: term {term!r} is not normalized"
+                    )
                 index.setdefault(term, set()).add(group.group_id)
         self.term_index: dict[str, frozenset[str]] = {
             t: frozenset(g) for t, g in index.items()
@@ -208,6 +211,12 @@ def load_default_lexicon() -> Lexicon:
     return load_lexicon(default_lexicon_path())
 
 
+# Maximal runs of is_word_char; "[^\W_]" is exactly str.isalnum.  The
+# inner "+" lets the engine take a whole alphanumeric stretch per step.
+_WORD_RUN_RE = re.compile(r"(?:[^\W_]+|')+")
+_IRREGULAR_SPACE_RE = re.compile(r"[^\S ]|  ")
+
+
 class TermMatcher:
     """Immutable multi-pattern matcher built from a lexicon.
 
@@ -215,135 +224,81 @@ class TermMatcher:
     token boundaries, and resolves overlaps by letting the longest match
     starting earliest win; matches beginning inside a winning span are
     suppressed.  The winning term reports every group that lists it.
+
+    A normalized term starts where a word run starts and ends where one
+    ends, so terms are indexed by their first word run and only tried at
+    word runs of the sentence whose text is such a key.
     """
 
     def __init__(self, lexicon: Lexicon):
-        self._terms: tuple[str, ...] = tuple(sorted(lexicon.term_index))
-        self._groups: tuple[frozenset[str], ...] = tuple(
-            lexicon.term_index[t] for t in self._terms
-        )
-        self._caps: tuple[bool, ...] = tuple(
-            t in lexicon.caps_required for t in self._terms
-        )
-        self._build_automaton()
+        caps = lexicon.caps_required
+        by_first: dict[str, list[tuple[str, frozenset[str], str | None]]] = {}
+        for term, groups in lexicon.term_index.items():
+            first = _WORD_RUN_RE.match(term).group()
+            upper = term.upper() if term in caps else None
+            by_first.setdefault(first, []).append((term, groups, upper))
+        for entries in by_first.values():
+            entries.sort(key=lambda entry: -len(entry[0]))
+        self._by_first = by_first
+        self._pattern_count = len(lexicon.term_index)
 
     @property
     def pattern_count(self) -> int:
-        return len(self._terms)
-
-    def _build_automaton(self) -> None:
-        goto: list[dict[str, int]] = [{}]
-        out: list[list[int]] = [[]]
-        for idx, term in enumerate(self._terms):
-            state = 0
-            for ch in term:
-                nxt = goto[state].get(ch)
-                if nxt is None:
-                    nxt = len(goto)
-                    goto.append({})
-                    out.append([])
-                    goto[state][ch] = nxt
-                state = nxt
-            out[state].append(idx)
-
-        fail = [0] * len(goto)
-        queue: deque[int] = deque(goto[0].values())
-        while queue:
-            state = queue.popleft()
-            for ch, child in goto[state].items():
-                queue.append(child)
-                f = fail[state]
-                while f and ch not in goto[f]:
-                    f = fail[f]
-                fail[child] = goto[f].get(ch, 0)
-                out[child].extend(out[fail[child]])
-
-        self._goto = goto
-        self._fail = fail
-        self._out = out
-        self._upper = tuple(
-            t.upper() if caps else "" for t, caps in zip(self._terms, self._caps)
-        )
-
-    @staticmethod
-    def _normalize_sentence(sentence: str) -> tuple[str, list[int] | None]:
-        """Lowercased, whitespace-collapsed view plus index map to original.
-
-        Returns (normalized, positions); positions is None when the
-        normalized text aligns one-to-one with the original.
-        """
-        simple = True
-        for ch in sentence:
-            if ch.isspace() and ch != " ":
-                simple = False
-                break
-        if simple and "  " not in sentence:
-            lowered = sentence.lower()
-            if len(lowered) == len(sentence):
-                return lowered, None
-        chars: list[str] = []
-        positions: list[int] = []
-        for i, ch in enumerate(sentence):
-            if ch.isspace():
-                if chars and chars[-1] == " ":
-                    continue
-                chars.append(" ")
-                positions.append(i)
-            else:
-                low = ch.lower()
-                chars.append(low if len(low) == 1 else ch)
-                positions.append(i)
-        return "".join(chars), positions
+        return self._pattern_count
 
     def find_mentions(self, sentence: str) -> list[Mention]:
         if not sentence:
             return []
-        norm, positions = self._normalize_sentence(sentence)
-        goto, fail, out = self._goto, self._fail, self._out
-        terms = self._terms
-
-        candidates: list[tuple[int, int, int]] = []  # (start, -length, idx)
-        state = 0
+        norm, positions = _normalize_sentence(sentence)
+        by_first = self._by_first
         n = len(norm)
-        for i, ch in enumerate(norm):
-            while state and ch not in goto[state]:
-                state = fail[state]
-            state = goto[state].get(ch, 0)
-            if out[state]:
-                end = i + 1
-                if end < n and is_word_char(norm[end]):
-                    continue
-                for idx in out[state]:
-                    length = len(terms[idx])
-                    start = end - length
-                    if start > 0 and is_word_char(norm[start - 1]):
-                        continue
-                    if self._caps[idx]:
-                        ostart, oend = _orig_span(positions, start, end)
-                        if sentence[ostart:oend] != self._upper[idx]:
-                            continue
-                    candidates.append((start, -length, idx))
-
-        if not candidates:
-            return []
-        candidates.sort()
         mentions: list[Mention] = []
         consumed = 0
-        for start, neg_len, idx in candidates:
+        for run in _WORD_RUN_RE.finditer(norm):
+            entries = by_first.get(run.group())
+            if entries is None:
+                continue
+            start = run.start()
             if start < consumed:
                 continue
-            end = start - neg_len
-            consumed = end
-            ostart, oend = _orig_span(positions, start, end)
-            mentions.append(
-                Mention(
-                    term=terms[idx],
-                    start=ostart,
-                    end=oend,
-                    group_ids=self._groups[idx],
-                )
-            )
+            for term, groups, upper in entries:
+                end = start + len(term)
+                if not norm.startswith(term, start):
+                    continue
+                if end < n and is_word_char(norm[end]):
+                    continue
+                ostart, oend = _orig_span(positions, start, end)
+                if upper is not None and sentence[ostart:oend] != upper:
+                    continue
+                mentions.append(Mention(term=term, start=ostart, end=oend, group_ids=groups))
+                consumed = end
+                break
         return mentions
+
+
+def _normalize_sentence(sentence: str) -> tuple[str, list[int] | None]:
+    """Lowercased, whitespace-collapsed view plus index map to original.
+
+    Returns (normalized, positions); positions is None when the
+    normalized text aligns one-to-one with the original.
+    """
+    if _IRREGULAR_SPACE_RE.search(sentence) is None:
+        lowered = sentence.lower()
+        if len(lowered) == len(sentence):
+            return lowered, None
+    chars: list[str] = []
+    positions: list[int] = []
+    for i, ch in enumerate(sentence):
+        if ch.isspace():
+            if chars and chars[-1] == " ":
+                continue
+            chars.append(" ")
+            positions.append(i)
+        else:
+            low = ch.lower()
+            chars.append(low if len(low) == 1 else ch)
+            positions.append(i)
+    return "".join(chars), positions
 
 
 def _orig_span(positions: list[int] | None, start: int, end: int) -> tuple[int, int]:

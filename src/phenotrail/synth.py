@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import IO, Iterable, Sequence
 
-import numpy as np
-
 from .assertion import AssertionLabel
 from .errors import InputError
 from .lexicon import Lexicon
@@ -227,6 +225,8 @@ def _exclusive_terms(lexicon: Lexicon, group_id: str) -> tuple[str, ...]:
 
 def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
     """Produce (roster, notes, gold labels); identical output per seed."""
+    import numpy as np  # here, so that every other command starts without numpy
+
     known = set(lexicon.group_ids)
     missing = [g for g in config.group_ids if g not in known]
     if missing:

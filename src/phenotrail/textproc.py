@@ -143,17 +143,6 @@ def collect_fingerprint_patients(
     return table
 
 
-def merge_fingerprint_tables(
-    tables: Iterable[dict[str, set[str]]],
-) -> dict[str, set[str]]:
-    """Associative, commutative merge of per-worker fingerprint maps."""
-    merged: dict[str, set[str]] = {}
-    for table in tables:
-        for fp, patients in table.items():
-            merged.setdefault(fp, set()).update(patients)
-    return merged
-
-
 def detect_templates(
     pairs: Iterable[tuple[str, str]],
     threshold: int = 20,
@@ -183,17 +172,22 @@ def parse_note_line(line: str, lineno: int) -> ClinicalNote:
     missing = [k for k in NOTE_KEYS if k not in obj]
     if missing:
         raise InputError(f"notes line {lineno}: missing keys {missing}")
+    for key in NOTE_KEYS:
+        if not isinstance(obj[key], str):
+            raise InputError(
+                f"notes line {lineno}: {key} must be a string, got {obj[key]!r}"
+            )
     try:
-        note_date = date.fromisoformat(str(obj["date"]))
+        note_date = date.fromisoformat(obj["date"])
     except ValueError:
         raise InputError(
             f"notes line {lineno}: date {obj['date']!r} is not YYYY-MM-DD"
         ) from None
     return ClinicalNote(
-        patient_id=str(obj["patient_id"]),
-        note_id=str(obj["note_id"]),
+        patient_id=obj["patient_id"],
+        note_id=obj["note_id"],
         date=note_date,
-        text=str(obj["text"]),
+        text=obj["text"],
     )
 
 

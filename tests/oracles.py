@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the test suite.
 
 These deliberately avoid the package's algorithmic machinery: the
-matcher oracle scans token windows directly, the Fisher oracle sums
+matcher oracle scans token windows directly, the classifier oracle builds
+the cue windows of every mention without shortcuts, the Fisher oracle sums
 exact integer binomial coefficients, the BH oracle applies the step-up
 definition by quadratic scan, and the tail oracle delegates to mpmath
 at high precision.
@@ -54,6 +55,47 @@ def matcher_oracle(sentence, term_index, caps_required):
         consumed = start - neg_len
         picked.append((start, consumed, term, frozenset(groups)))
     return picked
+
+
+_CUE_TOKEN_RE = re.compile(r"(?:[^\W_]|')+|;")
+
+
+def classify_oracle(sentence, span, config):
+    """Cue-window label by the literal rule: lowercase every token, keep up
+    to window_before tokens ending at or before the span and window_after
+    tokens starting at or after it, each side cut at the first scope
+    breaker, then look for every cue at every offset of each side."""
+    start, end = span
+    tokens = [(m.group().lower(), m.start(), m.end())
+              for m in _CUE_TOKEN_RE.finditer(sentence)]
+    before = []
+    for text, _t_start, t_end in reversed(tokens):
+        if t_end > start:
+            continue
+        if text in config.scope_breakers:
+            break
+        before.append(text)
+        if len(before) >= config.window_before:
+            break
+    before.reverse()
+    after = []
+    for text, t_start, _t_end in tokens:
+        if t_start < end:
+            continue
+        if text in config.scope_breakers:
+            break
+        after.append(text)
+        if len(after) >= config.window_after:
+            break
+    for label, cues in (("OTHER", config.attribution_cues),
+                        ("NO", config.negation_cues),
+                        ("MAYBE", config.uncertainty_cues)):
+        for side in (before, after):
+            for cue in cues:
+                for i in range(len(side) - len(cue) + 1):
+                    if tuple(side[i:i + len(cue)]) == cue:
+                        return label
+    return "YES"
 
 
 def fisher_oracle(a: int, b: int, c: int, d: int) -> float:

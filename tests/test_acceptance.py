@@ -25,6 +25,7 @@ from phenotrail.cohort import (
     build_presence,
     corpus_fingerprints,
     daily_counts,
+    segment_notes,
     window_presence,
     write_presence_csv,
 )
@@ -123,11 +124,13 @@ def as_clinical_notes(corpus):
 
 
 def curate(notes, patients, matcher, lexicon, workers=1, threshold=20):
-    fingerprints = corpus_fingerprints(notes, workers=workers)
+    segmented = segment_notes(notes)
+    fingerprints = corpus_fingerprints(notes, segmented)
     templates = {fp for fp, pats in fingerprints.items() if len(pats) >= threshold}
     table, rejects = build_presence(
         notes, patients, matcher, RuleClassifier(),
         templates=templates, workers=workers, group_ids=lexicon.group_ids,
+        segmented=segmented,
     )
     return table, rejects, templates
 

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from phenotrail.assertion import (
 )
 from phenotrail.errors import InputError
 from phenotrail.lexicon import build_matcher, load_default_lexicon
+
+from oracles import classify_oracle
 
 Y, N, M, O = (AssertionLabel.YES, AssertionLabel.NO,
               AssertionLabel.MAYBE, AssertionLabel.OTHER)
@@ -131,6 +135,53 @@ class TestRuleClassifier:
         assert clf.classify_mention("zonk fever", mention) == (N, 1.0)
         mention = matcher.find_mentions("denies fever")[0]
         assert clf.classify_mention("denies fever", mention) == (Y, 1.0)
+
+    def test_cue_without_tokens_rejected(self):
+        with pytest.raises(InputError, match="has no tokens"):
+            RuleConfig.from_dict({
+                "window_before": 6,
+                "window_after": 3,
+                "scope_breakers": [],
+                "negation_cues": ["no", "--"],
+                "uncertainty_cues": [],
+                "attribution_cues": [],
+            })
+
+
+class TestClassifierOracle:
+    # Cues whose later words also occur alone, scope breakers, and words
+    # that are no cue's first token.
+    CUE_WORDS = ["negative for", "cannot rule out", "r/o", "R/O", "Denies", "no",
+                 "possible", "family history", "mother", "concern for"]
+    LOOSE_WORDS = ["for", "out", "rule", "cannot", "negative", "history", "o",
+                   "but", "however", ";", "although"]
+    PLAIN_WORDS = ["patient", "reports", "today", "with", "x", "fever", "cough",
+                   "chills", "sore throat", "headache", "and", "since", "yesterday"]
+
+    def random_sentence(self, rng):
+        pools = [self.PLAIN_WORDS]
+        if rng.random() < 0.7:
+            pools += [self.CUE_WORDS, self.LOOSE_WORDS]
+        words = [rng.choice(rng.choice(pools)) for _ in range(rng.randint(1, 14))]
+        return " ".join(words) + rng.choice(["", ".", ";"])
+
+    @pytest.mark.parametrize("window", [None, (1, 0), (2, 1)])
+    def test_randomized_sentences_match_oracle(self, matcher, window):
+        config = RuleConfig.load()
+        if window is not None:
+            config = dataclasses.replace(
+                config, window_before=window[0], window_after=window[1])
+        clf = RuleClassifier(config)
+        rng = random.Random(20201017)
+        checked = 0
+        for _ in range(3000):
+            sentence = self.random_sentence(rng)
+            for mention in matcher.find_mentions(sentence):
+                span = (mention.start, mention.end)
+                expected = AssertionLabel(classify_oracle(sentence, span, config))
+                assert clf.classify(sentence, span) == (expected, 1.0), (sentence, span)
+                checked += 1
+        assert checked > 2000
 
 
 class TestEvaluate:

@@ -125,6 +125,16 @@ class TestCurateCommand:
             "--out", str(tmp_path / "out"),
         ]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_bad_worker_count_rejected(self, corpus_dir, tmp_path, workers):
+        assert main([
+            "curate", "--notes", str(corpus_dir / "notes.jsonl"),
+            "--patients", str(corpus_dir / "patients.csv"),
+            "--workers", workers,
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_template_threshold_rejected(self, corpus_dir, tmp_path):
         assert main([
             "curate", "--notes", str(corpus_dir / "notes.jsonl"),

@@ -10,6 +10,7 @@ from phenotrail.cohort import (
     daily_counts,
     load_presence_long_csv,
     pair_counts,
+    segment_notes,
     window_presence,
     write_presence_csv,
     write_presence_long_csv,
@@ -155,6 +156,16 @@ class TestBuildPresence:
         serial, _ = build_presence(notes, patients, matcher, classifier, workers=1)
         parallel, _ = build_presence(notes, patients, matcher, classifier, workers=2)
         assert serial.presence == parallel.presence
+
+    def test_presegmented_notes(self, matcher, classifier):
+        patients = roster(p1="positive", p2="negative")
+        notes = [note("p1", -2, "Fever. Denies  Cough."), note("p2", -1, "Cough today.")]
+        segmented = segment_notes(notes)
+        assert segmented[0] == [("Fever.", "fever."), ("Denies  Cough.", "denies cough.")]
+        table, _ = build_presence(notes, patients, matcher, classifier, segmented=segmented)
+        assert table.presence == {("fever_chills", -2): {"p1"}, ("cough", -1): {"p2"}}
+        with pytest.raises(ValueError, match="1 segmented notes for 2 notes"):
+            build_presence(notes, patients, matcher, classifier, segmented=segmented[:1])
 
     def test_invalid_day_range(self, matcher, classifier):
         with pytest.raises(InputError):

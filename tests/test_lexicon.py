@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from phenotrail.errors import InputError
 from phenotrail.lexicon import (
+    Lexicon,
+    PhenotypeGroup,
     build_matcher,
     load_default_lexicon,
     load_lexicon,
@@ -32,6 +34,11 @@ def make_lexicon(rows):
 
 
 class TestLoadLexicon:
+    def test_unnormalized_terms_rejected(self):
+        for raw in ("Sore throat", "sore  throat", " cough", "cough.", ""):
+            with pytest.raises(InputError, match="not normalized"):
+                Lexicon([PhenotypeGroup("g", "G", (raw,))])
+
     def test_default_lexicon_shape(self, lexicon):
         assert len(lexicon.groups) == 26
         by_id = {g.group_id: g for g in lexicon.groups}
@@ -179,7 +186,10 @@ def random_sentence(rng, terms):
         "patient", "reports", "the", "over", "handed", "crashed", "rash",
         "Ha", "haundry", "soba", "and", "with", "today", "notable",
         "recovering", "charted", "fevers,", "overnight", "at", "home",
+        "o'clock", "pt's", "'", "İ", "İll", "ſ", "ſore", "\u212a", "\u212aidney",
     ]
+    # Mostly plain spaces; the rest are other whitespace and token joiners.
+    joiners = [" "] * 6 + ["  ", "\t", "\n", " \t ", "-", "/", "'"]
     parts = []
     for _ in range(rng.randint(1, 12)):
         if rng.random() < 0.4:
@@ -188,11 +198,14 @@ def random_sentence(rng, terms):
                 term = term.upper()
             elif rng.random() < 0.2:
                 term = term.title()
+            elif rng.random() < 0.2:
+                term = term.replace(" ", rng.choice(joiners))
             parts.append(term)
         else:
             parts.append(rng.choice(distractors))
-    sep = "  " if rng.random() < 0.1 else " "
-    sentence = sep.join(parts)
+    sentence = parts[0]
+    for part in parts[1:]:
+        sentence += rng.choice(joiners) + part
     if rng.random() < 0.3:
         sentence += rng.choice([".", "!", " ?"])
     return sentence
@@ -202,7 +215,7 @@ class TestOracleAgreement:
     def test_randomized_sentences_match_oracle(self, lexicon, matcher):
         rng = random.Random(20200315)
         terms = sorted(lexicon.term_index)
-        for _ in range(500):
+        for _ in range(5000):
             sentence = random_sentence(rng, terms)
             got = [(m.start, m.end, m.term, m.group_ids)
                    for m in matcher.find_mentions(sentence)]

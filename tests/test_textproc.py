@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from datetime import date, timedelta
 
@@ -15,7 +16,6 @@ from phenotrail.textproc import (
     fingerprint,
     load_notes,
     load_patients,
-    merge_fingerprint_tables,
     relative_day,
     segment_sentences,
 )
@@ -103,19 +103,13 @@ class TestTemplates:
     def test_fingerprint_normalizes_case_and_spacing(self):
         assert fingerprint("  Fever   NOTED. ") == fingerprint("fever noted.")
 
-    def test_permutation_invariance_and_merge(self):
+    def test_permutation_invariance(self):
         rng = random.Random(11)
         pairs = [(f"sentence {i % 7}", f"p{rng.randint(0, 40)}") for i in range(300)]
         shuffled = pairs[:]
         rng.shuffle(shuffled)
         assert detect_templates(pairs, 5) == detect_templates(shuffled, 5)
-        # split-and-merge equals single-pass aggregation
-        half = len(pairs) // 2
-        merged = merge_fingerprint_tables(
-            [collect_fingerprint_patients(pairs[:half]),
-             collect_fingerprint_patients(pairs[half:])]
-        )
-        assert merged == collect_fingerprint_patients(pairs)
+        assert collect_fingerprint_patients(pairs) == collect_fingerprint_patients(shuffled)
 
 
 class TestRelativeDay:
@@ -160,6 +154,16 @@ class TestLoaders:
             ))
         with pytest.raises(InputError, match="missing keys"):
             load_notes(io.StringIO('{"patient_id": "p"}\n'))
+
+    @pytest.mark.parametrize("key", ["patient_id", "note_id", "date", "text"])
+    @pytest.mark.parametrize("value", [None, 7, ["a"]])
+    def test_load_notes_rejects_non_string_fields(self, key, value):
+        obj = {"patient_id": "p", "note_id": "n", "date": "2020-03-01", "text": "Fever."}
+        obj[key] = value
+        stream = io.StringIO('{"patient_id": "p0", "note_id": "n0", "date": "2020-03-01", '
+                             '"text": ""}\n' + json.dumps(obj) + "\n")
+        with pytest.raises(InputError, match=f"notes line 2: {key} must be a string"):
+            load_notes(stream)
 
     def test_load_patients(self):
         stream = io.StringIO(
