@@ -6,7 +6,6 @@ from .assertion import (  # noqa: F401
     AssertionLabel,
     EvalMetrics,
     RuleClassifier,
-    classify_rule_based,
     evaluate,
 )
 from .bundled import data_path  # noqa: F401

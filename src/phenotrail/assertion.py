@@ -19,7 +19,7 @@ from typing import IO, Iterable, Protocol, Sequence
 
 from .bundled import ASSERTION_RULES, data_path
 from .errors import InputError
-from .lexicon import Mention
+from .lexicon import is_word_char, token_pattern
 
 
 class AssertionLabel(enum.Enum):
@@ -99,38 +99,40 @@ class RuleClassifier:
     other.  Cue precedence when several fire: OTHER > NO > MAYBE > YES.
     Confidence is always 1.0.
 
-    Each sentence is tokenized once for all of its mentions.  A cue can
-    fire only if its first token lies in a window, so a sentence holding
-    no cue's first token labels every mention YES without a window.
+    A cue can fire only if its first token lies in a window, so an ASCII
+    sentence in which no cue's first token occurs labels every mention
+    YES without tokenizing it; one regex search of the lowercased
+    sentence decides that.  (Lowercasing can change the tokens of other
+    text, so its windows are always built.)
     """
 
     def __init__(self, config: RuleConfig | None = None):
         self._config = cfg = config or RuleConfig.load()
         self.descriptor = "rule-window/v1"
-        self._cue_starts = frozenset(
-            cue[0]
-            for cues in (cfg.attribution_cues, cfg.negation_cues, cfg.uncertainty_cues)
-            for cue in cues
+        # A window holds at least one token, whatever its configured size.
+        self._before = max(cfg.window_before, 1)
+        self._after = max(cfg.window_after, 1)
+        # A window side is matched as " tok tok ... " text, so a cue
+        # occurs in it exactly when " cue tokens " is a substring.
+        self._cues = tuple(
+            (label, tuple(f" {' '.join(cue)} " for cue in cues))
+            for label, cues in ((AssertionLabel.OTHER, cfg.attribution_cues),
+                                (AssertionLabel.NO, cfg.negation_cues),
+                                (AssertionLabel.MAYBE, cfg.uncertainty_cues))
         )
-        # (sentence, its (lowercased token, start, end) list or None when
-        # no cue can fire); replaced as a whole so sharing stays safe.
-        self._last: tuple[str, list[tuple[str, int, int]] | None] = ("", None)
+        # Cue tokens are word runs or ";", which needs no token boundary.
+        starts = {cue[0] for cues in (cfg.attribution_cues, cfg.negation_cues,
+                                      cfg.uncertainty_cues) for cue in cues}
+        words = starts - {";"}
+        pattern = token_pattern(words) if words else "(?!)"
+        if ";" in starts:
+            pattern += "|;"
+        self._cue_start_re = re.compile(pattern)
 
     @property
     def config(self) -> RuleConfig:
-        """Read-only, because the cue-start index is built from it."""
+        """Read-only, because the cue index is built from it."""
         return self._config
-
-    def _tokens(self, sentence: str) -> list[tuple[str, int, int]] | None:
-        last_sentence, tokens = self._last
-        if sentence != last_sentence:
-            if self._cue_starts.isdisjoint(map(str.lower, _TOKEN_RE.findall(sentence))):
-                tokens = None
-            else:
-                tokens = [(m.group().lower(), m.start(), m.end())
-                          for m in _TOKEN_RE.finditer(sentence)]
-            self._last = (sentence, tokens)
-        return tokens
 
     def classify(
         self, sentence: str, span: tuple[int, int]
@@ -138,69 +140,37 @@ class RuleClassifier:
         start, end = span
         if not (0 <= start < end <= len(sentence)):
             raise InputError(f"mention span {span} outside sentence bounds")
-        tokens = self._tokens(sentence)
-        if tokens is None:
+        if sentence.isascii() and self._cue_start_re.search(sentence.lower()) is None:
             return AssertionLabel.YES, 1.0
-        cfg = self._config
+        breakers = self._config.scope_breakers
 
-        before: list[str] = []
-        for text, _t_start, t_end in reversed(tokens):
-            if t_end > start:
-                continue
-            if text in cfg.scope_breakers:
+        # Tokens ending at or before the mention, nearest first, up to a
+        # scope breaker; the text before the mention also yields the head
+        # of a token that the mention starts inside of.
+        before = [t.lower() for t in _TOKEN_RE.findall(sentence, 0, start)]
+        if start and is_word_char(sentence[start - 1]) and is_word_char(sentence[start]):
+            before.pop()
+        before = before[-self._before:]
+        for k in range(len(before) - 1, -1, -1):
+            if before[k] in breakers:
+                before = before[k + 1:]
                 break
-            before.append(text)
-            if len(before) >= cfg.window_before:
+        # Tokens starting at or after the mention, likewise.
+        after = [t.lower() for t in _TOKEN_RE.findall(sentence, end)]
+        if end < len(sentence) and is_word_char(sentence[end - 1]) and is_word_char(sentence[end]):
+            del after[0]
+        after = after[:self._after]
+        for k, word in enumerate(after):
+            if word in breakers:
+                after = after[:k]
                 break
-        before.reverse()
 
-        after: list[str] = []
-        for text, t_start, _t_end in tokens:
-            if t_start < end:
-                continue
-            if text in cfg.scope_breakers:
-                break
-            after.append(text)
-            if len(after) >= cfg.window_after:
-                break
-
-        window = (tuple(before), tuple(after))
-        if _any_cue(window, cfg.attribution_cues):
-            return AssertionLabel.OTHER, 1.0
-        if _any_cue(window, cfg.negation_cues):
-            return AssertionLabel.NO, 1.0
-        if _any_cue(window, cfg.uncertainty_cues):
-            return AssertionLabel.MAYBE, 1.0
+        # "|" is no token, so no cue can span the two sides.
+        window = f" {' '.join(before)} | {' '.join(after)} "
+        for label, cues in self._cues:
+            if any(cue in window for cue in cues):
+                return label, 1.0
         return AssertionLabel.YES, 1.0
-
-    def classify_mention(
-        self, sentence: str, mention: Mention
-    ) -> tuple[AssertionLabel, float]:
-        return self.classify(sentence, (mention.start, mention.end))
-
-
-def _any_cue(
-    window: tuple[tuple[str, ...], tuple[str, ...]],
-    cues: tuple[tuple[str, ...], ...],
-) -> bool:
-    for side in window:
-        for cue in cues:
-            width = len(cue)
-            if width == 1:
-                if cue[0] in side:
-                    return True
-            else:
-                for i in range(len(side) - width + 1):
-                    if side[i:i + width] == cue:
-                        return True
-    return False
-
-
-def classify_rule_based(
-    sentence: str, mention: Mention, config: RuleConfig | None = None
-) -> tuple[AssertionLabel, float]:
-    """Convenience wrapper around RuleClassifier for one-off calls."""
-    return RuleClassifier(config).classify_mention(sentence, mention)
 
 
 # ---------------------------------------------------------------------------

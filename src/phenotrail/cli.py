@@ -178,9 +178,20 @@ def write_manifest(
 
 
 def rerun_from_manifest(manifest_path: str, out_dir: str) -> int:
-    """Re-execute the run recorded in a manifest into a fresh out dir."""
+    """Re-execute the run recorded in a manifest into a fresh out dir.
+
+    Raises InputError, naming the path, when a recorded input cannot be
+    read or no longer has its recorded SHA-256 digest.
+    """
     with open(manifest_path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
+    for path, digest in manifest["inputs"].items():
+        try:
+            actual = _sha256(path)
+        except OSError as exc:
+            raise InputError(f"manifest input {path!r} cannot be read ({exc.strerror})") from None
+        if actual != digest:
+            raise InputError(f"manifest input {path!r} changed since the run (SHA-256 differs)")
     argv = list(manifest["argv"])
     for i, arg in enumerate(argv):
         if arg == "--out":
@@ -213,9 +224,10 @@ def _curate_table(args: argparse.Namespace):
     """Run notes+patients through curation; returns (table, rejects, lexicon)."""
     _require(args, "notes", "patients")
     lexicon = _load_lexicon_arg(args.lexicon)
+    # Compiled while the heap is small, so collections stay cheap.
+    matcher = build_matcher(lexicon)
     notes = textproc.load_notes(args.notes)
     patients = textproc.load_patients(args.patients)
-    matcher = build_matcher(lexicon)
     segmented = cohort.segment_notes(notes)
     templates = set() if args.no_template_filter else _templates(notes, segmented, args)
 

@@ -13,7 +13,6 @@ merge by set union, so the result is identical for any worker count.
 from __future__ import annotations
 
 import csv
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -25,7 +24,7 @@ from .textproc import (
     PatientRecord,
     fingerprint,
     relative_day,
-    segment_sentences,
+    sentence_texts,
 )
 
 POSITIVE = "positive"
@@ -74,14 +73,8 @@ def segment_notes(notes: Sequence[ClinicalNote]) -> list[list[tuple[str, str]]]:
     This is the corpus's only segmentation pass; the template pass, the
     presence scan and the classification task walk all read its result.
     """
-    segmented = []
-    for note in notes:
-        pairs = []
-        for sentence in segment_sentences(note):
-            text = sentence.text
-            pairs.append((text, fingerprint(text)))
-        segmented.append(pairs)
-    return segmented
+    return [[(text, fingerprint(text)) for text in sentence_texts(note)]
+            for note in notes]
 
 
 def _aligned(
@@ -219,6 +212,8 @@ def build_presence(
     if workers <= 1 or len(notes) < _CHUNK:
         presence = _scan(*args)
     else:
+        import multiprocessing  # only the pool needs it; keeps CLI start-up lean
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers, initializer=_worker_init, initargs=args) as pool:
             partials = pool.map(

@@ -1,9 +1,9 @@
 """Phenotype synonym lexicon and multi-pattern term matching.
 
 A lexicon groups synonym phrases under named phenotype categories.  The
-matcher looks each word run of a normalized sentence up in an index of
-terms keyed by their first word run, keeps only matches that sit on
-token boundaries, and reports the owning group(s) of each surviving hit.
+matcher compiles every term into one prefix-trie regex that only matches
+on token boundaries, scans each normalized sentence with it once, and
+reports the owning group(s) of each hit.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 from .bundled import LEXICON, data_path
 from .errors import InputError
@@ -83,8 +83,7 @@ class PhenotypeGroup:
     terms: tuple[str, ...]  # normalized synonym phrases
 
 
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     """One matched synonym inside a sentence."""
 
     term: str  # normalized form of the matched synonym
@@ -96,7 +95,11 @@ class Mention:
 class Lexicon:
     """Validated phenotype groups plus the inverted term index."""
 
-    def __init__(self, groups: Iterable[PhenotypeGroup]):
+    def __init__(
+        self,
+        groups: Iterable[PhenotypeGroup],
+        caps_required: Iterable[str] = (),
+    ):
         self.groups: tuple[PhenotypeGroup, ...] = tuple(groups)
         if not self.groups:
             raise InputError("lexicon contains no groups")
@@ -118,18 +121,11 @@ class Lexicon:
         }
         # Terms that must appear uppercase in source text.  A term is
         # caps-restricted only if every raw spelling that produced it was.
-        self._caps_required: frozenset[str] = frozenset()
+        self.caps_required: frozenset[str] = frozenset(caps_required)
 
     @property
     def group_ids(self) -> tuple[str, ...]:
         return tuple(g.group_id for g in self.groups)
-
-    @property
-    def caps_required(self) -> frozenset[str]:
-        return self._caps_required
-
-    def _set_caps_required(self, terms: frozenset[str]) -> None:
-        self._caps_required = terms
 
 
 def load_lexicon(
@@ -196,11 +192,7 @@ def load_lexicon(
         )
         for g in order
     ]
-    lexicon = Lexicon(groups)
-    lexicon._set_caps_required(
-        frozenset(t for t, caps in caps_votes.items() if caps)
-    )
-    return lexicon
+    return Lexicon(groups, (t for t, caps in caps_votes.items() if caps))
 
 
 def default_lexicon_path() -> str:
@@ -217,6 +209,30 @@ _WORD_RUN_RE = re.compile(r"(?:[^\W_]+|')+")
 _IRREGULAR_SPACE_RE = re.compile(r"[^\S ]|  ")
 
 
+def token_pattern(words: Iterable[str]) -> str:
+    """Regex matching any of ``words`` as a whole is_word_char token run.
+
+    The words form a character trie, so the engine follows one branch
+    per character, and each optional tail is greedy: at a given start
+    the longest word that ends on a token boundary wins.
+    """
+    trie: dict = {}
+    for word in words:
+        node = trie
+        for ch in word:
+            node = node.setdefault(ch, {})
+        node[""] = {}  # a word ends here
+    return r"(?<![^\W_])(?<!')" + _trie_pattern(trie) + r"(?![^\W_]|')"
+
+
+def _trie_pattern(node: dict) -> str:
+    branches = [re.escape(ch) + _trie_pattern(child)
+                for ch, child in sorted(node.items()) if ch]
+    if "" not in node:
+        return branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
+    return "(?:" + "|".join(branches) + ")?" if branches else ""
+
+
 class TermMatcher:
     """Immutable multi-pattern matcher built from a lexicon.
 
@@ -226,51 +242,65 @@ class TermMatcher:
     suppressed.  The winning term reports every group that lists it.
 
     A normalized term starts where a word run starts and ends where one
-    ends, so terms are indexed by their first word run and only tried at
-    word runs of the sentence whose text is such a key.
+    ends, so one scan with the lexicon's token_pattern finds exactly the
+    winning terms.  When a caps-restricted winner is not uppercase in the
+    source, a shorter term may win at that start instead, so that
+    sentence is matched again by trying, at each word run, the terms
+    indexed under that run in decreasing length.
     """
 
     def __init__(self, lexicon: Lexicon):
         caps = lexicon.caps_required
-        by_first: dict[str, list[tuple[str, frozenset[str], str | None]]] = {}
-        for term, groups in lexicon.term_index.items():
-            first = _WORD_RUN_RE.match(term).group()
-            upper = term.upper() if term in caps else None
-            by_first.setdefault(first, []).append((term, groups, upper))
+        self._terms: dict[str, tuple[frozenset[str], str | None]] = {
+            term: (groups, term.upper() if term in caps else None)
+            for term, groups in lexicon.term_index.items()
+        }
+        self._regex = re.compile(token_pattern(self._terms))
+        by_first: dict[str, list[str]] = {}
+        for term in self._terms:
+            by_first.setdefault(_WORD_RUN_RE.match(term).group(), []).append(term)
         for entries in by_first.values():
-            entries.sort(key=lambda entry: -len(entry[0]))
+            entries.sort(key=len, reverse=True)
         self._by_first = by_first
-        self._pattern_count = len(lexicon.term_index)
 
     @property
     def pattern_count(self) -> int:
-        return self._pattern_count
+        return len(self._terms)
 
     def find_mentions(self, sentence: str) -> list[Mention]:
-        if not sentence:
-            return []
         norm, positions = _normalize_sentence(sentence)
-        by_first = self._by_first
+        terms = self._terms
+        mentions: list[Mention] = []
+        for match in self._regex.finditer(norm):
+            term = match.group()
+            groups, upper = terms[term]
+            start, end = _orig_span(positions, *match.span())
+            if upper is not None and sentence[start:end] != upper:
+                return self._find_by_runs(sentence, norm, positions)
+            mentions.append(Mention(term, start, end, groups))
+        return mentions
+
+    def _find_by_runs(
+        self, sentence: str, norm: str, positions: list[int] | None
+    ) -> list[Mention]:
         n = len(norm)
         mentions: list[Mention] = []
         consumed = 0
         for run in _WORD_RUN_RE.finditer(norm):
-            entries = by_first.get(run.group())
-            if entries is None:
-                continue
             start = run.start()
             if start < consumed:
                 continue
-            for term, groups, upper in entries:
+            for term in self._by_first.get(run.group(), ()):
                 end = start + len(term)
                 if not norm.startswith(term, start):
                     continue
                 if end < n and is_word_char(norm[end]):
                     continue
+                groups, upper = self._terms[term]
                 ostart, oend = _orig_span(positions, start, end)
                 if upper is not None and sentence[ostart:oend] != upper:
                     continue
-                mentions.append(Mention(term=term, start=ostart, end=oend, group_ids=groups))
+                mentions.append(Mention(term, ostart, oend, groups))
                 consumed = end
                 break
         return mentions

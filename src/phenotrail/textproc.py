@@ -26,6 +26,8 @@ NOTE_KEYS = ("patient_id", "note_id", "date", "text")
 PATIENT_HEADER = ("patient_id", "pcr_date", "pcr_result")
 
 _TERMINATOR_RE = re.compile(r"[.!?]+")
+# Where segment_sentences can split a text that holds no line break.
+_SPLIT_POINT_RE = re.compile(r"[.!?]\s")
 _BLANK_LINE_RE = re.compile(r"\n[ \t]*\n+")
 
 
@@ -87,6 +89,20 @@ def segment_sentences(note: ClinicalNote) -> list[Sentence]:
             piece_start = end
         _append_sentence(sentences, note, block, block_start, piece_start, len(block))
     return sentences
+
+
+def sentence_texts(note: ClinicalNote) -> list[str]:
+    """The texts of ``segment_sentences(note)``.
+
+    A note without a line break or a terminator followed by whitespace
+    is at most one sentence, its stripped text; no Sentence objects are
+    built for it.
+    """
+    text = note.text
+    if "\n" not in text and _SPLIT_POINT_RE.search(text) is None:
+        text = text.strip()
+        return [text] if text else []
+    return [sentence.text for sentence in segment_sentences(note)]
 
 
 def _blocks(text: str) -> Iterator[tuple[int, int]]:

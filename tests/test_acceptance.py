@@ -437,7 +437,8 @@ def test_criterion_08_classifier_evaluation(matcher, full_corpus):
                     continue
                 mentions = matcher.find_mentions(sentence.text)
                 assert mentions, sentence.text
-                label, _conf = classifier.classify_mention(sentence.text, mentions[0])
+                span = (mentions[0].start, mentions[0].end)
+                label, _conf = classifier.classify(sentence.text, span)
                 gold.append(expected)
                 predicted.append(label)
         assert len(gold) == len(corpus.gold)

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,6 @@ from phenotrail.assertion import (
     PrecomputedClassifier,
     RuleClassifier,
     RuleConfig,
-    classify_rule_based,
     evaluate,
     load_gold_labels,
     read_classification_responses,
@@ -43,7 +43,7 @@ def classify(classifier, matcher, sentence, term=None):
     if term is not None:
         mentions = [m for m in mentions if m.term == term]
         assert mentions, (sentence, term)
-    label, confidence = classifier.classify_mention(sentence, mentions[0])
+    label, confidence = classifier.classify(sentence, (mentions[0].start, mentions[0].end))
     assert confidence == 1.0
     return label
 
@@ -117,10 +117,6 @@ class TestRuleClassifier:
         with pytest.raises(InputError):
             classifier.classify("short", (2, 99))
 
-    def test_wrapper_function(self, matcher):
-        mention = matcher.find_mentions("Patient denies fever.")[0]
-        assert classify_rule_based("Patient denies fever.", mention) == (N, 1.0)
-
     def test_config_override(self, matcher):
         config = RuleConfig.from_dict({
             "window_before": 1,
@@ -132,9 +128,9 @@ class TestRuleClassifier:
         })
         clf = RuleClassifier(config)
         mention = matcher.find_mentions("zonk fever")[0]
-        assert clf.classify_mention("zonk fever", mention) == (N, 1.0)
+        assert clf.classify("zonk fever", (mention.start, mention.end)) == (N, 1.0)
         mention = matcher.find_mentions("denies fever")[0]
-        assert clf.classify_mention("denies fever", mention) == (Y, 1.0)
+        assert clf.classify("denies fever", (mention.start, mention.end)) == (Y, 1.0)
 
     def test_cue_without_tokens_rejected(self):
         with pytest.raises(InputError, match="has no tokens"):
@@ -182,6 +178,47 @@ class TestClassifierOracle:
                 assert clf.classify(sentence, span) == (expected, 1.0), (sentence, span)
                 checked += 1
         assert checked > 2000
+
+    # "but" is a cue that is also a scope breaker; "; denied" starts with
+    # ";", which is a plain token when it breaks no scope.
+    @pytest.mark.parametrize("breakers", [["but", ";"], ["but"]])
+    @pytest.mark.parametrize("window", [(6, 3), (2, 2), (1, 0)])
+    def test_multiword_cues_at_breakers_and_window_edges(self, window, breakers):
+        config = RuleConfig.from_dict({
+            "window_before": window[0],
+            "window_after": window[1],
+            "scope_breakers": breakers,
+            "negation_cues": ["negative for", "no evidence of", "no", "; denied"],
+            "uncertainty_cues": ["cannot rule out", "r/o", "but"],
+            "attribution_cues": ["family history of"],
+        })
+        clf = RuleClassifier(config)
+        cues = ["negative for", "No Evidence  of", "cannot rule out", "r/o",
+                "family history of", "evidence of", "; Denied"]
+        checked = 0
+        for cue, gap, breaker, where, side, glue, lead in itertools.product(
+                cues, range(5), ("but", ";"), ("before", "inside", "after", None),
+                ("before", "after"), (" ", ""), ("x", "\u0130")):
+            cue_tokens = cue.split(" ")
+            if where == "before":
+                cue_tokens = [breaker] + cue_tokens
+            elif where == "inside":
+                cue_tokens.insert(1, breaker)
+            elif where == "after":
+                cue_tokens = cue_tokens + [breaker]
+            filler = ["w"] * gap
+            if side == "before":
+                head, tail = [lead] + cue_tokens + filler, ["y"]
+            else:
+                head, tail = [lead], filler + cue_tokens + ["y"]
+            sentence = " ".join(head + ["fever"] + tail).replace(" ;", glue + ";")
+            start = sentence.index("fever")
+            # Spans on the mention's token and spans that cut into it.
+            for span in ((start, start + 5), (start + 1, start + 4), (start, start + 2)):
+                expected = AssertionLabel(classify_oracle(sentence, span, config))
+                assert clf.classify(sentence, span) == (expected, 1.0), (sentence, span)
+                checked += 1
+        assert checked == 7 * 5 * 2 * 4 * 2 * 2 * 2 * 3
 
 
 class TestEvaluate:

@@ -1,11 +1,18 @@
 import csv
 import filecmp
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import phenotrail
 from phenotrail import bundled
 from phenotrail.cli import main, rerun_from_manifest, run
+from phenotrail.errors import InputError
 
 DAILY = bundled.data_path(bundled.DAILY_REFERENCE)
 PAIRS = bundled.data_path(bundled.PAIR_REFERENCE)
@@ -379,6 +386,55 @@ class TestManifest:
         assert rerun_from_manifest(str(first / "manifest.json"), str(replay)) == 0
         assert filecmp.cmp(first / "enrichment.csv", replay / "enrichment.csv",
                            shallow=False)
+
+    @pytest.fixture
+    def curated_run(self, tmp_path, corpus_dir):
+        """A curate run on private copies of the corpus files."""
+        for name in ("notes.jsonl", "patients.csv"):
+            shutil.copy(corpus_dir / name, tmp_path / name)
+        first = tmp_path / "first"
+        assert main([
+            "curate", "--notes", str(tmp_path / "notes.jsonl"),
+            "--patients", str(tmp_path / "patients.csv"),
+            "--per-patient", "--out", str(first),
+        ]) == 0
+        return tmp_path, first / "manifest.json"
+
+    def test_rerun_curate_replays_byte_identically(self, curated_run):
+        root, manifest = curated_run
+        replay = root / "replay"
+        assert rerun_from_manifest(str(manifest), str(replay)) == 0
+        for name in ("presence.csv", "presence_long.csv", "rejects.csv"):
+            assert filecmp.cmp(root / "first" / name, replay / name, shallow=False), name
+
+    def test_rerun_rejects_changed_input(self, curated_run):
+        root, manifest = curated_run
+        notes = root / "notes.jsonl"
+        with open(notes, "a", encoding="utf-8") as handle:
+            handle.write("\n")
+        with pytest.raises(InputError, match=re.escape(repr(str(notes)))):
+            rerun_from_manifest(str(manifest), str(root / "replay"))
+        assert not (root / "replay").exists()
+
+    def test_rerun_rejects_missing_input(self, curated_run):
+        root, manifest = curated_run
+        patients = root / "patients.csv"
+        patients.unlink()
+        with pytest.raises(InputError, match=re.escape(repr(str(patients)))):
+            rerun_from_manifest(str(manifest), str(root / "replay"))
+        assert not (root / "replay").exists()
+
+
+def test_cli_import_loads_no_pool_or_numpy():
+    # Every command pays the CLI's import time; the worker pool and numpy
+    # are imported only where they are used.
+    src = os.path.dirname(os.path.dirname(phenotrail.__file__))
+    code = ("import sys, phenotrail.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'numpy') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 class TestGoldenFile:

@@ -222,6 +222,31 @@ class TestOracleAgreement:
             expected = matcher_oracle(sentence, lexicon.term_index, lexicon.caps_required)
             assert got == expected, sentence
 
+    def test_caps_term_extending_plain_term(self):
+        # "H A" (caps only) and "h" share their first word run; where the
+        # longer term fails its case check the shorter one must still win,
+        # and a term starting inside the rejected span ("a b") must still
+        # be found.
+        lexicon = make_lexicon([("g1", "h"), ("g2", "H A"), ("g3", "a b"),
+                                ("g4", "HA"), ("g5", "b")])
+        assert lexicon.caps_required == {"h a", "ha"}
+        matcher = build_matcher(lexicon)
+        terms = lambda sentence: [m.term for m in matcher.find_mentions(sentence)]
+        assert terms("h a") == ["h"]
+        assert terms("H A") == ["h a"]
+        assert terms("h a b") == ["h", "a b"]
+        assert terms("HA h a b HA ha") == ["ha", "h", "a b", "ha"]
+        rng = random.Random(4)
+        words = ["h", "H", "a", "A", "b", "B", "ha", "HA", "Ha", "x", "h'", "İ"]
+        for _ in range(2000):
+            sentence = rng.choice(words)
+            for _ in range(rng.randint(0, 7)):
+                sentence += rng.choice([" ", " ", "  ", "\t", "-", ""]) + rng.choice(words)
+            got = [(m.start, m.end, m.term, m.group_ids)
+                   for m in matcher.find_mentions(sentence)]
+            expected = matcher_oracle(sentence, lexicon.term_index, lexicon.caps_required)
+            assert got == expected, sentence
+
     def test_every_term_in_carrier_sentence(self, lexicon, matcher):
         for term, groups in lexicon.term_index.items():
             surface = term.upper() if term in lexicon.caps_required else term

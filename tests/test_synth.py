@@ -155,7 +155,8 @@ class TestGenerate:
                 assert key in gold
                 mentions = matcher.find_mentions(sentence.text)
                 assert len(mentions) == 1
-                label, _confidence = clf.classify_mention(sentence.text, mentions[0])
+                span = (mentions[0].start, mentions[0].end)
+                label, _confidence = clf.classify(sentence.text, span)
                 assert label == gold[key]
 
     def test_affirmed_terms_are_group_exclusive(self, lexicon, matcher):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phenotrail.cohort import segment_notes
 from phenotrail.errors import InputError
 from phenotrail.textproc import (
     ClinicalNote,
@@ -80,6 +81,22 @@ class TestSegmentation:
                 assert text[i].isspace(), f"uncovered non-delimiter char at {i}"
         starts = [s.start for s in sentences]
         assert starts == sorted(starts)
+
+    # Notes built from the pieces segmentation reacts to, so that both
+    # one-sentence notes and notes that split are common.
+    NOTE_PIECES = ["fever", "Pt", "Dr", "vs", "badr", "cough", " ", " ", "  ", "\t",
+                   "\n", "\n\n", "\n \t\n", ".", ".", "?!", "!", "?", "...", "\u00a0"]
+
+    @given(st.one_of(
+        st.lists(st.sampled_from(NOTE_PIECES), max_size=25).map("".join),
+        st.text(alphabet="ab .!?\t\n\u2028DrPt", max_size=60),
+    ))
+    @settings(max_examples=400)
+    def test_segment_notes_matches_segment_sentences(self, text):
+        expected = [s.text for s in segment_sentences(note(text))]
+        (pairs,) = segment_notes([note(text)])
+        assert [t for t, _fp in pairs] == expected
+        assert [fp for _t, fp in pairs] == [fingerprint(t) for t in expected]
 
 
 class TestTemplates:
