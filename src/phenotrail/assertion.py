@@ -63,6 +63,12 @@ class RuleConfig:
     uncertainty_cues: tuple[tuple[str, ...], ...]
     attribution_cues: tuple[tuple[str, ...], ...]
 
+    def __post_init__(self):
+        for side in ("window_before", "window_after"):
+            size = getattr(self, side)
+            if size < 0:
+                raise InputError(f"{side} must be >= 0, got {size}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "RuleConfig":
         def cues(key: str) -> tuple[tuple[str, ...], ...]:
@@ -94,10 +100,10 @@ class RuleConfig:
 class RuleClassifier:
     """Cue-window reference classifier.
 
-    Scans a bounded token window on each side of the mention; scope
-    breakers end a window early so clauses do not leak cues into each
-    other.  Cue precedence when several fire: OTHER > NO > MAYBE > YES.
-    Confidence is always 1.0.
+    Scans a bounded token window on each side of the mention (a window
+    of 0 switches that side off); scope breakers end a window early so
+    clauses do not leak cues into each other.  Cue precedence when
+    several fire: OTHER > NO > MAYBE > YES.  Confidence is always 1.0.
 
     A cue can fire only if its first token lies in a window, so an ASCII
     sentence in which no cue's first token occurs labels every mention
@@ -109,9 +115,6 @@ class RuleClassifier:
     def __init__(self, config: RuleConfig | None = None):
         self._config = cfg = config or RuleConfig.load()
         self.descriptor = "rule-window/v1"
-        # A window holds at least one token, whatever its configured size.
-        self._before = max(cfg.window_before, 1)
-        self._after = max(cfg.window_after, 1)
         # A window side is matched as " tok tok ... " text, so a cue
         # occurs in it exactly when " cue tokens " is a substring.
         self._cues = tuple(
@@ -142,7 +145,8 @@ class RuleClassifier:
             raise InputError(f"mention span {span} outside sentence bounds")
         if sentence.isascii() and self._cue_start_re.search(sentence.lower()) is None:
             return AssertionLabel.YES, 1.0
-        breakers = self._config.scope_breakers
+        cfg = self._config
+        breakers = cfg.scope_breakers
 
         # Tokens ending at or before the mention, nearest first, up to a
         # scope breaker; the text before the mention also yields the head
@@ -150,7 +154,7 @@ class RuleClassifier:
         before = [t.lower() for t in _TOKEN_RE.findall(sentence, 0, start)]
         if start and is_word_char(sentence[start - 1]) and is_word_char(sentence[start]):
             before.pop()
-        before = before[-self._before:]
+        before = before[-cfg.window_before:] if cfg.window_before else []
         for k in range(len(before) - 1, -1, -1):
             if before[k] in breakers:
                 before = before[k + 1:]
@@ -159,7 +163,7 @@ class RuleClassifier:
         after = [t.lower() for t in _TOKEN_RE.findall(sentence, end)]
         if end < len(sentence) and is_word_char(sentence[end - 1]) and is_word_char(sentence[end]):
             del after[0]
-        after = after[:self._after]
+        after = after[:cfg.window_after]
         for k, word in enumerate(after):
             if word in breakers:
                 after = after[:k]
@@ -320,8 +324,10 @@ def write_gold_labels(
 ) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(GOLD_HEADER)
-    for sentence_id, mention_index, label in rows:
-        writer.writerow([sentence_id, mention_index, label.value])
+    writer.writerows(
+        (sentence_id, mention_index, label.value)
+        for sentence_id, mention_index, label in rows
+    )
 
 
 def load_gold_labels(source: IO[str] | str) -> dict[tuple[str, int], AssertionLabel]:

@@ -22,12 +22,13 @@ import csv
 import json
 from dataclasses import dataclass
 from datetime import date, timedelta
+from json.encoder import encode_basestring
 from typing import IO, Iterable, Sequence
 
 from .assertion import AssertionLabel
 from .errors import InputError
 from .lexicon import Lexicon
-from .textproc import PatientRecord
+from .textproc import PATIENT_HEADER, ClinicalNote, PatientRecord
 
 FRAME_BANK_VERSION = 2
 
@@ -94,6 +95,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_pos <= 0 or self.n_neg <= 0:
             raise InputError("cohort sizes must be positive")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         for key, p in self.day_probs.items():
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"presence probability {p!r} for {key} outside [0,1]")
@@ -136,7 +139,12 @@ class SynthConfig:
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as handle:
                 return cls.from_json(handle)
-        raw = json.load(source)
+        try:
+            raw = json.load(source)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"bad synth config: invalid JSON ({exc.msg})") from None
+        if not isinstance(raw, dict):
+            raise InputError("bad synth config: expected a JSON object")
         try:
             day_probs = {}
             for key, p in raw["day_probs"].items():
@@ -152,7 +160,7 @@ class SynthConfig:
                 template_rate=float(raw.get("template_rate", 0.0)),
                 seed=int(raw["seed"]),
             )
-        except (KeyError, ValueError, AttributeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise InputError(f"bad synth config: {exc}") from None
 
 
@@ -193,17 +201,9 @@ def calibrate_from_daily_table(
 
 
 @dataclass
-class SynthNote:
-    patient_id: str
-    note_id: str
-    date: date
-    text: str
-
-
-@dataclass
 class SynthCorpus:
     patients: list[PatientRecord]
-    notes: list[SynthNote]
+    notes: list[ClinicalNote]
     gold: list[tuple[str, int, AssertionLabel]]  # (sentence_id, mention_index, label)
 
 
@@ -223,8 +223,30 @@ def _exclusive_terms(lexicon: Lexicon, group_id: str) -> tuple[str, ...]:
     )
 
 
+# Label of each cell code, in the order generate assigns the codes.
+_CELL_LABELS = (AssertionLabel.YES, AssertionLabel.NO, AssertionLabel.MAYBE,
+                AssertionLabel.OTHER)
+
+# Patients are drawn in blocks whose uniforms fill about this many
+# doubles, so a block's arrays stay a few MB whatever the config's shape.
+_BLOCK_DRAWS = 1 << 20
+
+
 def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
-    """Produce (roster, notes, gold labels); identical output per seed."""
+    """Produce (roster, notes, gold labels); identical output per seed.
+
+    Patient ``index`` draws from its own ``default_rng((seed, index))``:
+    five uniforms per (day, group) cell, as one (5, days, groups) array,
+    then two per day.  A cell is present when its first draw is below
+    the cell's probability; otherwise a second draw below the summed
+    phrasing rates makes it a NO, MAYBE or OTHER sentence.  The other
+    three draws pick the term, the frame and the number.  A note holds
+    one day's sentences in group order, ended by a boilerplate sentence
+    when the day's first template draw is below ``template_rate``.
+
+    The draws of a block of patients are evaluated as numpy arrays, so
+    Python formats only the cells that emit a sentence.
+    """
     import numpy as np  # here, so that every other command starts without numpy
 
     known = set(lexicon.group_ids)
@@ -235,80 +257,86 @@ def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
     groups = [g for g in lexicon.group_ids if g in set(config.group_ids)]
     days = config.days
     n_days, n_groups = len(days), len(groups)
-    terms_by_group = {g: _exclusive_terms(lexicon, g) for g in groups}
+    n_total = config.n_pos + config.n_neg
+    pcr_dates = [_BASE_DATE + timedelta(days=k) for k in range(_DATE_CYCLE)]
+    patients = [
+        PatientRecord(f"SP{index:06d}", pcr_dates[index % _DATE_CYCLE],
+                      "positive" if index < config.n_pos else "negative")
+        for index in range(n_total)
+    ]
+    notes: list[ClinicalNote] = []
+    gold: list[tuple[str, int, AssertionLabel]] = []
+    if n_days == 0 or n_groups == 0:
+        return SynthCorpus(patients=patients, notes=notes, gold=gold)
 
-    prob_matrix = {
-        cohort: np.array(
-            [
-                [config.day_probs.get((g, cohort, d), 0.0) for g in groups]
-                for d in days
-            ]
-        )
+    terms = [_exclusive_terms(lexicon, g) for g in groups]
+    n_terms = np.array([len(t) for t in terms])
+    banks = [_FRAME_BANKS[label] for label in _CELL_LABELS]
+    bank_sizes = np.array([len(bank) for bank in banks])
+    probs = np.array([  # (arm, day, group); arm 0 is positive
+        [[config.day_probs.get((g, cohort, d), 0.0) for g in groups] for d in days]
         for cohort in ("positive", "negative")
-    }
+    ])
     noise_total = config.negation_rate + config.uncertainty_rate + config.other_rate
     noise_cut1 = config.negation_rate
     noise_cut2 = config.negation_rate + config.uncertainty_rate
 
-    patients: list[PatientRecord] = []
-    notes: list[SynthNote] = []
-    gold: list[tuple[str, int, AssertionLabel]] = []
+    cell_draws = 5 * n_days * n_groups
+    width = cell_draws + 2 * n_days
+    block = max(1, _BLOCK_DRAWS // width)
+    buffer = np.empty((min(block, n_total), width))
+    for first in range(0, n_total, block):
+        rows = buffer[:min(block, n_total - first)]
+        for offset, row in enumerate(rows):
+            np.random.default_rng((config.seed, first + offset)).random(out=row)
+        draws = rows[:, :cell_draws].reshape(-1, 5, n_days, n_groups)
+        arm = (np.arange(first, first + len(rows)) >= config.n_pos).astype(np.intp)
+        present = draws[:, 0] < probs[arm]
+        # (patient, day, group) of every sentence, in note order
+        cells = patient, day, group = np.nonzero(present | (draws[:, 1] < noise_total))
+        noise = draws[patient, 1, day, group]
+        code = np.where(present[cells], 0,
+                        1 + (noise >= noise_cut1) + (noise >= noise_cut2))
+        term = (draws[patient, 2, day, group] * n_terms[group]).astype(np.intp)
+        frame = (draws[patient, 3, day, group] * bank_sizes[code]).astype(np.intp)
+        number = (draws[patient, 4, day, group] * _NUMBER_SPAN).astype(np.intp) + 1
+        codes = code.tolist()
+        texts = [
+            banks[c][f].format(terms[g][t], n)
+            for c, f, g, t, n in zip(codes, frame.tolist(), group.tolist(),
+                                     term.tolist(), number.tolist())
+        ]
 
-    n_total = config.n_pos + config.n_neg
-    for index in range(n_total):
-        cohort = "positive" if index < config.n_pos else "negative"
-        patient_id = f"SP{index:06d}"
-        pcr_date = _BASE_DATE + timedelta(days=index % _DATE_CYCLE)
-        patients.append(PatientRecord(patient_id, pcr_date, cohort))
-        if n_days == 0 or n_groups == 0:
-            continue
+        template_draws = rows[:, cell_draws:].reshape(-1, 2, n_days)
+        t_patient, t_day = np.nonzero(template_draws[:, 0] < config.template_rate)
+        variants = (template_draws[t_patient, 1, t_day]
+                    * len(TEMPLATE_SENTENCES)).astype(np.intp)
 
-        rng = np.random.default_rng((config.seed, index))
-        draws = rng.random((5, n_days, n_groups))
-        template_draws = rng.random((2, n_days))
-        present = draws[0] < prob_matrix[cohort]
-        noise = (~present) & (draws[1] < noise_total) if noise_total else None
-
-        for day_idx, day in enumerate(days):
-            sentences: list[tuple[str, AssertionLabel | None]] = []
-            for group_idx, group_id in enumerate(groups):
-                if present[day_idx, group_idx]:
-                    label = AssertionLabel.YES
-                elif noise is not None and noise[day_idx, group_idx]:
-                    v = draws[1, day_idx, group_idx]
-                    if v < noise_cut1:
-                        label = AssertionLabel.NO
-                    elif v < noise_cut2:
-                        label = AssertionLabel.MAYBE
-                    else:
-                        label = AssertionLabel.OTHER
-                else:
-                    continue
-                terms = terms_by_group[group_id]
-                term = terms[int(draws[2, day_idx, group_idx] * len(terms))]
-                bank = _FRAME_BANKS[label]
-                frame = bank[int(draws[3, day_idx, group_idx] * len(bank))]
-                number = int(draws[4, day_idx, group_idx] * _NUMBER_SPAN) + 1
-                sentences.append((frame.format(term, number), label))
-
-            if template_draws[0, day_idx] < config.template_rate:
-                variant = int(template_draws[1, day_idx] * len(TEMPLATE_SENTENCES))
-                sentences.append((TEMPLATE_SENTENCES[variant], None))
-
-            if not sentences:
-                continue
-            note_id = f"{patient_id}-D{day:+03d}"
-            notes.append(
-                SynthNote(
-                    patient_id=patient_id,
-                    note_id=note_id,
-                    date=pcr_date + timedelta(days=day),
-                    text=" ".join(text for text, _ in sentences),
-                )
-            )
-            for sentence_index, (_text, label) in enumerate(sentences):
-                if label is not None:
-                    gold.append((f"{note_id}:{sentence_index}", 0, label))
+        # One note per (patient, day) key that has a sentence; its cells
+        # are the sorted run cell_key[start:end].
+        cell_key = patient * n_days + day
+        template_key = t_patient * n_days + t_day
+        note_key = np.union1d(cell_key, template_key)
+        template = np.full(note_key.shape, -1, dtype=np.intp)
+        template[np.searchsorted(note_key, template_key)] = variants
+        for key, start, end, variant in zip(
+            note_key.tolist(),
+            np.searchsorted(cell_key, note_key).tolist(),
+            np.searchsorted(cell_key, note_key, side="right").tolist(),
+            template.tolist(),
+        ):
+            record = patients[first + key // n_days]
+            day_offset = days[key % n_days]
+            note_id = f"{record.patient_id}-D{day_offset:+03d}"
+            gold.extend((f"{note_id}:{i}", 0, _CELL_LABELS[c])
+                        for i, c in enumerate(codes[start:end]))
+            sentences = texts[start:end]
+            if variant >= 0:
+                sentences.append(TEMPLATE_SENTENCES[variant])
+            notes.append(ClinicalNote(
+                record.patient_id, note_id,
+                record.pcr_date + timedelta(days=day_offset), " ".join(sentences),
+            ))
 
     return SynthCorpus(patients=patients, notes=notes, gold=gold)
 
@@ -317,26 +345,25 @@ def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
 # Corpus writers (exactly the ingestion formats the pipeline consumes)
 
 
-def write_notes_jsonl(notes: Sequence[SynthNote], stream: IO[str]) -> None:
-    for note in notes:
-        stream.write(
-            json.dumps(
-                {
-                    "patient_id": note.patient_id,
-                    "note_id": note.note_id,
-                    "date": note.date.isoformat(),
-                    "text": note.text,
-                },
-                ensure_ascii=False,
-            )
-            + "\n"
-        )
+def write_notes_jsonl(notes: Sequence[ClinicalNote], stream: IO[str]) -> None:
+    """One line per note, as ``json.dumps(note_dict, ensure_ascii=False)``.
+
+    The line is assembled here with the string encoder that call uses,
+    the same key order and the default ``", "`` and ``": "`` separators.
+    """
+    encode = encode_basestring
+    stream.writelines(
+        f'{{"patient_id": {encode(note.patient_id)}, "note_id": {encode(note.note_id)}, '
+        f'"date": {encode(note.date.isoformat())}, "text": {encode(note.text)}}}\n'
+        for note in notes
+    )
 
 
 def write_patients_csv(patients: Sequence[PatientRecord], stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["patient_id", "pcr_date", "pcr_result"])
     short = {"positive": "pos", "negative": "neg"}
-    for record in patients:
-        writer.writerow([record.patient_id, record.pcr_date.isoformat(),
-                         short[record.pcr_result]])
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(PATIENT_HEADER)
+    writer.writerows(
+        (record.patient_id, record.pcr_date.isoformat(), short[record.pcr_result])
+        for record in patients
+    )

@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import date
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -31,8 +31,7 @@ _SPLIT_POINT_RE = re.compile(r"[.!?]\s")
 _BLANK_LINE_RE = re.compile(r"\n[ \t]*\n+")
 
 
-@dataclass(frozen=True)
-class ClinicalNote:
+class ClinicalNote(NamedTuple):
     patient_id: str
     note_id: str
     date: date
@@ -49,8 +48,7 @@ class Sentence:
     is_template: bool = False
 
 
-@dataclass(frozen=True)
-class PatientRecord:
+class PatientRecord(NamedTuple):
     patient_id: str
     pcr_date: date
     pcr_result: str  # "positive" | "negative"
@@ -178,33 +176,34 @@ def detect_templates(
 # File ingestion
 
 
-def parse_note_line(line: str, lineno: int) -> ClinicalNote:
+def parse_note_line(line: str, lineno: int, dates: dict[str, date]) -> ClinicalNote:
+    """Parse one JSON-lines record; ``dates`` caches parsed date strings."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise InputError(f"notes line {lineno}: invalid JSON ({exc.msg})") from None
     if not isinstance(obj, dict):
         raise InputError(f"notes line {lineno}: expected an object")
-    missing = [k for k in NOTE_KEYS if k not in obj]
-    if missing:
-        raise InputError(f"notes line {lineno}: missing keys {missing}")
-    for key in NOTE_KEYS:
-        if not isinstance(obj[key], str):
-            raise InputError(
-                f"notes line {lineno}: {key} must be a string, got {obj[key]!r}"
-            )
     try:
-        note_date = date.fromisoformat(obj["date"])
-    except ValueError:
-        raise InputError(
-            f"notes line {lineno}: date {obj['date']!r} is not YYYY-MM-DD"
-        ) from None
-    return ClinicalNote(
-        patient_id=obj["patient_id"],
-        note_id=obj["note_id"],
-        date=note_date,
-        text=obj["text"],
-    )
+        fields = (obj["patient_id"], obj["note_id"], obj["date"], obj["text"])
+    except KeyError:
+        missing = [k for k in NOTE_KEYS if k not in obj]
+        raise InputError(f"notes line {lineno}: missing keys {missing}") from None
+    for key, value in zip(NOTE_KEYS, fields):
+        if not isinstance(value, str):
+            raise InputError(
+                f"notes line {lineno}: {key} must be a string, got {value!r}"
+            )
+    patient_id, note_id, raw_date, text = fields
+    note_date = dates.get(raw_date)
+    if note_date is None:
+        try:
+            note_date = dates[raw_date] = date.fromisoformat(raw_date)
+        except ValueError:
+            raise InputError(
+                f"notes line {lineno}: date {raw_date!r} is not YYYY-MM-DD"
+            ) from None
+    return ClinicalNote(patient_id, note_id, note_date, text)
 
 
 def load_notes(source: IO[str] | str) -> list[ClinicalNote]:
@@ -214,10 +213,11 @@ def load_notes(source: IO[str] | str) -> list[ClinicalNote]:
             return load_notes(handle)
     notes: list[ClinicalNote] = []
     seen: set[str] = set()
+    dates: dict[str, date] = {}
     for lineno, line in enumerate(source, start=1):
         if not line.strip():
             continue
-        note = parse_note_line(line, lineno)
+        note = parse_note_line(line, lineno, dates)
         if note.note_id in seen:
             raise InputError(f"notes line {lineno}: duplicate note_id {note.note_id!r}")
         seen.add(note.note_id)
@@ -248,20 +248,23 @@ def load_patients(source: IO[str] | str) -> dict[str, PatientRecord]:
             f"got {','.join(header)!r}"
         )
     records: dict[str, PatientRecord] = {}
+    dates: dict[str, date] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:
             raise InputError(f"patients line {lineno}: expected 3 fields, got {len(row)}")
-        patient_id, raw_date, raw_result = (f.strip() for f in row)
+        patient_id, raw_date, raw_result = map(str.strip, row)
         if not patient_id:
             raise InputError(f"patients line {lineno}: empty patient_id")
-        try:
-            pcr_date = date.fromisoformat(raw_date)
-        except ValueError:
-            raise InputError(
-                f"patients line {lineno}: pcr_date {raw_date!r} is not YYYY-MM-DD"
-            ) from None
+        pcr_date = dates.get(raw_date)
+        if pcr_date is None:
+            try:
+                pcr_date = dates[raw_date] = date.fromisoformat(raw_date)
+            except ValueError:
+                raise InputError(
+                    f"patients line {lineno}: pcr_date {raw_date!r} is not YYYY-MM-DD"
+                ) from None
         result = _RESULT_ALIASES.get(raw_result.lower())
         if result is None:
             raise InputError(

@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's algorithmic machinery: the
 matcher oracle scans token windows directly, the classifier oracle builds
-the cue windows of every mention without shortcuts, the Fisher oracle sums
+the cue windows of every mention without shortcuts, the generator oracle
+walks every (patient, day, group) cell in Python and writes its files
+with ``json.dumps`` and one CSV row at a time, the Fisher oracle sums
 exact integer binomial coefficients, the BH oracle applies the step-up
 definition by quadratic scan, and the tail oracle delegates to mpmath
 at high precision.
@@ -10,11 +12,25 @@ at high precision.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import re
+from datetime import timedelta
 from fractions import Fraction
 
 import mpmath
+import numpy as np
+
+from phenotrail.assertion import AssertionLabel
+from phenotrail.synth import (
+    _BASE_DATE,
+    _DATE_CYCLE,
+    _FRAME_BANKS,
+    _NUMBER_SPAN,
+    TEMPLATE_SENTENCES,
+    _exclusive_terms,
+)
 
 _TOKEN_RE = re.compile(r"(?:[^\W_]|')+")
 
@@ -63,30 +79,31 @@ _CUE_TOKEN_RE = re.compile(r"(?:[^\W_]|')+|;")
 def classify_oracle(sentence, span, config):
     """Cue-window label by the literal rule: lowercase every token, keep up
     to window_before tokens ending at or before the span and window_after
-    tokens starting at or after it, each side cut at the first scope
-    breaker, then look for every cue at every offset of each side."""
+    tokens starting at or after it (none for a window of 0), each side cut
+    at the first scope breaker, then look for every cue at every offset of
+    each side."""
     start, end = span
     tokens = [(m.group().lower(), m.start(), m.end())
               for m in _CUE_TOKEN_RE.finditer(sentence)]
     before = []
     for text, _t_start, t_end in reversed(tokens):
+        if len(before) >= config.window_before:
+            break
         if t_end > start:
             continue
         if text in config.scope_breakers:
             break
         before.append(text)
-        if len(before) >= config.window_before:
-            break
     before.reverse()
     after = []
     for text, t_start, _t_end in tokens:
+        if len(after) >= config.window_after:
+            break
         if t_start < end:
             continue
         if text in config.scope_breakers:
             break
         after.append(text)
-        if len(after) >= config.window_after:
-            break
     for label, cues in (("OTHER", config.attribution_cues),
                         ("NO", config.negation_cues),
                         ("MAYBE", config.uncertainty_cues)):
@@ -96,6 +113,98 @@ def classify_oracle(sentence, span, config):
                     if tuple(side[i:i + len(cue)]) == cue:
                         return label
     return "YES"
+
+
+def generate_oracle(config, lexicon):
+    """Synthetic corpus by the cell-by-cell walk: (patients, notes, gold).
+
+    Patients are (patient_id, pcr_date, pcr_result) and notes are
+    (patient_id, note_id, date, text) tuples; gold rows are
+    (sentence_id, mention_index, label)."""
+    groups = [g for g in lexicon.group_ids if g in set(config.group_ids)]
+    days = config.days
+    n_days, n_groups = len(days), len(groups)
+    terms_by_group = {g: _exclusive_terms(lexicon, g) for g in groups}
+    prob_matrix = {
+        cohort: np.array(
+            [[config.day_probs.get((g, cohort, d), 0.0) for g in groups] for d in days]
+        )
+        for cohort in ("positive", "negative")
+    }
+    noise_total = config.negation_rate + config.uncertainty_rate + config.other_rate
+    noise_cut1 = config.negation_rate
+    noise_cut2 = config.negation_rate + config.uncertainty_rate
+
+    patients, notes, gold = [], [], []
+    for index in range(config.n_pos + config.n_neg):
+        cohort = "positive" if index < config.n_pos else "negative"
+        patient_id = f"SP{index:06d}"
+        pcr_date = _BASE_DATE + timedelta(days=index % _DATE_CYCLE)
+        patients.append((patient_id, pcr_date, cohort))
+        if n_days == 0 or n_groups == 0:
+            continue
+
+        rng = np.random.default_rng((config.seed, index))
+        draws = rng.random((5, n_days, n_groups))
+        template_draws = rng.random((2, n_days))
+        present = draws[0] < prob_matrix[cohort]
+        noise = (~present) & (draws[1] < noise_total) if noise_total else None
+
+        for day_idx, day in enumerate(days):
+            sentences = []
+            for group_idx, group_id in enumerate(groups):
+                if present[day_idx, group_idx]:
+                    label = AssertionLabel.YES
+                elif noise is not None and noise[day_idx, group_idx]:
+                    v = draws[1, day_idx, group_idx]
+                    if v < noise_cut1:
+                        label = AssertionLabel.NO
+                    elif v < noise_cut2:
+                        label = AssertionLabel.MAYBE
+                    else:
+                        label = AssertionLabel.OTHER
+                else:
+                    continue
+                terms = terms_by_group[group_id]
+                term = terms[int(draws[2, day_idx, group_idx] * len(terms))]
+                bank = _FRAME_BANKS[label]
+                frame = bank[int(draws[3, day_idx, group_idx] * len(bank))]
+                number = int(draws[4, day_idx, group_idx] * _NUMBER_SPAN) + 1
+                sentences.append((frame.format(term, number), label))
+
+            if template_draws[0, day_idx] < config.template_rate:
+                variant = int(template_draws[1, day_idx] * len(TEMPLATE_SENTENCES))
+                sentences.append((TEMPLATE_SENTENCES[variant], None))
+
+            if not sentences:
+                continue
+            note_id = f"{patient_id}-D{day:+03d}"
+            notes.append((patient_id, note_id, pcr_date + timedelta(days=day),
+                          " ".join(text for text, _ in sentences)))
+            for sentence_index, (_text, label) in enumerate(sentences):
+                if label is not None:
+                    gold.append((f"{note_id}:{sentence_index}", 0, label))
+    return patients, notes, gold
+
+
+def write_corpus_oracle(patients, notes, gold, notes_stream, patients_stream,
+                        gold_stream):
+    """The three corpus files, one json.dumps or CSV row per record."""
+    for patient_id, note_id, note_date, text in notes:
+        notes_stream.write(json.dumps(
+            {"patient_id": patient_id, "note_id": note_id,
+             "date": note_date.isoformat(), "text": text},
+            ensure_ascii=False,
+        ) + "\n")
+    writer = csv.writer(patients_stream, lineterminator="\n")
+    writer.writerow(["patient_id", "pcr_date", "pcr_result"])
+    short = {"positive": "pos", "negative": "neg"}
+    for patient_id, pcr_date, result in patients:
+        writer.writerow([patient_id, pcr_date.isoformat(), short[result]])
+    writer = csv.writer(gold_stream, lineterminator="\n")
+    writer.writerow(["sentence_id", "mention_index", "label"])
+    for sentence_id, mention_index, label in gold:
+        writer.writerow([sentence_id, mention_index, label.value])
 
 
 def fisher_oracle(a: int, b: int, c: int, d: int) -> float:

@@ -40,7 +40,7 @@ from phenotrail.stats import (
     two_tailed_log10_p,
 )
 from phenotrail.synth import SynthConfig, calibrate_from_daily_table, generate
-from phenotrail.textproc import ClinicalNote, segment_sentences
+from phenotrail.textproc import segment_sentences
 
 from oracles import (
     bh_oracle,
@@ -116,11 +116,6 @@ def full_corpus(lexicon, daily_reference):
         seed=20200315,
     )
     return config, generate(config, lexicon)
-
-
-def as_clinical_notes(corpus):
-    return [ClinicalNote(n.patient_id, n.note_id, n.date, n.text)
-            for n in corpus.notes]
 
 
 def curate(notes, patients, matcher, lexicon, workers=1, threshold=20):
@@ -386,7 +381,7 @@ def test_criterion_07_round_trip_full_scale(lexicon, matcher, full_corpus):
     with criterion(7, "cohort-scale synth -> curate -> timeline round trip"):
         start = time.perf_counter()
         config, corpus = full_corpus
-        notes = as_clinical_notes(corpus)
+        notes = corpus.notes
         patients = {p.patient_id: p for p in corpus.patients}
         table, rejects, templates = curate(notes, patients, matcher, lexicon)
         assert rejects == []
@@ -429,7 +424,7 @@ def test_criterion_08_classifier_evaluation(matcher, full_corpus):
         gold_by_key = {(sid, idx): label for sid, idx, label in corpus.gold}
         classifier = RuleClassifier()
         gold, predicted = [], []
-        for note in as_clinical_notes(corpus):
+        for note in corpus.notes:
             for sentence in segment_sentences(note):
                 key = (f"{note.note_id}:{sentence.index}", 0)
                 expected = gold_by_key.get(key)
@@ -460,7 +455,7 @@ def test_criterion_09_throughput_and_worker_identity(lexicon, matcher):
             template_rate=0.05, seed=99,
         )
         corpus = generate(config, lexicon)
-        notes = as_clinical_notes(corpus)
+        notes = corpus.notes
         assert len(notes) >= 100_000, len(notes)
         patients = {p.patient_id: p for p in corpus.patients}
 

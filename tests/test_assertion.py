@@ -132,6 +132,31 @@ class TestRuleClassifier:
         mention = matcher.find_mentions("denies fever")[0]
         assert clf.classify("denies fever", (mention.start, mention.end)) == (Y, 1.0)
 
+    @pytest.mark.parametrize("before, after, expected", [
+        (6, 3, (N, N)), (6, 0, (N, Y)), (0, 3, (Y, N)), (0, 0, (Y, Y))])
+    def test_window_of_zero_switches_side_off(self, matcher, before, after, expected):
+        config = dataclasses.replace(
+            RuleConfig.load(), window_before=before, window_after=after)
+        clf = RuleClassifier(config)
+        labels = []
+        for sentence in ("Denies cough today.", "Cough denied today."):
+            mention = matcher.find_mentions(sentence)[0]
+            labels.append(clf.classify(sentence, (mention.start, mention.end))[0])
+        assert tuple(labels) == expected
+
+    @pytest.mark.parametrize("side", ["window_before", "window_after"])
+    def test_negative_window_rejected(self, side):
+        raw = {
+            "window_before": 6,
+            "window_after": 3,
+            "scope_breakers": [],
+            "negation_cues": ["no"],
+            "uncertainty_cues": [],
+            "attribution_cues": [],
+        }
+        with pytest.raises(InputError, match=f"{side} must be >= 0"):
+            RuleConfig.from_dict({**raw, side: -1})
+
     def test_cue_without_tokens_rejected(self):
         with pytest.raises(InputError, match="has no tokens"):
             RuleConfig.from_dict({
@@ -161,7 +186,7 @@ class TestClassifierOracle:
         words = [rng.choice(rng.choice(pools)) for _ in range(rng.randint(1, 14))]
         return " ".join(words) + rng.choice(["", ".", ";"])
 
-    @pytest.mark.parametrize("window", [None, (1, 0), (2, 1)])
+    @pytest.mark.parametrize("window", [None, (1, 0), (2, 1), (0, 2)])
     def test_randomized_sentences_match_oracle(self, matcher, window):
         config = RuleConfig.load()
         if window is not None:
@@ -182,7 +207,7 @@ class TestClassifierOracle:
     # "but" is a cue that is also a scope breaker; "; denied" starts with
     # ";", which is a plain token when it breaks no scope.
     @pytest.mark.parametrize("breakers", [["but", ";"], ["but"]])
-    @pytest.mark.parametrize("window", [(6, 3), (2, 2), (1, 0)])
+    @pytest.mark.parametrize("window", [(6, 3), (2, 2), (1, 0), (0, 2)])
     def test_multiword_cues_at_breakers_and_window_edges(self, window, breakers):
         config = RuleConfig.from_dict({
             "window_before": window[0],

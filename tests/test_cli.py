@@ -69,6 +69,35 @@ class TestSynthCommand:
         for name in ("notes.jsonl", "patients.csv", "gold_labels.csv"):
             assert filecmp.cmp(out / name, corpus_dir / name, shallow=False), name
 
+    def synth_config_error(self, corpus_dir, tmp_path, capsys, edit):
+        """Run synth on an edited config; assert exit 2 and return stderr."""
+        config = json.loads((corpus_dir / "synth_config.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(edit(config)))
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: bad synth config" in err
+        return err
+
+    def test_config_top_level_array_exit_code(self, corpus_dir, tmp_path, capsys):
+        err = self.synth_config_error(corpus_dir, tmp_path, capsys, lambda config: [config])
+        assert "expected a JSON object" in err
+
+    @pytest.mark.parametrize("field", ["n_pos", "seed", "template_rate", "day_probs"])
+    def test_config_null_field_exit_code(self, corpus_dir, tmp_path, capsys, field):
+        self.synth_config_error(
+            corpus_dir, tmp_path, capsys, lambda config: {**config, field: None})
+
+    def test_config_negative_seed_exit_code(self, corpus_dir, tmp_path, capsys):
+        err = self.synth_config_error(
+            corpus_dir, tmp_path, capsys, lambda config: {**config, "seed": -1})
+        assert "seed must be non-negative" in err
+
+    def test_negative_seed_option_exit_code(self, tmp_path, capsys):
+        assert main(synth_args(tmp_path / "out", seed=-1)) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCurateCommand:
     def test_curate_runs_and_is_deterministic(self, corpus_dir, tmp_path):

@@ -1,13 +1,18 @@
+import hashlib
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phenotrail.assertion import AssertionLabel, RuleClassifier
+from phenotrail import synth
+from phenotrail.assertion import AssertionLabel, RuleClassifier, write_gold_labels
 from phenotrail.cohort import build_presence, corpus_fingerprints, daily_counts
 from phenotrail.errors import InputError
-from phenotrail.lexicon import build_matcher, load_default_lexicon
+from phenotrail.lexicon import Lexicon, PhenotypeGroup, build_matcher, load_default_lexicon
 from phenotrail.synth import (
     SynthConfig,
     TEMPLATE_SENTENCES,
@@ -17,6 +22,8 @@ from phenotrail.synth import (
     write_patients_csv,
 )
 from phenotrail.textproc import ClinicalNote, fingerprint, load_notes, segment_sentences
+
+from oracles import generate_oracle, write_corpus_oracle
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +56,16 @@ def small_config(**overrides):
     return SynthConfig(**params)
 
 
-def corpus_as_notes(corpus):
-    return [
-        ClinicalNote(n.patient_id, n.note_id, n.date, n.text) for n in corpus.notes
-    ]
+def written_files(patients, notes, gold, writer=None):
+    """The bytes of notes.jsonl, patients.csv and gold_labels.csv."""
+    streams = io.StringIO(), io.StringIO(), io.StringIO()
+    if writer is None:
+        write_notes_jsonl(notes, streams[0])
+        write_patients_csv(patients, streams[1])
+        write_gold_labels(gold, streams[2])
+    else:
+        writer(patients, notes, gold, *streams)
+    return tuple(stream.getvalue().encode("utf-8", "surrogatepass") for stream in streams)
 
 
 class TestConfig:
@@ -87,6 +100,23 @@ class TestConfig:
         config.to_json(buffer)
         buffer.seek(0)
         assert SynthConfig.from_json(buffer) == config
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed"):
+            small_config(seed=-1)
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '"config"',
+        "{broken",
+        '{"n_pos": null, "n_neg": 5, "seed": 1, "day_probs": {}}',
+        '{"n_pos": 5, "n_neg": 5, "seed": 1, "day_probs": {"cough|positive|-1": null}}',
+        '{"n_pos": 5, "n_neg": 5, "seed": 1, "negation_rate": null, "day_probs": {}}',
+        '{"n_pos": 5, "n_neg": 5, "seed": -1, "day_probs": {}}',
+    ])
+    def test_malformed_json_config_rejected(self, text):
+        with pytest.raises(InputError, match="bad synth config"):
+            SynthConfig.from_json(io.StringIO(text))
 
 
 class TestGenerate:
@@ -135,7 +165,7 @@ class TestGenerate:
         corpus = generate(config, lexicon)
         patients = {p.patient_id: p for p in corpus.patients}
         table, rejects = build_presence(
-            corpus_as_notes(corpus), patients, matcher, RuleClassifier()
+            corpus.notes, patients, matcher, RuleClassifier()
         )
         assert rejects == []
         assert len(table.patients("fever_chills", -4)) == 60
@@ -146,7 +176,7 @@ class TestGenerate:
         assert gold
         template_fps = {fingerprint(t) for t in TEMPLATE_SENTENCES}
         clf = RuleClassifier()
-        for note in corpus_as_notes(corpus):
+        for note in corpus.notes:
             for sentence in segment_sentences(note):
                 key = (f"{note.note_id}:{sentence.index}", 0)
                 if fingerprint(sentence.text) in template_fps:
@@ -163,7 +193,7 @@ class TestGenerate:
         # presence recovery must not leak into other groups
         corpus = generate(small_config(seed=11), lexicon)
         gold = dict(((sid, idx), label) for sid, idx, label in corpus.gold)
-        for note in corpus_as_notes(corpus):
+        for note in corpus.notes:
             for sentence in segment_sentences(note):
                 key = (f"{note.note_id}:{sentence.index}", 0)
                 if gold.get(key) is AssertionLabel.YES:
@@ -173,7 +203,7 @@ class TestGenerate:
     def test_templates_flagged_at_default_threshold(self, lexicon):
         config = small_config(n_pos=200, n_neg=400, template_rate=0.6, seed=13)
         corpus = generate(config, lexicon)
-        fingerprints = corpus_fingerprints(corpus_as_notes(corpus))
+        fingerprints = corpus_fingerprints(corpus.notes)
         flagged = {
             fp for fp, pats in fingerprints.items() if len(pats) >= 20
         }
@@ -205,7 +235,7 @@ class TestRoundTrip:
         )
         corpus = generate(config, lexicon)
         patients = {p.patient_id: p for p in corpus.patients}
-        notes = corpus_as_notes(corpus)
+        notes = corpus.notes
         fingerprints = corpus_fingerprints(notes)
         templates = {fp for fp, pats in fingerprints.items() if len(pats) >= 20}
         table, _ = build_presence(
@@ -221,3 +251,130 @@ class TestRoundTrip:
             k = k_pos if cohort == "positive" else k_neg
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(k / n - p) <= 3 * sigma, (gid, cohort, day, k / n, p)
+
+
+# A group whose only terms match in uppercase only.
+CAPS_GROUP = PhenotypeGroup("caps_only", "Caps only", ("qzx", "qzx vw"))
+
+
+@pytest.fixture(scope="module")
+def caps_lexicon(lexicon):
+    return Lexicon(lexicon.groups + (CAPS_GROUP,),
+                   caps_required=lexicon.caps_required | set(CAPS_GROUP.terms))
+
+
+PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+PHRASING_RATES = st.sampled_from(
+    [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+) | st.tuples(*[st.floats(0.0, 1 / 3)] * 3)
+
+
+@st.composite
+def generator_cases(draw, group_ids):
+    """(config, draw budget) with patient counts around the block size."""
+    groups = draw(st.lists(st.sampled_from(group_ids), min_size=1, max_size=4,
+                           unique=True))
+    days = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4, unique=True))
+    cells = [(g, arm, d) for g in groups for arm in ("positive", "negative")
+             for d in days]
+    probs = draw(st.sampled_from(["zero", "one", "mixed"]))
+    if probs == "mixed":
+        day_probs = {cell: p for cell in cells
+                     if (p := draw(st.none() | PROBABILITY)) is not None}
+        # every group and day keeps at least one cell
+        day_probs[(groups[0], "positive", days[0])] = 0.5
+        for g in groups:
+            day_probs.setdefault((g, "negative", days[-1]), 0.25)
+        for d in days:
+            day_probs.setdefault((groups[-1], "positive", d), 1.0)
+    else:
+        day_probs = dict.fromkeys(cells, 0.0 if probs == "zero" else 1.0)
+    negation, uncertainty, other = draw(PHRASING_RATES)
+
+    width = 5 * len(days) * len(groups) + 2 * len(days)
+    block = draw(st.integers(1, 8))
+    budget = block * width + draw(st.integers(0, width - 1))
+    n_total = max(2, draw(st.sampled_from([block - 1, block, block + 1, 2 * block + 1])))
+    n_pos = draw(st.integers(1, n_total - 1))
+    config = SynthConfig(
+        n_pos=n_pos, n_neg=n_total - n_pos, day_probs=day_probs,
+        negation_rate=negation, uncertainty_rate=uncertainty, other_rate=other,
+        template_rate=draw(PROBABILITY), seed=draw(st.integers(0, 2**63)),
+    )
+    return config, budget
+
+
+def assert_matches_oracle(config, lexicon):
+    corpus = generate(config, lexicon)
+    patients, notes, gold = generate_oracle(config, lexicon)
+    assert [tuple(p) for p in corpus.patients] == patients
+    assert [tuple(n) for n in corpus.notes] == notes
+    assert corpus.gold == gold
+    assert (written_files(corpus.patients, corpus.notes, corpus.gold)
+            == written_files(patients, notes, gold, write_corpus_oracle))
+    return corpus
+
+
+class TestGeneratorOracle:
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_blocks_match_cell_walk(self, caps_lexicon, data):
+        config, budget = data.draw(generator_cases(caps_lexicon.group_ids))
+        with mock.patch.object(synth, "_BLOCK_DRAWS", budget):
+            assert_matches_oracle(config, caps_lexicon)
+
+    def test_caps_only_group_emits_uppercase_terms(self, caps_lexicon):
+        config = SynthConfig(
+            n_pos=20, n_neg=20, seed=5,
+            day_probs={("caps_only", arm, -1): 1.0 for arm in ("positive", "negative")},
+        )
+        corpus = assert_matches_oracle(config, caps_lexicon)
+        assert len(corpus.notes) == 40
+        assert all("QZX" in note.text for note in corpus.notes)
+
+    def test_three_blocks_at_the_module_budget(self, lexicon):
+        # All 26 groups on 29 days, every rate non-zero: two full blocks
+        # and a block of one patient.
+        days = range(-14, 15)
+        width = 5 * len(days) * len(lexicon.group_ids) + 2 * len(days)
+        block = synth._BLOCK_DRAWS // width
+        config = SynthConfig(
+            n_pos=block, n_neg=block + 1, seed=31,
+            day_probs={(g, arm, d): 0.02 + 0.01 * (d % 3)
+                       for g in lexicon.group_ids for arm in ("positive", "negative")
+                       for d in days},
+            negation_rate=0.02, uncertainty_rate=0.01, other_rate=0.01,
+            template_rate=0.05,
+        )
+        assert_matches_oracle(config, lexicon)
+
+    @given(st.lists(st.tuples(*[st.text(st.characters(exclude_categories=()))] * 3)))
+    def test_notes_writer_matches_json_dumps(self, fields):
+        when = synth._BASE_DATE
+        notes = [ClinicalNote(pid, nid, when, text) for pid, nid, text in fields]
+        assert (written_files([], notes, [])[0]
+                == written_files([], [tuple(n) for n in notes], [],
+                                 write_corpus_oracle)[0])
+
+
+class TestGoldenCorpus:
+    # SHA-256 of the synth files for one small calibrated config, taken
+    # from the cell-by-cell generator this one replaced.
+    DIGESTS = {
+        "notes.jsonl": "a8c25226d0a316d3f95fd026920b966d20c2e7ccb8bf20912c99a58c74358183",
+        "patients.csv": "9297ecc539fcdf6243536ccd4093bf160ecd13a3beb9f2051f20fd84b063be4d",
+        "gold_labels.csv": "a7a10bcd038014ecd206509e37ac6dc5de96ed43b34148912cc2c9a30a2ea45c",
+    }
+
+    def test_files_match_recorded_digests(self, tmp_path):
+        from phenotrail import bundled
+        from phenotrail.cli import main
+
+        assert main([
+            "synth", "--calibrate-daily", bundled.data_path(bundled.DAILY_REFERENCE),
+            "--n-pos", "40", "--n-neg", "160", "--negation-rate", "0.05",
+            "--uncertainty-rate", "0.03", "--other-rate", "0.02",
+            "--template-rate", "0.1", "--seed", "2718", "--out", str(tmp_path),
+        ]) == 0
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
