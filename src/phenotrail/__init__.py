@@ -12,6 +12,10 @@ from .bundled import data_path  # noqa: F401
 from .cohort import (  # noqa: F401
     SymptomPresenceTable,
     build_presence,
+    daily_counts,
+    pair_counts,
+    template_fingerprints,
+    window_counts,
     window_presence,
 )
 from .coexpr import (  # noqa: F401
@@ -42,12 +46,10 @@ from .stats import (  # noqa: F401
     two_tailed_log10_p,
 )
 from .synth import SynthConfig, calibrate_from_daily_table, generate  # noqa: F401
-from .tables import daily_table, enrichment_table, pairwise_table  # noqa: F401
 from .textproc import (  # noqa: F401
     ClinicalNote,
     PatientRecord,
     Sentence,
-    detect_templates,
     relative_day,
     segment_sentences,
 )

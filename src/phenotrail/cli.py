@@ -16,14 +16,12 @@ import json
 import os
 import sys
 import traceback
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
-from . import assertion, cohort, coexpr, stats, synth, tables, textproc
+from . import assertion, cohort, coexpr, stats, synth, textproc
 from .errors import InputError
 from .lexicon import Lexicon, build_matcher, default_lexicon_path, load_lexicon
-
-POSITIVE, NEGATIVE = cohort.POSITIVE, cohort.NEGATIVE
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -203,8 +201,10 @@ def rerun_from_manifest(manifest_path: str, out_dir: str) -> int:
 # Shared pipeline plumbing
 
 
-def _load_lexicon_arg(path: str | None) -> Lexicon:
-    return load_lexicon(path or default_lexicon_path())
+def _load_lexicon_arg(args: argparse.Namespace) -> tuple[Lexicon, str]:
+    """The --lexicon file, or the bundled one, and its path."""
+    path = args.lexicon or default_lexicon_path()
+    return load_lexicon(path), path
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -213,23 +213,18 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise InputError(f"missing required arguments: {', '.join(missing)}")
 
 
-def _check_window(window: tuple[int, int], day_range: tuple[int, int]) -> None:
-    if window[0] > window[1]:
-        raise InputError(f"empty window {window}")
-    if window[0] < day_range[0] or window[1] > day_range[1]:
-        raise InputError(f"window {window} outside day range {day_range}")
-
-
-def _curate_table(args: argparse.Namespace):
-    """Run notes+patients through curation; returns (table, rejects, lexicon)."""
+def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
+    """Run notes+patients through curation; returns (table, rejects), or
+    (None, None) once --dump-classification-requests has written its file."""
     _require(args, "notes", "patients")
-    lexicon = _load_lexicon_arg(args.lexicon)
     # Compiled while the heap is small, so collections stay cheap.
     matcher = build_matcher(lexicon)
     notes = textproc.load_notes(args.notes)
     patients = textproc.load_patients(args.patients)
     segmented = cohort.segment_notes(notes)
-    templates = set() if args.no_template_filter else _templates(notes, segmented, args)
+    templates = set() if args.no_template_filter else cohort.template_fingerprints(
+        notes, args.template_threshold, segmented
+    )
 
     classifier: assertion.Classifier
     dump_path = getattr(args, "dump_classification_requests", None)
@@ -241,7 +236,7 @@ def _curate_table(args: argparse.Namespace):
     if dump_path:
         with open(dump_path, "w", encoding="utf-8") as handle:
             assertion.write_classification_requests(tasks, handle)
-        return None, None, lexicon
+        return None, None
     if responses_path:
         responses = assertion.read_classification_responses(responses_path, len(tasks))
         classifier = assertion.PrecomputedClassifier(responses)
@@ -251,7 +246,7 @@ def _curate_table(args: argparse.Namespace):
         classifier = assertion.RuleClassifier()
         workers = args.workers
 
-    table, rejects = cohort.build_presence(
+    return cohort.build_presence(
         notes,
         patients,
         matcher,
@@ -263,38 +258,23 @@ def _curate_table(args: argparse.Namespace):
         group_ids=lexicon.group_ids,
         segmented=segmented,
     )
-    return table, rejects, lexicon
-
-
-def _templates(notes, segmented, args) -> set[str]:
-    """Fingerprints shared by at least --template-threshold patients."""
-    if args.template_threshold < 2:
-        raise InputError(
-            f"template threshold must be >= 2, got {args.template_threshold}"
-        )
-    fingerprints = cohort.corpus_fingerprints(notes, segmented)
-    return {
-        fp for fp, pats in fingerprints.items()
-        if len(pats) >= args.template_threshold
-    }
 
 
 def _presence_table(args: argparse.Namespace):
-    """Table from --presence export or by running curation."""
+    """Table from the --presence export or by curating notes, over the
+    lexicon's groups; returns (table, display names, input files)."""
+    lexicon, lexicon_path = _load_lexicon_arg(args)
     if args.presence:
         _require(args, "patients")
-        lexicon = _load_lexicon_arg(args.lexicon) if args.lexicon else None
         patients = textproc.load_patients(args.patients)
         table = cohort.load_presence_long_csv(
-            args.presence,
-            patients,
-            day_range=args.day_range,
-            group_ids=lexicon.group_ids if lexicon else None,
+            args.presence, patients, args.day_range, lexicon.group_ids
         )
-        names = lexicon.display_names if lexicon else {}
-        return table, names
-    table, _rejects, lexicon = _curate_table(args)
-    return table, lexicon.display_names
+        source = args.presence
+    else:
+        table, _rejects = _curate_table(args, lexicon)
+        source = args.notes
+    return table, lexicon.display_names, [source, args.patients, lexicon_path]
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +292,17 @@ def _read_counts_csv(path: str, required: Sequence[str]) -> list[dict[str, str]]
         return [row for row in reader if any(v.strip() for v in row.values() if v)]
 
 
-def _int_field(row: dict[str, str], key: str, path: str) -> int:
+def _field(row: dict[str, str], key: str, path: str, kind: type = int):
     try:
-        return int(row[key])
+        return kind(row[key])
     except (ValueError, TypeError):
-        raise InputError(f"{path}: bad integer in column {key!r}: {row.get(key)!r}") from None
-
-
-def _float_field(row: dict[str, str], key: str, path: str) -> float:
-    try:
-        return float(row[key])
-    except (ValueError, TypeError):
-        raise InputError(f"{path}: bad number in column {key!r}: {row.get(key)!r}") from None
+        what = "integer" if kind is int else "number"
+        raise InputError(f"{path}: bad {what} in column {key!r}: {row.get(key)!r}") from None
 
 
 def _uniform_totals(rows, path) -> tuple[int, int]:
     totals = {(
-        _int_field(row, "pos_total", path), _int_field(row, "neg_total", path)
+        _field(row, "pos_total", path), _field(row, "neg_total", path)
     ) for row in rows}
     if len(totals) != 1:
         raise InputError(f"{path}: pos_total/neg_total must be uniform")
@@ -338,6 +312,30 @@ def _uniform_totals(rows, path) -> tuple[int, int]:
 def derive_count(pct: float, total: int) -> int:
     """Recover an integer count from a printed percentage."""
     return round(pct * total / 100.0)
+
+
+def _enrichment_counts(row, path, n_pos, n_neg) -> tuple[str, int, int]:
+    return (row["phenotype"],
+            _field(row, "pos_count", path),
+            _field(row, "neg_count", path))
+
+
+def _daily_counts(row, path, n_pos, n_neg) -> tuple[str, int, int, int]:
+    """Counts, or counts recovered from the percentages when absent."""
+    day = _field(row, "day", path)
+    if row.get("pos_count"):
+        k_pos = _field(row, "pos_count", path)
+        k_neg = _field(row, "neg_count", path)
+    else:
+        k_pos = derive_count(_field(row, "pos_pct", path, float), n_pos)
+        k_neg = derive_count(_field(row, "neg_pct", path, float), n_neg)
+    return (row["phenotype"], day, k_pos, k_neg)
+
+
+def _pair_counts(row, path, n_pos, n_neg) -> tuple[str, str, int, int]:
+    return (row["phenotype_a"], row["phenotype_b"],
+            _field(row, "pos_count", path),
+            _field(row, "neg_count", path))
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +437,11 @@ def _out_file(out_dir: str, name: str) -> str:
 
 
 def _cmd_curate(args, argv) -> int:
-    table, rejects, _lexicon = _curate_table(args)
+    cohort.check_window(args.window, args.day_range)
+    lexicon, lexicon_path = _load_lexicon_arg(args)
+    table, rejects = _curate_table(args, lexicon)
     if table is None:  # --dump-classification-requests mode
         return 0
-    _check_window(args.window, args.day_range)
     outputs = []
     path = _out_file(args.out, "presence.csv")
     with open(path, "w", encoding="utf-8") as handle:
@@ -455,13 +454,13 @@ def _cmd_curate(args, argv) -> int:
         with open(_out_file(args.out, "presence_long.csv"), "w", encoding="utf-8") as handle:
             cohort.write_presence_long_csv(table, handle)
         outputs.append("presence_long.csv")
-    inputs = [args.notes, args.patients] + ([args.lexicon] if args.lexicon else [])
+    inputs = [args.notes, args.patients, lexicon_path]
     write_manifest(args.out, argv, inputs, outputs, _pipeline_config(args))
     return 0
 
 
 def _pipeline_config(args) -> dict:
-    config = {
+    return {
         "window": list(getattr(args, "window", ())),
         "day_range": list(getattr(args, "day_range", ())),
         "template_threshold": getattr(args, "template_threshold", None),
@@ -470,110 +469,64 @@ def _pipeline_config(args) -> dict:
         "workers": getattr(args, "workers", 1),
         "lexicon": getattr(args, "lexicon", None) or "bundled",
     }
-    return config
 
 
-def _cmd_enrich(args, argv) -> int:
-    _check_window(args.window, args.day_range)
+class _Table(NamedTuple):
+    """What one statistics table command needs beyond the shared steps."""
+
+    output: str
+    columns: tuple[str, ...]  # required --from-counts columns
+    parse: Callable  # (counts row, path, n_pos, n_neg) -> counts tuple
+    presence_counts: Callable  # (presence table, window) -> counts
+    build: Callable  # (counts, n_pos, n_neg, **options) -> stats rows
+    write: Callable  # (rows, names, n_pos, n_neg, stream)
+
+
+_TABLES = {
+    "enrich": _Table(
+        "enrichment.csv",
+        ("phenotype", "pos_total", "neg_total", "pos_count", "neg_count"),
+        _enrichment_counts, cohort.window_counts, stats.enrichment_rows,
+        _write_enrichment_csv,
+    ),
+    "timeline": _Table(
+        "timeline.csv",
+        ("phenotype", "day", "pos_total", "neg_total"),
+        _daily_counts, cohort.daily_counts, stats.daily_rows, _write_timeline_csv,
+    ),
+    "pairwise": _Table(
+        "pairwise.csv",
+        ("phenotype_a", "phenotype_b", "pos_total", "neg_total", "pos_count", "neg_count"),
+        _pair_counts, cohort.pair_counts, stats.pair_rows, _write_pairwise_csv,
+    ),
+}
+
+
+def _cmd_table(args, argv) -> int:
+    """enrich, timeline and pairwise: one input's counts -> rows -> CSV."""
+    spec = _TABLES[args.command]
+    cohort.check_window(args.window, args.day_range)
     if args.from_counts:
-        rows_in = _read_counts_csv(
-            args.from_counts,
-            ["phenotype", "pos_total", "neg_total", "pos_count", "neg_count"],
-        )
+        rows_in = _read_counts_csv(args.from_counts, spec.columns)
         n_pos, n_neg = _uniform_totals(rows_in, args.from_counts)
-        counts = [
-            (row["phenotype"],
-             _int_field(row, "pos_count", args.from_counts),
-             _int_field(row, "neg_count", args.from_counts))
-            for row in rows_in
-        ]
-        rows = stats.enrichment_rows(counts, n_pos, n_neg)
-        names: dict[str, str] = {}
+        counts = [spec.parse(row, args.from_counts, n_pos, n_neg) for row in rows_in]
+        names: dict[str, str] = {}  # labels print as read
         inputs = [args.from_counts]
     else:
-        table, names = _presence_table(args)
-        n_pos, n_neg = table.cohort_sizes[POSITIVE], table.cohort_sizes[NEGATIVE]
-        rows = tables.enrichment_table(table, args.window)
-        inputs = _pipeline_inputs(args)
-    with open(_out_file(args.out, "enrichment.csv"), "w", encoding="utf-8") as handle:
-        _write_enrichment_csv(rows, names, n_pos, n_neg, handle)
-    write_manifest(args.out, argv, inputs, ["enrichment.csv"], _pipeline_config(args))
+        table, names, inputs = _presence_table(args)
+        sizes = table.cohort_sizes
+        n_pos, n_neg = sizes[cohort.POSITIVE], sizes[cohort.NEGATIVE]
+        counts = spec.presence_counts(table, args.window)
+    options = {}
+    if args.command == "pairwise":
+        # The BH family size, resolved so that the manifest records it.
+        options["m_tests"] = len(counts) if args.m_tests is None else args.m_tests
+    rows = spec.build(counts, n_pos, n_neg, **options)
+    with open(_out_file(args.out, spec.output), "w", encoding="utf-8") as handle:
+        spec.write(rows, names, n_pos, n_neg, handle)
+    write_manifest(args.out, argv, inputs, [spec.output],
+                   {**_pipeline_config(args), **options})
     return 0
-
-
-def _cmd_timeline(args, argv) -> int:
-    _check_window(args.window, args.day_range)
-    if args.from_counts:
-        rows_in = _read_counts_csv(
-            args.from_counts, ["phenotype", "day", "pos_total", "neg_total"]
-        )
-        n_pos, n_neg = _uniform_totals(rows_in, args.from_counts)
-        counts = []
-        for row in rows_in:
-            day = _int_field(row, "day", args.from_counts)
-            if "pos_count" in row and row.get("pos_count"):
-                k_pos = _int_field(row, "pos_count", args.from_counts)
-                k_neg = _int_field(row, "neg_count", args.from_counts)
-            else:
-                k_pos = derive_count(
-                    _float_field(row, "pos_pct", args.from_counts), n_pos)
-                k_neg = derive_count(
-                    _float_field(row, "neg_pct", args.from_counts), n_neg)
-            counts.append((row["phenotype"], day, k_pos, k_neg))
-        rows = stats.daily_rows(counts, n_pos, n_neg)
-        names = {}
-        inputs = [args.from_counts]
-    else:
-        table, names = _presence_table(args)
-        n_pos, n_neg = table.cohort_sizes[POSITIVE], table.cohort_sizes[NEGATIVE]
-        rows = tables.daily_table(table, args.window)
-        inputs = _pipeline_inputs(args)
-    with open(_out_file(args.out, "timeline.csv"), "w", encoding="utf-8") as handle:
-        _write_timeline_csv(rows, names, n_pos, n_neg, handle)
-    write_manifest(args.out, argv, inputs, ["timeline.csv"], _pipeline_config(args))
-    return 0
-
-
-def _cmd_pairwise(args, argv) -> int:
-    _check_window(args.window, args.day_range)
-    if args.from_counts:
-        rows_in = _read_counts_csv(
-            args.from_counts,
-            ["phenotype_a", "phenotype_b", "pos_total", "neg_total",
-             "pos_count", "neg_count"],
-        )
-        n_pos, n_neg = _uniform_totals(rows_in, args.from_counts)
-        counts = [
-            (row["phenotype_a"], row["phenotype_b"],
-             _int_field(row, "pos_count", args.from_counts),
-             _int_field(row, "neg_count", args.from_counts))
-            for row in rows_in
-        ]
-        rows = stats.pair_rows(counts, n_pos, n_neg, m_tests=args.m_tests)
-        names = {}
-        inputs = [args.from_counts]
-    else:
-        table, names = _presence_table(args)
-        n_pos, n_neg = table.cohort_sizes[POSITIVE], table.cohort_sizes[NEGATIVE]
-        rows = tables.pairwise_table(
-            table, args.window, stats.StatConfig(window=args.window, m_tests=args.m_tests)
-        )
-        inputs = _pipeline_inputs(args)
-    with open(_out_file(args.out, "pairwise.csv"), "w", encoding="utf-8") as handle:
-        _write_pairwise_csv(rows, names, n_pos, n_neg, handle)
-    config = _pipeline_config(args)
-    config["m_tests"] = args.m_tests
-    write_manifest(args.out, argv, inputs, ["pairwise.csv"], config)
-    return 0
-
-
-def _pipeline_inputs(args) -> list[str]:
-    inputs = []
-    for name in ("notes", "patients", "lexicon", "presence"):
-        value = getattr(args, name, None)
-        if value:
-            inputs.append(value)
-    return inputs
 
 
 def _cmd_eval(args, argv) -> int:
@@ -605,15 +558,15 @@ def _resolve_calibration_rows(path: str, lexicon: Lexicon):
             raise InputError(f"{path}: unknown phenotype {label!r}")
         rows.append(
             (group_id,
-             _int_field(row, "day", path),
-             _float_field(row, "pos_pct", path),
-             _float_field(row, "neg_pct", path))
+             _field(row, "day", path),
+             _field(row, "pos_pct", path, float),
+             _field(row, "neg_pct", path, float))
         )
     return rows
 
 
 def _cmd_synth(args, argv) -> int:
-    lexicon = _load_lexicon_arg(args.lexicon)
+    lexicon, lexicon_path = _load_lexicon_arg(args)
     if args.config:
         config = synth.SynthConfig.from_json(args.config)
         inputs = [args.config]
@@ -631,8 +584,7 @@ def _cmd_synth(args, argv) -> int:
             seed=args.seed,
         )
         inputs = [args.calibrate_daily]
-    if args.lexicon:
-        inputs.append(args.lexicon)
+    inputs.append(lexicon_path)
 
     corpus = synth.generate(config, lexicon)
     with open(_out_file(args.out, "notes.jsonl"), "w", encoding="utf-8") as handle:
@@ -669,9 +621,9 @@ def _cmd_coexpr(args, argv) -> int:
 
 _COMMANDS = {
     "curate": _cmd_curate,
-    "enrich": _cmd_enrich,
-    "timeline": _cmd_timeline,
-    "pairwise": _cmd_pairwise,
+    "enrich": _cmd_table,
+    "timeline": _cmd_table,
+    "pairwise": _cmd_table,
     "eval": _cmd_eval,
     "synth": _cmd_synth,
     "coexpr": _cmd_coexpr,

@@ -13,8 +13,8 @@ merge by set union, so the result is identical for any worker count.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .assertion import AssertionLabel, Classifier
 from .errors import InputError
@@ -47,13 +47,39 @@ Segmented = Sequence[Sequence[tuple[str, str]]]
 @dataclass
 class SymptomPresenceTable:
     presence: dict[tuple[str, int], set[str]]
-    cohort_sizes: dict[str, int]
     day_range: tuple[int, int]
     group_ids: tuple[str, ...]
-    patient_arms: dict[str, str] = field(default_factory=dict)
+    patient_arms: dict[str, str]  # every rostered patient -> PCR arm
 
     def patients(self, group_id: str, day: int) -> set[str]:
         return self.presence.get((group_id, day), set())
+
+    def arm_counts(self, patients: Collection[str]) -> tuple[int, int]:
+        """(k_pos, k_neg): how many of ``patients`` are in each PCR arm."""
+        k_pos = sum(1 for p in patients if self.patient_arms.get(p) == POSITIVE)
+        return k_pos, len(patients) - k_pos
+
+    @property
+    def cohort_sizes(self) -> dict[str, int]:
+        """Rostered patients per PCR arm."""
+        return dict(zip((POSITIVE, NEGATIVE), self.arm_counts(self.patient_arms)))
+
+    @classmethod
+    def from_roster(
+        cls,
+        presence: dict[tuple[str, int], set[str]],
+        patients: Mapping[str, PatientRecord],
+        day_range: tuple[int, int],
+        group_ids: Sequence[str] | None = None,
+    ) -> SymptomPresenceTable:
+        """The table over every rostered patient.
+
+        ``group_ids`` defaults to the groups that occur in ``presence``.
+        """
+        arms = {patient_id: record.pcr_result for patient_id, record in patients.items()}
+        if group_ids is None:
+            group_ids = sorted({gid for gid, _day in presence})
+        return cls(presence, day_range, tuple(group_ids), arms)
 
 
 @dataclass(frozen=True)
@@ -62,9 +88,12 @@ class RejectedNote:
     reason: str
 
 
-def _validate_day_range(day_range: tuple[int, int]) -> None:
-    if day_range[0] > day_range[1]:
-        raise InputError(f"empty day range {day_range}")
+def check_window(window: tuple[int, int], day_range: tuple[int, int]) -> None:
+    """A window must be non-empty and lie inside the curated day range."""
+    if window[0] > window[1]:
+        raise InputError(f"empty window {window}")
+    if window[0] < day_range[0] or window[1] > day_range[1]:
+        raise InputError(f"window {window} outside day range {day_range}")
 
 
 def segment_notes(notes: Sequence[ClinicalNote]) -> list[list[tuple[str, str]]]:
@@ -101,6 +130,20 @@ def corpus_fingerprints(
         for _text, fp in pairs:
             table.setdefault(fp, set()).add(note.patient_id)
     return table
+
+
+def template_fingerprints(
+    notes: Sequence[ClinicalNote],
+    threshold: int = 20,
+    segmented: Segmented | None = None,
+) -> set[str]:
+    """Fingerprints of sentences written for at least ``threshold``
+    distinct patients: boilerplate.  Repetition within one patient's
+    notes does not count."""
+    if threshold < 2:
+        raise InputError(f"template threshold must be >= 2, got {threshold}")
+    fingerprints = corpus_fingerprints(notes, segmented)
+    return {fp for fp, patients in fingerprints.items() if len(patients) >= threshold}
 
 
 def _kept_sentences(
@@ -205,7 +248,8 @@ def build_presence(
     ``segment_notes(notes)`` when the caller already has it; forked
     workers read it from the parent rather than segmenting again.
     """
-    _validate_day_range(day_range)
+    if day_range[0] > day_range[1]:
+        raise InputError(f"empty day range {day_range}")
     args = (notes, _aligned(notes, segmented), patients, matcher, classifier, frozenset(templates),
             day_range, include_maybe)
 
@@ -231,40 +275,17 @@ def build_presence(
         key=lambda r: r.note_id,
     )
 
-    sizes = {POSITIVE: 0, NEGATIVE: 0}
-    arms: dict[str, str] = {}
-    for patient_id, record in patients.items():
-        sizes[record.pcr_result] += 1
-        arms[patient_id] = record.pcr_result
-
-    if group_ids is None:
-        group_ids = tuple(sorted({gid for gid, _day in presence}))
-    table = SymptomPresenceTable(
-        presence=presence,
-        cohort_sizes=sizes,
-        day_range=day_range,
-        group_ids=tuple(group_ids),
-        patient_arms=arms,
-    )
-    return table, rejects
+    return SymptomPresenceTable.from_roster(presence, patients, day_range, group_ids), rejects
 
 
 def window_presence(
-    table: SymptomPresenceTable,
-    from_day: int,
-    to_day: int,
-    group_ids: Sequence[str] | None = None,
+    table: SymptomPresenceTable, from_day: int, to_day: int
 ) -> dict[str, tuple[set[str], set[str]]]:
     """Union daily sets over [from_day, to_day], split by PCR arm."""
-    if from_day > to_day:
-        raise InputError(f"empty window [{from_day}, {to_day}]")
-    if from_day < table.day_range[0] or to_day > table.day_range[1]:
-        raise InputError(
-            f"window [{from_day}, {to_day}] outside day range {table.day_range}"
-        )
+    check_window((from_day, to_day), table.day_range)
     arms = table.patient_arms
     result: dict[str, tuple[set[str], set[str]]] = {}
-    for group_id in group_ids if group_ids is not None else table.group_ids:
+    for group_id in table.group_ids:
         pos: set[str] = set()
         neg: set[str] = set()
         for day in range(from_day, to_day + 1):
@@ -277,30 +298,37 @@ def window_presence(
     return result
 
 
+# ---------------------------------------------------------------------------
+# The counts behind each statistics table
+
+
+def window_counts(
+    table: SymptomPresenceTable, window: tuple[int, int]
+) -> list[tuple[str, int, int]]:
+    """(group_id, k_pos, k_neg) per group over the window, by group id."""
+    windowed = window_presence(table, window[0], window[1])
+    return [(gid, len(pos), len(neg)) for gid, (pos, neg) in sorted(windowed.items())]
+
+
 def daily_counts(
-    table: SymptomPresenceTable,
-    window: tuple[int, int],
-    group_ids: Sequence[str] | None = None,
+    table: SymptomPresenceTable, window: tuple[int, int]
 ) -> list[tuple[str, int, int, int]]:
     """(group_id, day, k_pos, k_neg) rows over the window."""
-    per_day = []
-    arms = table.patient_arms
-    for group_id in group_ids if group_ids is not None else table.group_ids:
-        for day in range(window[0], window[1] + 1):
-            patients = table.presence.get((group_id, day), ())
-            k_pos = sum(1 for p in patients if arms.get(p) == POSITIVE)
-            k_neg = len(patients) - k_pos
-            per_day.append((group_id, day, k_pos, k_neg))
-    return per_day
+    check_window(window, table.day_range)
+    return [
+        (group_id, day, *table.arm_counts(table.patients(group_id, day)))
+        for group_id in table.group_ids
+        for day in range(window[0], window[1] + 1)
+    ]
 
 
 def pair_counts(
-    table: SymptomPresenceTable,
-    window: tuple[int, int],
-    group_ids: Sequence[str] | None = None,
+    table: SymptomPresenceTable, window: tuple[int, int]
 ) -> list[tuple[str, str, int, int]]:
     """Patients with both phenotypes at least once inside the window."""
-    windowed = window_presence(table, window[0], window[1], group_ids)
+    if len(table.group_ids) < 2:
+        raise InputError("pairwise analysis needs at least 2 phenotype groups")
+    windowed = window_presence(table, window[0], window[1])
     ordered = sorted(windowed)
     rows: list[tuple[str, str, int, int]] = []
     for i, group_a in enumerate(ordered):
@@ -320,11 +348,8 @@ def pair_counts(
 def write_presence_csv(table: SymptomPresenceTable, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(PRESENCE_HEADER)
-    arms = table.patient_arms
     for (group_id, day), patients in sorted(table.presence.items()):
-        k_pos = sum(1 for p in patients if arms.get(p) == POSITIVE)
-        k_neg = len(patients) - k_pos
-        for cohort, count in ((POSITIVE, k_pos), (NEGATIVE, k_neg)):
+        for cohort, count in zip((POSITIVE, NEGATIVE), table.arm_counts(patients)):
             if count:
                 writer.writerow([group_id, day, cohort, count])
 
@@ -351,7 +376,11 @@ def load_presence_long_csv(
     day_range: tuple[int, int] = DEFAULT_DAY_RANGE,
     group_ids: Sequence[str] | None = None,
 ) -> SymptomPresenceTable:
-    """Rebuild a presence table from the per-patient long export."""
+    """Rebuild a presence table from the per-patient long export.
+
+    With ``group_ids`` given (a lexicon's groups), the table covers exactly
+    those groups and a row naming any other group is an error.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return load_presence_long_csv(handle, patients, day_range, group_ids)
@@ -364,6 +393,7 @@ def load_presence_long_csv(
         raise InputError(
             f"presence header must be {','.join(PRESENCE_LONG_HEADER)!r}"
         )
+    known = None if group_ids is None else frozenset(group_ids)
     presence: dict[tuple[str, int], set[str]] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -377,20 +407,10 @@ def load_presence_long_csv(
             raise InputError(f"presence line {lineno}: bad relative_day {raw_day!r}") from None
         if patient_id not in patients:
             raise InputError(f"presence line {lineno}: unknown patient {patient_id!r}")
-        presence.setdefault((group_id, day), set()).add(patient_id)
-
-    sizes = {POSITIVE: 0, NEGATIVE: 0}
-    arms: dict[str, str] = {}
-    for patient_id, record in patients.items():
-        sizes[record.pcr_result] += 1
-        arms[patient_id] = record.pcr_result
-    groups = tuple(group_ids) if group_ids is not None else tuple(
-        sorted({gid for gid, _ in presence})
-    )
-    return SymptomPresenceTable(
-        presence=presence,
-        cohort_sizes=sizes,
-        day_range=day_range,
-        group_ids=groups,
-        patient_arms=arms,
-    )
+        members = presence.get((group_id, day))
+        if members is None:  # the first row of a group makes one of its keys
+            if known is not None and group_id not in known:
+                raise InputError(f"presence line {lineno}: unknown group {group_id!r}")
+            members = presence[(group_id, day)] = set()
+        members.add(patient_id)
+    return SymptomPresenceTable.from_roster(presence, patients, day_range, group_ids)

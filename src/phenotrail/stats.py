@@ -213,13 +213,6 @@ class PairRow:
     p_adjusted: float
 
 
-@dataclass(frozen=True)
-class StatConfig:
-    window: tuple[int, int] = (-7, -1)
-    m_tests: int | None = None  # BH family size; None = number of pairs tested
-    ratio_undefined_marker: str = RATIO_UNDEFINED
-
-
 def _ratio_sort_key(row: EnrichmentRow) -> tuple[float, str]:
     if row.ratio is None:
         # Undefined fold change (reference arm empty): above everything

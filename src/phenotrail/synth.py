@@ -148,20 +148,30 @@ class SynthConfig:
         try:
             day_probs = {}
             for key, p in raw["day_probs"].items():
-                group_id, cohort, day = key.rsplit("|", 2)
-                day_probs[(group_id, cohort, int(day))] = float(p)
+                group_id, cohort, raw_day = key.rsplit("|", 2)
+                day = int(raw_day)
+                if str(day) != raw_day:
+                    raise ValueError(f"day in {key!r} must be an integer")
+                day_probs[(group_id, cohort, day)] = float(p)
             return cls(
-                n_pos=int(raw["n_pos"]),
-                n_neg=int(raw["n_neg"]),
+                n_pos=_exact_int("n_pos", raw["n_pos"]),
+                n_neg=_exact_int("n_neg", raw["n_neg"]),
                 day_probs=day_probs,
                 negation_rate=float(raw.get("negation_rate", 0.0)),
                 uncertainty_rate=float(raw.get("uncertainty_rate", 0.0)),
                 other_rate=float(raw.get("other_rate", 0.0)),
                 template_rate=float(raw.get("template_rate", 0.0)),
-                seed=int(raw["seed"]),
+                seed=_exact_int("seed", raw["seed"]),
             )
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise InputError(f"bad synth config: {exc}") from None
+
+
+def _exact_int(name: str, value) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not cast."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def calibrate_from_daily_table(

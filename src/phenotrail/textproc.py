@@ -3,9 +3,7 @@
 Notes arrive as JSON-lines (patient_id, note_id, date, text) and patients
 as a CSV roster keyed by PCR test date.  Segmentation is rule based:
 sentence terminators and blank lines split, a short guard list of
-clinical abbreviations suppresses false splits.  Template sentences are
-detected corpus-wide as verbatim text duplicated across many distinct
-patients.
+clinical abbreviations suppresses false splits.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import date
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -45,7 +43,6 @@ class Sentence:
     start: int  # character offsets into the note text
     end: int
     text: str
-    is_template: bool = False
 
 
 class PatientRecord(NamedTuple):
@@ -145,31 +142,6 @@ def _append_sentence(
             text=stripped,
         )
     )
-
-
-def collect_fingerprint_patients(
-    pairs: Iterable[tuple[str, str]],
-) -> dict[str, set[str]]:
-    """Aggregate (sentence_text, patient_id) pairs into fingerprint->patients."""
-    table: dict[str, set[str]] = {}
-    for text, patient_id in pairs:
-        table.setdefault(fingerprint(text), set()).add(patient_id)
-    return table
-
-
-def detect_templates(
-    pairs: Iterable[tuple[str, str]],
-    threshold: int = 20,
-) -> set[str]:
-    """Fingerprints occurring in notes of at least ``threshold`` patients.
-
-    ``pairs`` are (sentence_text, patient_id) tuples for the whole corpus.
-    Repetition within one patient's notes does not count.
-    """
-    if threshold < 2:
-        raise InputError(f"template threshold must be >= 2, got {threshold}")
-    table = collect_fingerprint_patients(pairs)
-    return {fp for fp, patients in table.items() if len(patients) >= threshold}
 
 
 # ---------------------------------------------------------------------------

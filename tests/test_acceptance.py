@@ -23,9 +23,9 @@ from phenotrail import bundled
 from phenotrail.assertion import AssertionLabel, RuleClassifier, evaluate
 from phenotrail.cohort import (
     build_presence,
-    corpus_fingerprints,
     daily_counts,
     segment_notes,
+    template_fingerprints,
     window_presence,
     write_presence_csv,
 )
@@ -120,8 +120,7 @@ def full_corpus(lexicon, daily_reference):
 
 def curate(notes, patients, matcher, lexicon, workers=1, threshold=20):
     segmented = segment_notes(notes)
-    fingerprints = corpus_fingerprints(notes, segmented)
-    templates = {fp for fp, pats in fingerprints.items() if len(pats) >= threshold}
+    templates = template_fingerprints(notes, threshold, segmented)
     table, rejects = build_presence(
         notes, patients, matcher, RuleClassifier(),
         templates=templates, workers=workers, group_ids=lexicon.group_ids,

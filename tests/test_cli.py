@@ -46,6 +46,29 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def curated_dir(tmp_path_factory, corpus_dir):
+    """corpus_dir curated with the per-patient export."""
+    out = tmp_path_factory.mktemp("curated")
+    assert main(["curate", *corpus_args(corpus_dir), "--per-patient", "--out", str(out)]) == 0
+    return out
+
+
+def corpus_args(corpus_dir):
+    return ["--notes", str(corpus_dir / "notes.jsonl"),
+            "--patients", str(corpus_dir / "patients.csv")]
+
+
+def presence_args(corpus_dir, curated_dir):
+    return ["--presence", str(curated_dir / "presence_long.csv"),
+            "--patients", str(corpus_dir / "patients.csv")]
+
+
+TABLE_FILES = {"enrich": "enrichment.csv", "timeline": "timeline.csv",
+               "pairwise": "pairwise.csv"}
+REFERENCES = {"enrich": WEEK, "timeline": DAILY, "pairwise": PAIRS}
+
+
 class TestSynthCommand:
     def test_outputs_exist(self, corpus_dir):
         for name in ("notes.jsonl", "patients.csv", "gold_labels.csv",
@@ -92,6 +115,15 @@ class TestSynthCommand:
         err = self.synth_config_error(
             corpus_dir, tmp_path, capsys, lambda config: {**config, "seed": -1})
         assert "seed must be non-negative" in err
+
+    @pytest.mark.parametrize("field", ["n_pos", "n_neg", "seed"])
+    @pytest.mark.parametrize("value", [2.9, "3", True], ids=["float", "string", "bool"])
+    def test_config_inexact_integer_exit_code(self, corpus_dir, tmp_path, capsys,
+                                              field, value):
+        err = self.synth_config_error(
+            corpus_dir, tmp_path, capsys, lambda config: {**config, field: value})
+        assert f"{field} must be an integer" in err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_option_exit_code(self, tmp_path, capsys):
         assert main(synth_args(tmp_path / "out", seed=-1)) == 2
@@ -179,6 +211,18 @@ class TestCurateCommand:
             "--out", str(tmp_path / "out"),
         ]) == 2
 
+    @pytest.mark.parametrize("dump", [False, True], ids=["curate", "dump_requests"])
+    def test_bad_window_rejected_before_any_output(self, corpus_dir, tmp_path, capsys, dump):
+        requests = tmp_path / "requests.jsonl"
+        extra = ["--dump-classification-requests", str(requests)] if dump else []
+        assert main([
+            "curate", *corpus_args(corpus_dir), "--window=-20..-1", *extra,
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert "outside day range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not requests.exists()
+
     def test_external_classifier_batch_roundtrip(self, corpus_dir, tmp_path):
         requests = tmp_path / "requests.jsonl"
         base = [
@@ -262,11 +306,12 @@ class TestFromCounts:
         bad.write_text("phenotype,pos_total,neg_total,pos_count,neg_count\nx,10,10,eleven,1\n")
         assert main(["enrich", "--from-counts", str(bad), "--out", str(tmp_path / "o")]) == 2
 
-    def test_window_outside_day_range(self, tmp_path):
+    def test_window_outside_day_range(self, tmp_path, capsys):
         assert main([
-            "enrich", "--from-counts", WEEK, "--window", "-20..-1",
+            "enrich", "--from-counts", WEEK, "--window=-20..-1",
             "--out", str(tmp_path / "o"),
         ]) == 2
+        assert "outside day range" in capsys.readouterr().err
 
 
 class TestPipelineStats:
@@ -308,7 +353,7 @@ class TestPipelineStats:
         assert filecmp.cmp(direct / "enrichment.csv",
                            via_presence / "enrichment.csv", shallow=False)
 
-    def test_empty_presence_export_gives_header_only_table(self, corpus_dir, tmp_path):
+    def test_empty_presence_export_gives_zero_count_table(self, corpus_dir, tmp_path):
         empty = tmp_path / "presence_long.csv"
         empty.write_text("group_id,relative_day,cohort,patient_id\n")
         out = tmp_path / "out"
@@ -318,7 +363,50 @@ class TestPipelineStats:
             "--out", str(out),
         ]) == 0
         rows = read_csv(out / "enrichment.csv")
-        assert len(rows) == 1  # header only
+        assert len(rows) == 27  # header + every group of the bundled lexicon
+        assert all(row[1:3] == ["0", "0"] for row in rows[1:])
+
+    @pytest.mark.parametrize("command", sorted(TABLE_FILES))
+    def test_notes_and_presence_export_give_identical_tables(
+            self, corpus_dir, curated_dir, tmp_path, command):
+        direct, via = tmp_path / "direct", tmp_path / "via"
+        assert main([command, *corpus_args(corpus_dir), "--out", str(direct)]) == 0
+        assert main([command, *presence_args(corpus_dir, curated_dir), "--out", str(via)]) == 0
+        name = TABLE_FILES[command]
+        assert filecmp.cmp(direct / name, via / name, shallow=False)
+
+    def test_presence_export_with_unknown_group_exit_code(self, corpus_dir, tmp_path, capsys):
+        patient = read_csv(corpus_dir / "patients.csv")[1][0]
+        export = tmp_path / "presence_long.csv"
+        export.write_text("group_id,relative_day,cohort,patient_id\n"
+                          f"cough,-3,positive,{patient}\nhiccups,-2,positive,{patient}\n")
+        assert main([
+            "enrich", "--presence", str(export),
+            "--patients", str(corpus_dir / "patients.csv"),
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert "presence line 3: unknown group 'hiccups'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["notes", "presence", "from_counts"])
+    @pytest.mark.parametrize("command", sorted(TABLE_FILES))
+    def test_window_outside_day_range_exit_code(
+            self, corpus_dir, curated_dir, tmp_path, capsys, command, source):
+        inputs = {
+            "notes": corpus_args(corpus_dir),
+            "presence": presence_args(corpus_dir, curated_dir),
+            "from_counts": ["--from-counts", REFERENCES[command]],
+        }[source]
+        assert main([command, *inputs, "--window=-7..3", "--day-range=-14..2",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "outside day range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_degenerate_template_threshold_rejected(self, corpus_dir, tmp_path, capsys):
+        assert main(["enrich", *corpus_args(corpus_dir), "--template-threshold", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "template threshold must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_timeline_and_pairwise_raw(self, corpus_dir, tmp_path):
         for cmd in ("timeline", "pairwise"):
@@ -415,6 +503,26 @@ class TestManifest:
         assert rerun_from_manifest(str(first / "manifest.json"), str(replay)) == 0
         assert filecmp.cmp(first / "enrichment.csv", replay / "enrichment.csv",
                            shallow=False)
+
+    @pytest.mark.parametrize("source", ["notes", "presence"])
+    def test_pairwise_manifest_records_m_and_lexicon(
+            self, corpus_dir, curated_dir, tmp_path, source):
+        inputs = (corpus_args(corpus_dir) if source == "notes"
+                  else presence_args(corpus_dir, curated_dir))
+        first = tmp_path / "first"
+        assert main(["pairwise", *inputs, "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        n_pairs = len(read_csv(first / "pairwise.csv")) - 1
+        assert manifest["config"]["m_tests"] == n_pairs == 26 * 25 // 2
+        lexicon = bundled.data_path(bundled.LEXICON)
+        assert len(manifest["inputs"][lexicon]) == 64
+        replay = tmp_path / "replay"
+        assert rerun_from_manifest(str(first / "manifest.json"), str(replay)) == 0
+        assert filecmp.cmp(first / "pairwise.csv", replay / "pairwise.csv", shallow=False)
+
+    def test_curate_manifest_lists_lexicon(self, curated_dir):
+        manifest = json.loads((curated_dir / "manifest.json").read_text())
+        assert bundled.data_path(bundled.LEXICON) in manifest["inputs"]
 
     @pytest.fixture
     def curated_run(self, tmp_path, corpus_dir):

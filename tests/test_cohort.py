@@ -7,16 +7,19 @@ import pytest
 from phenotrail.assertion import RuleClassifier
 from phenotrail.cohort import (
     build_presence,
+    check_window,
     daily_counts,
     load_presence_long_csv,
     pair_counts,
     segment_notes,
+    window_counts,
     window_presence,
     write_presence_csv,
     write_presence_long_csv,
 )
 from phenotrail.errors import InputError
 from phenotrail.lexicon import build_matcher, load_default_lexicon
+from phenotrail.stats import daily_rows, enrichment_rows, pair_rows
 from phenotrail.textproc import ClinicalNote, PatientRecord, fingerprint
 
 PCR_DAY = date(2020, 3, 10)
@@ -212,6 +215,15 @@ class TestWindowPresence:
         with pytest.raises(InputError):
             window_presence(table, -30, -1)
 
+    @pytest.mark.parametrize("window", [(-1, -7), (-30, -1), (-7, 15)])
+    def test_every_counts_source_checks_the_window(self, matcher, classifier, window):
+        table = self._table(matcher, classifier)
+        for counts in (window_counts, daily_counts, pair_counts):
+            with pytest.raises(InputError, match="window"):
+                counts(table, window)
+        with pytest.raises(InputError, match="window"):
+            check_window(window, table.day_range)
+
     def test_counts_bounded_by_cohort(self, matcher, classifier):
         table = self._table(matcher, classifier)
         for pos, neg in window_presence(table, -7, -1).values():
@@ -274,41 +286,40 @@ class TestTableBridges:
         table, _ = build_presence(notes, patients, matcher, classifier)
         return table
 
-    def test_enrichment_table(self, matcher, classifier):
-        from phenotrail.tables import enrichment_table
+    def _rows(self, build, counts, matcher, classifier, **options):
+        """Stats rows over the arm sizes the presence table counted."""
+        table = self._table(matcher, classifier)
+        sizes = table.cohort_sizes
+        return build(counts(table), sizes["positive"], sizes["negative"], **options)
 
-        rows = enrichment_table(self._table(matcher, classifier), (-7, -1))
+    def test_enrichment_table(self, matcher, classifier):
+        rows = self._rows(enrichment_rows, lambda t: window_counts(t, (-7, -1)),
+                          matcher, classifier)
         by_id = {r.group_id: r for r in rows}
         assert by_id["fever_chills"].k_pos == 2
         assert by_id["fever_chills"].k_neg == 1
         assert by_id["fever_chills"].n_pos == 2
 
     def test_daily_table(self, matcher, classifier):
-        from phenotrail.tables import daily_table
-
-        rows = daily_table(self._table(matcher, classifier), (-3, -1))
+        rows = self._rows(daily_rows, lambda t: daily_counts(t, (-3, -1)),
+                          matcher, classifier)
         assert len(rows) == 2 * 3  # two observed groups, three days
 
     def test_pairwise_table(self, matcher, classifier):
-        from phenotrail.stats import StatConfig
-        from phenotrail.tables import pairwise_table
-
-        rows = pairwise_table(self._table(matcher, classifier), (-7, -1),
-                              StatConfig(m_tests=5))
+        rows = self._rows(pair_rows, lambda t: pair_counts(t, (-7, -1)),
+                          matcher, classifier, m_tests=5)
         assert len(rows) == 1
         assert (rows[0].group_a, rows[0].group_b) == ("cough", "fever_chills")
         assert rows[0].k_pos == 1 and rows[0].k_neg == 1
         assert rows[0].p_adjusted >= rows[0].p_raw
 
     def test_pairwise_needs_two_groups(self, matcher, classifier):
-        from phenotrail.tables import pairwise_table
-
         patients = roster(p1="positive")
         table, _ = build_presence(
             [note("p1", -3, "Fever.")], patients, matcher, classifier
         )
         with pytest.raises(InputError, match="at least 2"):
-            pairwise_table(table, (-7, -1))
+            pair_counts(table, (-7, -1))
 
 
 class TestExports:
@@ -337,6 +348,24 @@ class TestExports:
         loaded = load_presence_long_csv(buffer, patients, day_range=table.day_range)
         assert loaded.presence == table.presence
         assert loaded.cohort_sizes == table.cohort_sizes
+
+    def test_long_import_over_lexicon_groups(self):
+        stream = io.StringIO(
+            "group_id,relative_day,cohort,patient_id\nfever_chills,-3,positive,p1\n"
+        )
+        loaded = load_presence_long_csv(stream, roster(p1="positive", p2="negative"),
+                                        group_ids=("cough", "fever_chills"))
+        assert loaded.group_ids == ("cough", "fever_chills")
+        assert loaded.cohort_sizes == {"positive": 1, "negative": 1}
+        assert window_counts(loaded, (-7, -1)) == [("cough", 0, 0), ("fever_chills", 1, 0)]
+
+    def test_long_import_rejects_group_outside_lexicon(self):
+        stream = io.StringIO(
+            "group_id,relative_day,cohort,patient_id\n"
+            "fever_chills,-3,positive,p1\nhiccups,-3,positive,p1\n"
+        )
+        with pytest.raises(InputError, match="presence line 3: unknown group 'hiccups'"):
+            load_presence_long_csv(stream, roster(p1="positive"), group_ids=("fever_chills",))
 
     def test_long_import_rejects_unknown_patient(self):
         stream = io.StringIO(

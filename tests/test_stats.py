@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from phenotrail.errors import InputError
 from phenotrail.stats import (
-    StatConfig,
     bh_adjust,
     daily_rows,
     enrichment_rows,
@@ -234,11 +233,6 @@ class TestRowAssembly:
         rows = pair_rows([("a", "b", 9, 1), ("a", "c", 5, 5)], 10, 10, m_tests=50)
         for row in rows:
             assert row.p_adjusted >= row.p_raw
-
-    def test_stat_config_defaults(self):
-        config = StatConfig()
-        assert config.window == (-7, -1)
-        assert config.m_tests is None
 
 
 class TestFormatting:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from phenotrail import synth
 from phenotrail.assertion import AssertionLabel, RuleClassifier, write_gold_labels
-from phenotrail.cohort import build_presence, corpus_fingerprints, daily_counts
+from phenotrail.cohort import build_presence, daily_counts, template_fingerprints
 from phenotrail.errors import InputError
 from phenotrail.lexicon import Lexicon, PhenotypeGroup, build_matcher, load_default_lexicon
 from phenotrail.synth import (
@@ -118,6 +118,21 @@ class TestConfig:
         with pytest.raises(InputError, match="bad synth config"):
             SynthConfig.from_json(io.StringIO(text))
 
+    @pytest.mark.parametrize("field", ["n_pos", "n_neg", "seed"])
+    @pytest.mark.parametrize("value", [2.9, 3.0, "3", True], ids=["float", "whole_float",
+                                                                  "string", "bool"])
+    def test_inexact_integer_rejected(self, field, value):
+        raw = {"n_pos": 5, "n_neg": 5, "seed": 1, "day_probs": {"cough|positive|-1": 0.5},
+               field: value}
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            SynthConfig.from_json(io.StringIO(json.dumps(raw)))
+
+    @pytest.mark.parametrize("day", ["-1.0", "2.9", " 3", "+3", "true"])
+    def test_inexact_day_rejected(self, day):
+        raw = {"n_pos": 5, "n_neg": 5, "seed": 1, "day_probs": {f"cough|positive|{day}": 0.5}}
+        with pytest.raises(InputError, match="bad synth config"):
+            SynthConfig.from_json(io.StringIO(json.dumps(raw)))
+
 
 class TestGenerate:
     def test_same_seed_identical_output(self, lexicon):
@@ -203,10 +218,7 @@ class TestGenerate:
     def test_templates_flagged_at_default_threshold(self, lexicon):
         config = small_config(n_pos=200, n_neg=400, template_rate=0.6, seed=13)
         corpus = generate(config, lexicon)
-        fingerprints = corpus_fingerprints(corpus.notes)
-        flagged = {
-            fp for fp, pats in fingerprints.items() if len(pats) >= 20
-        }
+        flagged = template_fingerprints(corpus.notes)
         injected = {fingerprint(t) for t in TEMPLATE_SENTENCES}
         assert injected <= flagged
 
@@ -236,8 +248,7 @@ class TestRoundTrip:
         corpus = generate(config, lexicon)
         patients = {p.patient_id: p for p in corpus.patients}
         notes = corpus.notes
-        fingerprints = corpus_fingerprints(notes)
-        templates = {fp for fp, pats in fingerprints.items() if len(pats) >= 20}
+        templates = template_fingerprints(notes)
         table, _ = build_presence(
             notes, patients, matcher, RuleClassifier(), templates=templates
         )

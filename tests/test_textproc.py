@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenotrail.cohort import segment_notes
+from phenotrail.cohort import segment_notes, template_fingerprints
 from phenotrail.errors import InputError
 from phenotrail.textproc import (
     ClinicalNote,
     PatientRecord,
-    collect_fingerprint_patients,
-    detect_templates,
     fingerprint,
     load_notes,
     load_patients,
@@ -99,34 +97,39 @@ class TestSegmentation:
         assert [fp for _t, fp in pairs] == [fingerprint(t) for t in expected]
 
 
+def sentence_notes(pairs):
+    """One note per (sentence, patient_id) pair."""
+    return [note(text, note_id=f"n{i}", patient_id=pid) for i, (text, pid) in enumerate(pairs)]
+
+
 class TestTemplates:
     def test_cross_patient_duplication_flagged(self):
         pairs = [("Take all medication as prescribed.", f"p{i}") for i in range(25)]
-        flagged = detect_templates(pairs, threshold=20)
+        flagged = template_fingerprints(sentence_notes(pairs), threshold=20)
         assert fingerprint("Take all medication as prescribed.") in flagged
 
     def test_single_patient_not_flagged(self):
         pairs = [("Unique sentence here.", "p1")]
-        assert detect_templates(pairs, threshold=2) == set()
+        assert template_fingerprints(sentence_notes(pairs), threshold=2) == set()
 
     def test_within_patient_repetition_not_flagged(self):
         pairs = [("Same line every time.", "p1")] * 30
-        assert detect_templates(pairs, threshold=2) == set()
+        assert template_fingerprints(sentence_notes(pairs), threshold=2) == set()
 
     def test_threshold_validated(self):
         with pytest.raises(InputError):
-            detect_templates([], threshold=1)
+            template_fingerprints([], threshold=1)
 
     def test_fingerprint_normalizes_case_and_spacing(self):
         assert fingerprint("  Fever   NOTED. ") == fingerprint("fever noted.")
 
     def test_permutation_invariance(self):
         rng = random.Random(11)
-        pairs = [(f"sentence {i % 7}", f"p{rng.randint(0, 40)}") for i in range(300)]
+        pairs = [(f"sentence {i % 7}.", f"p{rng.randint(0, 40)}") for i in range(300)]
         shuffled = pairs[:]
         rng.shuffle(shuffled)
-        assert detect_templates(pairs, 5) == detect_templates(shuffled, 5)
-        assert collect_fingerprint_patients(pairs) == collect_fingerprint_patients(shuffled)
+        flagged = template_fingerprints(sentence_notes(pairs), 5)
+        assert flagged and flagged == template_fingerprints(sentence_notes(shuffled), 5)
 
 
 class TestRelativeDay:
