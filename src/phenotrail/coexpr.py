@@ -6,12 +6,22 @@ the mean normalized expression of both genes and the fraction of cells
 with non-zero RAW counts for both, plus a pass/fail flag against the
 minimum-cells and minimum-co-expressing-fraction filters.  All
 populations are reported; the flag records the filter outcome.
+
+An ``ExpressionMatrix`` holds its triplets as three int64 columns (cell
+index, gene index, count), one row per entry in file order, as one
+``np.loadtxt`` pass over the matrix body leaves them.  Cell totals are
+exact integer sums: int64, or Python ints where an int64 sum could
+overflow.  A gene's per-cell counts are gathered only when asked for,
+with duplicate (cell, gene) entries summed.  numpy is imported by the
+functions that use it, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -20,6 +30,9 @@ from .errors import InputError
 
 COEXPR_FILTER_MIN_CELLS = 100
 COEXPR_FILTER_MIN_FRAC = 0.01
+
+_INT64_MAX = 2**63 - 1
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -30,40 +43,49 @@ class CellInfo:
 
 
 class ExpressionMatrix:
-    """Sparse non-negative integer counts, cells x genes."""
+    """Sparse non-negative integer counts, cells x genes.
 
-    def __init__(
-        self,
-        cells: Sequence[CellInfo],
-        genes: Sequence[str],
-        entries: Sequence[tuple[int, int, int]],  # (cell_index, gene_index, count)
-    ):
+    ``entries`` are (cell_index, gene_index, count) rows: an (n, 3) integer
+    array or a sequence of triples.
+    """
+
+    def __init__(self, cells: Sequence[CellInfo], genes: Sequence[str], entries):
+        import numpy as np
+
         self.cells = tuple(cells)
         self.genes = tuple(genes)
         self._gene_index = {g: i for i, g in enumerate(self.genes)}
         if len(self._gene_index) != len(self.genes):
             raise InputError("duplicate gene symbols")
         n_cells, n_genes = len(self.cells), len(self.genes)
-        self.cell_totals = [0] * n_cells
-        self._columns: dict[int, dict[int, int]] = {}
-        for cell_idx, gene_idx, count in entries:
-            if not (0 <= cell_idx < n_cells and 0 <= gene_idx < n_genes):
+        cell_col, gene_col, count_col = np.asarray(entries, dtype=np.int64).reshape(-1, 3).T
+        outside = (cell_col < 0) | (cell_col >= n_cells) | (gene_col < 0) | (gene_col >= n_genes)
+        bad = np.flatnonzero(outside | (count_col < 0))
+        if bad.size:  # report the first bad entry, as a row-by-row check would
+            first = bad[0]
+            if outside[first]:
                 raise InputError(
-                    f"entry ({cell_idx}, {gene_idx}) outside matrix bounds"
+                    f"entry ({cell_col[first]}, {gene_col[first]}) outside matrix bounds"
                 )
-            if count < 0:
-                raise InputError("counts must be non-negative")
-            if count == 0:
-                continue
-            column = self._columns.setdefault(gene_idx, {})
-            column[cell_idx] = column.get(cell_idx, 0) + count
-            self.cell_totals[cell_idx] += count
+            raise InputError("counts must be non-negative")
+        self._cell_col, self._gene_col, self._count_col = cell_col, gene_col, count_col
+        counts = count_col
+        if counts.size and int(counts.max()) > _INT64_MAX // counts.size:
+            counts = counts.astype(object)  # an int64 total could overflow
+        totals = np.zeros(n_cells, dtype=counts.dtype)
+        np.add.at(totals, cell_col, counts)
+        self.cell_totals: list[int] = totals.tolist()
 
     def gene_counts(self, gene: str) -> dict[int, int]:
+        """Cell index -> summed non-zero count of ``gene``."""
         idx = self._gene_index.get(gene)
         if idx is None:
             raise InputError(f"unknown gene symbol {gene!r}")
-        return self._columns.get(idx, {})
+        rows = (self._gene_col == idx) & (self._count_col != 0)
+        counts: dict[int, int] = {}
+        for cell, count in zip(self._cell_col[rows].tolist(), self._count_col[rows].tolist()):
+            counts[cell] = counts.get(cell, 0) + count
+        return counts
 
 
 def normalize_cp10k(count: int, cell_total: int, log_base: float = math.e) -> float:
@@ -160,7 +182,9 @@ def load_triplet_matrix(
     """Read the sparse triplet matrix plus cell annotations and gene list.
 
     Matrix format: header line ``n_cells n_genes n_entries`` followed by
-    ``cell_index gene_index count`` lines with 0-based indices.
+    ``cell_index gene_index count`` lines with 0-based indices.  Blank
+    lines are skipped.  Body fields are ASCII integers that fit in int64,
+    and a malformed body line is reported by its physical line number.
     """
     cells = _load_cells(cells_source)
     genes = _load_genes(genes_source)
@@ -168,11 +192,11 @@ def load_triplet_matrix(
         with open(matrix_source, "r", encoding="utf-8") as handle:
             return load_triplet_matrix(handle, cells, genes)
 
-    lines = (line for line in matrix_source if line.strip())
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise InputError("matrix file is empty") from None
+    for header_lineno, header in enumerate(matrix_source, start=1):
+        if header.strip():
+            break
+    else:
+        raise InputError("matrix file is empty")
     parts = header.split()
     if len(parts) != 3:
         raise InputError("matrix header must be 'n_cells n_genes n_entries'")
@@ -188,20 +212,55 @@ def load_triplet_matrix(
         raise InputError(
             f"matrix declares {n_genes} genes but gene list has {len(genes)}"
         )
-    entries = []
-    for lineno, line in enumerate(lines, start=2):
-        fields = line.split()
-        if len(fields) != 3:
-            raise InputError(f"matrix line {lineno}: expected 3 fields")
-        try:
-            entries.append((int(fields[0]), int(fields[1]), int(fields[2])))
-        except ValueError:
-            raise InputError(f"matrix line {lineno}: fields must be integers") from None
+    entries = _read_body(matrix_source, header_lineno)
     if len(entries) != n_entries:
         raise InputError(
             f"matrix declares {n_entries} entries but file has {len(entries)}"
         )
     return ExpressionMatrix(cells, genes, entries)
+
+
+def _read_body(handle: IO[str], header_lineno: int):
+    """The (n, 3) int64 triplets of the matrix lines after the header.
+
+    The body must be ASCII, because numpy's integer parser is not strict
+    about other characters.  A malformed body raises the error of its first
+    bad line.
+    """
+    import numpy as np
+
+    text = handle.read()
+    if text.isascii():
+        data = io.BytesIO(text.encode("ascii"))
+        del text  # hold one copy of the body during the parse
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # numpy 1.x parses an integral float such as "1.0" with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                entries = np.loadtxt(data, dtype=np.int64, comments=None, ndmin=2)
+            except (ValueError, DeprecationWarning):
+                entries = None
+        if entries is not None and (entries.size == 0 or entries.shape[1] == 3):
+            return entries.reshape(-1, 3)
+        text = data.getvalue().decode("ascii")
+    raise _body_error(text, header_lineno)
+
+
+def _body_error(body: str, header_lineno: int) -> InputError:
+    """The error for the first line of ``body`` that ``_read_body`` refuses."""
+    for lineno, line in enumerate(body.split("\n"), start=header_lineno + 1):
+        fields = line.split()
+        if not fields and line.isascii():
+            continue
+        if len(fields) != 3:
+            return InputError(f"matrix line {lineno}: expected 3 fields")
+        if not line.isascii() or not all(
+            _INT_FIELD.fullmatch(f) and -_INT64_MAX - 1 <= int(f) <= _INT64_MAX
+            for f in fields
+        ):
+            return InputError(f"matrix line {lineno}: fields must be integers")
+    return InputError("matrix body must be 'cell_index gene_index count' lines")
 
 
 def _load_cells(source: IO[str] | str | Sequence[CellInfo]):

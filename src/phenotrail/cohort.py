@@ -394,19 +394,26 @@ def load_presence_long_csv(
             f"presence header must be {','.join(PRESENCE_LONG_HEADER)!r}"
         )
     known = None if group_ids is None else frozenset(group_ids)
+    arms = {patient_id: record.pcr_result for patient_id, record in patients.items()}
     presence: dict[tuple[str, int], set[str]] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 4:
             raise InputError(f"presence line {lineno}: expected 4 fields")
-        group_id, raw_day, _cohort, patient_id = (f.strip() for f in row)
+        group_id, raw_day, cohort, patient_id = (f.strip() for f in row)
         try:
             day = int(raw_day)
         except ValueError:
             raise InputError(f"presence line {lineno}: bad relative_day {raw_day!r}") from None
-        if patient_id not in patients:
-            raise InputError(f"presence line {lineno}: unknown patient {patient_id!r}")
+        arm = arms.get(patient_id)
+        if arm != cohort:
+            if arm is None:
+                raise InputError(f"presence line {lineno}: unknown patient {patient_id!r}")
+            raise InputError(
+                f"presence line {lineno}: cohort {cohort!r} does not match patient "
+                f"{patient_id!r} ({arm})"
+            )
         members = presence.get((group_id, day))
         if members is None:  # the first row of a group makes one of its keys
             if known is not None and group_id not in known:

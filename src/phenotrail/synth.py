@@ -152,18 +152,18 @@ class SynthConfig:
                 day = int(raw_day)
                 if str(day) != raw_day:
                     raise ValueError(f"day in {key!r} must be an integer")
-                day_probs[(group_id, cohort, day)] = float(p)
+                day_probs[(group_id, cohort, day)] = _number(f"day_probs[{key!r}]", p)
             return cls(
                 n_pos=_exact_int("n_pos", raw["n_pos"]),
                 n_neg=_exact_int("n_neg", raw["n_neg"]),
                 day_probs=day_probs,
-                negation_rate=float(raw.get("negation_rate", 0.0)),
-                uncertainty_rate=float(raw.get("uncertainty_rate", 0.0)),
-                other_rate=float(raw.get("other_rate", 0.0)),
-                template_rate=float(raw.get("template_rate", 0.0)),
+                negation_rate=_number("negation_rate", raw.get("negation_rate", 0.0)),
+                uncertainty_rate=_number("uncertainty_rate", raw.get("uncertainty_rate", 0.0)),
+                other_rate=_number("other_rate", raw.get("other_rate", 0.0)),
+                template_rate=_number("template_rate", raw.get("template_rate", 0.0)),
                 seed=_exact_int("seed", raw["seed"]),
             )
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
             raise InputError(f"bad synth config: {exc}") from None
 
 
@@ -172,6 +172,13 @@ def _exact_int(name: str, value) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _number(name: str, value) -> float:
+    """A JSON number; strings and booleans are refused, not cast."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def calibrate_from_daily_table(

@@ -6,16 +6,19 @@ the cue windows of every mention without shortcuts, the generator oracle
 walks every (patient, day, group) cell in Python and writes its files
 with ``json.dumps`` and one CSV row at a time, the Fisher oracle sums
 exact integer binomial coefficients, the BH oracle applies the step-up
-definition by quadratic scan, and the tail oracle delegates to mpmath
-at high precision.
+definition by quadratic scan, the tail oracle delegates to mpmath
+at high precision, and the co-expression oracle parses the triplet
+matrix into one Python tuple per line and a dict per gene.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
+import warnings
 from datetime import timedelta
 from fractions import Fraction
 
@@ -23,6 +26,7 @@ import mpmath
 import numpy as np
 
 from phenotrail.assertion import AssertionLabel
+from phenotrail.errors import InputError
 from phenotrail.synth import (
     _BASE_DATE,
     _DATE_CYCLE,
@@ -274,3 +278,90 @@ def bh_oracle(p_values, m=None):
 def log10_two_tailed_oracle(z: float, dps: int = 60) -> float:
     with mpmath.workdps(dps):
         return float(mpmath.log(mpmath.erfc(abs(z) / mpmath.sqrt(2)), 10))
+
+
+def coexpr_oracle(matrix_source, cells, genes, gene_a, gene_b, min_cells=100,
+                  min_frac=0.01) -> str:
+    """coexpr.csv text from a text stream of the matrix, by the line-by-line
+    loader: one ``(cell, gene, count)`` tuple per non-blank line, checked one
+    by one, then a count dict per gene.
+
+    Its errors number the non-blank lines, not the physical ones.
+    """
+    lines = (line for line in matrix_source if line.strip())
+    try:
+        header = next(lines)
+    except StopIteration:
+        raise InputError("matrix file is empty") from None
+    parts = header.split()
+    if len(parts) != 3:
+        raise InputError("matrix header must be 'n_cells n_genes n_entries'")
+    try:
+        n_cells, n_genes, n_entries = (int(p) for p in parts)
+    except ValueError:
+        raise InputError("matrix header fields must be integers") from None
+    if n_cells != len(cells):
+        raise InputError(f"matrix declares {n_cells} cells but annotation lists {len(cells)}")
+    if n_genes != len(genes):
+        raise InputError(f"matrix declares {n_genes} genes but gene list has {len(genes)}")
+    entries = []
+    for lineno, line in enumerate(lines, start=2):
+        fields = line.split()
+        if len(fields) != 3:
+            raise InputError(f"matrix line {lineno}: expected 3 fields")
+        try:
+            entries.append((int(fields[0]), int(fields[1]), int(fields[2])))
+        except ValueError:
+            raise InputError(f"matrix line {lineno}: fields must be integers") from None
+    if len(entries) != n_entries:
+        raise InputError(f"matrix declares {n_entries} entries but file has {len(entries)}")
+
+    gene_index = {g: i for i, g in enumerate(genes)}
+    if len(gene_index) != len(genes):
+        raise InputError("duplicate gene symbols")
+    cell_totals = [0] * n_cells
+    columns: dict[int, dict[int, int]] = {}
+    for cell_idx, gene_idx, count in entries:
+        if not (0 <= cell_idx < n_cells and 0 <= gene_idx < n_genes):
+            raise InputError(f"entry ({cell_idx}, {gene_idx}) outside matrix bounds")
+        if count < 0:
+            raise InputError("counts must be non-negative")
+        if count == 0:
+            continue
+        column = columns.setdefault(gene_idx, {})
+        column[cell_idx] = column.get(cell_idx, 0) + count
+        cell_totals[cell_idx] += count
+
+    def column(gene):
+        if gene not in gene_index:
+            raise InputError(f"unknown gene symbol {gene!r}")
+        return columns.get(gene_index[gene], {})
+
+    counts_a, counts_b = column(gene_a), column(gene_b)
+    populations: dict[tuple[str, str], list[int]] = {}
+    dropped = 0
+    for idx, cell in enumerate(cells):
+        if cell_totals[idx] == 0:
+            dropped += 1
+            continue
+        populations.setdefault((cell.tissue, cell.cell_type), []).append(idx)
+    if dropped:
+        warnings.warn(f"dropped {dropped} cell(s) with zero total counts", stacklevel=2)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["tissue", "cell_type", "n_cells", f"mean_{gene_a}", f"mean_{gene_b}",
+                     "frac_coexpress", "passes_filter"])
+    for (tissue, cell_type), members in sorted(populations.items()):
+        n = len(members)
+        sum_a = sum_b = 0.0
+        both = 0
+        for idx in members:
+            total = cell_totals[idx]
+            raw_a, raw_b = counts_a.get(idx, 0), counts_b.get(idx, 0)
+            sum_a += math.log(raw_a / total * 10000.0 + 1.0)
+            sum_b += math.log(raw_b / total * 10000.0 + 1.0)
+            both += raw_a > 0 and raw_b > 0
+        frac = both / n
+        writer.writerow([tissue, cell_type, n, f"{sum_a / n:.6f}", f"{sum_b / n:.6f}",
+                         f"{frac:.6f}", str(n >= min_cells and frac >= min_frac).lower()])
+    return out.getvalue()

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phenotrail
 from phenotrail import bundled
@@ -123,6 +125,21 @@ class TestSynthCommand:
         err = self.synth_config_error(
             corpus_dir, tmp_path, capsys, lambda config: {**config, field: value})
         assert f"{field} must be an integer" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["negation_rate", "uncertainty_rate", "other_rate",
+                                       "template_rate", "day_probs"])
+    @pytest.mark.parametrize("value", ["0.5", True], ids=["string", "bool"])
+    def test_config_non_number_float_exit_code(self, corpus_dir, tmp_path, capsys,
+                                               field, value):
+        def edit(config):
+            if field != "day_probs":
+                return {**config, field: value}
+            key = sorted(config["day_probs"])[0]
+            return {**config, "day_probs": {**config["day_probs"], key: value}}
+
+        err = self.synth_config_error(corpus_dir, tmp_path, capsys, edit)
+        assert f"{field}" in err and "must be a number" in err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_option_exit_code(self, tmp_path, capsys):
@@ -388,6 +405,23 @@ class TestPipelineStats:
         assert "presence line 3: unknown group 'hiccups'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("cohort", ["negative", "banana", ""])
+    def test_presence_export_with_wrong_cohort_exit_code(self, corpus_dir, tmp_path, capsys,
+                                                         cohort):
+        patient = next(row[0] for row in read_csv(corpus_dir / "patients.csv")[1:]
+                       if row[2] == "pos")
+        export = tmp_path / "presence_long.csv"
+        export.write_text("group_id,relative_day,cohort,patient_id\n"
+                          f"cough,-3,positive,{patient}\ncough,-2,{cohort},{patient}\n")
+        assert main([
+            "enrich", "--presence", str(export),
+            "--patients", str(corpus_dir / "patients.csv"),
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert (f"presence line 3: cohort {cohort!r} does not match patient {patient!r} "
+                "(positive)") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("source", ["notes", "presence", "from_counts"])
     @pytest.mark.parametrize("command", sorted(TABLE_FILES))
     def test_window_outside_day_range_exit_code(
@@ -476,6 +510,65 @@ class TestCoexprCommand:
             "--genes", str(genes), "--gene-a", "ACE2", "--gene-b", "TMPRSS2",
             "--out", str(tmp_path / "o"),
         ]) == 2
+
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 2 2\n\n\n0 0 x\n", "matrix line 4: fields must be integers"),
+        ("3 2 2\n\n0 0 1\n\n\n0 0 x\n", "matrix line 6: fields must be integers"),
+        ("\n3 2 2\n0 0 1\n\n0 1\n", "matrix line 5: expected 3 fields"),
+    ])
+    def test_malformed_line_reported_by_physical_number(self, tmp_path, capsys,
+                                                        text, message):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text(text)
+        cells = tmp_path / "c.csv"
+        cells.write_text("cell_id,tissue,cell_type\nc0,lung,t2\nc1,lung,t2\nc2,gut,e\n")
+        genes = tmp_path / "g.txt"
+        genes.write_text("ACE2\nTMPRSS2\n")
+        assert main([
+            "coexpr", "--matrix", str(matrix), "--cells", str(cells),
+            "--genes", str(genes), "--gene-a", "ACE2", "--gene-b", "TMPRSS2",
+            "--out", str(tmp_path / "o"),
+        ]) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_roster(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("presence_fuzz")
+    (directory / "patients.csv").write_text(
+        "patient_id,pcr_date,pcr_result\nP1,2020-04-01,pos\nP2,2020-04-02,neg\n"
+        "P3,2020-04-03,neg\n")
+    return directory
+
+
+PRESENCE_FIELDS = {
+    "group_id": ["cough", "fever_chills", "hiccups", "", " cough"],
+    "relative_day": ["-3", "0", "14", "-200", "x", "1.5", "", "+2", "\u0663"],
+    "cohort": ["positive", "negative", "banana", ""],
+    "patient_id": ["P1", "P2", "P3", "P9", ""],
+}
+
+
+class TestPresenceFuzz:
+    """Malformed per-patient exports through ``cli.main`` exit 0 or 2, never 1."""
+
+    @given(st.lists(st.one_of(
+        *[st.tuples(*(st.sampled_from(values) for values in PRESENCE_FIELDS.values()))
+          .map(",".join)] * 4,
+        st.lists(st.sampled_from(["cough", "-3", "P1", '"', "a,b"]), max_size=6).map(",".join),
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=15),
+    ), max_size=5), st.sampled_from(["group_id,relative_day,cohort,patient_id"] * 4
+                                    + ["group_id", ""]))
+    @settings(max_examples=150)
+    def test_presence_long_csv(self, fuzz_roster, rows, header):
+        export = fuzz_roster / "presence_long.csv"
+        export.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        assert main([
+            "enrich", "--presence", str(export),
+            "--patients", str(fuzz_roster / "patients.csv"),
+            "--out", str(fuzz_roster / "out"),
+        ]) in (0, 2)
 
 
 class TestManifest:

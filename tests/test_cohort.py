@@ -373,3 +373,14 @@ class TestExports:
         )
         with pytest.raises(InputError, match="unknown patient"):
             load_presence_long_csv(stream, roster(p1="positive"))
+
+    @pytest.mark.parametrize("cohort", ["negative", "banana", "Positive"])
+    def test_long_import_rejects_cohort_not_matching_roster(self, cohort):
+        stream = io.StringIO(
+            "group_id,relative_day,cohort,patient_id\n"
+            f"fever_chills,-3,positive,p1\nfever_chills,-2,{cohort},p1\n"
+        )
+        with pytest.raises(InputError, match=(
+                f"presence line 3: cohort '{cohort}' does not match patient 'p1' "
+                r"\(positive\)")):
+            load_presence_long_csv(stream, roster(p1="positive", p2="negative"))

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from unittest import mock
 
 import pytest
@@ -126,6 +127,35 @@ class TestConfig:
                field: value}
         with pytest.raises(InputError, match=f"{field} must be an integer"):
             SynthConfig.from_json(io.StringIO(json.dumps(raw)))
+
+    @pytest.mark.parametrize("field", ["negation_rate", "uncertainty_rate", "other_rate",
+                                       "template_rate", "day_probs"])
+    @pytest.mark.parametrize("value", ["0.5", True, False, None, [0.5]],
+                             ids=["string", "true", "false", "null", "list"])
+    def test_non_number_float_rejected(self, field, value):
+        raw = {"n_pos": 5, "n_neg": 5, "seed": 1, "day_probs": {"cough|positive|-1": 0.5}}
+        if field == "day_probs":
+            raw["day_probs"]["cough|positive|-1"] = value
+            name = "day_probs['cough|positive|-1']"
+        else:
+            raw[field] = value
+            name = field
+        with pytest.raises(InputError, match=re.escape(f"{name} must be a number")):
+            SynthConfig.from_json(io.StringIO(json.dumps(raw)))
+
+    @pytest.mark.parametrize("value", ["1", "0.25", "1e-3"])
+    def test_number_forms_accepted(self, value):
+        text = ('{"n_pos": 5, "n_neg": 5, "seed": 1, "negation_rate": %s, '
+                '"day_probs": {"cough|positive|-1": %s}}' % (value, value))
+        config = SynthConfig.from_json(io.StringIO(text))
+        assert config.negation_rate == float(value)
+        assert config.day_probs == {("cough", "positive", -1): float(value)}
+
+    def test_integer_too_large_for_float_rejected(self):
+        text = '{"n_pos": 5, "n_neg": 5, "seed": 1, "other_rate": 1%s, "day_probs": {}}' % (
+            "0" * 400)
+        with pytest.raises(InputError, match="bad synth config"):
+            SynthConfig.from_json(io.StringIO(text))
 
     @pytest.mark.parametrize("day", ["-1.0", "2.9", " 3", "+3", "true"])
     def test_inexact_day_rejected(self, day):
