@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Protocol, Sequence
 
 from .bundled import ASSERTION_RULES, data_path
-from .errors import InputError
+from .errors import InputError, open_text
 from .lexicon import is_word_char, token_pattern
 
 
@@ -267,7 +267,7 @@ def read_classification_responses(
 ) -> list[tuple[AssertionLabel, float]]:
     """Parse classifier responses, enforcing ordered 1:1 correspondence."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
+        with open_text(source, "responses") as handle:
             return read_classification_responses(handle, expected)
     responses: list[tuple[AssertionLabel, float]] = []
     for lineno, line in enumerate(source, start=1):
@@ -332,7 +332,7 @@ def write_gold_labels(
 
 def load_gold_labels(source: IO[str] | str) -> dict[tuple[str, int], AssertionLabel]:
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open_text(source, "gold label", newline="") as handle:
             return load_gold_labels(handle)
     reader = csv.reader(source)
     try:

@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import traceback
@@ -20,7 +21,7 @@ from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
 from . import assertion, cohort, coexpr, stats, synth, textproc
-from .errors import InputError
+from .errors import InputError, open_text
 from .lexicon import Lexicon, build_matcher, default_lexicon_path, load_lexicon
 
 
@@ -282,22 +283,35 @@ def _presence_table(args: argparse.Namespace):
 
 
 def _read_counts_csv(path: str, required: Sequence[str]) -> list[dict[str, str]]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path, "counts", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise InputError(f"{path}: empty counts file")
         missing = [c for c in required if c not in reader.fieldnames]
         if missing:
             raise InputError(f"{path}: missing columns {missing}")
-        return [row for row in reader if any(v.strip() for v in row.values() if v)]
+        rows = []
+        for row in reader:
+            extra = row.pop(None, [])  # fields beyond the header's
+            values = [*row.values(), *extra]
+            if not any(v and v.strip() for v in values):
+                continue
+            if extra or None in values:
+                raise InputError(f"{path} line {reader.line_num}: expected "
+                                 f"{len(reader.fieldnames)} fields")
+            rows.append(row)
+        return rows
 
 
 def _field(row: dict[str, str], key: str, path: str, kind: type = int):
     try:
-        return kind(row[key])
-    except (ValueError, TypeError):
+        value = kind(row[key])
+    except (KeyError, ValueError, TypeError):
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
         what = "integer" if kind is int else "number"
-        raise InputError(f"{path}: bad {what} in column {key!r}: {row.get(key)!r}") from None
+        raise InputError(f"{path}: bad {what} in column {key!r}: {row.get(key)!r}")
+    return value
 
 
 def _uniform_totals(rows, path) -> tuple[int, int]:
@@ -311,7 +325,13 @@ def _uniform_totals(rows, path) -> tuple[int, int]:
 
 def derive_count(pct: float, total: int) -> int:
     """Recover an integer count from a printed percentage."""
-    return round(pct * total / 100.0)
+    try:
+        count = pct * total / 100.0
+    except OverflowError:  # a total beyond the float range
+        count = math.inf
+    if not math.isfinite(count):
+        raise InputError(f"{pct}% of {total} is not a count")
+    return round(count)
 
 
 def _enrichment_counts(row, path, n_pos, n_neg) -> tuple[str, int, int]:

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from .errors import InputError
+from .errors import InputError, open_text
 
 COEXPR_FILTER_MIN_CELLS = 100
 COEXPR_FILTER_MIN_FRAC = 0.01
@@ -189,7 +189,7 @@ def load_triplet_matrix(
     cells = _load_cells(cells_source)
     genes = _load_genes(genes_source)
     if isinstance(matrix_source, str):
-        with open(matrix_source, "r", encoding="utf-8") as handle:
+        with open_text(matrix_source, "matrix") as handle:
             return load_triplet_matrix(handle, cells, genes)
 
     for header_lineno, header in enumerate(matrix_source, start=1):
@@ -267,7 +267,7 @@ def _load_cells(source: IO[str] | str | Sequence[CellInfo]):
     if isinstance(source, (list, tuple)):
         return source
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open_text(source, "cells", newline="") as handle:
             return _load_cells(handle)
     reader = csv.reader(source)
     try:
@@ -290,7 +290,7 @@ def _load_genes(source: IO[str] | str | Sequence[str]):
     if isinstance(source, (list, tuple)):
         return source
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
+        with open_text(source, "genes") as handle:
             return _load_genes(handle)
     return [line.strip() for line in source if line.strip()]
 

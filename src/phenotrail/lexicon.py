@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from .bundled import LEXICON, data_path
-from .errors import InputError
+from .errors import InputError, open_text
 
 LEXICON_HEADER = ("group_id", "term")
 
@@ -139,7 +139,7 @@ def load_lexicon(
     exactly repeated record.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open_text(source, "lexicon", newline="") as handle:
             return load_lexicon(handle, display_names)
 
     reader = csv.reader(source)

@@ -78,7 +78,7 @@ def proportion_test(k1: int, n1: int, k2: int, n2: int) -> ProportionTest:
     pooled = (k1 + k2) / (n1 + n2)
     if pooled == 0.0 or pooled == 1.0:
         return ProportionTest(p1, p2, ratio, 0.0, 0.0)
-    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+    se = math.sqrt(pooled * (1.0 - pooled) * (1 / n1 + 1 / n2))  # int / int: any size
     z = (p1 - p2) / se
     log10_p = two_tailed_log10_p(z) if z != 0.0 else 0.0
     return ProportionTest(p1, p2, ratio, z, log10_p)
@@ -86,6 +86,9 @@ def proportion_test(k1: int, n1: int, k2: int, n2: int) -> ProportionTest:
 
 # ---------------------------------------------------------------------------
 # Fisher exact test
+
+# The exact test tabulates log n! up to the table's total.
+_FISHER_MAX_N = 10_000_000
 
 _logfact: list[float] = [0.0]
 
@@ -104,6 +107,8 @@ def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
     n = a + b + c + d
     if n == 0:
         raise InputError("contingency table is all zero")
+    if n > _FISHER_MAX_N:
+        raise InputError(f"contingency table total {n} exceeds {_FISHER_MAX_N}")
     r1, r2, c1 = a + b, c + d, a + c
     lo = max(0, c1 - r2)
     hi = min(r1, c1)
@@ -112,17 +117,47 @@ def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
     _log_factorial(n)
     lf = _logfact
     const = lf[r1] + lf[r2] + lf[c1] + lf[n - c1] - lf[n]
-    lp_obs = const - (lf[a] + lf[r1 - a] + lf[c1 - a] + lf[r2 - c1 + a])
-    cutoff = lp_obs + _LOG_SLACK
 
+    def log_p(x: int) -> float:
+        return const - (lf[x] + lf[r1 - x] + lf[c1 - x] + lf[r2 - c1 + x])
+
+    cutoff = log_p(a) + _LOG_SLACK
+    # The log-probabilities rise up to the mode and fall after it, so the
+    # selected tables form a left tail [lo, left] and a right tail
+    # [right, hi], each found by bisection.  Splitting the support at the
+    # mode keeps the two tails disjoint when all of it is selected.
+    mode = min(max((r1 + 1) * (c1 + 1) // (n + 2), lo), hi)
+    below, above = lo, mode + 1  # the first x in [lo, mode] above the cutoff
+    while below < above:
+        mid = (below + above) // 2
+        if log_p(mid) <= cutoff:
+            below = mid + 1
+        else:
+            above = mid
+    left = below - 1
+    below, above = mode + 1, hi + 1  # the first x in [mode + 1, hi] at or below it
+    while below < above:
+        mid = (below + above) // 2
+        if log_p(mid) <= cutoff:
+            above = mid
+        else:
+            below = mid + 1
+    right = below
+
+    top = max(log_p(x) for x in (left, right) if lo <= x <= hi)
+    # Outward from each boundary the terms only shrink.  math.fsum is
+    # exact, so stopping where exp underflows to 0.0 gives the sum over
+    # the whole support.  The largest term is taken from the walked ones,
+    # as two tables of tied probability may differ in the last bit.
     selected: list[float] = []
-    m = -math.inf
-    for x in range(lo, hi + 1):
-        lp = const - (lf[x] + lf[r1 - x] + lf[c1 - x] + lf[r2 - c1 + x])
-        if lp <= cutoff:
+    for x, stop, step in ((left, lo - 1, -1), (right, hi + 1, 1)):
+        while x != stop:
+            lp = log_p(x)
+            if math.exp(lp - top) == 0.0:
+                break
             selected.append(lp)
-            if lp > m:
-                m = lp
+            x += step
+    m = max(selected)
     total = math.fsum(math.exp(lp - m) for lp in selected)
     return min(1.0, math.exp(m) * total)
 

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring
 from typing import IO, Iterable, Sequence
 
 from .assertion import AssertionLabel
-from .errors import InputError
+from .errors import InputError, open_text
 from .lexicon import Lexicon
 from .textproc import PATIENT_HEADER, ClinicalNote, PatientRecord
 
@@ -137,7 +137,7 @@ class SynthConfig:
     @classmethod
     def from_json(cls, source: IO[str] | str) -> "SynthConfig":
         if isinstance(source, str):
-            with open(source, "r", encoding="utf-8") as handle:
+            with open_text(source, "synth config") as handle:
                 return cls.from_json(handle)
         try:
             raw = json.load(source)

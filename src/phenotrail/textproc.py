@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import IO, Iterator, NamedTuple
 
-from .errors import InputError
+from .errors import InputError, open_text
 
 # Tokens whose trailing period is an abbreviation, not a sentence end.
 ABBREVIATION_GUARDS = frozenset({"dr", "pt", "hx", "mr", "mrs", "vs"})
@@ -166,6 +166,8 @@ def parse_note_line(line: str, lineno: int, dates: dict[str, date]) -> ClinicalN
             raise InputError(
                 f"notes line {lineno}: {key} must be a string, got {value!r}"
             )
+        if not value.isascii() and not _encodable(value):  # isascii is O(1)
+            raise InputError(f"notes line {lineno}: {key} holds a lone surrogate escape")
     patient_id, note_id, raw_date, text = fields
     note_date = dates.get(raw_date)
     if note_date is None:
@@ -178,10 +180,18 @@ def parse_note_line(line: str, lineno: int, dates: dict[str, date]) -> ClinicalN
     return ClinicalNote(patient_id, note_id, note_date, text)
 
 
+def _encodable(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def load_notes(source: IO[str] | str) -> list[ClinicalNote]:
     """Read a JSON-lines note corpus, enforcing unique note ids."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
+        with open_text(source, "notes") as handle:
             return load_notes(handle)
     notes: list[ClinicalNote] = []
     seen: set[str] = set()
@@ -207,7 +217,7 @@ def load_patients(source: IO[str] | str) -> dict[str, PatientRecord]:
     results share that date the positive one wins.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open_text(source, "patients", newline="") as handle:
             return load_patients(handle)
     reader = csv.reader(source)
     try:

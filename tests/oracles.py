@@ -8,7 +8,10 @@ with ``json.dumps`` and one CSV row at a time, the Fisher oracle sums
 exact integer binomial coefficients, the BH oracle applies the step-up
 definition by quadratic scan, the tail oracle delegates to mpmath
 at high precision, and the co-expression oracle parses the triplet
-matrix into one Python tuple per line and a dict per gene.
+matrix into one Python tuple per line and a dict per gene.  Two are the
+package's earlier implementations, kept as references for their faster
+replacements: the full-support Fisher sum, and the row-by-row presence
+export loader that builds sets of patient ids.
 """
 
 from __future__ import annotations
@@ -232,6 +235,35 @@ def fisher_oracle(a: int, b: int, c: int, d: int) -> float:
     return float(Fraction(total, math.comb(n, c1)))
 
 
+_LOG_FACTORIALS: list[float] = []
+
+
+def fisher_full_support(a: int, b: int, c: int, d: int) -> float:
+    """The two-sided Fisher p in floats, summed over every table of the
+    support: what ``stats.fisher_exact_two_sided`` must equal bit for bit."""
+    n = a + b + c + d
+    r1, r2, c1 = a + b, c + d, a + c
+    lo = max(0, c1 - r2)
+    hi = min(r1, c1)
+    if lo == hi:
+        return 1.0
+    lf = _LOG_FACTORIALS
+    lf.extend(math.lgamma(i + 1) for i in range(len(lf), n + 1))
+    const = lf[r1] + lf[r2] + lf[c1] + lf[n - c1] - lf[n]
+    lp_obs = const - (lf[a] + lf[r1 - a] + lf[c1 - a] + lf[r2 - c1 + a])
+    cutoff = lp_obs + math.log1p(1e-7)
+    selected = []
+    m = -math.inf
+    for x in range(lo, hi + 1):
+        lp = const - (lf[x] + lf[r1 - x] + lf[c1 - x] + lf[r2 - c1 + x])
+        if lp <= cutoff:
+            selected.append(lp)
+            if lp > m:
+                m = lp
+    total = math.fsum(math.exp(lp - m) for lp in selected)
+    return min(1.0, math.exp(m) * total)
+
+
 def fisher_oracle_all_p(r1: int, r2: int, c1: int) -> dict[int, float]:
     """Two-sided p for every feasible a given fixed margins (batched)."""
     n = r1 + r2
@@ -365,3 +397,44 @@ def coexpr_oracle(matrix_source, cells, genes, gene_a, gene_b, min_cells=100,
         writer.writerow([tissue, cell_type, n, f"{sum_a / n:.6f}", f"{sum_b / n:.6f}",
                          f"{frac:.6f}", str(n >= min_cells and frac >= min_frac).lower()])
     return out.getvalue()
+
+
+def presence_export_oracle(source, patients, group_ids=None):
+    """(group_id, day) -> patient ids from a per-patient long export text
+    stream, one csv row at a time, raising InputError for the first bad row."""
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("presence file is empty") from None
+    columns = ("group_id", "relative_day", "cohort", "patient_id")
+    if tuple(h.strip() for h in header) != columns:
+        raise InputError(f"presence header must be {','.join(columns)!r}")
+    known = None if group_ids is None else frozenset(group_ids)
+    arms = {patient_id: record.pcr_result for patient_id, record in patients.items()}
+    presence = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise InputError(f"presence line {lineno}: expected 4 fields")
+        group_id, raw_day, cohort, patient_id = (f.strip() for f in row)
+        try:
+            day = int(raw_day)
+        except ValueError:
+            raise InputError(f"presence line {lineno}: bad relative_day {raw_day!r}") from None
+        arm = arms.get(patient_id)
+        if arm != cohort:
+            if arm is None:
+                raise InputError(f"presence line {lineno}: unknown patient {patient_id!r}")
+            raise InputError(
+                f"presence line {lineno}: cohort {cohort!r} does not match patient "
+                f"{patient_id!r} ({arm})"
+            )
+        members = presence.get((group_id, day))
+        if members is None:
+            if known is not None and group_id not in known:
+                raise InputError(f"presence line {lineno}: unknown group {group_id!r}")
+            members = presence[(group_id, day)] = set()
+        members.add(patient_id)
+    return presence

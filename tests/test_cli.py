@@ -570,6 +570,238 @@ class TestPresenceFuzz:
             "--out", str(fuzz_roster / "out"),
         ]) in (0, 2)
 
+    # Raw bytes: quotes, CR, NBSP, NUL and bytes that are not UTF-8.
+    @given(st.lists(st.one_of(
+        st.tuples(*(st.sampled_from(values) for values in PRESENCE_FIELDS.values()))
+        .map(",".join).map(str.encode),
+        st.lists(st.sampled_from([b"cough", b"-3", b"positive", b"P1", b",", b'"', b"\r",
+                                  b"\xc2\xa0", b"\xa0", b"\xff", b"\xe2\x82", b"\x00", b" "]),
+                 max_size=9).map(b"".join),
+    ), max_size=6), st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    @settings(max_examples=150, deadline=None)
+    def test_presence_long_csv_bytes(self, fuzz_roster, rows, newline):
+        export = fuzz_roster / "presence_bytes.csv"
+        export.write_bytes(newline.join([b"group_id,relative_day,cohort,patient_id", *rows])
+                           + newline)
+        assert main([
+            "enrich", "--presence", str(export),
+            "--patients", str(fuzz_roster / "patients.csv"),
+            "--out", str(fuzz_roster / "out"),
+        ]) in (0, 2)
+
+
+NOTE_VALUES = {
+    "patient_id": ["P9", "", 7, None, "\ud800"],
+    "note_id": ["\ud800", "", 3.5, ["n1"], "n0"],
+    "date": ["2020-02-30", "04/01/2020", "", 20200401, "1900-01-01", "2020-04-01T00:00"],
+    "text": ["", "no fever\n\nwheezing", False, "\ud800 fever", "Fever.\u2028Cough."],
+}
+
+
+@st.composite
+def note_lines(draw, index):
+    """A valid note, possibly with some fields replaced or dropped, or a line
+    that is not a note object."""
+    kind = draw(st.sampled_from(["note"] * 6 + ["json", "text", "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    if kind == "text":
+        return draw(st.text(max_size=20)).replace("\n", " ").replace("\r", " ")
+    if kind == "json":
+        return json.dumps(draw(st.one_of(
+            st.none(), st.integers(), st.lists(st.integers(), max_size=2), st.text(max_size=5))))
+    note = {"patient_id": draw(st.sampled_from(["P1", "P2", "P3", "P9"])), "note_id": f"n{index}",
+            "date": draw(st.sampled_from(["2020-03-30", "2020-04-02", "2020-04-05"])),
+            "text": draw(st.sampled_from(["Fever and cough.", "Denies fever. Cough",
+                                          "Possible diarrhea."]))}
+    for key in draw(st.lists(st.sampled_from(list(NOTE_VALUES)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            note[key] = draw(st.sampled_from(NOTE_VALUES[key]))
+        else:
+            del note[key]
+    return json.dumps(note, ensure_ascii=draw(st.booleans()))
+
+
+class TestNotesFuzz:
+    """Malformed JSON-lines corpora through ``cli.main`` exit 0 or 2, never 1."""
+
+    @given(st.data(), st.sampled_from(["curate", "pairwise"]))
+    @settings(max_examples=200, deadline=None)
+    def test_notes_jsonl(self, fuzz_roster, data, command):
+        lines = [data.draw(note_lines(i)) for i in range(data.draw(st.integers(0, 5)))]
+        notes = fuzz_roster / "notes.jsonl"
+        # A lone surrogate written unescaped makes the file invalid UTF-8.
+        notes.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogatepass")
+        assert main([
+            command, "--notes", str(notes), "--patients", str(fuzz_roster / "patients.csv"),
+            "--out", str(fuzz_roster / "out"),
+        ]) in (0, 2)
+
+
+class TestCountsFuzz:
+    """Malformed ``--from-counts`` tables through ``cli.main`` exit 0 or 2, never 1."""
+
+    VALID = {  # column -> valid values
+        "phenotype": ["Cough", "Fever", "a,b"], "phenotype_a": ["Cough", "Fever"],
+        "phenotype_b": ["Fever", "Rash"], "day": ["-1", "0", "3"],
+        "pos_total": ["635"], "neg_total": ["29859"],
+        "pos_count": ["0", "3", "635"], "neg_count": ["0", "17", "29859"],
+        "pos_pct": ["0", "2.5", "100"], "neg_pct": ["0", "0.1", "100"],
+    }
+    BAD = ["-1", "2.5", "nan", "inf", "-inf", "1e400", "1e300", "", " ", "x", " 4",
+           "99999999999999999999", "1" + "0" * 400, "636", "29860", '"']
+    COLUMNS = {
+        "enrich": ["phenotype", "pos_total", "neg_total", "pos_count", "neg_count"],
+        "timeline": ["phenotype", "day", "pos_total", "neg_total", "pos_pct", "neg_pct",
+                     "pos_count", "neg_count"],
+        "pairwise": ["phenotype_a", "phenotype_b", "pos_total", "neg_total", "pos_count",
+                     "neg_count"],
+    }
+
+    @given(st.sampled_from(sorted(COLUMNS)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_csv(self, fuzz_roster, command, data):
+        columns = list(self.COLUMNS[command])
+        if command == "timeline" and data.draw(st.booleans()):
+            columns = columns[:-2]  # counts derived from the percentages
+        if data.draw(st.booleans()):  # a missing or extra column
+            columns = data.draw(st.permutations(columns + ["note"]))[1:]
+        rows = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            row = [data.draw(st.sampled_from(self.VALID.get(c, ["x"]))) for c in columns]
+            for _ in range(data.draw(st.integers(0, 2))):
+                row[data.draw(st.integers(0, len(row) - 1))] = data.draw(
+                    st.sampled_from(self.BAD))
+            if data.draw(st.integers(0, 4)) == 0:  # too few or too many fields
+                row = row[:-1] if data.draw(st.booleans()) else row + ["5"]
+            rows.append(row)
+        counts = fuzz_roster / "counts.csv"
+        with open(counts, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([columns, *rows])
+        assert main([command, "--from-counts", str(counts),
+                     "--out", str(fuzz_roster / "out")]) in (0, 2)
+
+
+class TestMalformedInputExits2:
+    """Inputs that once exited 1; the fuzz tests above reach them only by chance."""
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("enrich", "phenotype,pos_total,neg_total,pos_count,neg_count\nCough,10,20,1,2,5\n",
+         "line 2: expected 5 fields"),
+        ("enrich", "phenotype,pos_total,neg_total,pos_count,neg_count\n,,,,,5\nCough,10,20,1\n",
+         "line 2: expected 5 fields"),
+        ("timeline", "phenotype,day,pos_total,neg_total,pos_pct,neg_pct\nCough,1,10,20,nan,2\n",
+         "bad number in column 'pos_pct': 'nan'"),
+        ("timeline", f"phenotype,day,pos_total,neg_total,pos_pct,neg_pct\nCough,1,{BIG},20,1,2\n",
+         "is not a count"),
+        ("timeline", "phenotype,day,pos_total,neg_total\nCough,1,10,20\n",
+         "bad number in column 'pos_pct': None"),
+        ("pairwise", "phenotype_a,phenotype_b,pos_total,neg_total,pos_count,neg_count\n"
+                     f"A,B,{BIG},20,1,2\n", "exceeds 10000000"),
+    ])
+    def test_counts(self, fuzz_roster, capsys, command, text, message):
+        counts = fuzz_roster / "counts_case.csv"
+        counts.write_text(text)
+        assert main([command, "--from-counts", str(counts),
+                     "--out", str(fuzz_roster / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_lone_surrogate_in_notes(self, fuzz_roster, capsys):
+        notes = fuzz_roster / "surrogate.jsonl"
+        notes.write_text('{"patient_id": "P9", "note_id": "\\ud800", "date": "2020-03-30", '
+                         '"text": "Fever."}\n')
+        assert main(["curate", "--notes", str(notes),
+                     "--patients", str(fuzz_roster / "patients.csv"),
+                     "--out", str(fuzz_roster / "out")]) == 2
+        assert ("notes line 1: note_id holds a lone surrogate escape"
+                in capsys.readouterr().err)
+
+    def test_presence_field_over_the_csv_limit(self, fuzz_roster, capsys):
+        export = fuzz_roster / "long_field.csv"
+        export.write_text("group_id,relative_day,cohort,patient_id\n"
+                          f"cough,-3,positive,{'P' * 200_000}\n")
+        assert main(["enrich", "--presence", str(export),
+                     "--patients", str(fuzz_roster / "patients.csv"),
+                     "--out", str(fuzz_roster / "out")]) == 2
+        assert "presence line 2: field larger than field limit" in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    """A text input that is not UTF-8 exits 2 naming its kind, line and path."""
+
+    def _run(self, tmp_path, corpus_dir, kind):
+        patients = corpus_dir / "patients.csv"
+        bad = tmp_path / "bad.txt"
+        if kind == "presence":
+            bad.write_bytes(b"group_id,relative_day,cohort,patient_id\n"
+                            b"cough,-3,positive,P1\ncough,-2,negative,P\xff2\n")
+            argv = ["enrich", "--presence", str(bad), "--patients", str(patients)]
+        elif kind == "patients":
+            bad.write_bytes(b"patient_id,pcr_date,pcr_result\nP1,2020-04-01,pos\n"
+                            b"P\xff,2020-04-01,neg\n")
+            argv = ["timeline", "--notes", str(corpus_dir / "notes.jsonl"),
+                    "--patients", str(bad)]
+        elif kind == "notes":
+            bad.write_bytes(b'{"patient_id": "P1", "note_id": "a", "date": "2020-04-01", '
+                            b'"text": "fever"}\n\n{"text": "\xe2\x82"}\n')
+            argv = ["curate", "--notes", str(bad), "--patients", str(patients)]
+        elif kind == "counts":
+            bad.write_bytes(b"phenotype,pos_total,neg_total,pos_count,neg_count\n"
+                            b"Cough,10,20,1,2\nFever,10,20,1,\xff\n")
+            argv = ["enrich", "--from-counts", str(bad)]
+        else:
+            cells = tmp_path / "cells.csv"
+            cells.write_text("cell_id,tissue,cell_type\nc0,lung,t2\n")
+            matrix, genes = tmp_path / "matrix.txt", tmp_path / "genes.txt"
+            matrix.write_text("1 2 1\n0 0 1\n")
+            genes.write_text("ACE2\nTMPRSS2\n")
+            if kind == "matrix":
+                matrix = bad
+                matrix.write_bytes(b"1 2 1\n\n0 0 \xff\n")
+            else:  # a sequence cut off by the end of the file
+                genes = bad
+                genes.write_bytes(b"ACE2\nTMPRSS2\xc3")
+            argv = ["coexpr", "--matrix", str(matrix), "--cells", str(cells),
+                    "--genes", str(genes), "--gene-a", "ACE2", "--gene-b", "TMPRSS2"]
+        return main([*argv, "--out", str(tmp_path / "out")]), bad
+
+    @pytest.mark.parametrize("kind, line", [
+        ("presence", 3), ("patients", 3), ("notes", 3), ("counts", 3), ("matrix", 3),
+        ("genes", 2),
+    ])
+    def test_exit_2_with_line_and_path(self, tmp_path, corpus_dir, capsys, kind, line):
+        code, bad = self._run(tmp_path, corpus_dir, kind)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f" line {line}: not valid UTF-8 in {str(bad)!r}\n"), err
+
+    def test_line_of_a_sequence_split_across_read_blocks(self, tmp_path):
+        from phenotrail.errors import InputError as Error, open_text
+
+        path = tmp_path / "long.txt"
+        # Two-byte characters straddle the 1 MiB read boundary; the bad
+        # byte sits on line 4.
+        path.write_bytes(b"a\n" + "\u00e9".encode() * (1 << 19) + b"\nb\nc\xff\n")
+        with pytest.raises(Error, match=r"^text line 4: not valid UTF-8"):
+            with open_text(str(path), "text") as handle:
+                handle.read()
+
+
+def test_notes_path_never_imports_numpy(corpus_dir, tmp_path):
+    # numpy adds about 11 MB to a process; curating and tabulating from
+    # notes must not load it.
+    src = os.path.dirname(os.path.dirname(phenotrail.__file__))
+    runs = [["curate", *corpus_args(corpus_dir), "--per-patient", "--out", str(tmp_path / "c")],
+            ["pairwise", *corpus_args(corpus_dir), "--out", str(tmp_path / "p")]]
+    code = ("import sys; from phenotrail.cli import main; "
+            f"print([main(argv) for argv in {runs!r}], 'numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True, timeout=300)
+    assert result.stdout.strip() == "[0, 0] False"
+
 
 class TestManifest:
     def test_manifest_contents(self, corpus_dir):

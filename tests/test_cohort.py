@@ -3,9 +3,15 @@ import random
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phenotrail import cohort
 from phenotrail.assertion import RuleClassifier
 from phenotrail.cohort import (
+    DEFAULT_DAY_RANGE,
+    PatientBits,
+    SymptomPresenceTable,
     build_presence,
     check_window,
     daily_counts,
@@ -21,6 +27,8 @@ from phenotrail.errors import InputError
 from phenotrail.lexicon import build_matcher, load_default_lexicon
 from phenotrail.stats import daily_rows, enrichment_rows, pair_rows
 from phenotrail.textproc import ClinicalNote, PatientRecord, fingerprint
+
+from oracles import presence_export_oracle
 
 PCR_DAY = date(2020, 3, 10)
 
@@ -166,7 +174,8 @@ class TestBuildPresence:
         segmented = segment_notes(notes)
         assert segmented[0] == [("Fever.", "fever."), ("Denies  Cough.", "denies cough.")]
         table, _ = build_presence(notes, patients, matcher, classifier, segmented=segmented)
-        assert table.presence == {("fever_chills", -2): {"p1"}, ("cough", -1): {"p2"}}
+        assert {key: table.patients(*key) for key in table.presence} == {
+            ("fever_chills", -2): {"p1"}, ("cough", -1): {"p2"}}
         with pytest.raises(ValueError, match="1 segmented notes for 2 notes"):
             build_presence(notes, patients, matcher, classifier, segmented=segmented[:1])
 
@@ -384,3 +393,131 @@ class TestExports:
                 f"presence line 3: cohort '{cohort}' does not match patient 'p1' "
                 r"\(positive\)")):
             load_presence_long_csv(stream, roster(p1="positive", p2="negative"))
+
+
+EXPORT_ROSTER = {
+    pid: PatientRecord(pid, PCR_DAY, arm)
+    for pid, arm in (("P1", "positive"), ("P2", "negative"), ("P3", "negative"),
+                     ("a,b", "positive"), ("Q 4", "negative"), ("P10", "negative"))
+}
+EXPORT_GROUPS = ("cough", "diarrhea", "fever_chills")
+
+
+def _quoted(field):
+    return f'"{field}"' if ("," in field or '"' in field) else field
+
+
+@st.composite
+def export_rows(draw):
+    """One export line: a valid row, decorated or not, or a malformed one."""
+    kind = draw(st.sampled_from(["plain"] * 6 + ["decorated", "bad", "blank"]))
+    if kind == "blank":
+        return ""
+    group_id = draw(st.sampled_from(EXPORT_GROUPS))
+    day = draw(st.sampled_from(["-3", "0", "14", "-14", "+2", "1_0", "007"]))
+    patient_id = draw(st.sampled_from(sorted(EXPORT_ROSTER)))
+    fields = [group_id, day, EXPORT_ROSTER[patient_id].pcr_result, patient_id]
+    if kind == "decorated":
+        i = draw(st.integers(0, 3))
+        fields[i] = draw(st.sampled_from([f" {fields[i]}", f"{fields[i]}\t", f'"{fields[i]}"']))
+    elif kind == "bad":
+        i = draw(st.integers(0, 3))
+        fields[i] = draw(st.sampled_from(
+            [["hiccups"], ["x", "1.5", ""], ["negative", "positive", "banana"], ["P9", ""]][i]))
+        if draw(st.booleans()):
+            fields = fields[:draw(st.integers(0, 3))] or fields + ["extra"]
+    return ",".join(_quoted(f) if not f.startswith('"') else f for f in fields)
+
+
+@pytest.fixture(scope="module")
+def export_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("export")
+
+
+def _oracle_or_error(text, group_ids):
+    try:
+        return presence_export_oracle(io.StringIO(text), EXPORT_ROSTER, group_ids)
+    except InputError as exc:
+        return str(exc)
+
+
+def _loaded_or_error(source, group_ids):
+    try:
+        table = load_presence_long_csv(source, EXPORT_ROSTER, group_ids=group_ids)
+    except InputError as exc:
+        return str(exc)
+    return {key: table.patients(*key) for key in table.presence}
+
+
+class TestExportLoader:
+    """The vectorised loader against the row-by-row loader it replaced."""
+
+    @given(st.lists(export_rows(), max_size=25), st.booleans(),
+           st.sampled_from(["\n", "\r\n"]), st.sampled_from([None, EXPORT_GROUPS[:2]]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_cells_or_error_as_oracle(self, export_dir, rows, sort, newline, group_ids):
+        if sort:
+            rows = sorted(rows)
+        text = newline.join(["group_id,relative_day,cohort,patient_id", *rows]) + newline
+        path = export_dir / "presence_long.csv"
+        path.write_bytes(text.encode())
+        expected = _oracle_or_error(text, group_ids)
+        assert _loaded_or_error(str(path), group_ids) == expected
+        assert _loaded_or_error(io.StringIO(text), group_ids) == expected
+
+    @given(st.lists(st.tuples(st.sampled_from(EXPORT_GROUPS), st.integers(-14, 14),
+                              st.sampled_from(["P1", "P2", "P3", "P10"])), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_plain_exports_take_the_vectorised_pass(self, rows):
+        text = "group_id,relative_day,cohort,patient_id\n" + "".join(
+            f"{g},{day},{EXPORT_ROSTER[p].pcr_result},{p}\n" for g, day, p in rows)
+        cells = cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None)
+        assert cells is not None
+        table = SymptomPresenceTable.from_roster(cells, EXPORT_ROSTER, DEFAULT_DAY_RANGE)
+        assert {key: table.patients(*key) for key in table.presence} == \
+            presence_export_oracle(io.StringIO(text), EXPORT_ROSTER)
+
+    @pytest.mark.parametrize("line", [
+        "cough,-3,positive,P1\r\n", 'cough,-3,positive,"P1"\n', "cough, -3,positive,P1\n",
+        "cough,-3,positive,P9\n", "cough,-3,negative,P1\n", "cough,x,positive,P1\n",
+        "cough,-3,positive\n", "cough,-3,positive,P1,\n", "cough,-3,positive,\xa0P1\n",
+        "cough,-3,positive,P1,\ncough,-3,positive\n",  # 4 + 2 commas
+        "cough,-3\r,positive,P1\n",  # int() would take "-3\r"; csv ends the row there
+    ])
+    def test_rows_left_to_the_walker(self, line):
+        text = "group_id,relative_day,cohort,patient_id\ncough,-2,negative,P2\n" + line
+        assert cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None) is None
+
+    def test_colliding_hashes_fall_back_to_the_walker(self, export_dir, monkeypatch):
+        text = ("group_id,relative_day,cohort,patient_id\n"
+                "cough,-3,positive,P1\nfever_chills,-2,negative,P2\ncough,-3,negative,P10\n")
+        expected = _oracle_or_error(text, None)
+        monkeypatch.setattr(cohort, "_HASH_STEP", 0)  # every hash of one length is equal
+        assert cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None) is None
+        path = export_dir / "collide.csv"
+        path.write_text(text)
+        assert _loaded_or_error(str(path), None) == expected
+
+    @pytest.mark.parametrize("block", [1, 7, 22, 23, 40, 1 << 20])
+    def test_rows_span_read_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(cohort, "_EXPORT_BLOCK", block)
+        rows = [f"cough,{day},negative,P{p}" for day in range(-3, 3) for p in (2, 3, 10)]
+        text = "group_id,relative_day,cohort,patient_id\n" + "\n".join(rows)  # no final LF
+        cells = cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None)
+        table = SymptomPresenceTable.from_roster(cells, EXPORT_ROSTER, DEFAULT_DAY_RANGE)
+        assert {key: table.patients(*key) for key in table.presence} == \
+            presence_export_oracle(io.StringIO(text), EXPORT_ROSTER)
+
+
+class TestPatientBits:
+    def test_len_counts_members(self):
+        assert len(PatientBits(0b1011)) == 3
+        assert len(PatientBits(0)) == 0
+
+    @given(st.sets(st.integers(0, 5000)))
+    def test_members_round_trip(self, indexes):
+        ids = tuple(f"p{i}" for i in range(5001))
+        table = SymptomPresenceTable({}, DEFAULT_DAY_RANGE, (), ids, 0)
+        bits = sum(1 << i for i in indexes)
+        assert table.members(bits) == {ids[i] for i in indexes}
+        assert table.arm_counts(bits) == (0, len(indexes))

@@ -20,7 +20,7 @@ from phenotrail.stats import (
     two_tailed_log10_p,
 )
 
-from oracles import bh_oracle, fisher_oracle, log10_two_tailed_oracle
+from oracles import bh_oracle, fisher_full_support, fisher_oracle, log10_two_tailed_oracle
 
 N_POS, N_NEG = 635, 29859
 
@@ -105,6 +105,10 @@ class TestFisher:
         with pytest.raises(InputError):
             fisher_exact_two_sided(-1, 2, 3, 4)
 
+    def test_table_total_limit(self):
+        with pytest.raises(InputError, match="exceeds 10000000"):
+            fisher_exact_two_sided(1, 10**7, 1, 1)
+
     def test_degenerate_margin(self):
         assert fisher_exact_two_sided(0, 0, 5, 5) == 1.0
         assert fisher_exact_two_sided(3, 0, 2, 0) == 1.0
@@ -118,6 +122,25 @@ class TestFisher:
         assert fisher_exact_two_sided(a, b, c, d) == pytest.approx(
             fisher_oracle(a, b, c, d), rel=1e-10, abs=0.0
         )
+
+    def test_tail_walk_equals_full_support_sum_on_every_small_table(self):
+        mismatches = [
+            (a, b, c, d)
+            for a in range(25) for b in range(25) for c in range(25) for d in range(12)
+            if a + b + c + d
+            and fisher_exact_two_sided(a, b, c, d) != fisher_full_support(a, b, c, d)
+        ]
+        assert mismatches == []
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_tail_walk_equals_full_support_sum_up_to_60k(self, data):
+        n = data.draw(st.integers(1, 60_000))
+        r1 = data.draw(st.integers(0, n))
+        c1 = data.draw(st.integers(0, n))
+        a = data.draw(st.integers(max(0, c1 - (n - r1)), min(r1, c1)))
+        table = (a, r1 - a, c1 - a, n - r1 - c1 + a)
+        assert fisher_exact_two_sided(*table) == fisher_full_support(*table)
 
     def test_symmetries(self):
         rng = random.Random(5)
