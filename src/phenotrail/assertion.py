@@ -299,21 +299,17 @@ def read_classification_responses(
 
 
 class PrecomputedClassifier:
-    """Replays externally produced labels in request order."""
+    """Externally produced labels, looked up by task index: the position
+    of a mention among the dumped classification requests."""
 
     def __init__(self, responses: Sequence[tuple[AssertionLabel, float]], descriptor: str = "external-batch/v1"):
-        self._responses = list(responses)
-        self._cursor = 0
+        self._responses = tuple(responses)
         self.descriptor = descriptor
 
-    def classify(
-        self, sentence: str, span: tuple[int, int]
-    ) -> tuple[AssertionLabel, float]:
-        if self._cursor >= len(self._responses):
-            raise InputError("classifier response stream exhausted")
-        response = self._responses[self._cursor]
-        self._cursor += 1
-        return response
+    def classify_task(self, task: int) -> tuple[AssertionLabel, float]:
+        if not 0 <= task < len(self._responses):
+            raise InputError(f"no classifier response for task {task}")
+        return self._responses[task]
 
 
 GOLD_HEADER = ("sentence_id", "mention_index", "label")

@@ -220,45 +220,31 @@ def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
     _require(args, "notes", "patients")
     # Compiled while the heap is small, so collections stay cheap.
     matcher = build_matcher(lexicon)
-    notes = textproc.load_notes(args.notes)
     patients = textproc.load_patients(args.patients)
-    segmented = cohort.segment_notes(notes)
-    templates = set() if args.no_template_filter else cohort.template_fingerprints(
-        notes, args.template_threshold, segmented
-    )
-
-    classifier: assertion.Classifier
     dump_path = getattr(args, "dump_classification_requests", None)
     responses_path = getattr(args, "classification_responses", None)
-    if dump_path or responses_path:
-        tasks = cohort.classification_tasks(
-            notes, patients, matcher, templates, args.day_range, segmented=segmented
+    # An external classifier labels the mentions once the pass has
+    # numbered them; until then each stays a task.
+    classifier = None if dump_path or responses_path else assertion.RuleClassifier()
+    with open_text(args.notes, "notes") as lines:
+        curation = cohort.curate_notes(
+            lines,
+            patients,
+            matcher,
+            classifier,
+            template_threshold=None if args.no_template_filter else args.template_threshold,
+            day_range=args.day_range,
+            include_maybe=args.include_maybe,
+            workers=args.workers,
         )
     if dump_path:
         with open(dump_path, "w", encoding="utf-8") as handle:
-            assertion.write_classification_requests(tasks, handle)
+            assertion.write_classification_requests(curation.requests(), handle)
         return None, None
     if responses_path:
-        responses = assertion.read_classification_responses(responses_path, len(tasks))
-        classifier = assertion.PrecomputedClassifier(responses)
-        # Replay requires the serial task order; workers stay at 1.
-        workers = 1
-    else:
-        classifier = assertion.RuleClassifier()
-        workers = args.workers
-
-    return cohort.build_presence(
-        notes,
-        patients,
-        matcher,
-        classifier,
-        templates=templates,
-        day_range=args.day_range,
-        include_maybe=args.include_maybe,
-        workers=workers,
-        group_ids=lexicon.group_ids,
-        segmented=segmented,
-    )
+        responses = assertion.read_classification_responses(responses_path, len(curation.tasks))
+        curation.replay(assertion.PrecomputedClassifier(responses), args.include_maybe)
+    return curation.table(patients, args.day_range, lexicon.group_ids), curation.rejects()
 
 
 def _presence_table(args: argparse.Namespace):

@@ -10,10 +10,16 @@ patient on one day collapse.  A window is the OR of its days, and the
 window, day and pair counts are bit counts of ANDs with the roster's
 positive-arm bits.
 
-Per-note work is embarrassingly parallel; partial tables from workers
-merge by OR, so the result is identical for any worker count.  The notes
-path never imports numpy; the export loader imports it to parse and
-index the export in one vectorised pass per chunk.
+Curation reads the corpus once.  Each note is parsed, segmented,
+fingerprinted, matched and classified in one pass that keeps no notes:
+only a capped count of patients per sentence fingerprint and a compact
+event per accepted mention.  Once the pass ends the template
+fingerprints are known, and the events of the other sentences fold into
+the table.  The pass runs in-process or, chunk by chunk of raw lines, in
+a worker pool; partial passes merge in line order, so the result and
+the first reported input error are the same for any worker count.  The
+notes path never imports numpy; the export loader imports it to parse
+and index the export in one vectorised pass per chunk.
 """
 
 from __future__ import annotations
@@ -21,16 +27,21 @@ from __future__ import annotations
 import csv
 import io
 import re
+from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from datetime import date
+from itertools import chain, islice
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .assertion import AssertionLabel, Classifier
+from .assertion import AssertionLabel, Classifier, PrecomputedClassifier
 from .errors import InputError, open_text
 from .lexicon import TermMatcher
 from .textproc import (
     ClinicalNote,
     PatientRecord,
+    duplicate_note_error,
     fingerprint,
+    parse_notes,
     relative_day,
     sentence_texts,
 )
@@ -45,11 +56,8 @@ PRESENCE_HEADER = ("group_id", "relative_day", "cohort", "patient_count")
 PRESENCE_LONG_HEADER = ("group_id", "relative_day", "cohort", "patient_id")
 REJECTS_HEADER = ("note_id", "reason")
 
-# Notes per pool task; smaller corpora are scanned in-process.
+# Lines (or notes) per pool task; smaller corpora are scanned in-process.
 _CHUNK = 2000
-
-# Per note, in note order: its sentences as (text, fingerprint) pairs.
-Segmented = Sequence[Sequence[tuple[str, str]]]
 
 
 class PatientBits(int):
@@ -152,148 +160,344 @@ def check_window(window: tuple[int, int], day_range: tuple[int, int]) -> None:
         raise InputError(f"window {window} outside day range {day_range}")
 
 
-def segment_notes(notes: Sequence[ClinicalNote]) -> list[list[tuple[str, str]]]:
-    """Each note's sentences as (text, fingerprint) pairs, in note order.
+# ---------------------------------------------------------------------------
+# Curation: one pass over the notes
 
-    This is the corpus's only segmentation pass; the template pass, the
-    presence scan and the classification task walk all read its result.
+
+class TemplateCounter:
+    """Distinct patients per sentence fingerprint, counted only up to the
+    template threshold: the one home of the template rule.
+
+    A fingerprint is a template once ``threshold`` distinct patients wrote
+    it.  Fingerprints are numbered in first-seen order; a number holds
+    the one patient id that wrote it, a tuple of a few ids, a set of more,
+    or None once it is a template.
     """
-    return [[(text, fingerprint(text)) for text in sentence_texts(note)]
-            for note in notes]
+
+    def __init__(self, threshold: int):
+        if threshold < 2:
+            raise InputError(f"template threshold must be >= 2, got {threshold}")
+        self.threshold = threshold
+        self.numbers: dict[str, int] = {}
+        self.holders: list = []
+
+    def count(self, fp: str, patient_id: str) -> int | None:
+        """Count one sentence of ``patient_id``: its fingerprint's number,
+        or None once the fingerprint is a template."""
+        number = self.numbers.setdefault(fp, len(self.holders))
+        if number == len(self.holders):
+            self.holders.append(patient_id)
+            return number
+        held = self.holders[number]
+        if held is None:
+            return None
+        if held.__class__ is str:
+            if held == patient_id:
+                return number
+            held = (held, patient_id)
+        elif patient_id in held:
+            return number
+        elif held.__class__ is set:
+            held.add(patient_id)
+        else:  # a tuple is a quarter of the size of a set
+            held = held + (patient_id,) if len(held) < 8 else {*held, patient_id}
+        template = len(held) >= self.threshold
+        self.holders[number] = None if template else held
+        return None if template else number
+
+    def merge(self, other: TemplateCounter) -> list[int]:
+        """Count here the patients ``other`` holds; the number here of each
+        of its fingerprints."""
+        renumbered = []
+        for fp, held in zip(other.numbers, other.holders):
+            for patient_id in (held,) if held.__class__ is str else held or ():
+                self.count(fp, patient_id)
+            number = self.numbers.setdefault(fp, len(self.holders))
+            if held is None:  # a template in part of the corpus is one in all of it
+                if number == len(self.holders):
+                    self.holders.append(None)
+                else:
+                    self.holders[number] = None
+            renumbered.append(number)
+        return renumbered
+
+    def templates(self) -> set[str]:
+        return {fp for fp, number in self.numbers.items() if self.holders[number] is None}
 
 
-def _aligned(
-    notes: Sequence[ClinicalNote],
-    segmented: Segmented | None,
-) -> Segmented:
-    if segmented is None:
-        return segment_notes(notes)
-    if len(segmented) != len(notes):
-        raise ValueError(f"{len(segmented)} segmented notes for {len(notes)} notes")
-    return segmented
-
-
-def corpus_fingerprints(
-    notes: Sequence[ClinicalNote],
-    segmented: Segmented | None = None,
-) -> dict[str, set[str]]:
-    """Fingerprint -> distinct patients over the whole corpus.
-
-    ``segmented`` is ``segment_notes(notes)`` when the caller already has it.
-    """
-    table: dict[str, set[str]] = {}
-    for note, pairs in zip(notes, _aligned(notes, segmented)):
-        for _text, fp in pairs:
-            table.setdefault(fp, set()).add(note.patient_id)
-    return table
-
-
-def template_fingerprints(
-    notes: Sequence[ClinicalNote],
-    threshold: int = 20,
-    segmented: Segmented | None = None,
-) -> set[str]:
+def template_fingerprints(notes: Iterable[ClinicalNote], threshold: int = 20) -> set[str]:
     """Fingerprints of sentences written for at least ``threshold``
-    distinct patients: boilerplate.  Repetition within one patient's
-    notes does not count."""
-    if threshold < 2:
-        raise InputError(f"template threshold must be >= 2, got {threshold}")
-    fingerprints = corpus_fingerprints(notes, segmented)
-    return {fp for fp, patients in fingerprints.items() if len(patients) >= threshold}
+    distinct patients: boilerplate."""
+    counter = TemplateCounter(threshold)
+    for note in notes:
+        for text in sentence_texts(note):
+            counter.count(fingerprint(text), note.patient_id)
+    return counter.templates()
 
 
-def _kept_sentences(
-    notes: Sequence[ClinicalNote],
-    segmented: Segmented,
-    patients: Mapping[str, PatientRecord],
-    templates: frozenset[str],
-    day_range: tuple[int, int],
-) -> Iterator[tuple[str, int, str]]:
-    """(patient_id, day, sentence) for each non-template sentence of an
-    in-range note by a known patient, in corpus order."""
-    lo, hi = day_range
-    for note, pairs in zip(notes, segmented):
-        record = patients.get(note.patient_id)
-        if record is None:
-            continue
-        day = relative_day(note.date, record.pcr_date)
-        if day < lo or day > hi:
-            continue
-        for text, fp in pairs:
-            if fp not in templates:
-                yield note.patient_id, day, text
+_ACCEPTED = {False: frozenset({AssertionLabel.YES}),
+             True: frozenset({AssertionLabel.YES, AssertionLabel.MAYBE})}
 
 
-def classification_tasks(
-    notes: Sequence[ClinicalNote],
-    patients: Mapping[str, PatientRecord],
-    matcher: TermMatcher,
-    templates: Iterable[str] = (),
-    day_range: tuple[int, int] = DEFAULT_DAY_RANGE,
-    segmented: Segmented | None = None,
-) -> list[tuple[str, int, int]]:
-    """(sentence, span_start, span_end) per mention, in the order in which a
-    serial ``build_presence`` classifies them."""
-    sentences = _kept_sentences(
-        notes, _aligned(notes, segmented), patients, frozenset(templates), day_range
-    )
-    return [
-        (text, mention.start, mention.end)
-        for _pid, _day, text in sentences
-        for mention in matcher.find_mentions(text)
-    ]
+class _Config(NamedTuple):
+    """What a pass needs besides its notes; pool workers inherit it."""
+
+    roster: dict[str, tuple[int, date, str]]  # patient id -> (bit, PCR date, the id)
+    matcher: TermMatcher
+    classifier: Classifier | None  # None: keep each mention as a task
+    threshold: int | None  # None: no template counting
+    templates: frozenset[str]  # fingerprints dropped up front
+    day_range: tuple[int, int]
+    accepted: frozenset[AssertionLabel]
+
+    @classmethod
+    def of(cls, patients, matcher, classifier, threshold, templates, day_range, include_maybe):
+        if day_range[0] > day_range[1]:
+            raise InputError(f"empty day range {day_range}")
+        if threshold is not None:
+            TemplateCounter(threshold)  # checks it before any note is read
+        roster = {pid: (i, record.pcr_date, pid) for i, (pid, record) in enumerate(patients.items())}
+        return cls(roster, matcher, classifier, threshold, frozenset(templates), day_range,
+                   _ACCEPTED[include_maybe])
 
 
-def _scan(
-    notes: Sequence[ClinicalNote],
-    segmented: Segmented,
-    patients: Mapping[str, PatientRecord],
-    matcher: TermMatcher,
-    classifier: Classifier,
-    templates: frozenset[str],
-    day_range: tuple[int, int],
-    include_maybe: bool,
-    index: Mapping[str, int],
-) -> dict[tuple[str, int], int]:
-    """(group, day) -> the bits of the patients with an accepted mention.
+class Curation:
+    """What one pass over notes leaves: compact events, no notes.
 
-    ``index`` maps each rostered patient to its bit.
+    ``events`` holds a (fingerprint number, cell number, roster index)
+    triple per group of each accepted mention, fingerprint number -1
+    where no counter runs.  Without a classifier each mention is kept in
+    ``tasks`` as (fingerprint number, roster index, day, group ids,
+    sentence, start, end) instead, to be labeled by its task index.
     """
-    width = (len(index) + 7) >> 3
-    cells: dict[tuple[str, int], bytearray] = {}
-    accepted = {AssertionLabel.YES}
-    if include_maybe:
-        accepted.add(AssertionLabel.MAYBE)
-    sentences = _kept_sentences(notes, segmented, patients, templates, day_range)
-    for patient_id, day, text in sentences:
-        for mention in matcher.find_mentions(text):
-            label, _confidence = classifier.classify(text, (mention.start, mention.end))
-            if label not in accepted:
+
+    def __init__(self, threshold: int | None):
+        self.counter = None if threshold is None else TemplateCounter(threshold)
+        self.template_flags = b""  # after settle: 1 at each template's number
+        self.note_lines: dict[str, int] = {}  # note id -> line, when read from lines
+        self.error: InputError | None = None  # what ended the pass early
+        self.unknown: list[tuple[str, str]] = []  # (note id, patient id)
+        self.cells: dict[tuple[str, int], int] = {}  # (group id, day) -> cell number
+        self.events = array("q")
+        self.tasks: list[tuple] = []
+
+    def absorb(self, other: Curation) -> None:
+        """Append ``other``, the pass over the lines that follow; raises
+        the first input error in line order."""
+        if not self.note_lines.keys().isdisjoint(other.note_lines):
+            for note_id, lineno in other.note_lines.items():
+                if note_id in self.note_lines:
+                    raise duplicate_note_error(note_id, lineno)
+        self.note_lines.update(dict.fromkeys(other.note_lines))  # no need for the lines
+        if other.error is not None:
+            raise other.error
+        self.unknown += other.unknown
+        number = None if self.counter is None else self.counter.merge(other.counter)
+        cell = [self.cells.setdefault(key, len(self.cells)) for key in other.cells]
+        triples = iter(other.events)
+        self.events.extend(value for f, c, i in zip(triples, triples, triples)
+                           for value in (f if number is None else number[f], cell[c], i))
+        self.tasks += [(t[0] if number is None else number[t[0]], *t[1:]) for t in other.tasks]
+
+    def settle(self) -> None:
+        """After the last note the templates are known: their tasks go,
+        and the counter and the note ids are freed."""
+        self.note_lines.clear()  # the duplicate check is done
+        if self.counter is not None:
+            self.template_flags = flags = bytes(held is None for held in self.counter.holders)
+            self.counter = None
+            self.tasks = [task for task in self.tasks if not flags[task[0]]]
+
+    def requests(self) -> list[tuple[str, int, int]]:
+        """(sentence, span start, span end) per task, in task-index order."""
+        return [task[4:] for task in self.tasks]
+
+    def replay(self, classifier: PrecomputedClassifier, include_maybe: bool = False) -> None:
+        """Label each task by its index; the accepted ones become events."""
+        for index, (_fp, i, day, group_ids, *_request) in enumerate(self.tasks):
+            if classifier.classify_task(index)[0] in _ACCEPTED[include_maybe]:
+                for group_id in group_ids:
+                    cell = self.cells.setdefault((group_id, day), len(self.cells))
+                    self.events.extend((-1, cell, i))
+        self.tasks = []
+
+    def table(self, patients: Mapping[str, PatientRecord], day_range: tuple[int, int],
+              group_ids: Sequence[str] | None = None) -> SymptomPresenceTable:
+        """Fold the events of non-template sentences into roster bits."""
+        bits: list[bytearray | None] = [None] * len(self.cells)
+        flags, triples = self.template_flags, iter(self.events)
+        for f, c, i in zip(triples, triples, triples):
+            if f < 0 or not flags[f]:
+                if bits[c] is None:
+                    bits[c] = bytearray((len(patients) + 7) >> 3)
+                bits[c][i >> 3] |= 1 << (i & 7)
+        presence = {key: int.from_bytes(cell, "little")
+                    for key, cell in zip(self.cells, bits) if cell is not None}
+        return SymptomPresenceTable.from_roster(presence, patients, day_range, group_ids)
+
+    def rejects(self) -> list[RejectedNote]:
+        return sorted((RejectedNote(note_id, f"unknown patient_id {patient_id!r}")
+                       for note_id, patient_id in self.unknown), key=lambda r: r.note_id)
+
+
+def _scan(cfg: _Config, part: Curation, notes: Iterable[ClinicalNote]) -> None:
+    """Segment, fingerprint, match and classify each note once.
+
+    Every sentence is counted, also those of unknown patients and of
+    notes outside the day range; only the sentences of in-range notes by
+    rostered patients whose fingerprint is no template yet are matched.
+    """
+    roster, find, templates = cfg.roster, cfg.matcher.find_mentions, cfg.templates
+    classify = None if cfg.classifier is None else cfg.classifier.classify
+    count = None if part.counter is None else part.counter.count
+    lo, hi = cfg.day_range
+    for note in notes:
+        entry = roster.get(note.patient_id)
+        if entry is None:
+            part.unknown.append((note.note_id, note.patient_id))
+            patient_id, day = note.patient_id, None
+        else:
+            i, pcr_date, patient_id = entry
+            day = relative_day(note.date, pcr_date)
+            if day < lo or day > hi:
+                day = None
+        if day is None and count is None:
+            continue
+        for text in sentence_texts(note):
+            if count is not None:
+                number = count(fingerprint(text), patient_id)
+                if number is None or day is None:
+                    continue
+            elif templates and fingerprint(text) in templates:
                 continue
-            i = index[patient_id]
-            for group_id in mention.group_ids:
-                cell = cells.get((group_id, day))
-                if cell is None:
-                    cell = cells[(group_id, day)] = bytearray(width)
-                cell[i >> 3] |= 1 << (i & 7)
-    return {key: int.from_bytes(cell, "little") for key, cell in cells.items()}
+            else:
+                number = -1
+            for mention in find(text):
+                span = (mention.start, mention.end)
+                if classify is None:
+                    part.tasks.append((number, i, day, mention.group_ids, text, *span))
+                elif classify(text, span)[0] in cfg.accepted:
+                    for group_id in mention.group_ids:
+                        cell = part.cells.setdefault((group_id, day), len(part.cells))
+                        part.events.extend((number, cell, i))
 
 
-_WORKER_STATE: dict = {}
+def _pass(cfg: _Config, part: Curation, first_lineno: int | None, items: Iterable) -> Curation:
+    """The pass over JSON lines, the first numbered ``first_lineno``, or
+    with None over parsed notes; the pool runs it on each chunk.  An
+    InputError ends it and is kept in ``part.error``."""
+    notes = items if first_lineno is None else parse_notes(items, first_lineno, part.note_lines)
+    try:
+        _scan(cfg, part, notes)
+    except InputError as exc:
+        part.error = exc
+    return part
 
 
-def _worker_init(*args):
-    _WORKER_STATE["args"] = args
+_pool_config: _Config | None = None  # set in each pool worker, never in the parent
 
 
-def _worker_scan(bounds: tuple[int, int]) -> dict[tuple[str, int], int]:
-    lo, hi = bounds
-    notes, segmented, *rest = _WORKER_STATE["args"]
-    return _scan(notes[lo:hi], segmented[lo:hi], *rest)
+def _pool_init(cfg: _Config) -> None:
+    global _pool_config
+    _pool_config = cfg
+
+
+def _pool_pass(chunk: tuple[int | None, list]) -> Curation:
+    return _pass(_pool_config, Curation(_pool_config.threshold), *chunk)
+
+
+def _chunks(items: Iterable, numbered: bool, halt) -> Iterator[tuple[int | None, list]]:
+    """``items`` in lists of _CHUNK, each with the line number of its
+    first item (None for parsed notes), until the ``halt`` event is set.
+    A chunk that a read error cuts short is yielded before the error is
+    raised."""
+    items, start = iter(items), 1
+    while not halt.is_set():
+        chunk: list = []
+        try:
+            chunk.extend(islice(items, _CHUNK))
+        except UnicodeDecodeError:
+            yield (start if numbered else None), chunk
+            raise
+        if not chunk:
+            return
+        yield (start if numbered else None), chunk
+        start += len(chunk)
+
+
+def _run(cfg: _Config, items: Iterable, numbered: bool, workers: int) -> Curation:
+    """One pass over ``items``: in-process, or from the second full chunk
+    on in a pool of ``workers``."""
+    total = Curation(cfg.threshold)
+    if workers <= 1:
+        _pass(cfg, total, 1 if numbered else None, items)
+    else:
+        import threading
+
+        halt = threading.Event()
+        chunks = _chunks(items, numbered, halt)
+        head = next(chunks, (1 if numbered else None, []))
+        if len(head[1]) < _CHUNK:  # the whole corpus, or up to a read error
+            _pass(cfg, total, *head)
+            next(chunks, None)  # raises that read error, if no earlier error
+        else:
+            _pool_pass_all(cfg, total, chain([head], chunks), workers, halt)
+    if total.error is not None:
+        raise total.error
+    total.settle()
+    return total
+
+
+def _pool_pass_all(cfg: _Config, total: Curation, chunks: Iterator, workers: int, halt) -> None:
+    """Absorb, in order, the passes of a pool of ``workers`` over
+    ``chunks``, which the pool reads as workers free up."""
+    import multiprocessing  # only the pool needs it; keeps CLI start-up lean
+
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_pool_init, initargs=(cfg,)) as pool:
+        parts = pool.imap(_pool_pass, chunks)
+        try:
+            for part in parts:
+                total.absorb(part)
+        finally:
+            # Leaving the pool terminates its workers, and a worker stopped
+            # while it writes a result leaves the result queue locked.  So
+            # after an early end no further chunk is read, and the passes
+            # already started are collected first; their errors are moot.
+            halt.set()
+            while True:
+                try:
+                    next(parts)
+                except StopIteration:
+                    break
+                except Exception:
+                    pass
+
+
+def curate_notes(
+    lines: Iterable[str],
+    patients: Mapping[str, PatientRecord],
+    matcher: TermMatcher,
+    classifier: Classifier | None,
+    template_threshold: int | None = 20,
+    day_range: tuple[int, int] = DEFAULT_DAY_RANGE,
+    include_maybe: bool = False,
+    workers: int = 1,
+) -> Curation:
+    """Curate a JSON-lines note corpus in one pass over its lines.
+
+    Sentences written for ``template_threshold`` distinct patients are
+    dropped (None keeps them); with no classifier, each mention stays a
+    task for an external one.  The first input error in line order is
+    raised, whatever the worker count.
+    """
+    cfg = _Config.of(patients, matcher, classifier, template_threshold, (), day_range,
+                     include_maybe)
+    return _run(cfg, lines, True, workers)
 
 
 def build_presence(
-    notes: Sequence[ClinicalNote],
+    notes: Iterable[ClinicalNote],
     patients: Mapping[str, PatientRecord],
     matcher: TermMatcher,
     classifier: Classifier,
@@ -302,42 +506,17 @@ def build_presence(
     include_maybe: bool = False,
     workers: int = 1,
     group_ids: Sequence[str] | None = None,
-    segmented: Segmented | None = None,
 ) -> tuple[SymptomPresenceTable, list[RejectedNote]]:
     """Invert the corpus into (phenotype, day) -> patients with a YES mention.
 
     Notes for unknown patients are reported in the rejects list, never
-    fatal.  Notes dated outside ``day_range`` are skipped.  The output is
-    independent of note order and worker count.  ``segmented`` is
-    ``segment_notes(notes)`` when the caller already has it; forked
-    workers read it from the parent rather than segmenting again.
+    fatal.  Notes dated outside ``day_range`` and sentences whose
+    fingerprint is in ``templates`` are skipped.  ``notes`` is read once;
+    the output is independent of note order and worker count.
     """
-    if day_range[0] > day_range[1]:
-        raise InputError(f"empty day range {day_range}")
-    index = {patient_id: i for i, patient_id in enumerate(patients)}
-    args = (notes, _aligned(notes, segmented), patients, matcher, classifier, frozenset(templates),
-            day_range, include_maybe, index)
-
-    if workers <= 1 or len(notes) < _CHUNK:
-        presence = _scan(*args)
-    else:
-        import multiprocessing  # only the pool needs it; keeps CLI start-up lean
-
-        ctx = multiprocessing.get_context("fork")
-        presence = {}
-        with ctx.Pool(workers, initializer=_worker_init, initargs=args) as pool:
-            bounds = [(i, i + _CHUNK) for i in range(0, len(notes), _CHUNK)]
-            for partial in pool.imap(_worker_scan, bounds):
-                for key, bits in partial.items():
-                    presence[key] = presence.get(key, 0) | bits
-
-    rejects = sorted(
-        (RejectedNote(note.note_id, f"unknown patient_id {note.patient_id!r}")
-         for note in notes if note.patient_id not in patients),
-        key=lambda r: r.note_id,
-    )
-
-    return SymptomPresenceTable.from_roster(presence, patients, day_range, group_ids), rejects
+    cfg = _Config.of(patients, matcher, classifier, None, templates, day_range, include_maybe)
+    curation = _run(cfg, notes, False, workers)
+    return curation.table(patients, day_range, group_ids), curation.rejects()
 
 
 def _window_bits(table: SymptomPresenceTable, window: tuple[int, int]) -> dict[str, int]:

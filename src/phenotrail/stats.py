@@ -87,17 +87,24 @@ def proportion_test(k1: int, n1: int, k2: int, n2: int) -> ProportionTest:
 # ---------------------------------------------------------------------------
 # Fisher exact test
 
-# The exact test tabulates log n! up to the table's total.
+# The exact test sums terms over the support, which grows with the total.
 _FISHER_MAX_N = 10_000_000
 
+# log n! is tabulated for n below _LOGFACT_CAP, so the table stays within
+# about 2 MB; a larger total takes math.lgamma(n + 1) per term, the value
+# the table would hold.
+_LOGFACT_CAP = 1 << 16
 _logfact: list[float] = [0.0]
 
 
-def _log_factorial(n: int) -> float:
-    table = _logfact
-    while len(table) <= n:
-        table.append(math.lgamma(len(table) + 1))
-    return table[n]
+class _LogFactorials:
+    """log n! computed per call, indexable like ``_logfact``."""
+
+    def __getitem__(self, n: int) -> float:
+        return math.lgamma(n + 1)
+
+
+_LGAMMA = _LogFactorials()
 
 
 def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
@@ -114,8 +121,11 @@ def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
     hi = min(r1, c1)
     if lo == hi:
         return 1.0
-    _log_factorial(n)
-    lf = _logfact
+    if n < _LOGFACT_CAP:
+        lf = _logfact
+        lf.extend(math.lgamma(k + 1) for k in range(len(lf), n + 1))
+    else:
+        lf = _LGAMMA
     const = lf[r1] + lf[r2] + lf[c1] + lf[n - c1] - lf[n]
 
     def log_p(x: int) -> float:

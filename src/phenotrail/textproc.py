@@ -9,11 +9,12 @@ clinical abbreviations suppresses false splits.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass
 from datetime import date
-from typing import IO, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import InputError, open_text
 
@@ -188,23 +189,32 @@ def _encodable(text: str) -> bool:
     return True
 
 
+def parse_notes(
+    lines: Iterable[str], lineno: int = 1, seen: dict[str, int] | None = None
+) -> Iterator[ClinicalNote]:
+    """Parse JSON-lines records, the first numbered ``lineno``, enforcing
+    unique note ids; ``seen`` maps each note id read so far to its line."""
+    seen = {} if seen is None else seen
+    dates: dict[str, date] = {}
+    for lineno, line in enumerate(lines, start=lineno):
+        if not line.strip():
+            continue
+        note = parse_note_line(line, lineno, dates)
+        if seen.setdefault(note.note_id, lineno) != lineno:
+            raise duplicate_note_error(note.note_id, lineno)
+        yield note
+
+
+def duplicate_note_error(note_id: str, lineno: int) -> InputError:
+    return InputError(f"notes line {lineno}: duplicate note_id {note_id!r}")
+
+
 def load_notes(source: IO[str] | str) -> list[ClinicalNote]:
     """Read a JSON-lines note corpus, enforcing unique note ids."""
     if isinstance(source, str):
         with open_text(source, "notes") as handle:
             return load_notes(handle)
-    notes: list[ClinicalNote] = []
-    seen: set[str] = set()
-    dates: dict[str, date] = {}
-    for lineno, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
-        note = parse_note_line(line, lineno, dates)
-        if note.note_id in seen:
-            raise InputError(f"notes line {lineno}: duplicate note_id {note.note_id!r}")
-        seen.add(note.note_id)
-        notes.append(note)
-    return notes
+    return list(parse_notes(source))
 
 
 _RESULT_ALIASES = {"pos": "positive", "neg": "negative"}
@@ -214,50 +224,71 @@ def load_patients(source: IO[str] | str) -> dict[str, PatientRecord]:
     """Read the patient roster CSV; one record per patient.
 
     Duplicate rows for one patient keep the earliest pcr_date; when two
-    results share that date the positive one wins.
+    results share that date the positive one wins.  A file without
+    double quotes, CR or NUL characters is split into fields directly;
+    any other file goes through the csv module, with the same results
+    and errors.
     """
     if isinstance(source, str):
         with open_text(source, "patients", newline="") as handle:
             return load_patients(handle)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("patients file is empty") from None
+    text = source.read()
+    if '"' in text or "\r" in text or "\0" in text:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            return _roster_records(reader)
+        except csv.Error as exc:
+            raise InputError(f"patients line {reader.line_num}: {exc}") from None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text after the last line end
+    return _roster_records(line.split(",") if line else [] for line in lines)
+
+
+def _roster_records(rows: Iterable[list[str]]) -> dict[str, PatientRecord]:
+    rows = iter(rows)
+    header = next(rows, None)
+    if header is None:
+        raise InputError("patients file is empty")
     if tuple(h.strip() for h in header) != PATIENT_HEADER:
         raise InputError(
             f"patients header must be {','.join(PATIENT_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
     records: dict[str, PatientRecord] = {}
+    # Parsed values by their raw field, spaces included.
     dates: dict[str, date] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    results: dict[str, str] = {}
+    make = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != 3:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
             raise InputError(f"patients line {lineno}: expected 3 fields, got {len(row)}")
-        patient_id, raw_date, raw_result = map(str.strip, row)
+        raw_id, raw_date, raw_result = row
+        patient_id = raw_id.strip()
         if not patient_id:
             raise InputError(f"patients line {lineno}: empty patient_id")
         pcr_date = dates.get(raw_date)
         if pcr_date is None:
             try:
-                pcr_date = dates[raw_date] = date.fromisoformat(raw_date)
+                pcr_date = dates[raw_date] = date.fromisoformat(raw_date.strip())
             except ValueError:
                 raise InputError(
-                    f"patients line {lineno}: pcr_date {raw_date!r} is not YYYY-MM-DD"
+                    f"patients line {lineno}: pcr_date {raw_date.strip()!r} is not YYYY-MM-DD"
                 ) from None
-        result = _RESULT_ALIASES.get(raw_result.lower())
+        result = results.get(raw_result)
         if result is None:
-            raise InputError(
-                f"patients line {lineno}: pcr_result must be pos or neg, got {raw_result!r}"
-            )
-        record = PatientRecord(patient_id, pcr_date, result)
+            result = _RESULT_ALIASES.get(raw_result.strip().lower())
+            if result is None:
+                raise InputError(
+                    f"patients line {lineno}: pcr_result must be pos or neg, "
+                    f"got {raw_result.strip()!r}"
+                )
+            results[raw_result] = result
         existing = records.get(patient_id)
-        if existing is None:
-            records[patient_id] = record
-        elif record.pcr_date < existing.pcr_date:
-            records[patient_id] = record
-        elif record.pcr_date == existing.pcr_date and result == "positive":
-            records[patient_id] = record
+        if existing is None or pcr_date < existing.pcr_date or (
+            pcr_date == existing.pcr_date and result == "positive"
+        ):
+            records[patient_id] = make(PatientRecord, (patient_id, pcr_date, result))
     return records

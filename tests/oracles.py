@@ -10,8 +10,11 @@ definition by quadratic scan, the tail oracle delegates to mpmath
 at high precision, and the co-expression oracle parses the triplet
 matrix into one Python tuple per line and a dict per gene.  Two are the
 package's earlier implementations, kept as references for their faster
-replacements: the full-support Fisher sum, and the row-by-row presence
-export loader that builds sets of patient ids.
+replacements: the full-support Fisher sum, the row-by-row presence
+export loader that builds sets of patient ids, the two-pass curation
+that holds the whole corpus (segmented once, then a template pass over
+full patient sets, then a scan of the kept sentences), and the roster
+loader that reads every file through the csv module.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import math
 import re
 import warnings
-from datetime import timedelta
+from datetime import date, timedelta
 from fractions import Fraction
 
 import mpmath
@@ -30,6 +33,7 @@ import numpy as np
 
 from phenotrail.assertion import AssertionLabel
 from phenotrail.errors import InputError
+from phenotrail.textproc import PatientRecord, fingerprint, relative_day, sentence_texts
 from phenotrail.synth import (
     _BASE_DATE,
     _DATE_CYCLE,
@@ -438,3 +442,100 @@ def presence_export_oracle(source, patients, group_ids=None):
             members = presence[(group_id, day)] = set()
         members.add(patient_id)
     return presence
+
+
+def segment_notes(notes):
+    """Each note's sentences as (text, fingerprint) pairs, in note order."""
+    return [[(text, fingerprint(text)) for text in sentence_texts(note)] for note in notes]
+
+
+def template_fingerprints_oracle(notes, threshold, segmented):
+    """Fingerprints written for at least ``threshold`` distinct patients,
+    from the full patient set of every fingerprint."""
+    table = {}
+    for note, pairs in zip(notes, segmented):
+        for _text, fp in pairs:
+            table.setdefault(fp, set()).add(note.patient_id)
+    return {fp for fp, patients in table.items() if len(patients) >= threshold}
+
+
+def kept_sentences(notes, segmented, patients, templates, day_range):
+    """(patient_id, day, sentence) for each non-template sentence of an
+    in-range note by a known patient, in corpus order."""
+    lo, hi = day_range
+    for note, pairs in zip(notes, segmented):
+        record = patients.get(note.patient_id)
+        if record is None:
+            continue
+        day = relative_day(note.date, record.pcr_date)
+        if day < lo or day > hi:
+            continue
+        for text, fp in pairs:
+            if fp not in templates:
+                yield note.patient_id, day, text
+
+
+def two_pass_curation(notes, patients, matcher, classifier, threshold=20,
+                      day_range=(-14, 14), include_maybe=False):
+    """(group_id, day) -> patient ids, the rejects as (note_id, reason)
+    pairs, and the classification tasks, from the whole corpus in memory.
+
+    ``threshold`` None keeps template sentences.
+    """
+    segmented = segment_notes(notes)
+    templates = (set() if threshold is None
+                 else template_fingerprints_oracle(notes, threshold, segmented))
+    accepted = {AssertionLabel.YES, AssertionLabel.MAYBE} if include_maybe else {AssertionLabel.YES}
+    presence, tasks = {}, []
+    for patient_id, day, text in kept_sentences(notes, segmented, patients, templates, day_range):
+        for mention in matcher.find_mentions(text):
+            tasks.append((text, mention.start, mention.end))
+            label, _confidence = classifier.classify(text, (mention.start, mention.end))
+            if label in accepted:
+                for group_id in mention.group_ids:
+                    presence.setdefault((group_id, day), set()).add(patient_id)
+    rejects = sorted(((note.note_id, f"unknown patient_id {note.patient_id!r}")
+                      for note in notes if note.patient_id not in patients),
+                     key=lambda r: r[0])
+    return presence, rejects, tasks
+
+
+def load_patients_oracle(source):
+    """The roster read one csv row at a time: the earliest pcr_date per
+    patient, the positive result on a tie."""
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("patients file is empty") from None
+    columns = ("patient_id", "pcr_date", "pcr_result")
+    if tuple(h.strip() for h in header) != columns:
+        raise InputError(
+            f"patients header must be {','.join(columns)!r}, got {','.join(header)!r}"
+        )
+    aliases = {"pos": "positive", "neg": "negative"}
+    records = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise InputError(f"patients line {lineno}: expected 3 fields, got {len(row)}")
+        patient_id, raw_date, raw_result = (field.strip() for field in row)
+        if not patient_id:
+            raise InputError(f"patients line {lineno}: empty patient_id")
+        try:
+            pcr_date = date.fromisoformat(raw_date)
+        except ValueError:
+            raise InputError(
+                f"patients line {lineno}: pcr_date {raw_date!r} is not YYYY-MM-DD"
+            ) from None
+        result = aliases.get(raw_result.lower())
+        if result is None:
+            raise InputError(
+                f"patients line {lineno}: pcr_result must be pos or neg, got {raw_result!r}"
+            )
+        existing = records.get(patient_id)
+        if (existing is None or pcr_date < existing.pcr_date
+                or (pcr_date == existing.pcr_date and result == "positive")):
+            records[patient_id] = PatientRecord(patient_id, pcr_date, result)
+    return records

@@ -24,7 +24,6 @@ from phenotrail.assertion import AssertionLabel, RuleClassifier, evaluate
 from phenotrail.cohort import (
     build_presence,
     daily_counts,
-    segment_notes,
     template_fingerprints,
     window_presence,
     write_presence_csv,
@@ -119,12 +118,10 @@ def full_corpus(lexicon, daily_reference):
 
 
 def curate(notes, patients, matcher, lexicon, workers=1, threshold=20):
-    segmented = segment_notes(notes)
-    templates = template_fingerprints(notes, threshold, segmented)
+    templates = template_fingerprints(notes, threshold)
     table, rejects = build_presence(
         notes, patients, matcher, RuleClassifier(),
         templates=templates, workers=workers, group_ids=lexicon.group_ids,
-        segmented=segmented,
     )
     return table, rejects, templates
 

@@ -337,10 +337,12 @@ class TestBatchProtocol:
 
     def test_precomputed_classifier_replays_in_order(self):
         clf = PrecomputedClassifier([(N, 1.0), (Y, 0.5)])
-        assert clf.classify("any", (0, 1)) == (N, 1.0)
-        assert clf.classify("any", (0, 1)) == (Y, 0.5)
-        with pytest.raises(InputError, match="exhausted"):
-            clf.classify("any", (0, 1))
+        assert clf.classify_task(1) == (Y, 0.5)
+        assert clf.classify_task(0) == (N, 1.0)
+        assert clf.classify_task(1) == (Y, 0.5)  # a lookup, not a cursor
+        for task in (2, -1):
+            with pytest.raises(InputError, match=f"no classifier response for task {task}"):
+                clf.classify_task(task)
 
 
 class TestGoldLabels:

@@ -278,6 +278,98 @@ class TestCurateCommand:
         ]) == 2
 
 
+class TestCurateStream:
+    """curate reads the notes file once, line by line, at any worker count."""
+
+    def test_never_loads_the_corpus_as_a_list(self, corpus_dir, tmp_path, monkeypatch):
+        from phenotrail import textproc
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("curate called textproc.load_notes")
+
+        monkeypatch.setattr(textproc, "load_notes", refuse)
+        assert run(["curate", *corpus_args(corpus_dir), "--out", str(tmp_path / "out")]) == 0
+
+    @staticmethod
+    def _corpus(tmp_path, n=4400):
+        return [json.dumps({"patient_id": f"P{k % 7}", "note_id": f"n{k}",
+                            "date": "2020-04-01", "text": "Fever."}) for k in range(n)]
+
+    @pytest.mark.parametrize("edit, message", [
+        # a duplicate of line 1 just past the 2000-line chunk boundary,
+        # then a bad line further on in the same chunk
+        ({2002: "dup:0", 2500: "{bad"}, "notes line 2003: duplicate note_id 'n0'"),
+        # the same duplicate, with the bad line in the third chunk
+        ({2002: "dup:0", 4050: "[1]"}, "notes line 2003: duplicate note_id 'n0'"),
+        # a bad line in the first chunk before a later duplicate
+        ({1500: "{bad", 3000: "dup:2"}, "notes line 1501: invalid JSON"),
+        # a duplicate across the boundary whose first copy is also in chunk 2
+        ({3999: "dup:2001"}, "notes line 4000: duplicate note_id 'n2001'"),
+        # not UTF-8 in the third chunk, after a bad line in the second
+        ({2600: "{bad", 4090: "bytes"}, "notes line 2601: invalid JSON"),
+        ({4090: "bytes"}, "notes line 4091: not valid UTF-8"),
+        # a bad line in the chunk that the undecodable bytes cut short
+        ({4050: "{bad", 4390: "bytes"}, "notes line 4051: invalid JSON"),
+    ])
+    def test_malformed_jsonl_same_error_at_any_worker_count(
+            self, fuzz_roster, tmp_path, capsys, edit, message):
+        lines = [line.encode() for line in self._corpus(tmp_path)]
+        for index, change in edit.items():
+            if change.startswith("dup:"):
+                lines[index] = lines[int(change[4:])]
+            elif change == "bytes":
+                lines[index] = lines[index].replace(b"Fever", b"Fe\xffver")
+            else:
+                lines[index] = change.encode()
+        notes = tmp_path / "notes.jsonl"
+        notes.write_bytes(b"\n".join(lines) + b"\n")
+        outcomes = []
+        for workers in ("1", "2"):
+            code = main(["curate", "--notes", str(notes),
+                         "--patients", str(fuzz_roster / "patients.csv"),
+                         "--workers", workers, "--out", str(tmp_path / f"out{workers}")])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2 and message in outcomes[0][1], outcomes[0]
+
+    def test_read_error_in_a_corpus_shorter_than_a_chunk(self, fuzz_roster, tmp_path, capsys):
+        lines = [line.encode() for line in self._corpus(tmp_path, n=30)]
+        lines[20] = lines[20].replace(b"Fever", b"Fe\xffver")
+        notes = tmp_path / "short.jsonl"
+        notes.write_bytes(b"\n".join(lines) + b"\n")
+        for workers in ("1", "2"):
+            assert main(["curate", "--notes", str(notes),
+                         "--patients", str(fuzz_roster / "patients.csv"),
+                         "--workers", workers, "--out", str(tmp_path / "out")]) == 2
+            assert "notes line 21: not valid UTF-8" in capsys.readouterr().err
+
+    def test_replay_is_identical_at_any_worker_count(self, corpus_dir, tmp_path, monkeypatch):
+        from phenotrail import cohort
+
+        monkeypatch.setattr(cohort, "_CHUNK", 50)  # so that the pool runs on this corpus
+        requests = tmp_path / "requests.jsonl"
+        base = ["curate", *corpus_args(corpus_dir)]
+        assert main([*base, "--dump-classification-requests", str(requests),
+                     "--out", str(tmp_path / "ignored")]) == 0
+        dumped = requests.read_bytes()
+        assert main([*base, "--dump-classification-requests", str(requests), "--workers", "2",
+                     "--out", str(tmp_path / "ignored")]) == 0
+        assert requests.read_bytes() == dumped
+        labels = ["YES", "YES", "NO", "MAYBE", "OTHER"]
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text("".join(
+            json.dumps({"label": labels[k % 5], "confidence": 1.0}) + "\n"
+            for k in range(len(dumped.splitlines()))))
+        for workers in ("1", "2"):
+            assert main([*base, "--classification-responses", str(responses),
+                         "--include-maybe", "--per-patient", "--workers", workers,
+                         "--out", str(tmp_path / f"replay{workers}")]) == 0
+        for name in ("presence.csv", "presence_long.csv", "rejects.csv"):
+            assert filecmp.cmp(tmp_path / "replay1" / name, tmp_path / "replay2" / name,
+                               shallow=False), name
+        assert len(read_csv(tmp_path / "replay1" / "presence.csv")) > 1
+
+
 class TestFromCounts:
     def test_enrich_from_counts(self, tmp_path):
         out = tmp_path / "enrich"

@@ -1,5 +1,7 @@
 import io
+import json
 import random
+import re
 from datetime import date, timedelta
 
 import pytest
@@ -17,7 +19,6 @@ from phenotrail.cohort import (
     daily_counts,
     load_presence_long_csv,
     pair_counts,
-    segment_notes,
     window_counts,
     window_presence,
     write_presence_csv,
@@ -26,9 +27,9 @@ from phenotrail.cohort import (
 from phenotrail.errors import InputError
 from phenotrail.lexicon import build_matcher, load_default_lexicon
 from phenotrail.stats import daily_rows, enrichment_rows, pair_rows
-from phenotrail.textproc import ClinicalNote, PatientRecord, fingerprint
+from phenotrail.textproc import ClinicalNote, PatientRecord, fingerprint, load_notes
 
-from oracles import presence_export_oracle
+from oracles import presence_export_oracle, segment_notes, two_pass_curation
 
 PCR_DAY = date(2020, 3, 10)
 
@@ -173,11 +174,14 @@ class TestBuildPresence:
         notes = [note("p1", -2, "Fever. Denies  Cough."), note("p2", -1, "Cough today.")]
         segmented = segment_notes(notes)
         assert segmented[0] == [("Fever.", "fever."), ("Denies  Cough.", "denies cough.")]
-        table, _ = build_presence(notes, patients, matcher, classifier, segmented=segmented)
+        table, _ = build_presence(notes, patients, matcher, classifier)
         assert {key: table.patients(*key) for key in table.presence} == {
             ("fever_chills", -2): {"p1"}, ("cough", -1): {"p2"}}
-        with pytest.raises(ValueError, match="1 segmented notes for 2 notes"):
-            build_presence(notes, patients, matcher, classifier, segmented=segmented[:1])
+        # A template fingerprint drops its sentence wherever it occurs.
+        table, _ = build_presence(notes, patients, matcher, classifier,
+                                  templates={"denies cough.", "cough today."})
+        assert {key: table.patients(*key) for key in table.presence} == {
+            ("fever_chills", -2): {"p1"}}
 
     def test_invalid_day_range(self, matcher, classifier):
         with pytest.raises(InputError):
@@ -521,3 +525,196 @@ class TestPatientBits:
         bits = sum(1 << i for i in indexes)
         assert table.members(bits) == {ids[i] for i in indexes}
         assert table.arm_counts(bits) == (0, len(indexes))
+
+
+# ---------------------------------------------------------------------------
+# The one-pass curation against the two-pass pipeline it replaced
+
+STREAM_SENTENCES = [
+    "Fever.", "FEVER.", "Denies cough.", "Possible diarrhea.", "Sore throat and chills.",
+    "Take all medication as prescribed.", "Mother had fever last week.", "Dry cough today!",
+    "No acute distress.", "Call the clinic if fever develops.",
+]
+STREAM_ROSTER = {f"p{i}": PatientRecord(f"p{i}", PCR_DAY, "positive" if i % 2 else "negative")
+                 for i in range(6)}
+
+
+@st.composite
+def stream_corpora(draw):
+    """JSON lines over a few shared sentences, so that fingerprints reach a
+    small template threshold part-way through; with unknown patients,
+    out-of-range days and blank lines."""
+    lines = []
+    for n in range(draw(st.integers(0, 40))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("\n")
+            continue
+        sentences = draw(st.lists(st.sampled_from(STREAM_SENTENCES), min_size=1, max_size=3))
+        lines.append(json.dumps({
+            "patient_id": draw(st.sampled_from([*STREAM_ROSTER, "ghost", "stray"])),
+            "note_id": f"n{n}",
+            "date": (PCR_DAY + timedelta(days=draw(st.integers(-18, 18)))).isoformat(),
+            "text": draw(st.sampled_from([" ", "\n"])).join(sentences),
+        }) + "\n")
+    return lines
+
+
+def oracle_outcome(lines, matcher, classifier, threshold, include_maybe):
+    notes = load_notes(io.StringIO("".join(lines)))
+    presence, rejects, tasks = two_pass_curation(
+        notes, STREAM_ROSTER, matcher, classifier, threshold, DEFAULT_DAY_RANGE, include_maybe)
+    return {key: members for key, members in presence.items()}, rejects, tasks
+
+
+def stream_outcome(curation):
+    table = curation.table(STREAM_ROSTER, DEFAULT_DAY_RANGE)
+    presence = {key: table.patients(*key) for key in table.presence}
+    return presence, [(r.note_id, r.reason) for r in curation.rejects()]
+
+
+def chunked_curation(lines, matcher, classifier, threshold, include_maybe, size):
+    """What the pool does, in-process: one pass per chunk, merged in order."""
+    cfg = cohort._Config.of(STREAM_ROSTER, matcher, classifier, threshold, (),
+                            DEFAULT_DAY_RANGE, include_maybe)
+    total = cohort.Curation(threshold)
+    for start in range(0, len(lines), size):
+        part = cohort._pass(cfg, cohort.Curation(threshold), start + 1, lines[start:start + size])
+        total.absorb(part)
+    total.settle()
+    return total
+
+
+class TestCurationStream:
+    @given(stream_corpora(), st.sampled_from([None, 2, 3, 4]), st.booleans(),
+           st.integers(1, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_two_pass_pipeline(self, matcher, classifier, lines, threshold,
+                                          include_maybe, size):
+        presence, rejects, tasks = oracle_outcome(lines, matcher, classifier, threshold,
+                                                  include_maybe)
+        serial = cohort.curate_notes(lines, STREAM_ROSTER, matcher, classifier, threshold,
+                                     include_maybe=include_maybe)
+        assert stream_outcome(serial) == (presence, rejects)
+        chunked = chunked_curation(lines, matcher, classifier, threshold, include_maybe, size)
+        assert stream_outcome(chunked) == (presence, rejects)
+        # Without a classifier each mention stays a task, numbered in the
+        # serial order of the non-template mentions.
+        for curation in (
+            cohort.curate_notes(lines, STREAM_ROSTER, matcher, None, threshold),
+            chunked_curation(lines, matcher, None, threshold, include_maybe, size),
+        ):
+            assert curation.requests() == tasks
+
+    def test_templates_cross_the_threshold_mid_corpus(self, matcher, classifier):
+        # "fever." reaches 3 patients only at the last line, so the events
+        # of its first two lines are dropped after the pass; the unknown
+        # and out-of-range notes count towards the three.
+        lines = [
+            json.dumps({"patient_id": pid, "note_id": f"n{k}", "text": "Fever.",
+                        "date": (PCR_DAY + timedelta(days=day)).isoformat()}) + "\n"
+            for k, (pid, day) in enumerate([("p1", -2), ("ghost", -2), ("p2", -30)])
+        ]
+        for threshold, expected in ((3, {}), (4, {("fever_chills", -2): {"p1"}})):
+            curation = cohort.curate_notes(lines, STREAM_ROSTER, matcher, classifier, threshold)
+            assert stream_outcome(curation)[0] == expected
+        curation = cohort.curate_notes(lines[:1], STREAM_ROSTER, matcher, classifier, 2)
+        assert stream_outcome(curation)[0] == {("fever_chills", -2): {"p1"}}
+
+    def test_counter_caps_what_it_holds(self):
+        counter = cohort.TemplateCounter(3)
+        assert counter.count("a", "p1") == 0
+        assert counter.holders == ["p1"]  # one patient: the id, not a set
+        assert counter.count("a", "p1") == 0
+        assert counter.count("a", "p2") == 0
+        assert counter.count("a", "p3") is None
+        assert counter.holders == [None]  # a template keeps no ids
+        assert counter.count("a", "p4") is None
+        wide = cohort.TemplateCounter(100)
+        for k in range(40):
+            wide.count("b", f"p{k % 30}")
+        assert wide.holders[0] == {f"p{k}" for k in range(30)}
+        assert wide.templates() == set() and counter.templates() == {"a"}
+
+    @given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from([f"p{k}" for k in range(14)])),
+                    max_size=60),
+           st.integers(1, 60), st.integers(2, 16))
+    @settings(max_examples=300)
+    def test_merged_counters_equal_one_counter(self, pairs, cut, threshold):
+        def members(held):
+            return {held} if isinstance(held, str) else set(held)
+
+        whole, left, right = (cohort.TemplateCounter(threshold) for _ in range(3))
+        for fp, pid in pairs:
+            whole.count(fp, pid)
+        for fp, pid in pairs[:cut]:
+            left.count(fp, pid)
+        for fp, pid in pairs[cut:]:
+            right.count(fp, pid)
+        renumbered = left.merge(right)
+        assert left.templates() == whole.templates()
+        assert [fp for fp in left.numbers] == [fp for fp in whole.numbers]
+        assert renumbered == [left.numbers[fp] for fp in right.numbers]
+        for fp, number in whole.numbers.items():
+            held = whole.holders[number]
+            merged = left.holders[left.numbers[fp]]
+            assert (held is None) == (merged is None)
+            if held is not None:
+                assert members(held) == members(merged)
+
+    def test_one_shot_generator_equals_list(self, matcher, classifier):
+        rng = random.Random(4)
+        notes = [note(f"p{rng.randint(0, 5)}", rng.randint(-9, 3),
+                      rng.choice(STREAM_SENTENCES), suffix=str(k)) for k in range(2500)]
+        listed, list_rejects = build_presence(notes, STREAM_ROSTER, matcher, classifier)
+        for workers in (1, 2):
+            streamed, rejects = build_presence((n for n in notes), STREAM_ROSTER, matcher,
+                                               classifier, workers=workers)
+            assert streamed.presence == listed.presence and rejects == list_rejects
+
+    def test_pool_equals_serial_over_many_small_chunks(self, matcher, classifier, monkeypatch):
+        rng = random.Random(8)
+        lines = [json.dumps({"patient_id": f"p{rng.randint(0, 7)}", "note_id": f"n{k}",
+                             "date": (PCR_DAY + timedelta(days=rng.randint(-16, 16))).isoformat(),
+                             "text": " ".join(rng.sample(STREAM_SENTENCES, 2))}) + "\n"
+                 for k in range(400)]
+        monkeypatch.setattr(cohort, "_CHUNK", 16)
+        serial = cohort.curate_notes(lines, STREAM_ROSTER, matcher, classifier, 3)
+        pooled = cohort.curate_notes(lines, STREAM_ROSTER, matcher, classifier, 3, workers=2)
+        assert stream_outcome(pooled) == stream_outcome(serial)
+        tasks = cohort.curate_notes(lines, STREAM_ROSTER, matcher, None, 3).requests()
+        assert cohort.curate_notes(lines, STREAM_ROSTER, matcher, None, 3,
+                                   workers=2).requests() == tasks
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_input_error_in_line_order(self, matcher, classifier, monkeypatch, workers):
+        monkeypatch.setattr(cohort, "_CHUNK", 4)
+        good = [json.dumps({"patient_id": "p1", "note_id": f"n{k}", "date": "2020-03-08",
+                            "text": "Fever."}) + "\n" for k in range(12)]
+        cases = [
+            # a duplicate of line 1 in the second chunk, then a bad line
+            (good[:6] + [good[0]] + ["{bad\n"] + good[6:], "notes line 7: duplicate note_id 'n0'"),
+            # the bad line comes first, in the first chunk
+            (good[:2] + ["{bad\n"] + good[2:] + [good[0]], "notes line 3: invalid JSON"),
+            # a duplicate inside one chunk
+            (good[:5] + [good[4]] + good[5:], "notes line 6: duplicate note_id 'n4'"),
+            # the error sits in the last, partial chunk
+            (good + ["[]\n"], "notes line 13: expected an object"),
+        ]
+        for lines, message in cases:
+            with pytest.raises(InputError, match=re.escape(message)):
+                cohort.curate_notes(lines, STREAM_ROSTER, matcher, classifier, workers=workers)
+
+    def test_pool_stops_reading_after_an_error(self, matcher, classifier, monkeypatch):
+        monkeypatch.setattr(cohort, "_CHUNK", 4)
+        read = []
+
+        def lines():
+            for k in range(20_000):
+                read.append(k)
+                yield "{bad\n" if k == 10 else json.dumps(
+                    {"patient_id": "p1", "note_id": f"n{k}", "date": "2020-03-08",
+                     "text": "Fever."}) + "\n"
+
+        with pytest.raises(InputError, match="notes line 11: invalid JSON"):
+            cohort.curate_notes(lines(), STREAM_ROSTER, matcher, classifier, workers=2)
+        assert len(read) < 10_000  # the chunks in flight, not the whole corpus

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phenotrail import stats
 from phenotrail.errors import InputError
 from phenotrail.stats import (
     bh_adjust,
@@ -141,6 +142,37 @@ class TestFisher:
         a = data.draw(st.integers(max(0, c1 - (n - r1)), min(r1, c1)))
         table = (a, r1 - a, c1 - a, n - r1 - c1 + a)
         assert fisher_exact_two_sided(*table) == fisher_full_support(*table)
+
+    def test_log_factorial_table_stays_within_its_cap(self):
+        table = (1, 2_000_000, 1, 1)
+        p = fisher_exact_two_sided(*table)
+        assert len(stats._logfact) <= stats._LOGFACT_CAP
+        assert 0.0 < p <= 1.0
+
+    @pytest.mark.parametrize("n", [stats._LOGFACT_CAP - 1, stats._LOGFACT_CAP,
+                                   stats._LOGFACT_CAP + 1, stats._LOGFACT_CAP + 40_000])
+    def test_full_support_equality_on_both_sides_of_the_cap(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            r1, c1 = rng.randint(0, n), rng.randint(0, n)
+            a = rng.randint(max(0, c1 - (n - r1)), min(r1, c1))
+            table = (a, r1 - a, c1 - a, n - r1 - c1 + a)
+            assert fisher_exact_two_sided(*table) == fisher_full_support(*table)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lgamma_terms_equal_the_table(self, data):
+        # With a cap of 150, small tables take either side of it.
+        n = data.draw(st.integers(1, 300))
+        r1 = data.draw(st.integers(0, n))
+        c1 = data.draw(st.integers(0, n))
+        a = data.draw(st.integers(max(0, c1 - (n - r1)), min(r1, c1)))
+        table = (a, r1 - a, c1 - a, n - r1 - c1 + a)
+        cap, stats._LOGFACT_CAP = stats._LOGFACT_CAP, 150
+        try:
+            assert fisher_exact_two_sided(*table) == fisher_full_support(*table)
+        finally:
+            stats._LOGFACT_CAP = cap
 
     def test_symmetries(self):
         rng = random.Random(5)

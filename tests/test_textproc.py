@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenotrail.cohort import segment_notes, template_fingerprints
+from phenotrail.cohort import template_fingerprints
 from phenotrail.errors import InputError
 from phenotrail.textproc import (
     ClinicalNote,
@@ -18,6 +18,8 @@ from phenotrail.textproc import (
     relative_day,
     segment_sentences,
 )
+
+from oracles import load_patients_oracle, segment_notes
 
 
 def note(text, note_id="n1", patient_id="p1", when=date(2020, 3, 10)):
@@ -222,3 +224,66 @@ class TestLoaders:
             load_patients(io.StringIO("id,date,result\n"))
         with pytest.raises(InputError, match="pos or neg"):
             load_patients(io.StringIO("patient_id,pcr_date,pcr_result\np1,2020-01-01,maybe\n"))
+
+
+def _roster_fields(draw):
+    """One roster line's fields: ids that repeat, dates that tie or are
+    bad, result aliases in any case, spaces around any field."""
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    patient_id = draw(st.sampled_from(["p1", "p2", "p3", "P1", "", "p 4", "p,5", 'p"6']))
+    pcr_date = draw(st.sampled_from(
+        ["2020-03-10", "2020-03-11", "2020-03-09", "2020-3-10", "03/10/2020", "", "2020-02-30"]))
+    result = draw(st.sampled_from(["pos", "neg", "POS", "Neg", "positive", "maybe", ""]))
+    fields = [draw(space) + field + draw(space) for field in (patient_id, pcr_date, result)]
+    return fields[:draw(st.sampled_from([3, 3, 3, 3, 2, 1]))]
+
+
+@st.composite
+def roster_texts(draw):
+    header = draw(st.sampled_from(["patient_id,pcr_date,pcr_result", " patient_id , pcr_date,pcr_result",
+                                   "patient_id,pcr_date", ""]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "quoted", "extra"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(" \t ")
+        elif kind == "quoted":
+            lines.append('"p7",2020-03-10,pos')
+        elif kind == "extra":
+            lines.append("p8,2020-03-10,pos,x")
+        else:
+            lines.append(",".join(_roster_fields(draw)))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestLoadPatientsOracle:
+    """The direct field split and the csv fallback find what the csv
+    loader finds: the same records in the same order, or the same error."""
+
+    @staticmethod
+    def _outcome(load, text):
+        try:
+            return list(load(io.StringIO(text, newline="")).items())
+        except InputError as exc:
+            return str(exc)
+
+    @given(roster_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_same_records_or_error(self, text):
+        assert self._outcome(load_patients, text) == self._outcome(load_patients_oracle, text)
+
+    def test_both_row_sources_are_exercised(self):
+        plain = "patient_id,pcr_date,pcr_result\np1, 2020-03-10 ,POS\n\np1,2020-03-09,neg\n"
+        quoted = plain + '"p2",2020-03-10,pos\n'
+        for text in (plain, quoted, plain.replace("\n", "\r\n")):
+            assert self._outcome(load_patients, text) == self._outcome(load_patients_oracle, text)
+        assert list(load_patients(io.StringIO(plain))) == ["p1"]
+        assert load_patients(io.StringIO(plain))["p1"].pcr_result == "negative"
+
+    def test_csv_error_exits_as_input_error(self):
+        text = "patient_id,pcr_date,pcr_result\n" + '"' + "x" * 200_000 + '",2020-03-10,pos\n'
+        with pytest.raises(InputError, match="patients line 2: field larger than field limit"):
+            load_patients(io.StringIO(text))
