@@ -11,10 +11,8 @@ from .assertion import (  # noqa: F401
 from .bundled import data_path  # noqa: F401
 from .cohort import (  # noqa: F401
     SymptomPresenceTable,
-    build_presence,
     daily_counts,
     pair_counts,
-    template_fingerprints,
     window_counts,
     window_presence,
 )
@@ -49,7 +47,6 @@ from .synth import SynthConfig, calibrate_from_daily_table, generate  # noqa: F4
 from .textproc import (  # noqa: F401
     ClinicalNote,
     PatientRecord,
-    Sentence,
     relative_day,
     segment_sentences,
 )

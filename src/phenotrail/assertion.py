@@ -39,8 +39,6 @@ class Classifier(Protocol):
     workers once constructed.
     """
 
-    descriptor: str
-
     def classify(
         self, sentence: str, span: tuple[int, int]
     ) -> tuple[AssertionLabel, float]: ...
@@ -114,7 +112,6 @@ class RuleClassifier:
 
     def __init__(self, config: RuleConfig | None = None):
         self._config = cfg = config or RuleConfig.load()
-        self.descriptor = "rule-window/v1"
         # A window side is matched as " tok tok ... " text, so a cue
         # occurs in it exactly when " cue tokens " is a substring.
         self._cues = tuple(
@@ -302,9 +299,8 @@ class PrecomputedClassifier:
     """Externally produced labels, looked up by task index: the position
     of a mention among the dumped classification requests."""
 
-    def __init__(self, responses: Sequence[tuple[AssertionLabel, float]], descriptor: str = "external-batch/v1"):
+    def __init__(self, responses: Sequence[tuple[AssertionLabel, float]]):
         self._responses = tuple(responses)
-        self.descriptor = descriptor
 
     def classify_task(self, task: int) -> tuple[AssertionLabel, float]:
         if not 0 <= task < len(self._responses):

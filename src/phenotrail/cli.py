@@ -57,8 +57,10 @@ def _add_window_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--notes", help="JSON-lines note corpus")
+def _add_pipeline_args(parser: argparse.ArgumentParser, inputs=None) -> None:
+    """The curation options; ``--notes`` goes into ``inputs``, a group of
+    ``parser``, when one is given."""
+    (parser if inputs is None else inputs).add_argument("--notes", help="JSON-lines note corpus")
     parser.add_argument("--patients", help="patient roster CSV")
     parser.add_argument("--lexicon", help="phenotype lexicon CSV (default: bundled)")
     parser.add_argument(
@@ -101,12 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("pairwise", "phenotype-pair co-occurrence table (Fisher + BH)"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_pipeline_args(p)
+        inputs = p.add_mutually_exclusive_group()  # one source of counts
+        _add_pipeline_args(p, inputs)
         _add_window_args(p)
-        p.add_argument("--from-counts", metavar="PATH",
-                       help="skip curation; read pre-tabulated counts")
-        p.add_argument("--presence", metavar="PATH",
-                       help="skip curation; read a per-patient presence export")
+        inputs.add_argument("--from-counts", metavar="PATH",
+                            help="skip curation; read pre-tabulated counts")
+        inputs.add_argument("--presence", metavar="PATH",
+                            help="skip curation; read a per-patient presence export")
         if name == "pairwise":
             p.add_argument("--m-tests", type=int, metavar="N",
                            help="BH family size (default: number of pairs)")
@@ -195,6 +198,8 @@ def rerun_from_manifest(manifest_path: str, out_dir: str) -> int:
     for i, arg in enumerate(argv):
         if arg == "--out":
             argv[i + 1] = out_dir
+        elif arg.startswith("--out="):
+            argv[i] = f"--out={out_dir}"
     return run(argv)
 
 

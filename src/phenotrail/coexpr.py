@@ -24,7 +24,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .errors import InputError, open_text
 
@@ -35,8 +35,7 @@ _INT64_MAX = 2**63 - 1
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
-@dataclass(frozen=True)
-class CellInfo:
+class CellInfo(NamedTuple):
     cell_id: str
     tissue: str
     cell_type: str
@@ -88,14 +87,11 @@ class ExpressionMatrix:
         return counts
 
 
-def normalize_cp10k(count: int, cell_total: int, log_base: float = math.e) -> float:
-    """log(count / cell_total * 10000 + 1); natural log by default."""
+def normalize_cp10k(count: int, cell_total: int) -> float:
+    """ln(count / cell_total * 10000 + 1)."""
     if cell_total <= 0:
         raise InputError("cell_total must be positive")
-    value = math.log(count / cell_total * 10000.0 + 1.0)
-    if log_base != math.e:
-        value /= math.log(log_base)
-    return value
+    return math.log(count / cell_total * 10000.0 + 1.0)
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,6 @@ def coexpression_summary(
     gene_b: str,
     min_cells: int = COEXPR_FILTER_MIN_CELLS,
     min_frac: float = COEXPR_FILTER_MIN_FRAC,
-    log_base: float = math.e,
 ) -> list[PopulationSummary]:
     """Per-(tissue, cell_type) summary for two genes, deterministic order.
 
@@ -151,8 +146,8 @@ def coexpression_summary(
             total = matrix.cell_totals[idx]
             raw_a = counts_a.get(idx, 0)
             raw_b = counts_b.get(idx, 0)
-            sum_a += normalize_cp10k(raw_a, total, log_base)
-            sum_b += normalize_cp10k(raw_b, total, log_base)
+            sum_a += normalize_cp10k(raw_a, total)
+            sum_b += normalize_cp10k(raw_b, total)
             if raw_a > 0 and raw_b > 0:
                 both += 1
         frac = both / n
@@ -277,12 +272,14 @@ def _load_cells(source: IO[str] | str | Sequence[CellInfo]):
     if tuple(h.strip() for h in header) != ("cell_id", "tissue", "cell_type"):
         raise InputError("cells header must be 'cell_id,tissue,cell_type'")
     cells = []
+    make = tuple.__new__  # skips the NamedTuple's Python-level __new__
     for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
         if len(row) != 3:
+            if not row:
+                continue
             raise InputError(f"cells line {lineno}: expected 3 fields")
-        cells.append(CellInfo(*(f.strip() for f in row)))
+        cell_id, tissue, cell_type = row
+        cells.append(make(CellInfo, (cell_id.strip(), tissue.strip(), cell_type.strip())))
     return cells
 
 

@@ -10,16 +10,17 @@ patient on one day collapse.  A window is the OR of its days, and the
 window, day and pair counts are bit counts of ANDs with the roster's
 positive-arm bits.
 
-Curation reads the corpus once.  Each note is parsed, segmented,
-fingerprinted, matched and classified in one pass that keeps no notes:
-only a capped count of patients per sentence fingerprint and a compact
-event per accepted mention.  Once the pass ends the template
-fingerprints are known, and the events of the other sentences fold into
-the table.  The pass runs in-process or, chunk by chunk of raw lines, in
-a worker pool; partial passes merge in line order, so the result and
-the first reported input error are the same for any worker count.  The
-notes path never imports numpy; the export loader imports it to parse
-and index the export in one vectorised pass per chunk.
+Curation has one entry, ``curate_notes``, and reads a JSON-lines
+corpus once.  Each line is parsed, segmented, fingerprinted, matched and
+classified in one pass that keeps no notes: only a capped count of
+patients per sentence fingerprint and a compact event per accepted
+mention.  Once the pass ends the template fingerprints are known, and
+the events of the other sentences fold into the table.  The pass runs
+in-process or, chunk by chunk of raw lines, in a worker pool; partial
+passes merge in line order, so the result and the first reported input
+error are the same for any worker count.  The notes path never imports
+numpy; the export loader imports it to parse and index the export in
+one vectorised pass per chunk.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ PRESENCE_HEADER = ("group_id", "relative_day", "cohort", "patient_count")
 PRESENCE_LONG_HEADER = ("group_id", "relative_day", "cohort", "patient_id")
 REJECTS_HEADER = ("note_id", "reason")
 
-# Lines (or notes) per pool task; smaller corpora are scanned in-process.
+# Lines per pool task; smaller corpora are scanned in-process.
 _CHUNK = 2000
 
 
@@ -221,44 +222,29 @@ class TemplateCounter:
             renumbered.append(number)
         return renumbered
 
-    def templates(self) -> set[str]:
-        return {fp for fp, number in self.numbers.items() if self.holders[number] is None}
-
-
-def template_fingerprints(notes: Iterable[ClinicalNote], threshold: int = 20) -> set[str]:
-    """Fingerprints of sentences written for at least ``threshold``
-    distinct patients: boilerplate."""
-    counter = TemplateCounter(threshold)
-    for note in notes:
-        for text in sentence_texts(note):
-            counter.count(fingerprint(text), note.patient_id)
-    return counter.templates()
-
 
 _ACCEPTED = {False: frozenset({AssertionLabel.YES}),
              True: frozenset({AssertionLabel.YES, AssertionLabel.MAYBE})}
 
 
 class _Config(NamedTuple):
-    """What a pass needs besides its notes; pool workers inherit it."""
+    """What a pass needs besides its lines; pool workers inherit it."""
 
     roster: dict[str, tuple[int, date, str]]  # patient id -> (bit, PCR date, the id)
     matcher: TermMatcher
     classifier: Classifier | None  # None: keep each mention as a task
     threshold: int | None  # None: no template counting
-    templates: frozenset[str]  # fingerprints dropped up front
     day_range: tuple[int, int]
     accepted: frozenset[AssertionLabel]
 
     @classmethod
-    def of(cls, patients, matcher, classifier, threshold, templates, day_range, include_maybe):
+    def of(cls, patients, matcher, classifier, threshold, day_range, include_maybe):
         if day_range[0] > day_range[1]:
             raise InputError(f"empty day range {day_range}")
         if threshold is not None:
             TemplateCounter(threshold)  # checks it before any note is read
         roster = {pid: (i, record.pcr_date, pid) for i, (pid, record) in enumerate(patients.items())}
-        return cls(roster, matcher, classifier, threshold, frozenset(templates), day_range,
-                   _ACCEPTED[include_maybe])
+        return cls(roster, matcher, classifier, threshold, day_range, _ACCEPTED[include_maybe])
 
 
 class Curation:
@@ -274,7 +260,7 @@ class Curation:
     def __init__(self, threshold: int | None):
         self.counter = None if threshold is None else TemplateCounter(threshold)
         self.template_flags = b""  # after settle: 1 at each template's number
-        self.note_lines: dict[str, int] = {}  # note id -> line, when read from lines
+        self.note_lines: dict[str, int] = {}  # note id -> line
         self.error: InputError | None = None  # what ended the pass early
         self.unknown: list[tuple[str, str]] = []  # (note id, patient id)
         self.cells: dict[tuple[str, int], int] = {}  # (group id, day) -> cell number
@@ -347,7 +333,7 @@ def _scan(cfg: _Config, part: Curation, notes: Iterable[ClinicalNote]) -> None:
     notes outside the day range; only the sentences of in-range notes by
     rostered patients whose fingerprint is no template yet are matched.
     """
-    roster, find, templates = cfg.roster, cfg.matcher.find_mentions, cfg.templates
+    roster, find = cfg.roster, cfg.matcher.find_mentions
     classify = None if cfg.classifier is None else cfg.classifier.classify
     count = None if part.counter is None else part.counter.count
     lo, hi = cfg.day_range
@@ -363,15 +349,10 @@ def _scan(cfg: _Config, part: Curation, notes: Iterable[ClinicalNote]) -> None:
                 day = None
         if day is None and count is None:
             continue
-        for text in sentence_texts(note):
-            if count is not None:
-                number = count(fingerprint(text), patient_id)
-                if number is None or day is None:
-                    continue
-            elif templates and fingerprint(text) in templates:
+        for text in sentence_texts(note.text):
+            number = -1 if count is None else count(fingerprint(text), patient_id)
+            if number is None or day is None:
                 continue
-            else:
-                number = -1
             for mention in find(text):
                 span = (mention.start, mention.end)
                 if classify is None:
@@ -382,13 +363,12 @@ def _scan(cfg: _Config, part: Curation, notes: Iterable[ClinicalNote]) -> None:
                         part.events.extend((number, cell, i))
 
 
-def _pass(cfg: _Config, part: Curation, first_lineno: int | None, items: Iterable) -> Curation:
-    """The pass over JSON lines, the first numbered ``first_lineno``, or
-    with None over parsed notes; the pool runs it on each chunk.  An
-    InputError ends it and is kept in ``part.error``."""
-    notes = items if first_lineno is None else parse_notes(items, first_lineno, part.note_lines)
+def _pass(cfg: _Config, part: Curation, first_lineno: int, lines: Iterable[str]) -> Curation:
+    """The pass over JSON lines, the first numbered ``first_lineno``; the
+    pool runs it on each chunk.  An InputError ends it and is kept in
+    ``part.error``."""
     try:
-        _scan(cfg, part, notes)
+        _scan(cfg, part, parse_notes(lines, first_lineno, part.note_lines))
     except InputError as exc:
         part.error = exc
     return part
@@ -402,50 +382,26 @@ def _pool_init(cfg: _Config) -> None:
     _pool_config = cfg
 
 
-def _pool_pass(chunk: tuple[int | None, list]) -> Curation:
+def _pool_pass(chunk: tuple[int, list[str]]) -> Curation:
     return _pass(_pool_config, Curation(_pool_config.threshold), *chunk)
 
 
-def _chunks(items: Iterable, numbered: bool, halt) -> Iterator[tuple[int | None, list]]:
-    """``items`` in lists of _CHUNK, each with the line number of its
-    first item (None for parsed notes), until the ``halt`` event is set.
-    A chunk that a read error cuts short is yielded before the error is
-    raised."""
-    items, start = iter(items), 1
+def _chunks(lines: Iterable[str], halt) -> Iterator[tuple[int, list[str]]]:
+    """``lines`` in lists of _CHUNK, each with the number of its first
+    line, until the ``halt`` event is set.  A chunk that a read error cuts
+    short is yielded before the error is raised."""
+    lines, start = iter(lines), 1
     while not halt.is_set():
-        chunk: list = []
+        chunk: list[str] = []
         try:
-            chunk.extend(islice(items, _CHUNK))
+            chunk.extend(islice(lines, _CHUNK))
         except UnicodeDecodeError:
-            yield (start if numbered else None), chunk
+            yield start, chunk
             raise
         if not chunk:
             return
-        yield (start if numbered else None), chunk
+        yield start, chunk
         start += len(chunk)
-
-
-def _run(cfg: _Config, items: Iterable, numbered: bool, workers: int) -> Curation:
-    """One pass over ``items``: in-process, or from the second full chunk
-    on in a pool of ``workers``."""
-    total = Curation(cfg.threshold)
-    if workers <= 1:
-        _pass(cfg, total, 1 if numbered else None, items)
-    else:
-        import threading
-
-        halt = threading.Event()
-        chunks = _chunks(items, numbered, halt)
-        head = next(chunks, (1 if numbered else None, []))
-        if len(head[1]) < _CHUNK:  # the whole corpus, or up to a read error
-            _pass(cfg, total, *head)
-            next(chunks, None)  # raises that read error, if no earlier error
-        else:
-            _pool_pass_all(cfg, total, chain([head], chunks), workers, halt)
-    if total.error is not None:
-        raise total.error
-    total.settle()
-    return total
 
 
 def _pool_pass_all(cfg: _Config, total: Curation, chunks: Iterator, workers: int, halt) -> None:
@@ -488,35 +444,29 @@ def curate_notes(
 
     Sentences written for ``template_threshold`` distinct patients are
     dropped (None keeps them); with no classifier, each mention stays a
-    task for an external one.  The first input error in line order is
-    raised, whatever the worker count.
+    task for an external one.  With ``workers`` above 1, a corpus longer
+    than one chunk is passed in a pool.  The first input error in line
+    order is raised, whatever the worker count.
     """
-    cfg = _Config.of(patients, matcher, classifier, template_threshold, (), day_range,
-                     include_maybe)
-    return _run(cfg, lines, True, workers)
+    cfg = _Config.of(patients, matcher, classifier, template_threshold, day_range, include_maybe)
+    total = Curation(cfg.threshold)
+    if workers <= 1:
+        _pass(cfg, total, 1, lines)
+    else:
+        import threading
 
-
-def build_presence(
-    notes: Iterable[ClinicalNote],
-    patients: Mapping[str, PatientRecord],
-    matcher: TermMatcher,
-    classifier: Classifier,
-    templates: Iterable[str] = (),
-    day_range: tuple[int, int] = DEFAULT_DAY_RANGE,
-    include_maybe: bool = False,
-    workers: int = 1,
-    group_ids: Sequence[str] | None = None,
-) -> tuple[SymptomPresenceTable, list[RejectedNote]]:
-    """Invert the corpus into (phenotype, day) -> patients with a YES mention.
-
-    Notes for unknown patients are reported in the rejects list, never
-    fatal.  Notes dated outside ``day_range`` and sentences whose
-    fingerprint is in ``templates`` are skipped.  ``notes`` is read once;
-    the output is independent of note order and worker count.
-    """
-    cfg = _Config.of(patients, matcher, classifier, None, templates, day_range, include_maybe)
-    curation = _run(cfg, notes, False, workers)
-    return curation.table(patients, day_range, group_ids), curation.rejects()
+        halt = threading.Event()
+        chunks = _chunks(lines, halt)
+        head = next(chunks, (1, []))
+        if len(head[1]) < _CHUNK:  # the whole corpus, or up to a read error
+            _pass(cfg, total, *head)
+            next(chunks, None)  # raises that read error, if no earlier error
+        else:
+            _pool_pass_all(cfg, total, chain([head], chunks), workers, halt)
+    if total.error is not None:
+        raise total.error
+    total.settle()
+    return total
 
 
 def _window_bits(table: SymptomPresenceTable, window: tuple[int, int]) -> dict[str, int]:

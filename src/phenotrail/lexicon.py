@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 from .bundled import LEXICON, data_path
 from .errors import InputError, open_text
@@ -128,10 +128,7 @@ class Lexicon:
         return tuple(g.group_id for g in self.groups)
 
 
-def load_lexicon(
-    source: IO[str] | str,
-    display_names: Mapping[str, str] | None = None,
-) -> Lexicon:
+def load_lexicon(source: IO[str] | str) -> Lexicon:
     """Parse a two-column ``group_id,term`` CSV stream into a Lexicon.
 
     Raises InputError (with the offending line number) for a missing or
@@ -140,7 +137,7 @@ def load_lexicon(
     """
     if isinstance(source, str):
         with open_text(source, "lexicon", newline="") as handle:
-            return load_lexicon(handle, display_names)
+            return load_lexicon(handle)
 
     reader = csv.reader(source)
     try:
@@ -181,13 +178,10 @@ def load_lexicon(
         caps = _caps_only(raw_term)
         caps_votes[term] = caps_votes.get(term, True) and caps
 
-    names = dict(DEFAULT_DISPLAY_NAMES)
-    if display_names:
-        names.update(display_names)
     groups = [
         PhenotypeGroup(
             group_id=g,
-            display_name=names.get(g, g),
+            display_name=DEFAULT_DISPLAY_NAMES.get(g, g),
             terms=tuple(terms_by_group[g]),
         )
         for g in order

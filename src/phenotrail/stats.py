@@ -391,8 +391,8 @@ def format_p_value(p: float) -> str:
     return format_p(math.log10(p)) if p < 1.0 else "1.00E+00"
 
 
-def format_ratio(ratio: float | None, marker: str = RATIO_UNDEFINED) -> str:
-    return marker if ratio is None else f"{ratio:.2f}"
+def format_ratio(ratio: float | None) -> str:
+    return RATIO_UNDEFINED if ratio is None else f"{ratio:.2f}"
 
 
 def format_fraction(value: float) -> str:

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
 from datetime import date
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -37,15 +36,6 @@ class ClinicalNote(NamedTuple):
     text: str
 
 
-@dataclass
-class Sentence:
-    note_id: str
-    index: int
-    start: int  # character offsets into the note text
-    end: int
-    text: str
-
-
 class PatientRecord(NamedTuple):
     patient_id: str
     pcr_date: date
@@ -62,51 +52,40 @@ def fingerprint(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def segment_sentences(note: ClinicalNote) -> list[Sentence]:
-    """Split note text into ordered, non-overlapping sentences.
+def segment_sentences(text: str) -> list[str]:
+    """Split a note text into its ordered sentences, each stripped and
+    non-empty.
 
     Boundaries occur after runs of ``.!?`` followed by whitespace or end
     of text, and at blank lines.  A period directly after a guard
     abbreviation does not split.  Text without any terminator yields a
     single sentence; empty text yields none.
     """
-    sentences: list[Sentence] = []
-    text = note.text
-    for block_start, block_end in _blocks(text):
-        block = text[block_start:block_end]
-        piece_start = 0
+    sentences: list[str] = []
+    for block in _BLANK_LINE_RE.split(text):
+        start = 0
         for match in _TERMINATOR_RE.finditer(block):
             end = match.end()
             if end < len(block) and not block[end].isspace():
                 continue
             if match.group() == "." and _is_guarded(block, match.start()):
                 continue
-            _append_sentence(sentences, note, block, block_start, piece_start, end)
-            piece_start = end
-        _append_sentence(sentences, note, block, block_start, piece_start, len(block))
-    return sentences
+            sentences.append(block[start:end].strip())
+            start = end
+        sentences.append(block[start:].strip())
+    return [sentence for sentence in sentences if sentence]
 
 
-def sentence_texts(note: ClinicalNote) -> list[str]:
-    """The texts of ``segment_sentences(note)``.
+def sentence_texts(text: str) -> list[str]:
+    """The same sentences as ``segment_sentences(text)``.
 
-    A note without a line break or a terminator followed by whitespace
-    is at most one sentence, its stripped text; no Sentence objects are
-    built for it.
+    A text without a line break or a terminator followed by whitespace
+    is at most one sentence, its stripped text, and skips the segmenter.
     """
-    text = note.text
     if "\n" not in text and _SPLIT_POINT_RE.search(text) is None:
         text = text.strip()
         return [text] if text else []
-    return [sentence.text for sentence in segment_sentences(note)]
-
-
-def _blocks(text: str) -> Iterator[tuple[int, int]]:
-    pos = 0
-    for match in _BLANK_LINE_RE.finditer(text):
-        yield pos, match.start()
-        pos = match.end()
-    yield pos, len(text)
+    return segment_sentences(text)
 
 
 def _is_guarded(block: str, term_start: int) -> bool:
@@ -117,32 +96,6 @@ def _is_guarded(block: str, term_start: int) -> bool:
     if not word or word not in ABBREVIATION_GUARDS:
         return False
     return i == 0 or not block[i - 1].isalnum()
-
-
-def _append_sentence(
-    sentences: list[Sentence],
-    note: ClinicalNote,
-    block: str,
-    block_start: int,
-    start: int,
-    end: int,
-) -> None:
-    piece = block[start:end]
-    stripped = piece.strip()
-    if not stripped:
-        return
-    lead = len(piece) - len(piece.lstrip())
-    abs_start = block_start + start + lead
-    abs_end = abs_start + len(stripped)
-    sentences.append(
-        Sentence(
-            note_id=note.note_id,
-            index=len(sentences),
-            start=abs_start,
-            end=abs_end,
-            text=stripped,
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +160,6 @@ def parse_notes(
 
 def duplicate_note_error(note_id: str, lineno: int) -> InputError:
     return InputError(f"notes line {lineno}: duplicate note_id {note_id!r}")
-
-
-def load_notes(source: IO[str] | str) -> list[ClinicalNote]:
-    """Read a JSON-lines note corpus, enforcing unique note ids."""
-    if isinstance(source, str):
-        with open_text(source, "notes") as handle:
-            return load_notes(handle)
-    return list(parse_notes(source))
 
 
 _RESULT_ALIASES = {"pos": "positive", "neg": "negative"}

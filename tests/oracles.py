@@ -15,6 +15,10 @@ export loader that builds sets of patient ids, the two-pass curation
 that holds the whole corpus (segmented once, then a template pass over
 full patient sets, then a scan of the kept sentences), and the roster
 loader that reads every file through the csv module.
+
+``curate_jsonl`` is no oracle: it is how tests that start from parsed
+notes reach the package's one curation entry, through the JSON lines
+that the CLI reads.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import mpmath
 import numpy as np
 
 from phenotrail.assertion import AssertionLabel
+from phenotrail.cohort import DEFAULT_DAY_RANGE, curate_notes
 from phenotrail.errors import InputError
 from phenotrail.textproc import PatientRecord, fingerprint, relative_day, sentence_texts
 from phenotrail.synth import (
@@ -41,6 +46,7 @@ from phenotrail.synth import (
     _NUMBER_SPAN,
     TEMPLATE_SENTENCES,
     _exclusive_terms,
+    write_notes_jsonl,
 )
 
 _TOKEN_RE = re.compile(r"(?:[^\W_]|')+")
@@ -444,9 +450,22 @@ def presence_export_oracle(source, patients, group_ids=None):
     return presence
 
 
+def curate_jsonl(notes, patients, matcher, classifier, template_threshold=None,
+                 day_range=DEFAULT_DAY_RANGE, include_maybe=False, workers=1, group_ids=None):
+    """(presence table, rejects) of ``notes`` written as JSON lines and
+    curated by ``cohort.curate_notes``.  ``template_threshold`` None keeps
+    template sentences; ``group_ids`` as for ``Curation.table``."""
+    stream = io.StringIO()
+    write_notes_jsonl(notes, stream)
+    stream.seek(0)
+    curation = curate_notes(stream, patients, matcher, classifier, template_threshold,
+                            day_range, include_maybe, workers)
+    return curation.table(patients, day_range, group_ids), curation.rejects()
+
+
 def segment_notes(notes):
     """Each note's sentences as (text, fingerprint) pairs, in note order."""
-    return [[(text, fingerprint(text)) for text in sentence_texts(note)] for note in notes]
+    return [[(text, fingerprint(text)) for text in sentence_texts(note.text)] for note in notes]
 
 
 def template_fingerprints_oracle(notes, threshold, segmented):

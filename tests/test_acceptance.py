@@ -13,6 +13,7 @@ computes from the derived counts is independently verified.
 
 import contextlib
 import csv
+import io
 import math
 import random
 import time
@@ -21,13 +22,7 @@ import pytest
 
 from phenotrail import bundled
 from phenotrail.assertion import AssertionLabel, RuleClassifier, evaluate
-from phenotrail.cohort import (
-    build_presence,
-    daily_counts,
-    template_fingerprints,
-    window_presence,
-    write_presence_csv,
-)
+from phenotrail.cohort import daily_counts, window_presence, write_presence_csv
 from phenotrail.coexpr import CellInfo, ExpressionMatrix, coexpression_summary, normalize_cp10k
 from phenotrail.lexicon import build_matcher, load_default_lexicon
 from phenotrail.stats import (
@@ -38,11 +33,12 @@ from phenotrail.stats import (
     pair_rows,
     two_tailed_log10_p,
 )
-from phenotrail.synth import SynthConfig, calibrate_from_daily_table, generate
-from phenotrail.textproc import segment_sentences
+from phenotrail.synth import SynthConfig, calibrate_from_daily_table, generate, write_notes_jsonl
+from phenotrail.textproc import parse_notes, segment_sentences
 
 from oracles import (
     bh_oracle,
+    curate_jsonl,
     fisher_oracle_all_p,
     log10_two_tailed_oracle,
     matcher_oracle,
@@ -117,13 +113,11 @@ def full_corpus(lexicon, daily_reference):
     return config, generate(config, lexicon)
 
 
-def curate(notes, patients, matcher, lexicon, workers=1, threshold=20):
-    templates = template_fingerprints(notes, threshold)
-    table, rejects = build_presence(
-        notes, patients, matcher, RuleClassifier(),
-        templates=templates, workers=workers, group_ids=lexicon.group_ids,
-    )
-    return table, rejects, templates
+def curate(notes, patients, matcher, lexicon, workers=1):
+    """The presence table and rejects of the notes, curated through JSON
+    lines at the default template threshold."""
+    return curate_jsonl(notes, patients, matcher, RuleClassifier(), 20,
+                        workers=workers, group_ids=lexicon.group_ids)
 
 
 def test_criterion_01_week_enrichment_reproduction():
@@ -379,7 +373,7 @@ def test_criterion_07_round_trip_full_scale(lexicon, matcher, full_corpus):
         config, corpus = full_corpus
         notes = corpus.notes
         patients = {p.patient_id: p for p in corpus.patients}
-        table, rejects, templates = curate(notes, patients, matcher, lexicon)
+        table, rejects = curate(notes, patients, matcher, lexicon)
         assert rejects == []
 
         counts = {(g, d): (kp, kn)
@@ -420,16 +414,19 @@ def test_criterion_08_classifier_evaluation(matcher, full_corpus):
         gold_by_key = {(sid, idx): label for sid, idx, label in corpus.gold}
         classifier = RuleClassifier()
         gold, predicted = [], []
-        for note in corpus.notes:
-            for sentence in segment_sentences(note):
-                key = (f"{note.note_id}:{sentence.index}", 0)
+        lines = io.StringIO()
+        write_notes_jsonl(corpus.notes, lines)
+        lines.seek(0)
+        for note in parse_notes(lines):  # the notes as the CLI reads them
+            for index, sentence in enumerate(segment_sentences(note.text)):
+                key = (f"{note.note_id}:{index}", 0)
                 expected = gold_by_key.get(key)
                 if expected is None:
                     continue
-                mentions = matcher.find_mentions(sentence.text)
-                assert mentions, sentence.text
+                mentions = matcher.find_mentions(sentence)
+                assert mentions, sentence
                 span = (mentions[0].start, mentions[0].end)
-                label, _conf = classifier.classify(sentence.text, span)
+                label, _conf = classifier.classify(sentence, span)
                 gold.append(expected)
                 predicted.append(label)
         assert len(gold) == len(corpus.gold)
@@ -456,13 +453,11 @@ def test_criterion_09_throughput_and_worker_identity(lexicon, matcher):
         patients = {p.patient_id: p for p in corpus.patients}
 
         start = time.perf_counter()
-        serial, _, _ = curate(notes, patients, matcher, lexicon, workers=1)
+        serial, _ = curate(notes, patients, matcher, lexicon, workers=1)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"single-worker curate took {elapsed:.1f}s"
 
-        parallel, _, _ = curate(notes, patients, matcher, lexicon, workers=2)
-        import io
-
+        parallel, _ = curate(notes, patients, matcher, lexicon, workers=2)
         buffers = []
         for table in (serial, parallel):
             buffer = io.StringIO()

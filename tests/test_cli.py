@@ -281,15 +281,6 @@ class TestCurateCommand:
 class TestCurateStream:
     """curate reads the notes file once, line by line, at any worker count."""
 
-    def test_never_loads_the_corpus_as_a_list(self, corpus_dir, tmp_path, monkeypatch):
-        from phenotrail import textproc
-
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("curate called textproc.load_notes")
-
-        monkeypatch.setattr(textproc, "load_notes", refuse)
-        assert run(["curate", *corpus_args(corpus_dir), "--out", str(tmp_path / "out")]) == 0
-
     @staticmethod
     def _corpus(tmp_path, n=4400):
         return [json.dumps({"patient_id": f"P{k % 7}", "note_id": f"n{k}",
@@ -526,6 +517,22 @@ class TestPipelineStats:
         assert main([command, *inputs, "--window=-7..3", "--day-range=-14..2",
                      "--out", str(tmp_path / "out")]) == 2
         assert "outside day range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sources", [("notes", "presence"), ("notes", "from_counts"),
+                                         ("presence", "from_counts")], ids="+".join)
+    @pytest.mark.parametrize("command", sorted(TABLE_FILES))
+    def test_two_inputs_exit_code(self, corpus_dir, curated_dir, tmp_path, capsys, command,
+                                  sources):
+        inputs = {
+            "notes": ["--notes", str(corpus_dir / "notes.jsonl")],
+            "presence": ["--presence", str(curated_dir / "presence_long.csv")],
+            "from_counts": ["--from-counts", REFERENCES[command]],
+        }
+        argv = [command, *inputs[sources[0]], *inputs[sources[1]],
+                "--patients", str(corpus_dir / "patients.csv"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_degenerate_template_threshold_rejected(self, corpus_dir, tmp_path, capsys):
@@ -960,6 +967,18 @@ class TestManifest:
         assert rerun_from_manifest(str(manifest), str(replay)) == 0
         for name in ("presence.csv", "presence_long.csv", "rejects.csv"):
             assert filecmp.cmp(root / "first" / name, replay / name, shallow=False), name
+
+    def test_rerun_replaces_an_out_given_with_equals(self, tmp_path, corpus_dir):
+        first = tmp_path / "first"
+        assert main(["curate", *corpus_args(corpus_dir), f"--out={first}"]) == 0
+        manifest = tmp_path / "manifest.json"
+        shutil.move(first / "manifest.json", manifest)
+        shutil.rmtree(first)
+        replay = tmp_path / "replay"
+        assert rerun_from_manifest(str(manifest), str(replay)) == 0
+        assert not first.exists()
+        assert json.loads((replay / "manifest.json").read_text())["argv"][-1] == f"--out={replay}"
+        assert (replay / "presence.csv").exists()
 
     def test_rerun_rejects_changed_input(self, curated_run):
         root, manifest = curated_run

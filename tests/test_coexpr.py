@@ -37,11 +37,6 @@ class TestNormalize:
         assert normalize_cp10k(5, 2000) == pytest.approx(math.log(26.0), rel=1e-12)
         assert normalize_cp10k(5, 2000) == pytest.approx(3.2581, abs=1e-4)
 
-    def test_configurable_base(self):
-        assert normalize_cp10k(5, 2000, log_base=2) == pytest.approx(
-            math.log2(26.0), rel=1e-12
-        )
-
     def test_zero_total_rejected(self):
         with pytest.raises(InputError):
             normalize_cp10k(0, 0)
@@ -216,6 +211,22 @@ class TestIO:
                 io.StringIO("3 2 1\n9 0 5\n"), io.StringIO(CELLS_TEXT),
                 io.StringIO(GENES_TEXT),
             )
+
+    def test_cell_annotation_rows(self):
+        padded = "cell_id, tissue ,cell_type\n c0 , lung ,t2\n\nc1,lung, t2 \n\nc2,gut,enterocyte\n"
+        matrix = load_triplet_matrix(
+            io.StringIO(MATRIX_TEXT), io.StringIO(padded), io.StringIO(GENES_TEXT)
+        )
+        assert matrix.cells == (cell(0), cell(1), cell(2, "gut", "enterocyte"))
+        for text, message in (
+            ("", "cells file is empty"),
+            ("cell_id,tissue\nc0,lung\n", "cells header must be 'cell_id,tissue,cell_type'"),
+            ("cell_id,tissue,cell_type\nc0,lung,t2\n\nc1,lung\n", "cells line 4: expected 3 fields"),
+            ("cell_id,tissue,cell_type\nc0,lung,t2\n \n", "cells line 3: expected 3 fields"),
+        ):
+            with pytest.raises(InputError, match=re.escape(message)):
+                load_triplet_matrix(io.StringIO(MATRIX_TEXT), io.StringIO(text),
+                                    io.StringIO(GENES_TEXT))
 
     def test_csv_output(self):
         matrix = load_triplet_matrix(

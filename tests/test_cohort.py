@@ -14,7 +14,6 @@ from phenotrail.cohort import (
     DEFAULT_DAY_RANGE,
     PatientBits,
     SymptomPresenceTable,
-    build_presence,
     check_window,
     daily_counts,
     load_presence_long_csv,
@@ -27,9 +26,9 @@ from phenotrail.cohort import (
 from phenotrail.errors import InputError
 from phenotrail.lexicon import build_matcher, load_default_lexicon
 from phenotrail.stats import daily_rows, enrichment_rows, pair_rows
-from phenotrail.textproc import ClinicalNote, PatientRecord, fingerprint, load_notes
+from phenotrail.textproc import ClinicalNote, PatientRecord, parse_notes
 
-from oracles import presence_export_oracle, segment_notes, two_pass_curation
+from oracles import curate_jsonl, presence_export_oracle, segment_notes, two_pass_curation
 
 PCR_DAY = date(2020, 3, 10)
 
@@ -60,9 +59,11 @@ def roster(**kwargs):
 
 
 class TestBuildPresence:
+    """The presence map that curation builds from notes."""
+
     def test_single_affirmed_mention(self, matcher, classifier):
         patients = roster(p1="positive")
-        table, rejects = build_presence(
+        table, rejects = curate_jsonl(
             [note("p1", -3, "Patient reports fever.")], patients, matcher, classifier
         )
         assert rejects == []
@@ -71,7 +72,7 @@ class TestBuildPresence:
 
     def test_denied_mention_excluded(self, matcher, classifier):
         patients = roster(p1="positive")
-        table, _ = build_presence(
+        table, _ = curate_jsonl(
             [note("p1", -3, "Patient denies fever.")], patients, matcher, classifier
         )
         assert table.presence == {}
@@ -79,9 +80,9 @@ class TestBuildPresence:
     def test_maybe_excluded_by_default_included_on_request(self, matcher, classifier):
         patients = roster(p1="positive")
         notes = [note("p1", -2, "Possible fever noted.")]
-        table, _ = build_presence(notes, patients, matcher, classifier)
+        table, _ = curate_jsonl(notes, patients, matcher, classifier)
         assert table.presence == {}
-        table, _ = build_presence(
+        table, _ = curate_jsonl(
             notes, patients, matcher, classifier, include_maybe=True
         )
         assert table.patients("fever_chills", -2) == {"p1"}
@@ -92,7 +93,7 @@ class TestBuildPresence:
             note("p1", -2, "Cough noted.", "a"),
             note("p1", -2, "Reports a dry cough tonight.", "b"),
         ]
-        table, _ = build_presence(notes, patients, matcher, classifier)
+        table, _ = curate_jsonl(notes, patients, matcher, classifier)
         assert table.patients("cough", -2) == {"p1"}
 
     def test_unknown_patient_rejected_not_fatal(self, matcher, classifier):
@@ -101,7 +102,7 @@ class TestBuildPresence:
             note("ghost", -1, "Fever."),
             note("p1", -1, "Fever."),
         ]
-        table, rejects = build_presence(notes, patients, matcher, classifier)
+        table, rejects = curate_jsonl(notes, patients, matcher, classifier)
         assert [r.note_id for r in rejects] == ["ghost--1-a"]
         assert "unknown patient_id" in rejects[0].reason
         assert table.patients("fever_chills", -1) == {"p1"}
@@ -109,25 +110,24 @@ class TestBuildPresence:
     def test_day_range_excludes_distant_notes(self, matcher, classifier):
         patients = roster(p1="positive")
         notes = [note("p1", -20, "Fever."), note("p1", 3, "Fever.")]
-        table, _ = build_presence(
+        table, _ = curate_jsonl(
             notes, patients, matcher, classifier, day_range=(-14, 14)
         )
         assert table.patients("fever_chills", -20) == set()
         assert table.patients("fever_chills", 3) == {"p1"}
 
     def test_template_sentences_dropped(self, matcher, classifier):
-        patients = roster(p1="positive")
+        patients = roster(p1="positive", p2="negative")
         template = "Call the clinic if fever develops."
-        notes = [note("p1", -2, template)]
-        table, _ = build_presence(
-            notes, patients, matcher, classifier,
-            templates={fingerprint(template)},
-        )
+        notes = [note("p1", -2, template), note("p2", -2, template)]
+        table, _ = curate_jsonl(notes, patients, matcher, classifier, template_threshold=2)
         assert table.presence == {}
+        table, _ = curate_jsonl(notes, patients, matcher, classifier, template_threshold=3)
+        assert table.patients("fever_chills", -2) == {"p1", "p2"}
 
     def test_multi_group_mention_counts_everywhere(self, matcher, classifier):
         patients = roster(p1="positive")
-        table, _ = build_presence(
+        table, _ = curate_jsonl(
             [note("p1", -4, "Had vomiting diarrhea this morning.")],
             patients, matcher, classifier,
         )
@@ -144,8 +144,8 @@ class TestBuildPresence:
         ]
         shuffled = notes[:]
         random.Random(3).shuffle(shuffled)
-        t1, _ = build_presence(notes, patients, matcher, classifier)
-        t2, _ = build_presence(shuffled, patients, matcher, classifier)
+        t1, _ = curate_jsonl(notes, patients, matcher, classifier)
+        t2, _ = curate_jsonl(shuffled, patients, matcher, classifier)
         assert t1.presence == t2.presence
 
     def test_worker_merge_identical(self, matcher, classifier):
@@ -165,8 +165,8 @@ class TestBuildPresence:
         for i in range(3000):
             pid = f"p{rng.randint(0, 39)}"
             notes.append(note(pid, rng.randint(-7, 0), rng.choice(texts), suffix=str(i)))
-        serial, _ = build_presence(notes, patients, matcher, classifier, workers=1)
-        parallel, _ = build_presence(notes, patients, matcher, classifier, workers=2)
+        serial, _ = curate_jsonl(notes, patients, matcher, classifier, workers=1)
+        parallel, _ = curate_jsonl(notes, patients, matcher, classifier, workers=2)
         assert serial.presence == parallel.presence
 
     def test_presegmented_notes(self, matcher, classifier):
@@ -174,18 +174,20 @@ class TestBuildPresence:
         notes = [note("p1", -2, "Fever. Denies  Cough."), note("p2", -1, "Cough today.")]
         segmented = segment_notes(notes)
         assert segmented[0] == [("Fever.", "fever."), ("Denies  Cough.", "denies cough.")]
-        table, _ = build_presence(notes, patients, matcher, classifier)
+        table, _ = curate_jsonl(notes, patients, matcher, classifier)
         assert {key: table.patients(*key) for key in table.presence} == {
             ("fever_chills", -2): {"p1"}, ("cough", -1): {"p2"}}
-        # A template fingerprint drops its sentence wherever it occurs.
-        table, _ = build_presence(notes, patients, matcher, classifier,
-                                  templates={"denies cough.", "cough today."})
+        # A template fingerprint drops its sentence wherever it occurs: a
+        # third patient makes "cough today." a template at threshold 2.
+        notes.append(note("p3", -1, "COUGH  today."))
+        table, _ = curate_jsonl(notes, {**patients, **roster(p3="positive")}, matcher,
+                                classifier, template_threshold=2)
         assert {key: table.patients(*key) for key in table.presence} == {
             ("fever_chills", -2): {"p1"}}
 
     def test_invalid_day_range(self, matcher, classifier):
         with pytest.raises(InputError):
-            build_presence([], {}, matcher, classifier, day_range=(3, -3))
+            curate_jsonl([], {}, matcher, classifier, day_range=(3, -3))
 
 
 class TestWindowPresence:
@@ -197,7 +199,7 @@ class TestWindowPresence:
             note("p3", 0, "Fever."),
             note("p2", -1, "Cough."),
         ]
-        table, _ = build_presence(notes, patients, matcher, classifier)
+        table, _ = curate_jsonl(notes, patients, matcher, classifier)
         return table
 
     def test_union_semantics(self, matcher, classifier):
@@ -244,7 +246,7 @@ class TestWindowPresence:
             assert len(neg) <= table.cohort_sizes["negative"]
 
     def test_empty_presence(self, matcher, classifier):
-        table, _ = build_presence(
+        table, _ = curate_jsonl(
             [], roster(p1="positive"), matcher, classifier,
             group_ids=("fever_chills", "cough"),
         )
@@ -256,7 +258,7 @@ class TestAggregations:
     def test_daily_counts(self, matcher, classifier):
         patients = roster(p1="positive", p2="negative")
         notes = [note("p1", -3, "Fever."), note("p2", -3, "Fever.")]
-        table, _ = build_presence(notes, patients, matcher, classifier)
+        table, _ = curate_jsonl(notes, patients, matcher, classifier)
         rows = daily_counts(table, (-3, -2))
         assert ("fever_chills", -3, 1, 1) in rows
         assert ("fever_chills", -2, 0, 0) in rows
@@ -268,7 +270,7 @@ class TestAggregations:
             note("p2", -2, "Fever."),
             note("p3", -1, "Fever. Dry cough too."),
         ]
-        table, _ = build_presence(notes, patients, matcher, classifier)
+        table, _ = curate_jsonl(notes, patients, matcher, classifier)
         rows = dict()
         for a, b, kp, kn in pair_counts(table, (-7, -1)):
             rows[(a, b)] = (kp, kn)
@@ -281,7 +283,7 @@ class TestAggregations:
             note("p2", -2, "Fever. Chills. Cough!"),
             note("p3", -5, "Cough."),
         ]
-        table, _ = build_presence(notes, patients, matcher, classifier)
+        table, _ = curate_jsonl(notes, patients, matcher, classifier)
         singles = window_presence(table, -7, -1)
         for a, b, kp, kn in pair_counts(table, (-7, -1)):
             assert kp <= min(len(singles[a][0]), len(singles[b][0]))
@@ -296,7 +298,7 @@ class TestTableBridges:
             note("p2", -2, "Fever."),
             note("p3", -1, "Fever. Dry cough too."),
         ]
-        table, _ = build_presence(notes, patients, matcher, classifier)
+        table, _ = curate_jsonl(notes, patients, matcher, classifier)
         return table
 
     def _rows(self, build, counts, matcher, classifier, **options):
@@ -328,7 +330,7 @@ class TestTableBridges:
 
     def test_pairwise_needs_two_groups(self, matcher, classifier):
         patients = roster(p1="positive")
-        table, _ = build_presence(
+        table, _ = curate_jsonl(
             [note("p1", -3, "Fever.")], patients, matcher, classifier
         )
         with pytest.raises(InputError, match="at least 2"):
@@ -339,7 +341,7 @@ class TestExports:
     def test_presence_csv(self, matcher, classifier):
         patients = roster(p1="positive", p2="negative")
         notes = [note("p1", -3, "Fever."), note("p2", -3, "Fever.")]
-        table, _ = build_presence(notes, patients, matcher, classifier)
+        table, _ = curate_jsonl(notes, patients, matcher, classifier)
         buffer = io.StringIO()
         write_presence_csv(table, buffer)
         lines = buffer.getvalue().strip().splitlines()
@@ -354,7 +356,7 @@ class TestExports:
             note("p2", -2, "Cough."),
             note("p2", -3, "Fever and cough."),
         ]
-        table, _ = build_presence(notes, patients, matcher, classifier)
+        table, _ = curate_jsonl(notes, patients, matcher, classifier)
         buffer = io.StringIO()
         write_presence_long_csv(table, buffer)
         buffer.seek(0)
@@ -560,7 +562,7 @@ def stream_corpora(draw):
 
 
 def oracle_outcome(lines, matcher, classifier, threshold, include_maybe):
-    notes = load_notes(io.StringIO("".join(lines)))
+    notes = list(parse_notes(lines))
     presence, rejects, tasks = two_pass_curation(
         notes, STREAM_ROSTER, matcher, classifier, threshold, DEFAULT_DAY_RANGE, include_maybe)
     return {key: members for key, members in presence.items()}, rejects, tasks
@@ -574,8 +576,8 @@ def stream_outcome(curation):
 
 def chunked_curation(lines, matcher, classifier, threshold, include_maybe, size):
     """What the pool does, in-process: one pass per chunk, merged in order."""
-    cfg = cohort._Config.of(STREAM_ROSTER, matcher, classifier, threshold, (),
-                            DEFAULT_DAY_RANGE, include_maybe)
+    cfg = cohort._Config.of(STREAM_ROSTER, matcher, classifier, threshold, DEFAULT_DAY_RANGE,
+                            include_maybe)
     total = cohort.Curation(threshold)
     for start in range(0, len(lines), size):
         part = cohort._pass(cfg, cohort.Curation(threshold), start + 1, lines[start:start + size])
@@ -632,8 +634,7 @@ class TestCurationStream:
         wide = cohort.TemplateCounter(100)
         for k in range(40):
             wide.count("b", f"p{k % 30}")
-        assert wide.holders[0] == {f"p{k}" for k in range(30)}
-        assert wide.templates() == set() and counter.templates() == {"a"}
+        assert wide.holders == [{f"p{k}" for k in range(30)}]  # no template
 
     @given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from([f"p{k}" for k in range(14)])),
                     max_size=60),
@@ -651,7 +652,6 @@ class TestCurationStream:
         for fp, pid in pairs[cut:]:
             right.count(fp, pid)
         renumbered = left.merge(right)
-        assert left.templates() == whole.templates()
         assert [fp for fp in left.numbers] == [fp for fp in whole.numbers]
         assert renumbered == [left.numbers[fp] for fp in right.numbers]
         for fp, number in whole.numbers.items():
@@ -663,13 +663,15 @@ class TestCurationStream:
 
     def test_one_shot_generator_equals_list(self, matcher, classifier):
         rng = random.Random(4)
-        notes = [note(f"p{rng.randint(0, 5)}", rng.randint(-9, 3),
-                      rng.choice(STREAM_SENTENCES), suffix=str(k)) for k in range(2500)]
-        listed, list_rejects = build_presence(notes, STREAM_ROSTER, matcher, classifier)
+        lines = [json.dumps({"patient_id": f"p{rng.randint(0, 5)}", "note_id": f"n{k}",
+                             "date": (PCR_DAY + timedelta(days=rng.randint(-9, 3))).isoformat(),
+                             "text": rng.choice(STREAM_SENTENCES)}) + "\n"
+                 for k in range(2500)]
+        listed = cohort.curate_notes(lines, STREAM_ROSTER, matcher, classifier)
         for workers in (1, 2):
-            streamed, rejects = build_presence((n for n in notes), STREAM_ROSTER, matcher,
-                                               classifier, workers=workers)
-            assert streamed.presence == listed.presence and rejects == list_rejects
+            streamed = cohort.curate_notes((line for line in lines), STREAM_ROSTER, matcher,
+                                           classifier, workers=workers)
+            assert stream_outcome(streamed) == stream_outcome(listed)
 
     def test_pool_equals_serial_over_many_small_chunks(self, matcher, classifier, monkeypatch):
         rng = random.Random(8)

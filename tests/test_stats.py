@@ -304,5 +304,4 @@ class TestFormatting:
     def test_ratio_and_fraction(self):
         assert format_ratio(37.4435) == "37.44"
         assert format_ratio(None) == "-"
-        assert format_ratio(None, marker="NA") == "NA"
         assert format_fraction(0.0719) == "0.07"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from phenotrail import synth
 from phenotrail.assertion import AssertionLabel, RuleClassifier, write_gold_labels
-from phenotrail.cohort import build_presence, daily_counts, template_fingerprints
+from phenotrail.cohort import curate_notes, daily_counts
 from phenotrail.errors import InputError
 from phenotrail.lexicon import Lexicon, PhenotypeGroup, build_matcher, load_default_lexicon
 from phenotrail.synth import (
@@ -22,9 +22,9 @@ from phenotrail.synth import (
     write_notes_jsonl,
     write_patients_csv,
 )
-from phenotrail.textproc import ClinicalNote, fingerprint, load_notes, segment_sentences
+from phenotrail.textproc import ClinicalNote, fingerprint, parse_notes, segment_sentences
 
-from oracles import generate_oracle, write_corpus_oracle
+from oracles import curate_jsonl, generate_oracle, write_corpus_oracle
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +193,7 @@ class TestGenerate:
         buffer = io.StringIO()
         write_notes_jsonl(corpus.notes, buffer)
         buffer.seek(0)
-        parsed = load_notes(buffer)
+        parsed = list(parse_notes(buffer))
         assert len(parsed) == len(corpus.notes)
         by_id = {p.patient_id: p for p in corpus.patients}
         for note in parsed:
@@ -209,9 +209,7 @@ class TestGenerate:
         )
         corpus = generate(config, lexicon)
         patients = {p.patient_id: p for p in corpus.patients}
-        table, rejects = build_presence(
-            corpus.notes, patients, matcher, RuleClassifier()
-        )
+        table, rejects = curate_jsonl(corpus.notes, patients, matcher, RuleClassifier())
         assert rejects == []
         assert len(table.patients("fever_chills", -4)) == 60
 
@@ -222,16 +220,16 @@ class TestGenerate:
         template_fps = {fingerprint(t) for t in TEMPLATE_SENTENCES}
         clf = RuleClassifier()
         for note in corpus.notes:
-            for sentence in segment_sentences(note):
-                key = (f"{note.note_id}:{sentence.index}", 0)
-                if fingerprint(sentence.text) in template_fps:
+            for index, sentence in enumerate(segment_sentences(note.text)):
+                key = (f"{note.note_id}:{index}", 0)
+                if fingerprint(sentence) in template_fps:
                     assert key not in gold
                     continue
                 assert key in gold
-                mentions = matcher.find_mentions(sentence.text)
+                mentions = matcher.find_mentions(sentence)
                 assert len(mentions) == 1
                 span = (mentions[0].start, mentions[0].end)
-                label, _confidence = clf.classify(sentence.text, span)
+                label, _confidence = clf.classify(sentence, span)
                 assert label == gold[key]
 
     def test_affirmed_terms_are_group_exclusive(self, lexicon, matcher):
@@ -239,18 +237,29 @@ class TestGenerate:
         corpus = generate(small_config(seed=11), lexicon)
         gold = dict(((sid, idx), label) for sid, idx, label in corpus.gold)
         for note in corpus.notes:
-            for sentence in segment_sentences(note):
-                key = (f"{note.note_id}:{sentence.index}", 0)
+            for index, sentence in enumerate(segment_sentences(note.text)):
+                key = (f"{note.note_id}:{index}", 0)
                 if gold.get(key) is AssertionLabel.YES:
-                    (mention,) = matcher.find_mentions(sentence.text)
+                    (mention,) = matcher.find_mentions(sentence)
                     assert len(mention.group_ids) == 1
 
-    def test_templates_flagged_at_default_threshold(self, lexicon):
+    def test_templates_flagged_at_default_threshold(self, lexicon, matcher):
+        # Two of the injected templates name phenotypes; at the default
+        # threshold no mention of theirs is left for the classifier.
         config = small_config(n_pos=200, n_neg=400, template_rate=0.6, seed=13)
         corpus = generate(config, lexicon)
-        flagged = template_fingerprints(corpus.notes)
+        buffer = io.StringIO()
+        write_notes_jsonl(corpus.notes, buffer)
+        lines = buffer.getvalue().splitlines(keepends=True)
+        patients = {p.patient_id: p for p in corpus.patients}
         injected = {fingerprint(t) for t in TEMPLATE_SENTENCES}
-        assert injected <= flagged
+
+        def requested(threshold):
+            curation = curate_notes(lines, patients, matcher, None, threshold)
+            return {fingerprint(sentence) for sentence, _start, _end in curation.requests()}
+
+        assert len(injected & requested(None)) == 2
+        assert not injected & requested(20)
 
     def test_unknown_group_rejected(self, lexicon):
         config = SynthConfig(
@@ -277,11 +286,7 @@ class TestRoundTrip:
         )
         corpus = generate(config, lexicon)
         patients = {p.patient_id: p for p in corpus.patients}
-        notes = corpus.notes
-        templates = template_fingerprints(notes)
-        table, _ = build_presence(
-            notes, patients, matcher, RuleClassifier(), templates=templates
-        )
+        table, _ = curate_jsonl(corpus.notes, patients, matcher, RuleClassifier(), 20)
         counts = {
             (gid, day): (kp, kn) for gid, day, kp, kn in daily_counts(table, (-7, -1))
         }

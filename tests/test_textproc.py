@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenotrail.cohort import template_fingerprints
+from phenotrail.assertion import RuleClassifier
 from phenotrail.errors import InputError
+from phenotrail.lexicon import build_matcher, load_default_lexicon
 from phenotrail.textproc import (
     ClinicalNote,
     PatientRecord,
     fingerprint,
-    load_notes,
     load_patients,
+    parse_notes,
     relative_day,
     segment_sentences,
 )
 
-from oracles import load_patients_oracle, segment_notes
+from oracles import curate_jsonl, load_patients_oracle, segment_notes
 
 
 def note(text, note_id="n1", patient_id="p1", when=date(2020, 3, 10)):
@@ -28,59 +29,50 @@ def note(text, note_id="n1", patient_id="p1", when=date(2020, 3, 10)):
 
 class TestSegmentation:
     def test_two_terminated_clauses(self):
-        got = segment_sentences(note("Pt reports fever. Denies cough."))
-        assert [s.text for s in got] == ["Pt reports fever.", "Denies cough."]
-        assert [s.index for s in got] == [0, 1]
+        got = segment_sentences("Pt reports fever. Denies cough.")
+        assert got == ["Pt reports fever.", "Denies cough."]
 
     def test_guard_list_suppresses_split(self):
-        got = segment_sentences(note("Seen by Dr. Smith today"))
-        assert [s.text for s in got] == ["Seen by Dr. Smith today"]
-        got = segment_sentences(note("Pt. denies chest pain. Mrs. Jones agrees."))
-        assert [s.text for s in got] == ["Pt. denies chest pain.", "Mrs. Jones agrees."]
+        assert segment_sentences("Seen by Dr. Smith today") == ["Seen by Dr. Smith today"]
+        got = segment_sentences("Pt. denies chest pain. Mrs. Jones agrees.")
+        assert got == ["Pt. denies chest pain.", "Mrs. Jones agrees."]
 
     def test_empty_note(self):
-        assert segment_sentences(note("")) == []
-        assert segment_sentences(note("   \n  \n")) == []
+        assert segment_sentences("") == []
+        assert segment_sentences("   \n  \n") == []
 
     def test_single_line_without_terminator(self):
-        got = segment_sentences(note("no acute distress"))
-        assert [s.text for s in got] == ["no acute distress"]
+        assert segment_sentences("no acute distress") == ["no acute distress"]
 
     def test_blank_line_splits(self):
-        got = segment_sentences(note("First paragraph\n\nSecond paragraph"))
-        assert [s.text for s in got] == ["First paragraph", "Second paragraph"]
+        got = segment_sentences("First paragraph\n\nSecond paragraph")
+        assert got == ["First paragraph", "Second paragraph"]
 
     def test_exclamation_and_question(self):
-        got = segment_sentences(note("Fever resolved! Any cough? None."))
-        assert [s.text for s in got] == ["Fever resolved!", "Any cough?", "None."]
+        got = segment_sentences("Fever resolved! Any cough? None.")
+        assert got == ["Fever resolved!", "Any cough?", "None."]
 
     def test_guard_is_word_bounded(self):
         # "badr." ends with "dr" letters but the token is "badr"
-        got = segment_sentences(note("Saw badr. Next visit soon."))
-        assert len(got) == 2
+        assert len(segment_sentences("Saw badr. Next visit soon.")) == 2
 
     def test_spans_slice_note_text(self):
         text = "  Pt reports fever.  Denies cough!  \n\n Follow up with Dr. Smith. "
-        sentences = segment_sentences(note(text))
-        for s in sentences:
-            assert text[s.start:s.end] == s.text
+        pos = 0
+        for sentence in segment_sentences(text):  # each a slice, in order, none overlapping
+            start = text.index(sentence, pos)
+            assert not text[pos:start].strip()
+            pos = start + len(sentence)
+        assert not text[pos:].strip()
 
     @given(st.text(alphabet="abc .!?\nDrPtx", max_size=120))
     @settings(max_examples=300)
     def test_partition_property(self, text):
-        sentences = segment_sentences(note(text))
-        covered = [False] * len(text)
+        sentences = segment_sentences(text)
+        # In order, the sentences hold exactly the text's non-whitespace characters.
+        assert "".join("".join(s.split()) for s in sentences) == "".join(text.split())
         for s in sentences:
-            assert 0 <= s.start <= s.end <= len(text)
-            assert text[s.start:s.end] == s.text
-            for i in range(s.start, s.end):
-                assert not covered[i], "overlapping spans"
-                covered[i] = True
-        for i, flag in enumerate(covered):
-            if not flag:
-                assert text[i].isspace(), f"uncovered non-delimiter char at {i}"
-        starts = [s.start for s in sentences]
-        assert starts == sorted(starts)
+            assert s and s == s.strip()
 
     # Notes built from the pieces segmentation reacts to, so that both
     # one-sentence notes and notes that split are common.
@@ -93,45 +85,51 @@ class TestSegmentation:
     ))
     @settings(max_examples=400)
     def test_segment_notes_matches_segment_sentences(self, text):
-        expected = [s.text for s in segment_sentences(note(text))]
+        expected = segment_sentences(text)
         (pairs,) = segment_notes([note(text)])
         assert [t for t, _fp in pairs] == expected
         assert [fp for _t, fp in pairs] == [fingerprint(t) for t in expected]
 
 
-def sentence_notes(pairs):
-    """One note per (sentence, patient_id) pair."""
-    return [note(text, note_id=f"n{i}", patient_id=pid) for i, (text, pid) in enumerate(pairs)]
+def fever_patients(pairs, threshold):
+    """The patients with fever on day 0 once one note per (sentence,
+    patient_id) pair is curated at template ``threshold``."""
+    notes = [note(text, note_id=f"n{i}", patient_id=pid) for i, (text, pid) in enumerate(pairs)]
+    patients = {pid: PatientRecord(pid, date(2020, 3, 10), "positive") for _text, pid in pairs}
+    table, _ = curate_jsonl(notes, patients, build_matcher(load_default_lexicon()),
+                            RuleClassifier(), threshold)
+    return table.patients("fever_chills", 0)
 
 
 class TestTemplates:
     def test_cross_patient_duplication_flagged(self):
-        pairs = [("Take all medication as prescribed.", f"p{i}") for i in range(25)]
-        flagged = template_fingerprints(sentence_notes(pairs), threshold=20)
-        assert fingerprint("Take all medication as prescribed.") in flagged
+        pairs = [("Call the clinic if fever develops.", f"p{i}") for i in range(25)]
+        assert fever_patients(pairs, 20) == set()
+        assert len(fever_patients(pairs, 26)) == 25
 
     def test_single_patient_not_flagged(self):
-        pairs = [("Unique sentence here.", "p1")]
-        assert template_fingerprints(sentence_notes(pairs), threshold=2) == set()
+        assert fever_patients([("Fever since last night.", "p1")], 2) == {"p1"}
 
     def test_within_patient_repetition_not_flagged(self):
-        pairs = [("Same line every time.", "p1")] * 30
-        assert template_fingerprints(sentence_notes(pairs), threshold=2) == set()
+        assert fever_patients([("Fever since last night.", "p1")] * 30, 2) == {"p1"}
 
     def test_threshold_validated(self):
-        with pytest.raises(InputError):
-            template_fingerprints([], threshold=1)
+        with pytest.raises(InputError, match="template threshold"):
+            fever_patients([], 1)
 
     def test_fingerprint_normalizes_case_and_spacing(self):
         assert fingerprint("  Fever   NOTED. ") == fingerprint("fever noted.")
 
     def test_permutation_invariance(self):
+        # Sentence k is written by patients p0..p(3k), so at threshold 5
+        # the first ones are kept and the later ones are templates.
         rng = random.Random(11)
-        pairs = [(f"sentence {i % 7}.", f"p{rng.randint(0, 40)}") for i in range(300)]
+        pairs = [(f"Fever on day {i % 7}.", f"p{rng.randint(0, i % 7 * 3)}") for i in range(300)]
         shuffled = pairs[:]
         rng.shuffle(shuffled)
-        flagged = template_fingerprints(sentence_notes(pairs), 5)
-        assert flagged and flagged == template_fingerprints(sentence_notes(shuffled), 5)
+        kept = fever_patients(pairs, 5)
+        assert kept and kept != fever_patients(pairs, None)
+        assert kept == fever_patients(shuffled, 5)
 
 
 class TestRelativeDay:
@@ -155,7 +153,7 @@ class TestLoaders:
             '{"patient_id": "p1", "note_id": "n1", "date": "2020-03-01", "text": "Fever."}\n'
             '{"patient_id": "p2", "note_id": "n2", "date": "2020-03-02", "text": ""}\n'
         )
-        notes = load_notes(stream)
+        notes = list(parse_notes(stream))
         assert [n.note_id for n in notes] == ["n1", "n2"]
         assert notes[0].date == date(2020, 3, 1)
 
@@ -165,17 +163,17 @@ class TestLoaders:
             '{"patient_id": "p1", "note_id": "n1", "date": "2020-03-02", "text": "b"}\n'
         )
         with pytest.raises(InputError, match="duplicate note_id"):
-            load_notes(stream)
+            list(parse_notes(stream))
 
     def test_load_notes_bad_json_and_date(self):
         with pytest.raises(InputError, match="line 1"):
-            load_notes(io.StringIO("{broken\n"))
+            list(parse_notes(io.StringIO("{broken\n")))
         with pytest.raises(InputError, match="YYYY-MM-DD"):
-            load_notes(io.StringIO(
+            list(parse_notes(io.StringIO(
                 '{"patient_id": "p", "note_id": "n", "date": "03/01/2020", "text": ""}\n'
-            ))
+            )))
         with pytest.raises(InputError, match="missing keys"):
-            load_notes(io.StringIO('{"patient_id": "p"}\n'))
+            list(parse_notes(io.StringIO('{"patient_id": "p"}\n')))
 
     @pytest.mark.parametrize("key", ["patient_id", "note_id", "date", "text"])
     @pytest.mark.parametrize("value", [None, 7, ["a"]])
@@ -185,7 +183,7 @@ class TestLoaders:
         stream = io.StringIO('{"patient_id": "p0", "note_id": "n0", "date": "2020-03-01", '
                              '"text": ""}\n' + json.dumps(obj) + "\n")
         with pytest.raises(InputError, match=f"notes line 2: {key} must be a string"):
-            load_notes(stream)
+            list(parse_notes(stream))
 
     def test_load_patients(self):
         stream = io.StringIO(
