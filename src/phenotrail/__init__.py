@@ -47,6 +47,7 @@ from .synth import SynthConfig, calibrate_from_daily_table, generate  # noqa: F4
 from .textproc import (  # noqa: F401
     ClinicalNote,
     PatientRecord,
+    Roster,
     relative_day,
     segment_sentences,
 )

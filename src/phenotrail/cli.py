@@ -225,7 +225,7 @@ def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
     _require(args, "notes", "patients")
     # Compiled while the heap is small, so collections stay cheap.
     matcher = build_matcher(lexicon)
-    patients = textproc.load_patients(args.patients)
+    roster = textproc.load_patients(args.patients)
     dump_path = getattr(args, "dump_classification_requests", None)
     responses_path = getattr(args, "classification_responses", None)
     # An external classifier labels the mentions once the pass has
@@ -234,7 +234,7 @@ def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
     with open_text(args.notes, "notes") as lines:
         curation = cohort.curate_notes(
             lines,
-            patients,
+            roster,
             matcher,
             classifier,
             template_threshold=None if args.no_template_filter else args.template_threshold,
@@ -249,7 +249,7 @@ def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
     if responses_path:
         responses = assertion.read_classification_responses(responses_path, len(curation.tasks))
         curation.replay(assertion.PrecomputedClassifier(responses), args.include_maybe)
-    return curation.table(patients, args.day_range, lexicon.group_ids), curation.rejects()
+    return curation.table(roster, args.day_range, lexicon.group_ids), curation.rejects()
 
 
 def _presence_table(args: argparse.Namespace):
@@ -258,9 +258,9 @@ def _presence_table(args: argparse.Namespace):
     lexicon, lexicon_path = _load_lexicon_arg(args)
     if args.presence:
         _require(args, "patients")
-        patients = textproc.load_patients(args.patients)
+        roster = textproc.load_patients(args.patients)
         table = cohort.load_presence_long_csv(
-            args.presence, patients, args.day_range, lexicon.group_ids
+            args.presence, roster, args.day_range, lexicon.group_ids
         )
         source = args.presence
     else:
@@ -353,75 +353,16 @@ def _pair_counts(row, path, n_pos, n_neg) -> tuple[str, str, int, int]:
 # Table writers
 
 
-def _write_enrichment_csv(rows, names, n_pos, n_neg, stream: IO[str]) -> None:
+def _write_table(columns, rows, names, n_pos, n_neg, stream: IO[str]) -> None:
+    """One CSV row per stats row, one field per column of a ``_Table``."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([
-        "Phenotype",
-        f"COVID+ count (N={n_pos})",
-        f"COVID- count (N={n_neg})",
-        f"COVID+ proportion (N={n_pos})",
-        f"COVID- proportion (N={n_neg})",
-        "(COVID+/COVID-) relative ratio",
-        "2-tailed p-value",
-    ])
+    writer.writerow([header.format(n_pos=n_pos, n_neg=n_neg) for header, _, _ in columns])
     for row in rows:
-        writer.writerow([
-            names.get(row.group_id, row.group_id),
-            row.k_pos,
-            row.k_neg,
-            stats.format_fraction(row.p_pos),
-            stats.format_fraction(row.p_neg),
-            stats.format_ratio(row.ratio),
-            stats.format_p(row.log10_p),
-        ])
-
-
-def _write_timeline_csv(rows, names, n_pos, n_neg, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([
-        "Phenotype",
-        "Day",
-        f"COVID+ % (n={n_pos})",
-        f"COVID- % (n={n_neg})",
-        "Ratio (Positive/Negative)",
-        "p-value",
-    ])
-    for row in rows:
-        writer.writerow([
-            names.get(row.group_id, row.group_id),
-            row.day,
-            stats.format_fraction(row.pct_pos),
-            stats.format_fraction(row.pct_neg),
-            stats.format_ratio(row.ratio),
-            stats.format_p(row.log10_p),
-        ])
-
-
-def _write_pairwise_csv(rows, names, n_pos, n_neg, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([
-        "Phenotype 1",
-        "Phenotype 2",
-        f"COVID+ count (N={n_pos})",
-        f"COVID- count (N={n_neg})",
-        f"COVID+ % (N={n_pos})",
-        f"COVID- % (N={n_neg})",
-        "(COVID+)/(COVID-) ratio",
-        "raw p-value",
-        "BH-corrected p-value",
-    ])
-    for row in rows:
-        writer.writerow([
-            names.get(row.group_a, row.group_a),
-            names.get(row.group_b, row.group_b),
-            row.k_pos,
-            row.k_neg,
-            stats.format_fraction(row.pct_pos),
-            stats.format_fraction(row.pct_neg),
-            stats.format_ratio(row.ratio),
-            stats.format_p_value(row.p_raw),
-            stats.format_p_value(row.p_adjusted),
-        ])
+        fields = []
+        for _header, attr, render in columns:
+            value = getattr(row, attr)
+            fields.append(names.get(value, value) if render is None else render(value))
+        writer.writerow(fields)
 
 
 def _write_metrics_csv(metrics: assertion.EvalMetrics, stream: IO[str]) -> None:
@@ -472,13 +413,13 @@ def _cmd_curate(args, argv) -> int:
 
 def _pipeline_config(args) -> dict:
     return {
-        "window": list(getattr(args, "window", ())),
-        "day_range": list(getattr(args, "day_range", ())),
-        "template_threshold": getattr(args, "template_threshold", None),
-        "template_filter": not getattr(args, "no_template_filter", False),
-        "include_maybe": getattr(args, "include_maybe", False),
-        "workers": getattr(args, "workers", 1),
-        "lexicon": getattr(args, "lexicon", None) or "bundled",
+        "window": list(args.window),
+        "day_range": list(args.day_range),
+        "template_threshold": args.template_threshold,
+        "template_filter": not args.no_template_filter,
+        "include_maybe": args.include_maybe,
+        "workers": args.workers,
+        "lexicon": args.lexicon or "bundled",
     }
 
 
@@ -486,29 +427,55 @@ class _Table(NamedTuple):
     """What one statistics table command needs beyond the shared steps."""
 
     output: str
-    columns: tuple[str, ...]  # required --from-counts columns
+    required: tuple[str, ...]  # required --from-counts columns
     parse: Callable  # (counts row, path, n_pos, n_neg) -> counts tuple
     presence_counts: Callable  # (presence table, window) -> counts
     build: Callable  # (counts, n_pos, n_neg, **options) -> stats rows
-    write: Callable  # (rows, names, n_pos, n_neg, stream)
+    # (header, stats row attribute, render) per output column; a header
+    # may name {n_pos} and {n_neg}; render None prints a group's name.
+    columns: tuple[tuple[str, str, Callable | None], ...]
 
+
+_FRACTION = stats.format_fraction
+_RATIO = stats.format_ratio
 
 _TABLES = {
     "enrich": _Table(
         "enrichment.csv",
         ("phenotype", "pos_total", "neg_total", "pos_count", "neg_count"),
         _enrichment_counts, cohort.window_counts, stats.enrichment_rows,
-        _write_enrichment_csv,
+        (("Phenotype", "group_id", None),
+         ("COVID+ count (N={n_pos})", "k_pos", str),
+         ("COVID- count (N={n_neg})", "k_neg", str),
+         ("COVID+ proportion (N={n_pos})", "p_pos", _FRACTION),
+         ("COVID- proportion (N={n_neg})", "p_neg", _FRACTION),
+         ("(COVID+/COVID-) relative ratio", "ratio", _RATIO),
+         ("2-tailed p-value", "log10_p", stats.format_p)),
     ),
     "timeline": _Table(
         "timeline.csv",
         ("phenotype", "day", "pos_total", "neg_total"),
-        _daily_counts, cohort.daily_counts, stats.daily_rows, _write_timeline_csv,
+        _daily_counts, cohort.daily_counts, stats.daily_rows,
+        (("Phenotype", "group_id", None),
+         ("Day", "day", str),
+         ("COVID+ % (n={n_pos})", "pct_pos", _FRACTION),
+         ("COVID- % (n={n_neg})", "pct_neg", _FRACTION),
+         ("Ratio (Positive/Negative)", "ratio", _RATIO),
+         ("p-value", "log10_p", stats.format_p)),
     ),
     "pairwise": _Table(
         "pairwise.csv",
         ("phenotype_a", "phenotype_b", "pos_total", "neg_total", "pos_count", "neg_count"),
-        _pair_counts, cohort.pair_counts, stats.pair_rows, _write_pairwise_csv,
+        _pair_counts, cohort.pair_counts, stats.pair_rows,
+        (("Phenotype 1", "group_a", None),
+         ("Phenotype 2", "group_b", None),
+         ("COVID+ count (N={n_pos})", "k_pos", str),
+         ("COVID- count (N={n_neg})", "k_neg", str),
+         ("COVID+ % (N={n_pos})", "pct_pos", _FRACTION),
+         ("COVID- % (N={n_neg})", "pct_neg", _FRACTION),
+         ("(COVID+)/(COVID-) ratio", "ratio", _RATIO),
+         ("raw p-value", "p_raw", stats.format_p_value),
+         ("BH-corrected p-value", "p_adjusted", stats.format_p_value)),
     ),
 }
 
@@ -518,7 +485,7 @@ def _cmd_table(args, argv) -> int:
     spec = _TABLES[args.command]
     cohort.check_window(args.window, args.day_range)
     if args.from_counts:
-        rows_in = _read_counts_csv(args.from_counts, spec.columns)
+        rows_in = _read_counts_csv(args.from_counts, spec.required)
         n_pos, n_neg = _uniform_totals(rows_in, args.from_counts)
         counts = [spec.parse(row, args.from_counts, n_pos, n_neg) for row in rows_in]
         names: dict[str, str] = {}  # labels print as read
@@ -534,7 +501,7 @@ def _cmd_table(args, argv) -> int:
         options["m_tests"] = len(counts) if args.m_tests is None else args.m_tests
     rows = spec.build(counts, n_pos, n_neg, **options)
     with open(_out_file(args.out, spec.output), "w", encoding="utf-8") as handle:
-        spec.write(rows, names, n_pos, n_neg, handle)
+        _write_table(spec.columns, rows, names, n_pos, n_neg, handle)
     write_manifest(args.out, argv, inputs, [spec.output],
                    {**_pipeline_config(args), **options})
     return 0

@@ -4,10 +4,10 @@ The pipeline joins notes, the patient roster, the term matcher and an
 assertion classifier.  Only mentions labeled YES count (optionally MAYBE
 as a sensitivity mode); template sentences are dropped first.  The map
 is keyed by (group_id, relative day).  Each cell is a set of patients
-held as the set bits of a Python int, where bit i stands for the i-th
-patient of the roster, so repeated mentions of one phenotype by one
-patient on one day collapse.  A window is the OR of its days, and the
-window, day and pair counts are bit counts of ANDs with the roster's
+held as the set bits of a Python int, where bit i stands for patient i
+of the ``Roster``, so repeated mentions of one phenotype by one patient
+on one day collapse.  A window is the OR of its days, and the window,
+day and pair counts are bit counts of ANDs with the roster's
 positive-arm bits.
 
 Curation has one entry, ``curate_notes``, and reads a JSON-lines
@@ -30,7 +30,6 @@ import io
 import re
 from array import array
 from dataclasses import dataclass
-from datetime import date
 from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -38,17 +37,15 @@ from .assertion import AssertionLabel, Classifier, PrecomputedClassifier
 from .errors import InputError, open_text
 from .lexicon import TermMatcher
 from .textproc import (
+    NEGATIVE,
+    POSITIVE,
     ClinicalNote,
-    PatientRecord,
+    Roster,
     duplicate_note_error,
     fingerprint,
     parse_notes,
-    relative_day,
     sentence_texts,
 )
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
 
 DEFAULT_DAY_RANGE = (-14, 14)
 DEFAULT_WINDOW = (-7, -1)
@@ -99,15 +96,14 @@ def _bits(indexes: Iterable[int], size: int) -> int:
 
 @dataclass
 class SymptomPresenceTable:
-    presence: dict[tuple[str, int], PatientBits]  # bit i: patient_ids[i]
+    presence: dict[tuple[str, int], PatientBits]  # bit i: patient i of the roster
     day_range: tuple[int, int]
     group_ids: tuple[str, ...]
-    patient_ids: tuple[str, ...]  # every rostered patient, in roster order
-    positive: int  # the bits of the PCR-positive patients
+    roster: Roster  # every rostered patient
 
     def members(self, bits: int) -> set[str]:
         """The patient ids of the set bits of ``bits``."""
-        ids = self.patient_ids
+        ids = self.roster.ids
         return {ids[i] for i in _indexes(bits)}
 
     def patients(self, group_id: str, day: int) -> set[str]:
@@ -115,36 +111,31 @@ class SymptomPresenceTable:
 
     def arm_counts(self, bits: int) -> tuple[int, int]:
         """(k_pos, k_neg): how many of the patients in ``bits`` are in each PCR arm."""
-        k_pos = (bits & self.positive).bit_count()
+        k_pos = (bits & self.roster.positive).bit_count()
         return k_pos, bits.bit_count() - k_pos
 
     @property
     def cohort_sizes(self) -> dict[str, int]:
         """Rostered patients per PCR arm."""
-        n_pos = self.positive.bit_count()
-        return {POSITIVE: n_pos, NEGATIVE: len(self.patient_ids) - n_pos}
+        n_pos = self.roster.positive.bit_count()
+        return {POSITIVE: n_pos, NEGATIVE: len(self.roster.ids) - n_pos}
 
     @classmethod
     def from_roster(
         cls,
         presence: Mapping[tuple[str, int], int],
-        patients: Mapping[str, PatientRecord],
+        roster: Roster,
         day_range: tuple[int, int],
         group_ids: Sequence[str] | None = None,
     ) -> SymptomPresenceTable:
-        """The table over every rostered patient; bit i of a cell stands
-        for the i-th patient of ``patients``.
+        """The table over every rostered patient.
 
         ``group_ids`` defaults to the groups that occur in ``presence``.
         """
-        positive = _bits(
-            (i for i, record in enumerate(patients.values()) if record.pcr_result == POSITIVE),
-            len(patients),
-        )
         if group_ids is None:
             group_ids = sorted({gid for gid, _day in presence})
         cells = {key: PatientBits(bits) for key, bits in presence.items()}
-        return cls(cells, day_range, tuple(group_ids), tuple(patients), positive)
+        return cls(cells, day_range, tuple(group_ids), roster)
 
 
 @dataclass(frozen=True)
@@ -230,7 +221,7 @@ _ACCEPTED = {False: frozenset({AssertionLabel.YES}),
 class _Config(NamedTuple):
     """What a pass needs besides its lines; pool workers inherit it."""
 
-    roster: dict[str, tuple[int, date, str]]  # patient id -> (bit, PCR date, the id)
+    roster: Roster
     matcher: TermMatcher
     classifier: Classifier | None  # None: keep each mention as a task
     threshold: int | None  # None: no template counting
@@ -238,12 +229,11 @@ class _Config(NamedTuple):
     accepted: frozenset[AssertionLabel]
 
     @classmethod
-    def of(cls, patients, matcher, classifier, threshold, day_range, include_maybe):
+    def of(cls, roster, matcher, classifier, threshold, day_range, include_maybe):
         if day_range[0] > day_range[1]:
             raise InputError(f"empty day range {day_range}")
         if threshold is not None:
             TemplateCounter(threshold)  # checks it before any note is read
-        roster = {pid: (i, record.pcr_date, pid) for i, (pid, record) in enumerate(patients.items())}
         return cls(roster, matcher, classifier, threshold, day_range, _ACCEPTED[include_maybe])
 
 
@@ -307,7 +297,7 @@ class Curation:
                     self.events.extend((-1, cell, i))
         self.tasks = []
 
-    def table(self, patients: Mapping[str, PatientRecord], day_range: tuple[int, int],
+    def table(self, roster: Roster, day_range: tuple[int, int],
               group_ids: Sequence[str] | None = None) -> SymptomPresenceTable:
         """Fold the events of non-template sentences into roster bits."""
         bits: list[bytearray | None] = [None] * len(self.cells)
@@ -315,11 +305,11 @@ class Curation:
         for f, c, i in zip(triples, triples, triples):
             if f < 0 or not flags[f]:
                 if bits[c] is None:
-                    bits[c] = bytearray((len(patients) + 7) >> 3)
+                    bits[c] = bytearray((len(roster.ids) + 7) >> 3)
                 bits[c][i >> 3] |= 1 << (i & 7)
         presence = {key: int.from_bytes(cell, "little")
                     for key, cell in zip(self.cells, bits) if cell is not None}
-        return SymptomPresenceTable.from_roster(presence, patients, day_range, group_ids)
+        return SymptomPresenceTable.from_roster(presence, roster, day_range, group_ids)
 
     def rejects(self) -> list[RejectedNote]:
         return sorted((RejectedNote(note_id, f"unknown patient_id {patient_id!r}")
@@ -333,18 +323,18 @@ def _scan(cfg: _Config, part: Curation, notes: Iterable[ClinicalNote]) -> None:
     notes outside the day range; only the sentences of in-range notes by
     rostered patients whose fingerprint is no template yet are matched.
     """
-    roster, find = cfg.roster, cfg.matcher.find_mentions
+    index, ids, day_of = cfg.roster.index, cfg.roster.ids, cfg.roster.day
+    find = cfg.matcher.find_mentions
     classify = None if cfg.classifier is None else cfg.classifier.classify
     count = None if part.counter is None else part.counter.count
     lo, hi = cfg.day_range
     for note in notes:
-        entry = roster.get(note.patient_id)
-        if entry is None:
+        i = index.get(note.patient_id)
+        if i is None:
             part.unknown.append((note.note_id, note.patient_id))
             patient_id, day = note.patient_id, None
         else:
-            i, pcr_date, patient_id = entry
-            day = relative_day(note.date, pcr_date)
+            patient_id, day = ids[i], day_of(i, note.date)  # the roster's copy of the id
             if day < lo or day > hi:
                 day = None
         if day is None and count is None:
@@ -432,7 +422,7 @@ def _pool_pass_all(cfg: _Config, total: Curation, chunks: Iterator, workers: int
 
 def curate_notes(
     lines: Iterable[str],
-    patients: Mapping[str, PatientRecord],
+    roster: Roster,
     matcher: TermMatcher,
     classifier: Classifier | None,
     template_threshold: int | None = 20,
@@ -448,7 +438,7 @@ def curate_notes(
     than one chunk is passed in a pool.  The first input error in line
     order is raised, whatever the worker count.
     """
-    cfg = _Config.of(patients, matcher, classifier, template_threshold, day_range, include_maybe)
+    cfg = _Config.of(roster, matcher, classifier, template_threshold, day_range, include_maybe)
     total = Curation(cfg.threshold)
     if workers <= 1:
         _pass(cfg, total, 1, lines)
@@ -487,7 +477,7 @@ def window_presence(
     table: SymptomPresenceTable, from_day: int, to_day: int
 ) -> dict[str, tuple[set[str], set[str]]]:
     """Union daily sets over [from_day, to_day], split by PCR arm."""
-    positive = table.positive
+    positive = table.roster.positive
     return {
         group_id: (table.members(bits & positive), table.members(bits & ~positive))
         for group_id, bits in _window_bits(table, (from_day, to_day)).items()
@@ -551,10 +541,7 @@ def write_presence_csv(table: SymptomPresenceTable, stream: IO[str]) -> None:
 def write_presence_long_csv(table: SymptomPresenceTable, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(PRESENCE_LONG_HEADER)
-    ids = table.patient_ids
-    arms = [NEGATIVE] * len(ids)
-    for i in _indexes(table.positive):
-        arms[i] = POSITIVE
+    ids, arms = table.roster.ids, table.roster.arms()
     for (group_id, day), bits in sorted(table.presence.items()):
         for patient_id, i in sorted((ids[i], i) for i in _indexes(bits)):
             writer.writerow([group_id, day, arms[i], patient_id])
@@ -569,7 +556,7 @@ def write_rejects_csv(rejects: Sequence[RejectedNote], stream: IO[str]) -> None:
 
 def load_presence_long_csv(
     source: IO[str] | str,
-    patients: Mapping[str, PatientRecord],
+    roster: Roster,
     day_range: tuple[int, int] = DEFAULT_DAY_RANGE,
     group_ids: Sequence[str] | None = None,
 ) -> SymptomPresenceTable:
@@ -587,23 +574,21 @@ def load_presence_long_csv(
     known = None if group_ids is None else frozenset(group_ids)
     if isinstance(source, str):
         with open(source, "rb") as raw:
-            presence = _index_export(raw, patients, known)
+            presence = _index_export(raw, roster, known)
         if presence is None:
             with open_text(source, "presence", newline="") as handle:
-                presence = _walk_export(handle, patients, known)
+                presence = _walk_export(handle, roster, known)
     else:
         text = source.read()
-        presence = _index_export(io.BytesIO(text.encode()), patients, known) \
+        presence = _index_export(io.BytesIO(text.encode()), roster, known) \
             if text.isascii() else None
         if presence is None:
-            presence = _walk_export(io.StringIO(text), patients, known)
-    return SymptomPresenceTable.from_roster(presence, patients, day_range, group_ids)
+            presence = _walk_export(io.StringIO(text), roster, known)
+    return SymptomPresenceTable.from_roster(presence, roster, day_range, group_ids)
 
 
 def _walk_export(
-    source: IO[str],
-    patients: Mapping[str, PatientRecord],
-    known: frozenset[str] | None,
+    source: IO[str], roster: Roster, known: frozenset[str] | None
 ) -> dict[tuple[str, int], int]:
     """The export's cells as roster bits, read one csv row at a time."""
     reader = csv.reader(source)
@@ -615,7 +600,7 @@ def _walk_export(
         raise InputError(
             f"presence header must be {','.join(PRESENCE_LONG_HEADER)!r}"
         )
-    index = {patient_id: i for i, patient_id in enumerate(patients)}
+    index, arms = roster.index, roster.arms()
     cells: dict[tuple[str, int], set[int]] = {}
     try:
         for lineno, row in enumerate(reader, start=2):
@@ -628,20 +613,20 @@ def _walk_export(
                 day = int(raw_day)
             except ValueError:
                 raise InputError(f"presence line {lineno}: bad relative_day {raw_day!r}") from None
-            record = patients.get(patient_id)
-            if record is None:
+            i = index.get(patient_id)
+            if i is None:
                 raise InputError(f"presence line {lineno}: unknown patient {patient_id!r}")
-            if record.pcr_result != cohort:
+            if arms[i] != cohort:
                 raise InputError(
                     f"presence line {lineno}: cohort {cohort!r} does not match patient "
-                    f"{patient_id!r} ({record.pcr_result})"
+                    f"{patient_id!r} ({arms[i]})"
                 )
             members = cells.get((group_id, day))
             if members is None:  # the first row of a group makes one of its keys
                 if known is not None and group_id not in known:
                     raise InputError(f"presence line {lineno}: unknown group {group_id!r}")
                 members = cells[(group_id, day)] = set()
-            members.add(index[patient_id])
+            members.add(i)
     except csv.Error as exc:
         raise InputError(f"presence line {reader.line_num}: {exc}") from None
     return {key: _bits(members, len(index)) for key, members in cells.items()}
@@ -656,9 +641,7 @@ _HASH_STEP = 0x9E3779B97F4A7C15
 
 
 def _index_export(
-    raw: IO[bytes],
-    patients: Mapping[str, PatientRecord],
-    known: frozenset[str] | None,
+    raw: IO[bytes], roster: Roster, known: frozenset[str] | None
 ) -> dict[tuple[str, int], int] | None:
     """The export's cells as roster bits, or None when a row needs the
     row walker.
@@ -677,14 +660,14 @@ def _index_export(
 
     if raw.readline(len(_EXPORT_HEADER_LINE)) != _EXPORT_HEADER_LINE:
         return None
-    roster = _RosterKeys(np, patients)
-    if roster.ids is None:
+    id_keys = _RosterKeys(np, roster)
+    if id_keys.ids is None:
         return None
     cells: dict[tuple[str, int], int] = {}  # -> cell number
     prefixes: dict[bytes, tuple[int, bool]] = {}  # -> (cell number, positive cohort)
     row_cells, row_patients = [], []
     for body in _line_runs(raw):
-        rows = _export_rows(np, body, roster, cells, prefixes, known)
+        rows = _export_rows(np, body, id_keys, cells, prefixes, known)
         if rows is None:
             return None
         row_cells.append(rows[0])
@@ -744,12 +727,9 @@ def _hash(np, lengths, words):
 class _RosterKeys:
     """The roster's ids as hashed words, for matching export fields."""
 
-    def __init__(self, np, patients: Mapping[str, PatientRecord]):
-        self.ids = None  # stays None when the roster cannot be matched vectorised
-        records = list(patients.values())
-        if any(r.pcr_result not in (POSITIVE, NEGATIVE) for r in records):
-            return
-        encoded = [patient_id.encode() for patient_id in patients]
+    def __init__(self, np, roster: Roster):
+        self.ids = None  # stays None when two ids share a hash
+        encoded = [patient_id.encode() for patient_id in roster.ids]
         self.lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
         self.max_length = int(self.lengths.max()) if encoded else 0
         self.n_words = max(1, -(-self.max_length // 8))
@@ -761,9 +741,10 @@ class _RosterKeys:
         self.sorted_hashes = hashes[self.order]
         if np.any(self.sorted_hashes[1:] == self.sorted_hashes[:-1]):
             return  # two ids share a hash
-        self.positive = np.fromiter((r.pcr_result == POSITIVE for r in records),
-                                    dtype=bool, count=len(records))
-        self.ids = tuple(patients)
+        n = len(encoded)
+        packed = np.frombuffer(roster.positive.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
+        self.positive = np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+        self.ids = roster.ids
 
     def lookup(self, np, lengths, words):
         """Roster index per field, or None when a field is not a rostered id."""

@@ -67,10 +67,15 @@ class ProportionTest:
         return 10.0 ** self.log10_p
 
 
-def proportion_test(k1: int, n1: int, k2: int, n2: int) -> ProportionTest:
-    """Pooled two-proportion z-test, two-tailed, no continuity correction."""
+def _check_cohort_sizes(n1: int, n2: int) -> None:
+    """Every test compares two arms, and neither may be empty."""
     if n1 <= 0 or n2 <= 0:
         raise InputError("cohort sizes must be positive")
+
+
+def proportion_test(k1: int, n1: int, k2: int, n2: int) -> ProportionTest:
+    """Pooled two-proportion z-test, two-tailed, no continuity correction."""
+    _check_cohort_sizes(n1, n2)
     if not (0 <= k1 <= n1 and 0 <= k2 <= n2):
         raise InputError(f"counts out of range: {k1}/{n1}, {k2}/{n2}")
     p1, p2 = k1 / n1, k2 / n2
@@ -331,6 +336,7 @@ def pair_rows(
     patients exhibiting both phenotypes.  Pairs are canonicalized so
     group_a < group_b.  Rows come back sorted by raw p.
     """
+    _check_cohort_sizes(n_pos, n_neg)
     prepared: list[tuple[str, str, int, int]] = []
     for group_a, group_b, k_pos, k_neg in counts:
         if group_b < group_a:

@@ -1,9 +1,10 @@
-"""Clinical note model, sentence segmentation and calendar alignment.
+"""Clinical note model, patient roster, sentence segmentation and
+calendar alignment.
 
 Notes arrive as JSON-lines (patient_id, note_id, date, text) and patients
-as a CSV roster keyed by PCR test date.  Segmentation is rule based:
-sentence terminators and blank lines split, a short guard list of
-clinical abbreviations suppresses false splits.
+as a CSV roster keyed by PCR test date, read into one ``Roster``.
+Segmentation is rule based: sentence terminators and blank lines split,
+a short guard list of clinical abbreviations suppresses false splits.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import io
 import json
 import re
+from array import array
 from datetime import date
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -23,6 +25,10 @@ ABBREVIATION_GUARDS = frozenset({"dr", "pt", "hx", "mr", "mrs", "vs"})
 NOTE_KEYS = ("patient_id", "note_id", "date", "text")
 PATIENT_HEADER = ("patient_id", "pcr_date", "pcr_result")
 
+POSITIVE = "positive"
+NEGATIVE = "negative"
+
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _TERMINATOR_RE = re.compile(r"[.!?]+")
 # Where segment_sentences can split a text that holds no line break.
 _SPLIT_POINT_RE = re.compile(r"[.!?]\s")
@@ -37,14 +43,60 @@ class ClinicalNote(NamedTuple):
 
 
 class PatientRecord(NamedTuple):
+    """One roster row, as ``synth`` generates it."""
+
     patient_id: str
     pcr_date: date
-    pcr_result: str  # "positive" | "negative"
+    pcr_result: str  # POSITIVE | NEGATIVE
 
 
 def relative_day(note_date: date, pcr_date: date) -> int:
     """Signed whole-day difference; the PCR test date is day 0."""
     return (note_date - pcr_date).days
+
+
+def _parse_date(text: str) -> date:
+    """``text`` as a date; ValueError unless it is exactly YYYY-MM-DD."""
+    if _DATE_RE.fullmatch(text) is None:
+        raise ValueError(f"not YYYY-MM-DD: {text!r}")
+    return date.fromisoformat(text)
+
+
+class Roster:
+    """The patient roster, held once.
+
+    Patient i is the i-th distinct id of the rows the roster is built
+    from.  A patient with several rows keeps the earliest PCR date; when
+    two results share that date the positive one wins.  Each patient is
+    in one PCR arm: bit i of ``positive`` is set when patient i tested
+    positive.
+    """
+
+    def __init__(self, rows: Iterable[tuple[str, int, bool]]):
+        """``rows``: (patient id, PCR date ordinal, positive result)."""
+        index: dict[str, int] = {}
+        days = array("i")
+        arms = bytearray()  # b"1" at each positive patient, b"0" at the others
+        for patient_id, day, positive in rows:
+            i = index.setdefault(patient_id, len(days))
+            if i == len(days):
+                days.append(day)
+                arms.append(0x31 if positive else 0x30)
+            elif day < days[i] or (day == days[i] and positive):
+                days[i], arms[i] = day, 0x31 if positive else 0x30
+        self.ids = tuple(index)  # in roster order
+        self.index = index  # patient id -> i
+        self.pcr_days = days  # i -> the PCR date's ordinal
+        self.positive = int(arms[::-1] or b"0", 2)
+
+    def day(self, i: int, on: date) -> int:
+        """``on`` as a day of patient i's timeline."""
+        return relative_day(on, date.fromordinal(self.pcr_days[i]))
+
+    def arms(self) -> list[str]:
+        """Each patient's PCR arm, in roster order."""
+        flags = format(self.positive, "b").zfill(len(self.ids))[::-1]
+        return [POSITIVE if flag == "1" else NEGATIVE for flag in flags[:len(self.ids)]]
 
 
 def fingerprint(text: str) -> str:
@@ -126,7 +178,7 @@ def parse_note_line(line: str, lineno: int, dates: dict[str, date]) -> ClinicalN
     note_date = dates.get(raw_date)
     if note_date is None:
         try:
-            note_date = dates[raw_date] = date.fromisoformat(raw_date)
+            note_date = dates[raw_date] = _parse_date(raw_date)
         except ValueError:
             raise InputError(
                 f"notes line {lineno}: date {raw_date!r} is not YYYY-MM-DD"
@@ -162,17 +214,15 @@ def duplicate_note_error(note_id: str, lineno: int) -> InputError:
     return InputError(f"notes line {lineno}: duplicate note_id {note_id!r}")
 
 
-_RESULT_ALIASES = {"pos": "positive", "neg": "negative"}
+_RESULT_ALIASES = {"pos": True, "neg": False}  # -> in the positive arm
 
 
-def load_patients(source: IO[str] | str) -> dict[str, PatientRecord]:
-    """Read the patient roster CSV; one record per patient.
+def load_patients(source: IO[str] | str) -> Roster:
+    """Read the patient roster CSV.
 
-    Duplicate rows for one patient keep the earliest pcr_date; when two
-    results share that date the positive one wins.  A file without
-    double quotes, CR or NUL characters is split into fields directly;
-    any other file goes through the csv module, with the same results
-    and errors.
+    A file without double quotes, CR or NUL characters is split into
+    fields directly; any other file goes through the csv module, with the
+    same results and errors.
     """
     if isinstance(source, str):
         with open_text(source, "patients", newline="") as handle:
@@ -181,16 +231,17 @@ def load_patients(source: IO[str] | str) -> dict[str, PatientRecord]:
     if '"' in text or "\r" in text or "\0" in text:
         reader = csv.reader(io.StringIO(text, newline=""))
         try:
-            return _roster_records(reader)
+            return Roster(_roster_rows(reader))
         except csv.Error as exc:
             raise InputError(f"patients line {reader.line_num}: {exc}") from None
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the text after the last line end
-    return _roster_records(line.split(",") if line else [] for line in lines)
+    return Roster(_roster_rows(line.split(",") if line else [] for line in lines))
 
 
-def _roster_records(rows: Iterable[list[str]]) -> dict[str, PatientRecord]:
+def _roster_rows(rows: Iterable[list[str]]) -> Iterator[tuple[str, int, bool]]:
+    """(patient id, PCR date ordinal, positive result) per roster row."""
     rows = iter(rows)
     header = next(rows, None)
     if header is None:
@@ -200,11 +251,9 @@ def _roster_records(rows: Iterable[list[str]]) -> dict[str, PatientRecord]:
             f"patients header must be {','.join(PATIENT_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
-    records: dict[str, PatientRecord] = {}
     # Parsed values by their raw field, spaces included.
-    dates: dict[str, date] = {}
-    results: dict[str, str] = {}
-    make = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    days: dict[str, int] = {}
+    results: dict[str, bool] = {}
     for lineno, row in enumerate(rows, start=2):
         if len(row) != 3:
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -214,26 +263,21 @@ def _roster_records(rows: Iterable[list[str]]) -> dict[str, PatientRecord]:
         patient_id = raw_id.strip()
         if not patient_id:
             raise InputError(f"patients line {lineno}: empty patient_id")
-        pcr_date = dates.get(raw_date)
-        if pcr_date is None:
+        day = days.get(raw_date)
+        if day is None:
             try:
-                pcr_date = dates[raw_date] = date.fromisoformat(raw_date.strip())
+                day = days[raw_date] = _parse_date(raw_date.strip()).toordinal()
             except ValueError:
                 raise InputError(
                     f"patients line {lineno}: pcr_date {raw_date.strip()!r} is not YYYY-MM-DD"
                 ) from None
-        result = results.get(raw_result)
-        if result is None:
-            result = _RESULT_ALIASES.get(raw_result.strip().lower())
-            if result is None:
+        positive = results.get(raw_result)
+        if positive is None:
+            positive = _RESULT_ALIASES.get(raw_result.strip().lower())
+            if positive is None:
                 raise InputError(
                     f"patients line {lineno}: pcr_result must be pos or neg, "
                     f"got {raw_result.strip()!r}"
                 )
-            results[raw_result] = result
-        existing = records.get(patient_id)
-        if existing is None or pcr_date < existing.pcr_date or (
-            pcr_date == existing.pcr_date and result == "positive"
-        ):
-            records[patient_id] = make(PatientRecord, (patient_id, pcr_date, result))
-    return records
+            results[raw_result] = positive
+        yield patient_id, day, positive

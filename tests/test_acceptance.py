@@ -43,6 +43,7 @@ from oracles import (
     log10_two_tailed_oracle,
     matcher_oracle,
 )
+from rosters import roster_of
 
 N_POS, N_NEG = 635, 29859
 FACTOR = math.log10  # p-value tolerance "within a factor of k" in log10 space
@@ -372,7 +373,7 @@ def test_criterion_07_round_trip_full_scale(lexicon, matcher, full_corpus):
         start = time.perf_counter()
         config, corpus = full_corpus
         notes = corpus.notes
-        patients = {p.patient_id: p for p in corpus.patients}
+        patients = roster_of(corpus.patients)
         table, rejects = curate(notes, patients, matcher, lexicon)
         assert rejects == []
 
@@ -450,7 +451,7 @@ def test_criterion_09_throughput_and_worker_identity(lexicon, matcher):
         corpus = generate(config, lexicon)
         notes = corpus.notes
         assert len(notes) >= 100_000, len(notes)
-        patients = {p.patient_id: p for p in corpus.patients}
+        patients = roster_of(corpus.patients)
 
         start = time.perf_counter()
         serial, _ = curate(notes, patients, matcher, lexicon, workers=1)

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,9 @@ import phenotrail
 from phenotrail import bundled
 from phenotrail.cli import main, rerun_from_manifest, run
 from phenotrail.errors import InputError
+from phenotrail.lexicon import load_default_lexicon
+
+from oracles import load_patients_oracle
 
 DAILY = bundled.data_path(bundled.DAILY_REFERENCE)
 PAIRS = bundled.data_path(bundled.PAIR_REFERENCE)
@@ -53,6 +57,32 @@ def curated_dir(tmp_path_factory, corpus_dir):
     """corpus_dir curated with the per-patient export."""
     out = tmp_path_factory.mktemp("curated")
     assert main(["curate", *corpus_args(corpus_dir), "--per-patient", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def duplicate_roster(tmp_path_factory, corpus_dir):
+    """corpus_dir's roster with duplicate rows, and corpus_dir curated over
+    it with the per-patient export.  Patient k gets, by k % 4: a later row
+    of the other arm, a same-date row of the other arm, an earlier row of
+    the other arm before its own, or no other row."""
+    out = tmp_path_factory.mktemp("duplicates")
+    header, *rows = read_csv(corpus_dir / "patients.csv")
+    other = {"pos": "neg", "neg": "pos"}
+    lines = [header]
+    for k, (patient_id, pcr_date, result) in enumerate(rows):
+        shift = {0: 2, 1: 0, 2: -2}.get(k % 4)
+        if shift is None:
+            lines.append([patient_id, pcr_date, result])
+            continue
+        moved = (date.fromisoformat(pcr_date) + timedelta(days=shift)).isoformat()
+        pair = [[patient_id, pcr_date, result], [patient_id, moved, other[result]]]
+        lines += pair[::-1] if shift < 0 else pair
+    with open(out / "patients.csv", "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(lines)
+    assert main(["curate", "--notes", str(corpus_dir / "notes.jsonl"),
+                 "--patients", str(out / "patients.csv"), "--per-patient",
+                 "--out", str(out)]) == 0
     return out
 
 
@@ -426,6 +456,8 @@ class TestPipelineStats:
         rows = read_csv(out / "enrichment.csv")
         assert rows[0][1] == "COVID+ count (N=60)"
         assert len(rows) == 27  # header + every lexicon group
+        names = load_default_lexicon().display_names
+        assert {row[0] for row in rows[1:]} == set(names.values())
 
     def test_enrich_from_presence_export(self, corpus_dir, tmp_path):
         curated = tmp_path / "curated"
@@ -474,6 +506,28 @@ class TestPipelineStats:
         assert main([command, *presence_args(corpus_dir, curated_dir), "--out", str(via)]) == 0
         name = TABLE_FILES[command]
         assert filecmp.cmp(direct / name, via / name, shallow=False)
+
+    @pytest.mark.parametrize("command", sorted(TABLE_FILES))
+    def test_duplicate_roster_rows_give_identical_tables(self, corpus_dir, duplicate_roster,
+                                                         tmp_path, command):
+        patients = ["--patients", str(duplicate_roster / "patients.csv")]
+        direct, via = tmp_path / "direct", tmp_path / "via"
+        assert main([command, "--notes", str(corpus_dir / "notes.jsonl"), *patients,
+                     "--out", str(direct)]) == 0
+        assert main([command, "--presence", str(duplicate_roster / "presence_long.csv"),
+                     *patients, "--out", str(via)]) == 0
+        name = TABLE_FILES[command]
+        assert filecmp.cmp(direct / name, via / name, shallow=False)
+
+    def test_duplicate_roster_rows_keep_the_earliest_date(self, corpus_dir, duplicate_roster,
+                                                          curated_dir):
+        with open(duplicate_roster / "patients.csv", encoding="utf-8") as handle:
+            records = load_patients_oracle(handle).values()
+        n_pos = sum(record.pcr_result == "positive" for record in records)
+        assert n_pos > 60  # same-date conflicts and earlier rows moved patients to the arm
+        export = read_csv(duplicate_roster / "presence_long.csv")
+        assert sum(row[2] == "positive" for row in export) > 0
+        assert export != read_csv(curated_dir / "presence_long.csv")
 
     def test_presence_export_with_unknown_group_exit_code(self, corpus_dir, tmp_path, capsys):
         patient = read_csv(corpus_dir / "patients.csv")[1][0]
@@ -748,7 +802,7 @@ class TestCountsFuzz:
         "pos_pct": ["0", "2.5", "100"], "neg_pct": ["0", "0.1", "100"],
     }
     BAD = ["-1", "2.5", "nan", "inf", "-inf", "1e400", "1e300", "", " ", "x", " 4",
-           "99999999999999999999", "1" + "0" * 400, "636", "29860", '"']
+           "99999999999999999999", "1" + "0" * 400, "636", "29860", '"', "0"]
     COLUMNS = {
         "enrich": ["phenotype", "pos_total", "neg_total", "pos_count", "neg_count"],
         "timeline": ["phenotype", "day", "pos_total", "neg_total", "pos_pct", "neg_pct",
@@ -799,6 +853,8 @@ class TestMalformedInputExits2:
          "bad number in column 'pos_pct': None"),
         ("pairwise", "phenotype_a,phenotype_b,pos_total,neg_total,pos_count,neg_count\n"
                      f"A,B,{BIG},20,1,2\n", "exceeds 10000000"),
+        ("pairwise", "phenotype_a,phenotype_b,pos_total,neg_total,pos_count,neg_count\n"
+                     "A,B,0,20,0,2\n", "cohort sizes must be positive"),
     ])
     def test_counts(self, fuzz_roster, capsys, command, text, message):
         counts = fuzz_roster / "counts_case.csv"
@@ -806,6 +862,31 @@ class TestMalformedInputExits2:
         assert main([command, "--from-counts", str(counts),
                      "--out", str(fuzz_roster / "out")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["", "P1,2020-04-01,pos\n"], ids=["no_arm", "positive_only"])
+    def test_pairwise_from_notes_with_an_empty_arm(self, fuzz_roster, capsys, rows):
+        patients = fuzz_roster / "one_arm.csv"
+        patients.write_text("patient_id,pcr_date,pcr_result\n" + rows)
+        notes = fuzz_roster / "one_arm.jsonl"
+        notes.write_text('{"patient_id": "P1", "note_id": "n1", "date": "2020-03-29", '
+                         '"text": "Fever and cough."}\n')
+        assert main(["pairwise", "--notes", str(notes), "--patients", str(patients),
+                     "--out", str(fuzz_roster / "out")]) == 2
+        assert "cohort sizes must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["20200401", "2020-W14-3", "2020-092"],
+                             ids=["compact", "week", "ordinal"])
+    @pytest.mark.parametrize("field", ["date", "pcr_date"])
+    def test_dates_other_than_yyyy_mm_dd(self, fuzz_roster, capsys, field, value):
+        note_date, pcr_date = (value, "2020-04-01") if field == "date" else ("2020-03-30", value)
+        notes = fuzz_roster / "dated.jsonl"
+        notes.write_text(json.dumps({"patient_id": "P1", "note_id": "n1", "date": note_date,
+                                     "text": "Fever."}) + "\n")
+        patients = fuzz_roster / "dated.csv"
+        patients.write_text(f"patient_id,pcr_date,pcr_result\nP1,{pcr_date},pos\n")
+        assert main(["curate", "--notes", str(notes), "--patients", str(patients),
+                     "--out", str(fuzz_roster / "out")]) == 2
+        assert f"{field} {value!r} is not YYYY-MM-DD" in capsys.readouterr().err
 
     def test_lone_surrogate_in_notes(self, fuzz_roster, capsys):
         notes = fuzz_roster / "surrogate.jsonl"

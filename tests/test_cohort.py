@@ -26,9 +26,10 @@ from phenotrail.cohort import (
 from phenotrail.errors import InputError
 from phenotrail.lexicon import build_matcher, load_default_lexicon
 from phenotrail.stats import daily_rows, enrichment_rows, pair_rows
-from phenotrail.textproc import ClinicalNote, PatientRecord, parse_notes
+from phenotrail.textproc import ClinicalNote, PatientRecord, Roster, parse_notes
 
 from oracles import curate_jsonl, presence_export_oracle, segment_notes, two_pass_curation
+from rosters import roster_of
 
 PCR_DAY = date(2020, 3, 10)
 
@@ -53,9 +54,7 @@ def note(patient, day, text, suffix="a"):
 
 
 def roster(**kwargs):
-    return {
-        pid: PatientRecord(pid, PCR_DAY, result) for pid, result in kwargs.items()
-    }
+    return roster_of(PatientRecord(pid, PCR_DAY, result) for pid, result in kwargs.items())
 
 
 class TestBuildPresence:
@@ -149,10 +148,10 @@ class TestBuildPresence:
         assert t1.presence == t2.presence
 
     def test_worker_merge_identical(self, matcher, classifier):
-        patients = {
-            f"p{i}": PatientRecord(f"p{i}", PCR_DAY, "positive" if i % 3 else "negative")
+        patients = roster_of(
+            PatientRecord(f"p{i}", PCR_DAY, "positive" if i % 3 else "negative")
             for i in range(40)
-        }
+        )
         notes = []
         texts = [
             "Patient reports fever.",
@@ -180,14 +179,14 @@ class TestBuildPresence:
         # A template fingerprint drops its sentence wherever it occurs: a
         # third patient makes "cough today." a template at threshold 2.
         notes.append(note("p3", -1, "COUGH  today."))
-        table, _ = curate_jsonl(notes, {**patients, **roster(p3="positive")}, matcher,
-                                classifier, template_threshold=2)
+        table, _ = curate_jsonl(notes, roster(p1="positive", p2="negative", p3="positive"),
+                                matcher, classifier, template_threshold=2)
         assert {key: table.patients(*key) for key in table.presence} == {
             ("fever_chills", -2): {"p1"}}
 
     def test_invalid_day_range(self, matcher, classifier):
         with pytest.raises(InputError):
-            curate_jsonl([], {}, matcher, classifier, day_range=(3, -3))
+            curate_jsonl([], roster(), matcher, classifier, day_range=(3, -3))
 
 
 class TestWindowPresence:
@@ -401,11 +400,12 @@ class TestExports:
             load_presence_long_csv(stream, roster(p1="positive", p2="negative"))
 
 
-EXPORT_ROSTER = {
+EXPORT_RECORDS = {
     pid: PatientRecord(pid, PCR_DAY, arm)
     for pid, arm in (("P1", "positive"), ("P2", "negative"), ("P3", "negative"),
                      ("a,b", "positive"), ("Q 4", "negative"), ("P10", "negative"))
 }
+EXPORT_ROSTER = roster_of(EXPORT_RECORDS.values())
 EXPORT_GROUPS = ("cough", "diarrhea", "fever_chills")
 
 
@@ -421,8 +421,8 @@ def export_rows(draw):
         return ""
     group_id = draw(st.sampled_from(EXPORT_GROUPS))
     day = draw(st.sampled_from(["-3", "0", "14", "-14", "+2", "1_0", "007"]))
-    patient_id = draw(st.sampled_from(sorted(EXPORT_ROSTER)))
-    fields = [group_id, day, EXPORT_ROSTER[patient_id].pcr_result, patient_id]
+    patient_id = draw(st.sampled_from(sorted(EXPORT_RECORDS)))
+    fields = [group_id, day, EXPORT_RECORDS[patient_id].pcr_result, patient_id]
     if kind == "decorated":
         i = draw(st.integers(0, 3))
         fields[i] = draw(st.sampled_from([f" {fields[i]}", f"{fields[i]}\t", f'"{fields[i]}"']))
@@ -442,7 +442,7 @@ def export_dir(tmp_path_factory):
 
 def _oracle_or_error(text, group_ids):
     try:
-        return presence_export_oracle(io.StringIO(text), EXPORT_ROSTER, group_ids)
+        return presence_export_oracle(io.StringIO(text), EXPORT_RECORDS, group_ids)
     except InputError as exc:
         return str(exc)
 
@@ -476,12 +476,12 @@ class TestExportLoader:
     @settings(max_examples=100, deadline=None)
     def test_plain_exports_take_the_vectorised_pass(self, rows):
         text = "group_id,relative_day,cohort,patient_id\n" + "".join(
-            f"{g},{day},{EXPORT_ROSTER[p].pcr_result},{p}\n" for g, day, p in rows)
+            f"{g},{day},{EXPORT_RECORDS[p].pcr_result},{p}\n" for g, day, p in rows)
         cells = cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None)
         assert cells is not None
         table = SymptomPresenceTable.from_roster(cells, EXPORT_ROSTER, DEFAULT_DAY_RANGE)
         assert {key: table.patients(*key) for key in table.presence} == \
-            presence_export_oracle(io.StringIO(text), EXPORT_ROSTER)
+            presence_export_oracle(io.StringIO(text), EXPORT_RECORDS)
 
     @pytest.mark.parametrize("line", [
         "cough,-3,positive,P1\r\n", 'cough,-3,positive,"P1"\n', "cough, -3,positive,P1\n",
@@ -512,7 +512,7 @@ class TestExportLoader:
         cells = cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None)
         table = SymptomPresenceTable.from_roster(cells, EXPORT_ROSTER, DEFAULT_DAY_RANGE)
         assert {key: table.patients(*key) for key in table.presence} == \
-            presence_export_oracle(io.StringIO(text), EXPORT_ROSTER)
+            presence_export_oracle(io.StringIO(text), EXPORT_RECORDS)
 
 
 class TestPatientBits:
@@ -523,7 +523,7 @@ class TestPatientBits:
     @given(st.sets(st.integers(0, 5000)))
     def test_members_round_trip(self, indexes):
         ids = tuple(f"p{i}" for i in range(5001))
-        table = SymptomPresenceTable({}, DEFAULT_DAY_RANGE, (), ids, 0)
+        table = SymptomPresenceTable({}, DEFAULT_DAY_RANGE, (), Roster((i, 0, False) for i in ids))
         bits = sum(1 << i for i in indexes)
         assert table.members(bits) == {ids[i] for i in indexes}
         assert table.arm_counts(bits) == (0, len(indexes))
@@ -537,8 +537,9 @@ STREAM_SENTENCES = [
     "Take all medication as prescribed.", "Mother had fever last week.", "Dry cough today!",
     "No acute distress.", "Call the clinic if fever develops.",
 ]
-STREAM_ROSTER = {f"p{i}": PatientRecord(f"p{i}", PCR_DAY, "positive" if i % 2 else "negative")
-                 for i in range(6)}
+STREAM_RECORDS = {f"p{i}": PatientRecord(f"p{i}", PCR_DAY, "positive" if i % 2 else "negative")
+                  for i in range(6)}
+STREAM_ROSTER = roster_of(STREAM_RECORDS.values())
 
 
 @st.composite
@@ -553,7 +554,7 @@ def stream_corpora(draw):
             continue
         sentences = draw(st.lists(st.sampled_from(STREAM_SENTENCES), min_size=1, max_size=3))
         lines.append(json.dumps({
-            "patient_id": draw(st.sampled_from([*STREAM_ROSTER, "ghost", "stray"])),
+            "patient_id": draw(st.sampled_from([*STREAM_RECORDS, "ghost", "stray"])),
             "note_id": f"n{n}",
             "date": (PCR_DAY + timedelta(days=draw(st.integers(-18, 18)))).isoformat(),
             "text": draw(st.sampled_from([" ", "\n"])).join(sentences),
@@ -564,7 +565,7 @@ def stream_corpora(draw):
 def oracle_outcome(lines, matcher, classifier, threshold, include_maybe):
     notes = list(parse_notes(lines))
     presence, rejects, tasks = two_pass_curation(
-        notes, STREAM_ROSTER, matcher, classifier, threshold, DEFAULT_DAY_RANGE, include_maybe)
+        notes, STREAM_RECORDS, matcher, classifier, threshold, DEFAULT_DAY_RANGE, include_maybe)
     return {key: members for key, members in presence.items()}, rejects, tasks
 
 

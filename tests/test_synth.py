@@ -22,9 +22,16 @@ from phenotrail.synth import (
     write_notes_jsonl,
     write_patients_csv,
 )
-from phenotrail.textproc import ClinicalNote, fingerprint, parse_notes, segment_sentences
+from phenotrail.textproc import (
+    ClinicalNote,
+    fingerprint,
+    load_patients,
+    parse_notes,
+    segment_sentences,
+)
 
 from oracles import curate_jsonl, generate_oracle, write_corpus_oracle
+from rosters import roster_of
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +195,20 @@ class TestGenerate:
         assert len(corpus.patients) == 160
         assert sum(1 for p in corpus.patients if p.pcr_result == "positive") == 40
 
+    def test_roster_round_trip(self, lexicon):
+        patients = generate(small_config(n_pos=70, n_neg=90), lexicon).patients
+        stream = io.StringIO()
+        write_patients_csv(patients, stream)
+        stream.seek(0)
+        roster = load_patients(stream)
+        assert roster.ids == tuple(p.patient_id for p in patients)
+        assert roster.index == {p.patient_id: i for i, p in enumerate(patients)}
+        assert list(roster.pcr_days) == [p.pcr_date.toordinal() for p in patients]
+        assert len(set(roster.pcr_days)) > 1
+        assert roster.positive == sum(
+            1 << i for i, p in enumerate(patients) if p.pcr_result == "positive")
+        assert roster.positive == (1 << 70) - 1
+
     def test_notes_parse_and_align(self, lexicon):
         corpus = generate(small_config(), lexicon)
         buffer = io.StringIO()
@@ -208,7 +229,7 @@ class TestGenerate:
             seed=3,
         )
         corpus = generate(config, lexicon)
-        patients = {p.patient_id: p for p in corpus.patients}
+        patients = roster_of(corpus.patients)
         table, rejects = curate_jsonl(corpus.notes, patients, matcher, RuleClassifier())
         assert rejects == []
         assert len(table.patients("fever_chills", -4)) == 60
@@ -251,7 +272,7 @@ class TestGenerate:
         buffer = io.StringIO()
         write_notes_jsonl(corpus.notes, buffer)
         lines = buffer.getvalue().splitlines(keepends=True)
-        patients = {p.patient_id: p for p in corpus.patients}
+        patients = roster_of(corpus.patients)
         injected = {fingerprint(t) for t in TEMPLATE_SENTENCES}
 
         def requested(threshold):
@@ -285,7 +306,7 @@ class TestRoundTrip:
             template_rate=0.1, seed=20200315,
         )
         corpus = generate(config, lexicon)
-        patients = {p.patient_id: p for p in corpus.patients}
+        patients = roster_of(corpus.patients)
         table, _ = curate_jsonl(corpus.notes, patients, matcher, RuleClassifier(), 20)
         counts = {
             (gid, day): (kp, kn) for gid, day, kp, kn in daily_counts(table, (-7, -1))

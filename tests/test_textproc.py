@@ -21,6 +21,7 @@ from phenotrail.textproc import (
 )
 
 from oracles import curate_jsonl, load_patients_oracle, segment_notes
+from rosters import records_of, roster_of
 
 
 def note(text, note_id="n1", patient_id="p1", when=date(2020, 3, 10)):
@@ -95,7 +96,7 @@ def fever_patients(pairs, threshold):
     """The patients with fever on day 0 once one note per (sentence,
     patient_id) pair is curated at template ``threshold``."""
     notes = [note(text, note_id=f"n{i}", patient_id=pid) for i, (text, pid) in enumerate(pairs)]
-    patients = {pid: PatientRecord(pid, date(2020, 3, 10), "positive") for _text, pid in pairs}
+    patients = roster_of(PatientRecord(pid, date(2020, 3, 10), "positive") for _text, pid in pairs)
     table, _ = curate_jsonl(notes, patients, build_matcher(load_default_lexicon()),
                             RuleClassifier(), threshold)
     return table.patients("fever_chills", 0)
@@ -191,7 +192,7 @@ class TestLoaders:
             "p1,2020-03-10,pos\n"
             "p2,2020-03-11,neg\n"
         )
-        records = load_patients(stream)
+        records = records_of(load_patients(stream))
         assert records["p1"].pcr_result == "positive"
         assert records["p2"] == PatientRecord("p2", date(2020, 3, 11), "negative")
 
@@ -201,7 +202,7 @@ class TestLoaders:
             "p1,2020-03-12,pos\n"
             "p1,2020-03-10,neg\n"
         )
-        records = load_patients(stream)
+        records = records_of(load_patients(stream))
         assert records["p1"].pcr_date == date(2020, 3, 10)
         assert records["p1"].pcr_result == "negative"
 
@@ -213,7 +214,7 @@ class TestLoaders:
             "p2,2020-03-10,pos\n"
             "p2,2020-03-10,neg\n"
         )
-        records = load_patients(stream)
+        records = records_of(load_patients(stream))
         assert records["p1"].pcr_result == "positive"
         assert records["p2"].pcr_result == "positive"
 
@@ -257,6 +258,11 @@ def roster_texts(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
+def load_records(source):
+    """The records view of the ``Roster`` that ``load_patients`` reads."""
+    return records_of(load_patients(source))
+
+
 class TestLoadPatientsOracle:
     """The direct field split and the csv fallback find what the csv
     loader finds: the same records in the same order, or the same error."""
@@ -271,15 +277,15 @@ class TestLoadPatientsOracle:
     @given(roster_texts())
     @settings(max_examples=500, deadline=None)
     def test_same_records_or_error(self, text):
-        assert self._outcome(load_patients, text) == self._outcome(load_patients_oracle, text)
+        assert self._outcome(load_records, text) == self._outcome(load_patients_oracle, text)
 
     def test_both_row_sources_are_exercised(self):
         plain = "patient_id,pcr_date,pcr_result\np1, 2020-03-10 ,POS\n\np1,2020-03-09,neg\n"
         quoted = plain + '"p2",2020-03-10,pos\n'
         for text in (plain, quoted, plain.replace("\n", "\r\n")):
-            assert self._outcome(load_patients, text) == self._outcome(load_patients_oracle, text)
-        assert list(load_patients(io.StringIO(plain))) == ["p1"]
-        assert load_patients(io.StringIO(plain))["p1"].pcr_result == "negative"
+            assert self._outcome(load_records, text) == self._outcome(load_patients_oracle, text)
+        assert load_patients(io.StringIO(plain)).ids == ("p1",)
+        assert load_records(io.StringIO(plain))["p1"].pcr_result == "negative"
 
     def test_csv_error_exits_as_input_error(self):
         text = "patient_id,pcr_date,pcr_result\n" + '"' + "x" * 200_000 + '",2020-03-10,pos\n'
