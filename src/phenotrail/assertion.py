@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Protocol, Sequence
 
 from .bundled import ASSERTION_RULES, data_path
-from .errors import InputError, open_text
+from .errors import InputError, csv_rows, open_text
 from .lexicon import is_word_char, token_pattern
 
 
@@ -322,39 +322,25 @@ def write_gold_labels(
     )
 
 
-def load_gold_labels(source: IO[str] | str) -> dict[tuple[str, int], AssertionLabel]:
-    if isinstance(source, str):
-        with open_text(source, "gold label", newline="") as handle:
-            return load_gold_labels(handle)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("gold label file is empty") from None
-    if tuple(h.strip() for h in header) != GOLD_HEADER:
-        raise InputError(
-            f"gold label header must be {','.join(GOLD_HEADER)!r}, "
-            f"got {','.join(header)!r}"
-        )
+def load_gold_labels(
+    source: IO[str] | str, what: str = "gold"
+) -> dict[tuple[str, int], AssertionLabel]:
+    """Read a ``sentence_id,mention_index,label`` CSV; errors name ``what``."""
     labels: dict[tuple[str, int], AssertionLabel] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise InputError(f"gold line {lineno}: expected 3 fields, got {len(row)}")
+    for lineno, row in csv_rows(source, what, GOLD_HEADER):
         sentence_id, raw_index, raw_label = (f.strip() for f in row)
         try:
             mention_index = int(raw_index)
         except ValueError:
-            raise InputError(f"gold line {lineno}: mention_index must be an integer") from None
+            raise InputError(f"{what} line {lineno}: mention_index must be an integer") from None
         try:
             label = AssertionLabel(raw_label.upper())
         except ValueError:
             raise InputError(
-                f"gold line {lineno}: label must be one of {[lab.value for lab in LABELS]}"
+                f"{what} line {lineno}: label must be one of {[lab.value for lab in LABELS]}"
             ) from None
         key = (sentence_id, mention_index)
         if key in labels:
-            raise InputError(f"gold line {lineno}: duplicate key {key}")
+            raise InputError(f"{what} line {lineno}: duplicate key {key}")
         labels[key] = label
     return labels

@@ -21,7 +21,7 @@ from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
 from . import assertion, cohort, coexpr, stats, synth, textproc
-from .errors import InputError, open_text
+from .errors import InputError, csv_rows, open_text
 from .lexicon import Lexicon, build_matcher, default_lexicon_path, load_lexicon
 
 
@@ -274,24 +274,14 @@ def _presence_table(args: argparse.Namespace):
 
 
 def _read_counts_csv(path: str, required: Sequence[str]) -> list[dict[str, str]]:
-    with open_text(path, "counts", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty counts file")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise InputError(f"{path}: missing columns {missing}")
-        rows = []
-        for row in reader:
-            extra = row.pop(None, [])  # fields beyond the header's
-            values = [*row.values(), *extra]
-            if not any(v and v.strip() for v in values):
-                continue
-            if extra or None in values:
-                raise InputError(f"{path} line {reader.line_num}: expected "
-                                 f"{len(reader.fieldnames)} fields")
-            rows.append(row)
-        return rows
+    """Rows by column name, but those all blank, as spreadsheets leave them."""
+    rows = csv_rows(path, "counts")
+    _, header = next(rows)
+    columns = [name.strip() for name in header]
+    missing = [c for c in required if c not in columns]
+    if missing:
+        raise InputError(f"{path}: missing columns {missing}")
+    return [dict(zip(columns, fields)) for _, fields in rows if any(f.strip() for f in fields)]
 
 
 def _field(row: dict[str, str], key: str, path: str, kind: type = int):
@@ -509,7 +499,7 @@ def _cmd_table(args, argv) -> int:
 
 def _cmd_eval(args, argv) -> int:
     gold = assertion.load_gold_labels(args.gold)
-    pred = assertion.load_gold_labels(args.pred)
+    pred = assertion.load_gold_labels(args.pred, "pred")
     missing = sorted(set(gold) - set(pred))
     extra = sorted(set(pred) - set(gold))
     if missing or extra:

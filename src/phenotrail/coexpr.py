@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Sequence
 
-from .errors import InputError, open_text
+from .errors import InputError, csv_rows, open_text
 
 COEXPR_FILTER_MIN_CELLS = 100
 COEXPR_FILTER_MIN_FRAC = 0.01
@@ -261,26 +261,9 @@ def _body_error(body: str, header_lineno: int) -> InputError:
 def _load_cells(source: IO[str] | str | Sequence[CellInfo]):
     if isinstance(source, (list, tuple)):
         return source
-    if isinstance(source, str):
-        with open_text(source, "cells", newline="") as handle:
-            return _load_cells(handle)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("cells file is empty") from None
-    if tuple(h.strip() for h in header) != ("cell_id", "tissue", "cell_type"):
-        raise InputError("cells header must be 'cell_id,tissue,cell_type'")
-    cells = []
     make = tuple.__new__  # skips the NamedTuple's Python-level __new__
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != 3:
-            if not row:
-                continue
-            raise InputError(f"cells line {lineno}: expected 3 fields")
-        cell_id, tissue, cell_type = row
-        cells.append(make(CellInfo, (cell_id.strip(), tissue.strip(), cell_type.strip())))
-    return cells
+    return [make(CellInfo, (cell_id.strip(), tissue.strip(), cell_type.strip()))
+            for _, (cell_id, tissue, cell_type) in csv_rows(source, "cells", CellInfo._fields)]
 
 
 def _load_genes(source: IO[str] | str | Sequence[str]):

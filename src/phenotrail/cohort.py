@@ -34,7 +34,7 @@ from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .assertion import AssertionLabel, Classifier, PrecomputedClassifier
-from .errors import InputError, open_text
+from .errors import InputError, csv_rows
 from .lexicon import TermMatcher
 from .textproc import (
     NEGATIVE,
@@ -576,8 +576,7 @@ def load_presence_long_csv(
         with open(source, "rb") as raw:
             presence = _index_export(raw, roster, known)
         if presence is None:
-            with open_text(source, "presence", newline="") as handle:
-                presence = _walk_export(handle, roster, known)
+            presence = _walk_export(source, roster, known)
     else:
         text = source.read()
         presence = _index_export(io.BytesIO(text.encode()), roster, known) \
@@ -588,47 +587,31 @@ def load_presence_long_csv(
 
 
 def _walk_export(
-    source: IO[str], roster: Roster, known: frozenset[str] | None
+    source: IO[str] | str, roster: Roster, known: frozenset[str] | None
 ) -> dict[tuple[str, int], int]:
     """The export's cells as roster bits, read one csv row at a time."""
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("presence file is empty") from None
-    if tuple(h.strip() for h in header) != PRESENCE_LONG_HEADER:
-        raise InputError(
-            f"presence header must be {','.join(PRESENCE_LONG_HEADER)!r}"
-        )
     index, arms = roster.index, roster.arms()
     cells: dict[tuple[str, int], set[int]] = {}
-    try:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InputError(f"presence line {lineno}: expected 4 fields")
-            group_id, raw_day, cohort, patient_id = (f.strip() for f in row)
-            try:
-                day = int(raw_day)
-            except ValueError:
-                raise InputError(f"presence line {lineno}: bad relative_day {raw_day!r}") from None
-            i = index.get(patient_id)
-            if i is None:
-                raise InputError(f"presence line {lineno}: unknown patient {patient_id!r}")
-            if arms[i] != cohort:
-                raise InputError(
-                    f"presence line {lineno}: cohort {cohort!r} does not match patient "
-                    f"{patient_id!r} ({arms[i]})"
-                )
-            members = cells.get((group_id, day))
-            if members is None:  # the first row of a group makes one of its keys
-                if known is not None and group_id not in known:
-                    raise InputError(f"presence line {lineno}: unknown group {group_id!r}")
-                members = cells[(group_id, day)] = set()
-            members.add(i)
-    except csv.Error as exc:
-        raise InputError(f"presence line {reader.line_num}: {exc}") from None
+    for lineno, row in csv_rows(source, "presence", PRESENCE_LONG_HEADER):
+        group_id, raw_day, cohort, patient_id = (f.strip() for f in row)
+        try:
+            day = int(raw_day)
+        except ValueError:
+            raise InputError(f"presence line {lineno}: bad relative_day {raw_day!r}") from None
+        i = index.get(patient_id)
+        if i is None:
+            raise InputError(f"presence line {lineno}: unknown patient {patient_id!r}")
+        if arms[i] != cohort:
+            raise InputError(
+                f"presence line {lineno}: cohort {cohort!r} does not match patient "
+                f"{patient_id!r} ({arms[i]})"
+            )
+        members = cells.get((group_id, day))
+        if members is None:  # the first row of a group makes one of its keys
+            if known is not None and group_id not in known:
+                raise InputError(f"presence line {lineno}: unknown group {group_id!r}")
+            members = cells[(group_id, day)] = set()
+        members.add(i)
     return {key: _bits(members, len(index)) for key, members in cells.items()}
 
 

@@ -8,13 +8,12 @@ reports the owning group(s) of each hit.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
 from .bundled import LEXICON, data_path
-from .errors import InputError, open_text
+from .errors import InputError, csv_rows
 
 LEXICON_HEADER = ("group_id", "term")
 
@@ -135,31 +134,12 @@ def load_lexicon(source: IO[str] | str) -> Lexicon:
     wrong header, blank fields, terms that normalize to nothing, or an
     exactly repeated record.
     """
-    if isinstance(source, str):
-        with open_text(source, "lexicon", newline="") as handle:
-            return load_lexicon(handle)
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("lexicon file is empty") from None
-    if tuple(h.strip() for h in header) != LEXICON_HEADER:
-        raise InputError(
-            f"lexicon header must be {','.join(LEXICON_HEADER)!r}, "
-            f"got {','.join(header)!r}"
-        )
-
     order: list[str] = []
     terms_by_group: dict[str, list[str]] = {}
     seen_records: set[tuple[str, str]] = set()
     caps_votes: dict[str, bool] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise InputError(f"lexicon line {lineno}: expected 2 fields, got {len(row)}")
-        group_id, raw_term = row[0].strip(), row[1]
+    for lineno, (raw_group, raw_term) in csv_rows(source, "lexicon", LEXICON_HEADER):
+        group_id = raw_group.strip()
         if not group_id:
             raise InputError(f"lexicon line {lineno}: empty group_id")
         term = normalize_term(raw_term)

@@ -9,15 +9,13 @@ a short guard list of clinical abbreviations suppresses false splits.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 from array import array
 from datetime import date
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import InputError, open_text
+from .errors import InputError, csv_rows
 
 # Tokens whose trailing period is an abbreviation, not a sentence end.
 ABBREVIATION_GUARDS = frozenset({"dr", "pt", "hx", "mr", "mrs", "vs"})
@@ -218,48 +216,16 @@ _RESULT_ALIASES = {"pos": True, "neg": False}  # -> in the positive arm
 
 
 def load_patients(source: IO[str] | str) -> Roster:
-    """Read the patient roster CSV.
-
-    A file without double quotes, CR or NUL characters is split into
-    fields directly; any other file goes through the csv module, with the
-    same results and errors.
-    """
-    if isinstance(source, str):
-        with open_text(source, "patients", newline="") as handle:
-            return load_patients(handle)
-    text = source.read()
-    if '"' in text or "\r" in text or "\0" in text:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            return Roster(_roster_rows(reader))
-        except csv.Error as exc:
-            raise InputError(f"patients line {reader.line_num}: {exc}") from None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the text after the last line end
-    return Roster(_roster_rows(line.split(",") if line else [] for line in lines))
+    """Read the patient roster CSV."""
+    return Roster(_roster_rows(csv_rows(source, "patients", PATIENT_HEADER)))
 
 
-def _roster_rows(rows: Iterable[list[str]]) -> Iterator[tuple[str, int, bool]]:
+def _roster_rows(rows: Iterable[tuple[int, list[str]]]) -> Iterator[tuple[str, int, bool]]:
     """(patient id, PCR date ordinal, positive result) per roster row."""
-    rows = iter(rows)
-    header = next(rows, None)
-    if header is None:
-        raise InputError("patients file is empty")
-    if tuple(h.strip() for h in header) != PATIENT_HEADER:
-        raise InputError(
-            f"patients header must be {','.join(PATIENT_HEADER)!r}, "
-            f"got {','.join(header)!r}"
-        )
     # Parsed values by their raw field, spaces included.
     days: dict[str, int] = {}
     results: dict[str, bool] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            raise InputError(f"patients line {lineno}: expected 3 fields, got {len(row)}")
-        raw_id, raw_date, raw_result = row
+    for lineno, (raw_id, raw_date, raw_result) in rows:
         patient_id = raw_id.strip()
         if not patient_id:
             raise InputError(f"patients line {lineno}: empty patient_id")

@@ -419,15 +419,17 @@ def presence_export_oracle(source, patients, group_ids=None):
         raise InputError("presence file is empty") from None
     columns = ("group_id", "relative_day", "cohort", "patient_id")
     if tuple(h.strip() for h in header) != columns:
-        raise InputError(f"presence header must be {','.join(columns)!r}")
+        raise InputError(
+            f"presence header must be {','.join(columns)!r}, got {','.join(header)!r}"
+        )
     known = None if group_ids is None else frozenset(group_ids)
     arms = {patient_id: record.pcr_result for patient_id, record in patients.items()}
     presence = {}
     for lineno, row in enumerate(reader, start=2):
-        if not row:
+        if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 4:
-            raise InputError(f"presence line {lineno}: expected 4 fields")
+            raise InputError(f"presence line {lineno}: expected 4 fields, got {len(row)}")
         group_id, raw_day, cohort, patient_id = (f.strip() for f in row)
         try:
             day = int(raw_day)
@@ -521,7 +523,9 @@ def two_pass_curation(notes, patients, matcher, classifier, threshold=20,
 
 def load_patients_oracle(source):
     """The roster read one csv row at a time: the earliest pcr_date per
-    patient, the positive result on a tie."""
+    patient, the positive result on a tie.  A pcr_date is exactly
+    YYYY-MM-DD; ``date.fromisoformat`` alone also takes 20200401 and
+    2020-W14-3."""
     reader = csv.reader(source)
     try:
         header = next(reader)
@@ -543,6 +547,8 @@ def load_patients_oracle(source):
         if not patient_id:
             raise InputError(f"patients line {lineno}: empty patient_id")
         try:
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", raw_date):
+                raise ValueError(raw_date)
             pcr_date = date.fromisoformat(raw_date)
         except ValueError:
             raise InputError(

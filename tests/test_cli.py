@@ -624,6 +624,15 @@ class TestEvalCommand:
             "--pred", str(pred), "--out", str(tmp_path / "o"),
         ]) == 2
 
+    def test_errors_name_the_predictions_file(self, corpus_dir, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("sentence_id,mention_index,label\nn1:0,first,YES\n")
+        assert main([
+            "eval", "--gold", str(corpus_dir / "gold_labels.csv"),
+            "--pred", str(pred), "--out", str(tmp_path / "o"),
+        ]) == 2
+        assert "error: pred line 2: mention_index must be an integer" in capsys.readouterr().err
+
 
 class TestCoexprCommand:
     def test_toy_fixture(self, tmp_path):
@@ -906,6 +915,39 @@ class TestMalformedInputExits2:
                      "--patients", str(fuzz_roster / "patients.csv"),
                      "--out", str(fuzz_roster / "out")]) == 2
         assert "presence line 2: field larger than field limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["lexicon", "gold", "pred", "cells", "counts", "daily"])
+    def test_csv_field_over_the_csv_limit(self, fuzz_roster, capsys, kind):
+        files = {  # kind -> header, a valid row
+            "lexicon": ("group_id,term", "cough,cough"),
+            "gold": ("sentence_id,mention_index,label", "s,0,YES"),
+            "pred": ("sentence_id,mention_index,label", "s,0,YES"),
+            "cells": ("cell_id,tissue,cell_type", "c0,lung,t2"),
+            "counts": ("phenotype,pos_total,neg_total,pos_count,neg_count", "Cough,10,20,1,2"),
+            "daily": ("phenotype,day,pos_pct,neg_pct", "Cough,0,10,5"),
+        }
+        paths = {}
+        for name, (header, row) in files.items():
+            if name == kind:  # the first field made too long for the csv module
+                row = f'"{"x" * 200_000}"' + row[row.index(","):]
+            paths[name] = fuzz_roster / f"long_{name}.csv"
+            paths[name].write_text(f"{header}\n{row}\n")
+        matrix, genes = fuzz_roster / "long.mtx", fuzz_roster / "long_genes.txt"
+        matrix.write_text("1 2 0\n")
+        genes.write_text("ACE2\nTMPRSS2\n")
+        argv = {
+            "lexicon": ["synth", "--lexicon", paths["lexicon"], "--calibrate-daily", DAILY,
+                        "--n-pos", "5", "--n-neg", "5"],
+            "gold": ["eval", "--gold", paths["gold"], "--pred", paths["pred"]],
+            "pred": ["eval", "--gold", paths["gold"], "--pred", paths["pred"]],
+            "cells": ["coexpr", "--matrix", matrix, "--cells", paths["cells"], "--genes", genes,
+                      "--gene-a", "ACE2", "--gene-b", "TMPRSS2"],
+            "counts": ["enrich", "--from-counts", paths["counts"]],
+            "daily": ["synth", "--calibrate-daily", paths["daily"], "--n-pos", "5",
+                      "--n-neg", "5"],
+        }[kind]
+        assert main([*map(str, argv), "--out", str(fuzz_roster / "out")]) == 2
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
 
 
 class TestNonUtf8Input:

@@ -218,11 +218,16 @@ class TestIO:
             io.StringIO(MATRIX_TEXT), io.StringIO(padded), io.StringIO(GENES_TEXT)
         )
         assert matrix.cells == (cell(0), cell(1), cell(2, "gut", "enterocyte"))
+        # Whitespace-only lines are skipped, as in every CSV input.
+        spaced = "cell_id,tissue,cell_type\nc0,lung,t2\n \n"
+        matrix = load_triplet_matrix(
+            io.StringIO("1 2 0\n"), io.StringIO(spaced), io.StringIO(GENES_TEXT)
+        )
+        assert matrix.cells == (cell(0),)
         for text, message in (
             ("", "cells file is empty"),
             ("cell_id,tissue\nc0,lung\n", "cells header must be 'cell_id,tissue,cell_type'"),
             ("cell_id,tissue,cell_type\nc0,lung,t2\n\nc1,lung\n", "cells line 4: expected 3 fields"),
-            ("cell_id,tissue,cell_type\nc0,lung,t2\n \n", "cells line 3: expected 3 fields"),
         ):
             with pytest.raises(InputError, match=re.escape(message)):
                 load_triplet_matrix(io.StringIO(MATRIX_TEXT), io.StringIO(text),

@@ -416,9 +416,11 @@ def _quoted(field):
 @st.composite
 def export_rows(draw):
     """One export line: a valid row, decorated or not, or a malformed one."""
-    kind = draw(st.sampled_from(["plain"] * 6 + ["decorated", "bad", "blank"]))
+    kind = draw(st.sampled_from(["plain"] * 6 + ["decorated", "bad", "blank", "spaces"]))
     if kind == "blank":
         return ""
+    if kind == "spaces":
+        return draw(st.sampled_from([" ", " \t ", "\t"]))
     group_id = draw(st.sampled_from(EXPORT_GROUPS))
     day = draw(st.sampled_from(["-3", "0", "14", "-14", "+2", "1_0", "007"]))
     patient_id = draw(st.sampled_from(sorted(EXPORT_RECORDS)))

@@ -231,7 +231,8 @@ def _roster_fields(draw):
     space = st.sampled_from(["", " ", "  ", "\t"])
     patient_id = draw(st.sampled_from(["p1", "p2", "p3", "P1", "", "p 4", "p,5", 'p"6']))
     pcr_date = draw(st.sampled_from(
-        ["2020-03-10", "2020-03-11", "2020-03-09", "2020-3-10", "03/10/2020", "", "2020-02-30"]))
+        ["2020-03-10", "2020-03-11", "2020-03-09", "2020-3-10", "03/10/2020", "", "2020-02-30",
+         "20200310", "2020-W11-2"]))
     result = draw(st.sampled_from(["pos", "neg", "POS", "Neg", "positive", "maybe", ""]))
     fields = [draw(space) + field + draw(space) for field in (patient_id, pcr_date, result)]
     return fields[:draw(st.sampled_from([3, 3, 3, 3, 2, 1]))]
@@ -289,5 +290,11 @@ class TestLoadPatientsOracle:
 
     def test_csv_error_exits_as_input_error(self):
         text = "patient_id,pcr_date,pcr_result\n" + '"' + "x" * 200_000 + '",2020-03-10,pos\n'
+        with pytest.raises(InputError, match="patients line 2: field larger than field limit"):
+            load_patients(io.StringIO(text))
+
+    @pytest.mark.parametrize("later", ["", '"p2",2020-03-10,pos\n'], ids=["plain", "quoted"])
+    def test_field_limit_holds_without_quotes(self, later):
+        text = "patient_id,pcr_date,pcr_result\n" + "x" * 200_000 + ",2020-03-10,pos\n" + later
         with pytest.raises(InputError, match="patients line 2: field larger than field limit"):
             load_patients(io.StringIO(text))
