@@ -582,7 +582,7 @@ def load_presence_long_csv(
         presence = _index_export(io.BytesIO(text.encode()), roster, known) \
             if text.isascii() else None
         if presence is None:
-            presence = _walk_export(io.StringIO(text), roster, known)
+            presence = _walk_export(io.StringIO(text, newline=""), roster, known)
     return SymptomPresenceTable.from_roster(presence, roster, day_range, group_ids)
 
 

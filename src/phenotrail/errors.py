@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import io
-import itertools
 from contextlib import contextmanager
 from typing import IO, Iterator, Sequence
 
@@ -54,9 +52,6 @@ def _first_non_utf8_line(path: str) -> int | None:
     return None
 
 
-_CSV_BLOCK = 1 << 16  # characters read per block of lines
-
-
 def csv_rows(
     source: IO[str] | str, what: str, header: Sequence[str] | None = None
 ) -> Iterator[tuple[int, list[str]]]:
@@ -66,53 +61,32 @@ def csv_rows(
     must be exactly those, and only the rows after it are yielded;
     without, it is yielded first, as line 1.  Empty and whitespace-only
     lines are skipped, and every other row must have as many fields as
-    the header.  A file that breaks one of these rules, or that the csv
-    module cannot parse, raises InputError naming ``what`` (the kind of
-    file) and the line.
+    the header.  A row's number is the line it starts on.  A file that
+    breaks one of these rules, or that the csv module cannot parse,
+    raises InputError naming ``what`` (the kind of file) and the line.
     """
     if isinstance(source, str):
         with open_text(source, what, newline="") as handle:
             yield from csv_rows(handle, what, header)
         return
-    rows = enumerate(_split_rows(source, what), start=1)
-    _, first = next(rows, (1, None))
-    if first is None:
-        raise InputError(f"{what} file is empty")
-    if header is None:
-        yield 1, first
-    elif tuple(name.strip() for name in first) != tuple(header):
-        raise InputError(f"{what} header must be {','.join(header)!r}, got {','.join(first)!r}")
-    width = len(first)
-    for lineno, row in rows:
-        if len(row) < 2 and not "".join(row).strip():
-            continue  # an empty or whitespace-only line
-        if len(row) != width:
-            raise InputError(f"{what} line {lineno}: expected {width} fields, got {len(row)}")
-        yield lineno, row
-
-
-def _split_rows(source: IO[str], what: str) -> Iterator[list[str]]:
-    """The fields of each line, read in blocks of whole lines.
-
-    A block without double quotes, CR or NUL characters and without a
-    line longer than the csv field limit is split into fields directly.
-    From the first other block on, the csv module parses the rest, with
-    the same rows and errors.
-    """
-    limit = csv.field_size_limit()
-    read = 0  # lines before the current block
-    while text := source.read(_CSV_BLOCK):
-        text += source.readline()  # the rest of the block's last line
-        lines = text.split("\n")
-        if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > limit:
-            reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), source))
-            try:
-                yield from reader
-            except csv.Error as exc:
-                raise InputError(f"{what} line {read + reader.line_num}: {exc}") from None
-            return
-        if not lines[-1]:
-            lines.pop()  # the text after the last line end
-        read += len(lines)
-        for line in lines:
-            yield line.split(",") if line else []
+    reader = csv.reader(source)
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise InputError(f"{what} file is empty")
+        if header is None:
+            yield 1, first
+        elif tuple(name.strip() for name in first) != tuple(header):
+            raise InputError(f"{what} header must be {','.join(header)!r}, got {','.join(first)!r}")
+        start = reader.line_num + 1  # a quoted field may hold line breaks
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if len(row) < 2 and not "".join(row).strip():
+                continue  # an empty or whitespace-only line
+            if len(row) != len(first):
+                raise InputError(
+                    f"{what} line {lineno}: expected {len(first)} fields, got {len(row)}"
+                )
+            yield lineno, row
+    except csv.Error as exc:
+        raise InputError(f"{what} line {reader.line_num}: {exc}") from None

@@ -425,7 +425,9 @@ def presence_export_oracle(source, patients, group_ids=None):
     known = None if group_ids is None else frozenset(group_ids)
     arms = {patient_id: record.pcr_result for patient_id, record in patients.items()}
     presence = {}
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num + 1
+    for row in reader:
+        lineno, start = start, reader.line_num + 1  # the line the row starts on
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 4:
@@ -538,7 +540,9 @@ def load_patients_oracle(source):
         )
     aliases = {"pos": "positive", "neg": "negative"}
     records = {}
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num + 1
+    for row in reader:
+        lineno, start = start, reader.line_num + 1  # the line the row starts on
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:

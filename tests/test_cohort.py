@@ -444,7 +444,7 @@ def export_dir(tmp_path_factory):
 
 def _oracle_or_error(text, group_ids):
     try:
-        return presence_export_oracle(io.StringIO(text), EXPORT_RECORDS, group_ids)
+        return presence_export_oracle(io.StringIO(text, newline=""), EXPORT_RECORDS, group_ids)
     except InputError as exc:
         return str(exc)
 
@@ -461,7 +461,7 @@ class TestExportLoader:
     """The vectorised loader against the row-by-row loader it replaced."""
 
     @given(st.lists(export_rows(), max_size=25), st.booleans(),
-           st.sampled_from(["\n", "\r\n"]), st.sampled_from([None, EXPORT_GROUPS[:2]]))
+           st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from([None, EXPORT_GROUPS[:2]]))
     @settings(max_examples=300, deadline=None)
     def test_same_cells_or_error_as_oracle(self, export_dir, rows, sort, newline, group_ids):
         if sort:

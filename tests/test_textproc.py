@@ -265,8 +265,8 @@ def load_records(source):
 
 
 class TestLoadPatientsOracle:
-    """The direct field split and the csv fallback find what the csv
-    loader finds: the same records in the same order, or the same error."""
+    """The roster loader finds what the row-by-row oracle finds: the same
+    records in the same order, or the same error."""
 
     @staticmethod
     def _outcome(load, text):
