@@ -14,6 +14,7 @@ import csv
 import enum
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Protocol, Sequence
 
@@ -208,24 +209,25 @@ def evaluate(
         raise InputError("cannot evaluate an empty label sequence")
 
     n = len(gold)
-    correct = sum(1 for g, p in zip(gold, predicted) if g == p)
+    pairs = Counter(zip(gold, predicted))  # (gold, predicted) -> how many
+    gold_n, pred_n = Counter(), Counter()
+    for (g, p), count in pairs.items():
+        gold_n[g] += count
+        pred_n[p] += count
+    correct = sum(count for (g, p), count in pairs.items() if g == p)
 
     per_label: dict[AssertionLabel, tuple[float, float, float]] = {}
-    present = [lab for lab in LABELS if any(g == lab for g in gold)
-               or any(p == lab for p in predicted)]
-    for lab in present:
-        tp = sum(1 for g, p in zip(gold, predicted) if g == lab and p == lab)
-        pred_pos = sum(1 for p in predicted if p == lab)
-        gold_pos = sum(1 for g in gold if g == lab)
-        precision = _safe_div(tp, pred_pos)
-        recall = _safe_div(tp, gold_pos)
-        f1 = _safe_div(2 * precision * recall, precision + recall)
-        per_label[lab] = (precision, recall, f1)
+    for lab in LABELS:
+        if gold_n[lab] or pred_n[lab]:
+            precision = _safe_div(pairs[lab, lab], pred_n[lab])
+            recall = _safe_div(pairs[lab, lab], gold_n[lab])
+            f1 = _safe_div(2 * precision * recall, precision + recall)
+            per_label[lab] = (precision, recall, f1)
 
     yes = AssertionLabel.YES
-    tp = sum(1 for g, p in zip(gold, predicted) if g == yes and p == yes)
-    fn = sum(1 for g, p in zip(gold, predicted) if g == yes and p != yes)
-    fp = sum(1 for g, p in zip(gold, predicted) if g != yes and p == yes)
+    tp = pairs[yes, yes]
+    fn = gold_n[yes] - tp
+    fp = pred_n[yes] - tp
     tn = n - tp - fn - fp
 
     return EvalMetrics(
@@ -309,6 +311,7 @@ class PrecomputedClassifier:
 
 
 GOLD_HEADER = ("sentence_id", "mention_index", "label")
+_LABEL_OF = {lab.value: lab for lab in LABELS}
 
 
 def write_gold_labels(
@@ -327,19 +330,16 @@ def load_gold_labels(
 ) -> dict[tuple[str, int], AssertionLabel]:
     """Read a ``sentence_id,mention_index,label`` CSV; errors name ``what``."""
     labels: dict[tuple[str, int], AssertionLabel] = {}
-    for lineno, row in csv_rows(source, what, GOLD_HEADER):
-        sentence_id, raw_index, raw_label = (f.strip() for f in row)
+    for lineno, (sentence_id, raw_index, raw_label) in csv_rows(source, what, GOLD_HEADER):
         try:
-            mention_index = int(raw_index)
+            mention_index = int(raw_index.strip())
         except ValueError:
             raise InputError(f"{what} line {lineno}: mention_index must be an integer") from None
-        try:
-            label = AssertionLabel(raw_label.upper())
-        except ValueError:
+        label = _LABEL_OF.get(raw_label) or _LABEL_OF.get(raw_label.strip().upper())
+        if label is None:
             raise InputError(
-                f"{what} line {lineno}: label must be one of {[lab.value for lab in LABELS]}"
-            ) from None
-        key = (sentence_id, mention_index)
+                f"{what} line {lineno}: label must be one of {[lab.value for lab in LABELS]}")
+        key = (sentence_id.strip(), mention_index)
         if key in labels:
             raise InputError(f"{what} line {lineno}: duplicate key {key}")
         labels[key] = label

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -75,7 +74,21 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, inputs=None) -> None:
         "--include-maybe", action="store_true",
         help="count suspected (MAYBE) mentions as presence",
     )
-    parser.add_argument("--workers", type=_positive_int, default=1, metavar="N")
+    parser.add_argument("--workers", type=_positive_int, metavar="N", help=(
+        "curation processes (default: the usable CPUs, at most 4; 1 stays in-process)"))
+
+
+def _default_workers() -> int:
+    """An omitted --workers: the CPUs this process may use, at most 4, as the
+    parent's share of a pooled pass (reading chunks, merging parts) caps
+    the gain; 1 where the pool's fork start method is missing."""
+    import multiprocessing  # only curation needs it; keeps CLI start-up lean
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    usable = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(usable, 4)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,9 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # loads OpenSSL, about 3 MB: not before the outputs are written
+
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
+    with open(path, "rb") as handle:  # blocks under malloc's mmap threshold reuse one buffer
+        for block in iter(lambda: handle.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
 
@@ -231,6 +246,8 @@ def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
     # An external classifier labels the mentions once the pass has
     # numbered them; until then each stays a task.
     classifier = None if dump_path or responses_path else assertion.RuleClassifier()
+    if args.workers is None:  # resolved here, so that the manifest records it
+        args.workers = _default_workers()
     with open_text(args.notes, "notes") as lines:
         curation = cohort.curate_notes(
             lines,
@@ -273,70 +290,75 @@ def _presence_table(args: argparse.Namespace):
 # Pre-tabulated count files
 
 
-def _read_counts_csv(path: str, required: Sequence[str]) -> list[dict[str, str]]:
-    """Rows by column name, but those all blank, as spreadsheets leave them."""
+def _read_counts_csv(path: str, required: Sequence[str]) -> list[tuple[int, dict[str, str]]]:
+    """(line, row by column name) per row, but those all blank, as spreadsheets leave them."""
     rows = csv_rows(path, "counts")
     _, header = next(rows)
     columns = [name.strip() for name in header]
     missing = [c for c in required if c not in columns]
     if missing:
         raise InputError(f"{path}: missing columns {missing}")
-    return [dict(zip(columns, fields)) for _, fields in rows if any(f.strip() for f in fields)]
+    return [(lineno, dict(zip(columns, fields)))
+            for lineno, fields in rows if any(f.strip() for f in fields)]
 
 
-def _field(row: dict[str, str], key: str, path: str, kind: type = int):
+def _field(row: dict[str, str], key: str, lineno: int, kind: type = int):
     try:
         value = kind(row[key])
     except (KeyError, ValueError, TypeError):
         value = None
     if value is None or (kind is float and not math.isfinite(value)):
         what = "integer" if kind is int else "number"
-        raise InputError(f"{path}: bad {what} in column {key!r}: {row.get(key)!r}")
+        raise InputError(f"counts line {lineno}: bad {what} in column {key!r}: {row.get(key)!r}")
     return value
 
 
 def _uniform_totals(rows, path) -> tuple[int, int]:
-    totals = {(
-        _field(row, "pos_total", path), _field(row, "neg_total", path)
-    ) for row in rows}
-    if len(totals) != 1:
-        raise InputError(f"{path}: pos_total/neg_total must be uniform")
-    return totals.pop()
+    """The pos_total and neg_total that every row repeats."""
+    totals = None
+    for lineno, row in rows:
+        these = (_field(row, "pos_total", lineno), _field(row, "neg_total", lineno))
+        totals = totals or these
+        if these != totals:
+            raise InputError(f"counts line {lineno}: pos_total/neg_total must be uniform")
+    if totals is None:
+        raise InputError(f"{path}: no count rows")
+    return totals
 
 
-def derive_count(pct: float, total: int) -> int:
-    """Recover an integer count from a printed percentage."""
+def derive_count(pct: float, total: int, lineno: int) -> int:
+    """Recover an integer count from the percentage printed on a line."""
     try:
         count = pct * total / 100.0
     except OverflowError:  # a total beyond the float range
         count = math.inf
     if not math.isfinite(count):
-        raise InputError(f"{pct}% of {total} is not a count")
+        raise InputError(f"counts line {lineno}: {pct}% of {total} is not a count")
     return round(count)
 
 
-def _enrichment_counts(row, path, n_pos, n_neg) -> tuple[str, int, int]:
+def _enrichment_counts(row, lineno, n_pos, n_neg) -> tuple[str, int, int]:
     return (row["phenotype"],
-            _field(row, "pos_count", path),
-            _field(row, "neg_count", path))
+            _field(row, "pos_count", lineno),
+            _field(row, "neg_count", lineno))
 
 
-def _daily_counts(row, path, n_pos, n_neg) -> tuple[str, int, int, int]:
+def _daily_counts(row, lineno, n_pos, n_neg) -> tuple[str, int, int, int]:
     """Counts, or counts recovered from the percentages when absent."""
-    day = _field(row, "day", path)
+    day = _field(row, "day", lineno)
     if row.get("pos_count"):
-        k_pos = _field(row, "pos_count", path)
-        k_neg = _field(row, "neg_count", path)
+        k_pos = _field(row, "pos_count", lineno)
+        k_neg = _field(row, "neg_count", lineno)
     else:
-        k_pos = derive_count(_field(row, "pos_pct", path, float), n_pos)
-        k_neg = derive_count(_field(row, "neg_pct", path, float), n_neg)
+        k_pos = derive_count(_field(row, "pos_pct", lineno, float), n_pos, lineno)
+        k_neg = derive_count(_field(row, "neg_pct", lineno, float), n_neg, lineno)
     return (row["phenotype"], day, k_pos, k_neg)
 
 
-def _pair_counts(row, path, n_pos, n_neg) -> tuple[str, str, int, int]:
+def _pair_counts(row, lineno, n_pos, n_neg) -> tuple[str, str, int, int]:
     return (row["phenotype_a"], row["phenotype_b"],
-            _field(row, "pos_count", path),
-            _field(row, "neg_count", path))
+            _field(row, "pos_count", lineno),
+            _field(row, "neg_count", lineno))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +440,7 @@ class _Table(NamedTuple):
 
     output: str
     required: tuple[str, ...]  # required --from-counts columns
-    parse: Callable  # (counts row, path, n_pos, n_neg) -> counts tuple
+    parse: Callable  # (counts row, its line, n_pos, n_neg) -> counts tuple
     presence_counts: Callable  # (presence table, window) -> counts
     build: Callable  # (counts, n_pos, n_neg, **options) -> stats rows
     # (header, stats row attribute, render) per output column; a header
@@ -477,7 +499,7 @@ def _cmd_table(args, argv) -> int:
     if args.from_counts:
         rows_in = _read_counts_csv(args.from_counts, spec.required)
         n_pos, n_neg = _uniform_totals(rows_in, args.from_counts)
-        counts = [spec.parse(row, args.from_counts, n_pos, n_neg) for row in rows_in]
+        counts = [spec.parse(row, lineno, n_pos, n_neg) for lineno, row in rows_in]
         names: dict[str, str] = {}  # labels print as read
         inputs = [args.from_counts]
     else:
@@ -519,16 +541,16 @@ def _resolve_calibration_rows(path: str, lexicon: Lexicon):
     reverse = {name: gid for gid, name in lexicon.display_names.items()}
     known = set(lexicon.group_ids)
     rows = []
-    for row in rows_in:
+    for lineno, row in rows_in:
         label = row["phenotype"].strip()
         group_id = reverse.get(label, label if label in known else None)
         if group_id is None:
-            raise InputError(f"{path}: unknown phenotype {label!r}")
+            raise InputError(f"counts line {lineno}: unknown phenotype {label!r}")
         rows.append(
             (group_id,
-             _field(row, "day", path),
-             _field(row, "pos_pct", path, float),
-             _field(row, "neg_pct", path, float))
+             _field(row, "day", lineno),
+             _field(row, "pos_pct", lineno, float),
+             _field(row, "neg_pct", lineno, float))
         )
     return rows
 

@@ -197,13 +197,16 @@ class TemplateCounter:
         self.holders[number] = None if template else held
         return None if template else number
 
-    def merge(self, other: TemplateCounter) -> list[int]:
-        """Count here the patients ``other`` holds; the number here of each
-        of its fingerprints."""
+    def merge(self, other: TemplateCounter, roster: Roster) -> list[int]:
+        """Count here the patients ``other`` holds, a rostered one by the
+        roster's copy of its id (so ids unpickled from a pool worker are not
+        held twice); the number here of each of its fingerprints."""
+        index, ids = roster.index, roster.ids
         renumbered = []
         for fp, held in zip(other.numbers, other.holders):
             for patient_id in (held,) if held.__class__ is str else held or ():
-                self.count(fp, patient_id)
+                i = index.get(patient_id)
+                self.count(fp, patient_id if i is None else ids[i])
             number = self.numbers.setdefault(fp, len(self.holders))
             if held is None:  # a template in part of the corpus is one in all of it
                 if number == len(self.holders):
@@ -257,7 +260,7 @@ class Curation:
         self.events = array("q")
         self.tasks: list[tuple] = []
 
-    def absorb(self, other: Curation) -> None:
+    def absorb(self, other: Curation, roster: Roster) -> None:
         """Append ``other``, the pass over the lines that follow; raises
         the first input error in line order."""
         if not self.note_lines.keys().isdisjoint(other.note_lines):
@@ -268,7 +271,7 @@ class Curation:
         if other.error is not None:
             raise other.error
         self.unknown += other.unknown
-        number = None if self.counter is None else self.counter.merge(other.counter)
+        number = None if self.counter is None else self.counter.merge(other.counter, roster)
         cell = [self.cells.setdefault(key, len(self.cells)) for key in other.cells]
         triples = iter(other.events)
         self.events.extend(value for f, c, i in zip(triples, triples, triples)
@@ -404,7 +407,7 @@ def _pool_pass_all(cfg: _Config, total: Curation, chunks: Iterator, workers: int
         parts = pool.imap(_pool_pass, chunks)
         try:
             for part in parts:
-                total.absorb(part)
+                total.absorb(part, cfg.roster)
         finally:
             # Leaving the pool terminates its workers, and a worker stopped
             # while it writes a result leaves the result queue locked.  So
@@ -452,7 +455,8 @@ def curate_notes(
             _pass(cfg, total, *head)
             next(chunks, None)  # raises that read error, if no earlier error
         else:
-            _pool_pass_all(cfg, total, chain([head], chunks), workers, halt)
+            head = iter([head])  # an iterator lets go of the first chunk once it is sent
+            _pool_pass_all(cfg, total, chain(head, chunks), workers, halt)
     if total.error is not None:
         raise total.error
     total.settle()

@@ -13,8 +13,10 @@ package's earlier implementations, kept as references for their faster
 replacements: the full-support Fisher sum, the row-by-row presence
 export loader that builds sets of patient ids, the two-pass curation
 that holds the whole corpus (segmented once, then a template pass over
-full patient sets, then a scan of the kept sentences), and the roster
-loader that reads every file through the csv module.
+full patient sets, then a scan of the kept sentences), the roster
+loader that reads every file through the csv module, the gold-label
+loader that strips every field, and the evaluation that counts each
+confusion cell in its own pass.
 
 ``curate_jsonl`` is no oracle: it is how tests that start from parsed
 notes reach the package's one curation entry, through the JSON lines
@@ -37,7 +39,7 @@ import numpy as np
 
 from phenotrail.assertion import AssertionLabel
 from phenotrail.cohort import DEFAULT_DAY_RANGE, curate_notes
-from phenotrail.errors import InputError
+from phenotrail.errors import InputError, csv_rows
 from phenotrail.textproc import PatientRecord, fingerprint, relative_day, sentence_texts
 from phenotrail.synth import (
     _BASE_DATE,
@@ -568,3 +570,48 @@ def load_patients_oracle(source):
                 or (pcr_date == existing.pcr_date and result == "positive")):
             records[patient_id] = PatientRecord(patient_id, pcr_date, result)
     return records
+
+
+def gold_labels_oracle(source, what="gold"):
+    """A ``sentence_id,mention_index,label`` CSV with every field stripped
+    and the label upcased.  The file's structure is ``csv_rows``'s."""
+    labels = {}
+    for lineno, row in csv_rows(source, what, ("sentence_id", "mention_index", "label")):
+        sentence_id, raw_index, raw_label = (field.strip() for field in row)
+        try:
+            mention_index = int(raw_index)
+        except ValueError:
+            raise InputError(f"{what} line {lineno}: mention_index must be an integer") from None
+        try:
+            label = AssertionLabel(raw_label.upper())
+        except ValueError:
+            raise InputError(f"{what} line {lineno}: label must be one of "
+                             f"{[lab.value for lab in AssertionLabel]}") from None
+        key = (sentence_id, mention_index)
+        if key in labels:
+            raise InputError(f"{what} line {lineno}: duplicate key {key}")
+        labels[key] = label
+    return labels
+
+
+def evaluate_oracle(gold, predicted):
+    """(accuracy, {label: (precision, recall, f1)}, tpr, fpr, fnr), each
+    count taken in its own pass over the two label lists."""
+    def div(num, den):
+        return num / den if den else 0.0
+
+    pairs = list(zip(gold, predicted))
+    per_label = {}
+    for lab in AssertionLabel:
+        if any(g == lab for g in gold) or any(p == lab for p in predicted):
+            tp = sum(1 for g, p in pairs if g == lab and p == lab)
+            precision = div(tp, sum(1 for p in predicted if p == lab))
+            recall = div(tp, sum(1 for g in gold if g == lab))
+            per_label[lab] = (precision, recall, div(2 * precision * recall, precision + recall))
+    yes = AssertionLabel.YES
+    tp = sum(1 for g, p in pairs if g == yes and p == yes)
+    fn = sum(1 for g, p in pairs if g == yes and p != yes)
+    fp = sum(1 for g, p in pairs if g != yes and p == yes)
+    tn = len(pairs) - tp - fn - fp
+    accuracy = sum(1 for g, p in pairs if g == p) / len(pairs)
+    return accuracy, per_label, div(tp, tp + fn), div(fp, fp + tn), div(fn, tp + fn)

@@ -21,7 +21,7 @@ from phenotrail.assertion import (
 from phenotrail.errors import InputError
 from phenotrail.lexicon import build_matcher, load_default_lexicon
 
-from oracles import classify_oracle
+from oracles import classify_oracle, evaluate_oracle, gold_labels_oracle
 
 Y, N, M, O = (AssertionLabel.YES, AssertionLabel.NO,
               AssertionLabel.MAYBE, AssertionLabel.OTHER)
@@ -302,6 +302,17 @@ class TestEvaluate:
             else:
                 assert f1 == 0.0
 
+    @given(st.lists(st.tuples(st.sampled_from([Y, N, M, O]), st.sampled_from([Y, N, M, O])),
+                    min_size=1, max_size=80))
+    @settings(max_examples=300)
+    def test_equals_one_pass_per_count(self, pairs):
+        gold, predicted = [g for g, _ in pairs], [p for _, p in pairs]
+        metrics = evaluate(gold, predicted)
+        assert (metrics.accuracy, metrics.per_label, metrics.tpr, metrics.fpr,
+                metrics.fnr) == evaluate_oracle(gold, predicted)
+        assert list(metrics.per_label) == list(evaluate_oracle(gold, predicted)[1])
+        assert metrics.n_total == len(pairs)
+
 
 class TestBatchProtocol:
     def test_roundtrip(self):
@@ -363,3 +374,20 @@ class TestGoldLabels:
         with pytest.raises(InputError, match="duplicate"):
             load_gold_labels(io.StringIO(
                 "sentence_id,mention_index,label\ns,0,YES\ns,0,NO\n"))
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["s", " s", "s\x1c", "t"]),
+        st.sampled_from(["0", " 1", "1\x1c", "\x1f2 ", "x", "", "1_0"]),
+        st.sampled_from(["YES", "yes", " No ", "MAYBE\x1d", "other", "OTHER", "BAD", ""]),
+    ), max_size=6))
+    @settings(max_examples=300)
+    def test_same_labels_or_error_as_stripping_every_field(self, rows):
+        text = "sentence_id,mention_index,label\n" + "".join(
+            f'"{s}","{i}","{lab}"\n' for s, i, lab in rows)
+        outcomes = []
+        for load in (load_gold_labels, gold_labels_oracle):
+            try:
+                outcomes.append(load(io.StringIO(text), "pred"))
+            except InputError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phenotrail
-from phenotrail import bundled
+from phenotrail import bundled, cli
 from phenotrail.cli import main, rerun_from_manifest, run
 from phenotrail.errors import InputError
 from phenotrail.lexicon import load_default_lexicon
@@ -370,7 +370,7 @@ class TestCurateStream:
         monkeypatch.setattr(cohort, "_CHUNK", 50)  # so that the pool runs on this corpus
         requests = tmp_path / "requests.jsonl"
         base = ["curate", *corpus_args(corpus_dir)]
-        assert main([*base, "--dump-classification-requests", str(requests),
+        assert main([*base, "--dump-classification-requests", str(requests), "--workers", "1",
                      "--out", str(tmp_path / "ignored")]) == 0
         dumped = requests.read_bytes()
         assert main([*base, "--dump-classification-requests", str(requests), "--workers", "2",
@@ -389,6 +389,61 @@ class TestCurateStream:
             assert filecmp.cmp(tmp_path / "replay1" / name, tmp_path / "replay2" / name,
                                shallow=False), name
         assert len(read_csv(tmp_path / "replay1" / "presence.csv")) > 1
+
+
+class TestDefaultWorkers:
+    """An omitted --workers: the usable CPUs, at most 4, and 1 without fork."""
+
+    @pytest.mark.parametrize("cpus, expected", [(1, 1), (2, 2), (4, 4), (16, 4)])
+    def test_usable_cpus_capped_at_4(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # affinity wins
+        assert cli._default_workers() == expected
+
+    def test_one_without_fork(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)),
+                            raising=False)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert cli._default_workers() == 1
+
+    @pytest.mark.parametrize("count, expected", [(3, 3), (12, 4), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._default_workers() == expected
+
+    def test_omitted_equals_one_worker(self, tmp_path, monkeypatch):
+        from phenotrail import cohort
+
+        corpus = tmp_path / "corpus"
+        assert main(synth_args(corpus, n_pos=500, n_neg=1700)) == 0
+        assert len((corpus / "notes.jsonl").read_bytes().splitlines()) > cohort._CHUNK
+        pooled, real_pool = [], cohort._pool_pass_all
+
+        def pool_pass_all(cfg, total, chunks, workers, halt):
+            pooled.append(workers)
+            return real_pool(cfg, total, chunks, workers, halt)
+
+        monkeypatch.setattr(cohort, "_pool_pass_all", pool_pass_all)
+        resolved = cli._default_workers()
+        for command, extra, outputs in (
+            ("curate", ["--per-patient"], ("presence.csv", "presence_long.csv", "rejects.csv")),
+            ("enrich", [], ("enrichment.csv",)),
+        ):
+            runs = {"default": [], "one": ["--workers", "1"]}
+            for name, workers in runs.items():
+                assert main([command, *corpus_args(corpus), *extra, *workers,
+                             "--out", str(tmp_path / command / name)]) == 0
+            for output in outputs:
+                assert filecmp.cmp(tmp_path / command / "default" / output,
+                                   tmp_path / command / "one" / output, shallow=False), output
+            for name, workers in (("default", resolved), ("one", 1)):
+                manifest = json.loads((tmp_path / command / name / "manifest.json").read_text())
+                assert manifest["config"]["workers"] == workers
+        assert pooled == ([resolved] * 2 if resolved > 1 else [])  # the pool ran, if it could
 
 
 class TestFromCounts:
@@ -854,10 +909,11 @@ class TestMalformedInputExits2:
          "line 2: expected 5 fields"),
         ("enrich", "phenotype,pos_total,neg_total,pos_count,neg_count\n,,,,,5\nCough,10,20,1\n",
          "line 2: expected 5 fields"),
+        ("enrich", "phenotype,pos_total,neg_total,pos_count,neg_count\n,,,,\n", "no count rows"),
         ("timeline", "phenotype,day,pos_total,neg_total,pos_pct,neg_pct\nCough,1,10,20,nan,2\n",
          "bad number in column 'pos_pct': 'nan'"),
         ("timeline", f"phenotype,day,pos_total,neg_total,pos_pct,neg_pct\nCough,1,{BIG},20,1,2\n",
-         "is not a count"),
+         "counts line 2: 1.0% of 1" + "0" * 400 + " is not a count"),
         ("timeline", "phenotype,day,pos_total,neg_total\nCough,1,10,20\n",
          "bad number in column 'pos_pct': None"),
         ("pairwise", "phenotype_a,phenotype_b,pos_total,neg_total,pos_count,neg_count\n"
@@ -871,6 +927,40 @@ class TestMalformedInputExits2:
         assert main([command, "--from-counts", str(counts),
                      "--out", str(fuzz_roster / "out")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("enrich", "phenotype,pos_total,neg_total,pos_count,neg_count\n"
+                   "Cough,10,20,1,2\n\nFever,10,20,x,2\n",
+         "counts line 4: bad integer in column 'pos_count': 'x'"),
+        ("enrich", "phenotype,pos_total,neg_total,pos_count,neg_count\n"
+                   "Cough,10,20,1,2\nFever,10,21,1,2\n",
+         "counts line 3: pos_total/neg_total must be uniform"),
+        ("timeline", "phenotype,day,pos_total,neg_total,pos_pct,neg_pct\n"
+                     "Cough,1,10,20,1,2\nCough,x,10,20,1,2\n",
+         "counts line 3: bad integer in column 'day': 'x'"),
+        # The quoted line break puts the last row on line 5.
+        ("pairwise", "phenotype_a,phenotype_b,pos_total,neg_total,pos_count,neg_count\n"
+                     "A,B,10,20,1,2\n\"A\nB\",C,10,20,1,2\nA,C,10,20,1,-\n",
+         "counts line 5: bad integer in column 'neg_count': '-'"),
+    ])
+    def test_counts_value_errors_name_their_line(self, fuzz_roster, capsys, command, text,
+                                                 message):
+        counts = fuzz_roster / "counts_line.csv"
+        counts.write_text(text)
+        assert main([command, "--from-counts", str(counts),
+                     "--out", str(fuzz_roster / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("Nonsense,1,2.0,1.0", "counts line 3: unknown phenotype 'Nonsense'"),
+        ("Cough,1,abc,1.0", "counts line 3: bad number in column 'pos_pct': 'abc'"),
+    ])
+    def test_calibration_value_errors_name_their_line(self, tmp_path, capsys, row, message):
+        table = tmp_path / "daily.csv"
+        table.write_text(f"phenotype,day,pos_pct,neg_pct\nCough,0,5.0,2.0\n{row}\n")
+        assert main(["synth", "--calibrate-daily", str(table), "--n-pos", "5", "--n-neg", "5",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("rows", ["", "P1,2020-04-01,pos\n"], ids=["no_arm", "positive_only"])
     def test_pairwise_from_notes_with_an_empty_arm(self, fuzz_roster, capsys, rows):
@@ -1122,11 +1212,12 @@ class TestManifest:
 
 
 def test_cli_import_loads_no_pool_or_numpy():
-    # Every command pays the CLI's import time; the worker pool and numpy
-    # are imported only where they are used.
+    # Every command pays the CLI's import time; the worker pool, numpy and
+    # hashlib (which loads OpenSSL, about 3 MB) are imported only where
+    # they are used.
     src = os.path.dirname(os.path.dirname(phenotrail.__file__))
-    code = ("import sys, phenotrail.cli; "
-            "print(sorted(m for m in ('multiprocessing', 'numpy') if m in sys.modules))")
+    code = ("import sys, phenotrail.cli; print(sorted(m for m in "
+            "('hashlib', 'multiprocessing', 'numpy') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True, timeout=60)

@@ -584,7 +584,7 @@ def chunked_curation(lines, matcher, classifier, threshold, include_maybe, size)
     total = cohort.Curation(threshold)
     for start in range(0, len(lines), size):
         part = cohort._pass(cfg, cohort.Curation(threshold), start + 1, lines[start:start + size])
-        total.absorb(part)
+        total.absorb(part, STREAM_ROSTER)
     total.settle()
     return total
 
@@ -654,7 +654,8 @@ class TestCurationStream:
             left.count(fp, pid)
         for fp, pid in pairs[cut:]:
             right.count(fp, pid)
-        renumbered = left.merge(right)
+        roster = Roster((f"p{k}", 0, False) for k in range(7))  # p7..p13 are unknown
+        renumbered = left.merge(right, roster)
         assert [fp for fp in left.numbers] == [fp for fp in whole.numbers]
         assert renumbered == [left.numbers[fp] for fp in right.numbers]
         for fp, number in whole.numbers.items():
@@ -663,6 +664,13 @@ class TestCurationStream:
             assert (held is None) == (merged is None)
             if held is not None:
                 assert members(held) == members(merged)
+        # What a merge adds, it holds by the roster's copy of a rostered id.
+        fresh = cohort.TemplateCounter(threshold)
+        fresh.merge(right, roster)
+        copies = {id(patient_id) for patient_id in roster.ids}
+        for held in fresh.holders:
+            for patient_id in members(held or ()):
+                assert (id(patient_id) in copies) == (patient_id in roster.index)
 
     def test_one_shot_generator_equals_list(self, matcher, classifier):
         rng = random.Random(4)
