@@ -36,8 +36,9 @@ LABELS = tuple(AssertionLabel)
 class Classifier(Protocol):
     """Classifies one mention inside one sentence.
 
-    Implementations must be deterministic and safe to share between
-    workers once constructed.
+    Implementations must be pure functions of ``(sentence, span)``, as
+    curation classifies each distinct sentence once and reuses its labels,
+    and safe to share between workers once constructed.
     """
 
     def classify(

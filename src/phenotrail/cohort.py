@@ -15,12 +15,17 @@ corpus once.  Each line is parsed, segmented, fingerprinted, matched and
 classified in one pass that keeps no notes: only a capped count of
 patients per sentence fingerprint and a compact event per accepted
 mention.  Once the pass ends the template fingerprints are known, and
-the events of the other sentences fold into the table.  The pass runs
-in-process or, chunk by chunk of raw lines, in a worker pool; partial
-passes merge in line order, so the result and the first reported input
-error are the same for any worker count.  The notes path never imports
-numpy; the export loader imports it to parse and index the export in
-one vectorised pass per chunk.
+the events of the other sentences fold into the table.  Notes repeat
+sentence frames with other numbers, so a verdict memo, cleared at
+``_MEMO_CAP`` keys, matches and classifies each frame once: it keys a
+sentence by its text with the ASCII digits made 0, unless a term or rule
+holds a digit or the classifier is no ``RuleClassifier`` (see
+``_sentence_mask``).  A corpus that never repeats costs one lookup per
+sentence.  The pass runs in-process or, chunk by chunk of raw lines, in
+a worker pool; partial passes merge in line order, so the result and
+the first reported input error are the same for any worker count.  The
+notes path never imports numpy; the export loader imports it to parse
+and index the export in one vectorised pass per chunk.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .assertion import AssertionLabel, Classifier, PrecomputedClassifier
+from .assertion import AssertionLabel, Classifier, PrecomputedClassifier, RuleClassifier
 from .errors import InputError, csv_rows
 from .lexicon import TermMatcher
 from .textproc import (
@@ -202,17 +207,21 @@ class TemplateCounter:
         roster's copy of its id (so ids unpickled from a pool worker are not
         held twice); the number here of each of its fingerprints."""
         index, ids = roster.index, roster.ids
+
+        def copy(patient_id: str) -> str:  # the roster's copy of a rostered id
+            i = index.get(patient_id)
+            return patient_id if i is None else ids[i]
         renumbered = []
         for fp, held in zip(other.numbers, other.holders):
-            for patient_id in (held,) if held.__class__ is str else held or ():
-                i = index.get(patient_id)
-                self.count(fp, patient_id if i is None else ids[i])
             number = self.numbers.setdefault(fp, len(self.holders))
-            if held is None:  # a template in part of the corpus is one in all of it
-                if number == len(self.holders):
-                    self.holders.append(None)
-                else:
-                    self.holders[number] = None
+            if number == len(self.holders):  # new here: counting would rebuild ``held``
+                self.holders.append(held if held is None else copy(held)
+                                    if held.__class__ is str else held.__class__(map(copy, held)))
+            elif held is None:  # a template in part of the corpus is one in all of it
+                self.holders[number] = None
+            else:
+                for patient_id in (held,) if held.__class__ is str else held:
+                    self.count(fp, copy(patient_id))
             renumbered.append(number)
         return renumbered
 
@@ -220,9 +229,30 @@ class TemplateCounter:
 _ACCEPTED = {False: frozenset({AssertionLabel.YES}),
              True: frozenset({AssertionLabel.YES, AssertionLabel.MAYBE})}
 
+_MEMO_CAP = 4096  # verdicts a memo holds before it is cleared (see README)
+# Applied to UTF-8, which codes only ASCII in bytes below 0x80: faster than str.translate.
+_DIGIT_MASK = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _sentence_mask(matcher: TermMatcher, classifier: Classifier | None) -> bytes | None:
+    """The table that masks a sentence's UTF-8 into its memo key; None keys it by its text.
+
+    ASCII digits 1-9 made 0 keep each character's position, word-character
+    class and lowercase form, the whitespace and ASCII-ness.  So while no
+    term, cue token or scope breaker holds an ASCII digit, the matcher and
+    the ``RuleClassifier`` give a masked sentence the same mentions and
+    labels.  Other classifiers' rules are unknown, and need only be pure.
+    """
+    if type(classifier) is not RuleClassifier:
+        return None
+    rules = classifier.config
+    words = chain(matcher.terms, rules.scope_breakers, *rules.negation_cues,
+                  *rules.uncertainty_cues, *rules.attribution_cues)
+    return None if any(re.search("[0-9]", word) for word in words) else _DIGIT_MASK
+
 
 class _Config(NamedTuple):
-    """What a pass needs besides its lines; pool workers inherit it."""
+    """What a pass needs besides its lines; pool workers inherit it, each its own memo."""
 
     roster: Roster
     matcher: TermMatcher
@@ -230,6 +260,8 @@ class _Config(NamedTuple):
     threshold: int | None  # None: no template counting
     day_range: tuple[int, int]
     accepted: frozenset[AssertionLabel]
+    mask: bytes | None  # see _sentence_mask
+    memo: dict[str | bytes, list[str]]  # sentence key -> group ids of accepted mentions
 
     @classmethod
     def of(cls, roster, matcher, classifier, threshold, day_range, include_maybe):
@@ -237,7 +269,8 @@ class _Config(NamedTuple):
             raise InputError(f"empty day range {day_range}")
         if threshold is not None:
             TemplateCounter(threshold)  # checks it before any note is read
-        return cls(roster, matcher, classifier, threshold, day_range, _ACCEPTED[include_maybe])
+        return cls(roster, matcher, classifier, threshold, day_range, _ACCEPTED[include_maybe],
+                   _sentence_mask(matcher, classifier), {})
 
 
 class Curation:
@@ -273,9 +306,11 @@ class Curation:
         self.unknown += other.unknown
         number = None if self.counter is None else self.counter.merge(other.counter, roster)
         cell = [self.cells.setdefault(key, len(self.cells)) for key in other.cells]
-        triples = iter(other.events)
-        self.events.extend(value for f, c, i in zip(triples, triples, triples)
-                           for value in (f if number is None else number[f], cell[c], i))
+        start, events = len(self.events), other.events  # renumbered a field at a time
+        self.events += events
+        if number is not None:
+            self.events[start::3] = array("q", map(number.__getitem__, events[0::3]))
+        self.events[start + 1::3] = array("q", map(cell.__getitem__, events[1::3]))
         self.tasks += [(t[0] if number is None else number[t[0]], *t[1:]) for t in other.tasks]
 
     def settle(self) -> None:
@@ -324,12 +359,13 @@ def _scan(cfg: _Config, part: Curation, notes: Iterable[ClinicalNote]) -> None:
 
     Every sentence is counted, also those of unknown patients and of
     notes outside the day range; only the sentences of in-range notes by
-    rostered patients whose fingerprint is no template yet are matched.
+    rostered patients whose fingerprint is no template yet are matched, once per memo key.
     """
     index, ids, day_of = cfg.roster.index, cfg.roster.ids, cfg.roster.day
     find = cfg.matcher.find_mentions
     classify = None if cfg.classifier is None else cfg.classifier.classify
     count = None if part.counter is None else part.counter.count
+    mask, memo, accepted = cfg.mask, cfg.memo, cfg.accepted
     lo, hi = cfg.day_range
     for note in notes:
         i = index.get(note.patient_id)
@@ -346,14 +382,23 @@ def _scan(cfg: _Config, part: Curation, notes: Iterable[ClinicalNote]) -> None:
             number = -1 if count is None else count(fingerprint(text), patient_id)
             if number is None or day is None:
                 continue
-            for mention in find(text):
-                span = (mention.start, mention.end)
-                if classify is None:
+            if classify is None:
+                for mention in find(text):
+                    span = (mention.start, mention.end)
                     part.tasks.append((number, i, day, mention.group_ids, text, *span))
-                elif classify(text, span)[0] in cfg.accepted:
-                    for group_id in mention.group_ids:
-                        cell = part.cells.setdefault((group_id, day), len(part.cells))
-                        part.events.extend((number, cell, i))
+                continue
+            key = text if mask is None else text.encode().translate(mask)
+            groups = memo.get(key)
+            if groups is None:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                groups = memo[key] = []
+                for mention in find(text):
+                    if classify(text, (mention.start, mention.end))[0] in accepted:
+                        groups += mention.group_ids
+            for group_id in groups:
+                cell = part.cells.setdefault((group_id, day), len(part.cells))
+                part.events.extend((number, cell, i))
 
 
 def _pass(cfg: _Config, part: Curation, first_lineno: int, lines: Iterable[str]) -> Curation:

@@ -241,6 +241,10 @@ class TermMatcher:
     def pattern_count(self) -> int:
         return len(self._terms)
 
+    @property
+    def terms(self) -> Iterable[str]:
+        return self._terms.keys()
+
     def find_mentions(self, sentence: str) -> list[Mention]:
         norm, positions = _normalize_sentence(sentence)
         terms = self._terms

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phenotrail import cohort
-from phenotrail.assertion import RuleClassifier
+from phenotrail.assertion import AssertionLabel, RuleClassifier, RuleConfig
+from phenotrail.bundled import ASSERTION_RULES, data_path
 from phenotrail.cohort import (
     DEFAULT_DAY_RANGE,
     PatientBits,
@@ -24,7 +25,7 @@ from phenotrail.cohort import (
     write_presence_long_csv,
 )
 from phenotrail.errors import InputError
-from phenotrail.lexicon import build_matcher, load_default_lexicon
+from phenotrail.lexicon import build_matcher, load_default_lexicon, load_lexicon
 from phenotrail.stats import daily_rows, enrichment_rows, pair_rows
 from phenotrail.textproc import ClinicalNote, PatientRecord, Roster, parse_notes
 
@@ -538,6 +539,9 @@ STREAM_SENTENCES = [
     "Fever.", "FEVER.", "Denies cough.", "Possible diarrhea.", "Sore throat and chills.",
     "Take all medication as prescribed.", "Mother had fever last week.", "Dry cough today!",
     "No acute distress.", "Call the clinic if fever develops.",
+    # Frames that differ only in their digits share a verdict memo key.
+    "Cough for 3 days.", "Cough for 12 days.", "No cough for 3 days.", "HA for 2 days.",
+    "Denies ha.", "Mild  ha\tand\tHA.", "Fever \t for ٣ days.", "no2 fever.", "r/o3 diarrhea.",
 ]
 STREAM_RECORDS = {f"p{i}": PatientRecord(f"p{i}", PCR_DAY, "positive" if i % 2 else "negative")
                   for i in range(6)}
@@ -664,9 +668,12 @@ class TestCurationStream:
             assert (held is None) == (merged is None)
             if held is not None:
                 assert members(held) == members(merged)
-        # What a merge adds, it holds by the roster's copy of a rostered id.
+        # Merged into an empty counter, every fingerprint is new there and
+        # takes the holder that counting its patients would build.
         fresh = cohort.TemplateCounter(threshold)
-        fresh.merge(right, roster)
+        assert fresh.merge(right, roster) == list(range(len(right.holders)))
+        assert fresh.numbers == right.numbers and fresh.holders == right.holders
+        # What a merge adds, it holds by the roster's copy of a rostered id.
         copies = {id(patient_id) for patient_id in roster.ids}
         for held in fresh.holders:
             for patient_id in members(held or ()):
@@ -731,3 +738,105 @@ class TestCurationStream:
         with pytest.raises(InputError, match="notes line 11: invalid JSON"):
             cohort.curate_notes(lines(), STREAM_ROSTER, matcher, classifier, workers=2)
         assert len(read) < 10_000  # the chunks in flight, not the whole corpus
+
+
+def memo_corpus(texts, copies=3):
+    """Each text written by several patients on the same in-range day."""
+    return [json.dumps({"patient_id": f"p{(k + j) % 6}", "note_id": f"n{k}-{j}",
+                        "date": (PCR_DAY - timedelta(days=2)).isoformat(), "text": text}) + "\n"
+            for k, text in enumerate(texts) for j in range(copies)]
+
+
+class TestVerdictMemo:
+    """Curation matches and classifies each sentence once, keyed by its
+    text with the ASCII digits masked where that cannot change a verdict."""
+
+    @staticmethod
+    def outcomes(lines, matcher, classifier, monkeypatch, mask=None):
+        """The oracle's and curation's outcomes, the mask forced when given."""
+        if mask is not None:
+            monkeypatch.setattr(cohort, "_sentence_mask", lambda *_args: mask)
+        expected = oracle_outcome(lines, matcher, classifier, None, False)[:2]
+        curated = stream_outcome(cohort.curate_notes(lines, STREAM_ROSTER, matcher, classifier,
+                                                     None))
+        monkeypatch.undo()
+        return expected, curated
+
+    def assert_mask_switched_off(self, lines, matcher, classifier, monkeypatch):
+        expected, curated = self.outcomes(lines, matcher, classifier, monkeypatch)
+        assert cohort._sentence_mask(matcher, classifier) is None
+        assert curated == expected
+        # The corpus tells the two apart: the mask would merge its verdicts.
+        expected, masked = self.outcomes(lines, matcher, classifier, monkeypatch,
+                                         cohort._DIGIT_MASK)
+        assert masked != expected
+
+    def test_a_term_with_a_digit_switches_the_mask_off(self, classifier, monkeypatch):
+        lexicon = load_lexicon(io.StringIO("group_id,term\ncovid,covid 19\nfever_chills,fever\n"))
+        lines = memo_corpus(["Covid 18 ruled in.", "Covid 19 ruled in.", "Covid 18 and fever."])
+        self.assert_mask_switched_off(lines, build_matcher(lexicon), classifier, monkeypatch)
+
+    @pytest.mark.parametrize("key, words, texts", [
+        ("negation_cues", ["grade 3"], ["Fever grade 2.", "Fever grade 3.", "Cough grade 4."]),
+        ("scope_breakers", ["but", "3"], ["No 2 fever.", "No 3 fever.", "No 4 cough."]),
+    ])
+    def test_a_rule_with_a_digit_switches_the_mask_off(self, matcher, monkeypatch, key, words,
+                                                        texts):
+        with open(data_path(ASSERTION_RULES), encoding="utf-8") as handle:
+            raw = json.load(handle)
+        raw[key] = words
+        classifier = RuleClassifier(RuleConfig.from_dict(raw))
+        self.assert_mask_switched_off(memo_corpus(texts), matcher, classifier, monkeypatch)
+
+    def test_another_classifier_keys_by_the_whole_text(self, matcher, monkeypatch):
+        class DigitClassifier:
+            def classify(self, sentence, span):
+                return (AssertionLabel.YES if "7" in sentence else AssertionLabel.NO), 1.0
+
+        lines = memo_corpus(["Fever for 8 days.", "Fever for 7 days.", "Fever for 9 days."])
+        self.assert_mask_switched_off(lines, matcher, DigitClassifier(), monkeypatch)
+
+    def test_classifies_each_masked_sentence_once(self, matcher, monkeypatch):
+        calls = []
+
+        class CountingClassifier(RuleClassifier):
+            def classify(self, sentence, span):
+                calls.append(sentence)
+                return super().classify(sentence, span)
+
+        counting = CountingClassifier()
+        texts = [f"Cough for {n} days." for n in range(10, 40)]
+        lines = memo_corpus(texts)
+        expected, curated = self.outcomes(lines, matcher, counting, monkeypatch)
+        assert curated == expected
+        calls.clear()
+        cohort.curate_notes(lines, STREAM_ROSTER, matcher, counting, None)
+        assert calls == texts  # a subclass may read digits: keyed by the whole text
+        calls.clear()
+        monkeypatch.setattr(cohort, "_sentence_mask", lambda *_args: cohort._DIGIT_MASK)
+        cohort.curate_notes(lines, STREAM_ROSTER, matcher, counting, None)
+        assert calls == [texts[0]]  # masked, every text is the first
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_full_memo_is_cleared(self, matcher, classifier, monkeypatch, workers):
+        rng = random.Random(9)
+        lines = [json.dumps({"patient_id": f"p{rng.randint(0, 7)}", "note_id": f"n{k}",
+                             "date": (PCR_DAY + timedelta(days=rng.randint(-16, 16))).isoformat(),
+                             "text": " ".join(rng.sample(STREAM_SENTENCES, 3))}) + "\n"
+                 for k in range(300)]
+        monkeypatch.setattr(cohort, "_CHUNK", 16)
+        monkeypatch.setattr(cohort, "_MEMO_CAP", 2)
+        configs, of = [], cohort._Config.of
+
+        def recorded_of(*args):
+            configs.append(of(*args))
+            return configs[-1]
+
+        monkeypatch.setattr(cohort._Config, "of", recorded_of)
+        for threshold, include_maybe in ((3, False), (None, True)):
+            presence, rejects, _tasks = oracle_outcome(lines, matcher, classifier, threshold,
+                                                       include_maybe)
+            curation = cohort.curate_notes(lines, STREAM_ROSTER, matcher, classifier, threshold,
+                                           include_maybe=include_maybe, workers=workers)
+            assert stream_outcome(curation) == (presence, rejects)
+        assert [len(cfg.memo) <= 2 for cfg in configs] == [True, True]  # the parent's memos
