@@ -599,6 +599,7 @@ def _cmd_coexpr(args, argv) -> int:
         matrix, args.gene_a, args.gene_b,
         min_cells=args.min_cells, min_frac=args.min_frac,
     )
+    del matrix  # the manifest's hashlib and digests never add to the columns' memory
     with open(_out_file(args.out, "coexpr.csv"), "w", encoding="utf-8") as handle:
         coexpr.write_coexpr_csv(summaries, args.gene_a, args.gene_b, handle)
     write_manifest(

@@ -1,13 +1,18 @@
+import contextlib
 import io
 import math
 import random
 import re
+import tracemalloc
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phenotrail import coexpr
 from phenotrail.coexpr import (
     CellInfo,
     ExpressionMatrix,
@@ -300,6 +305,16 @@ def valid_matrices(draw):
     return text, cells
 
 
+TINY_BLOCK = 7  # characters: most body lines straddle a block edge
+
+
+def at_both_block_sizes(run, *args):
+    """[run(*args) at the default body block size, run(*args) at TINY_BLOCK]."""
+    default = run(*args)
+    with mock.patch.object(coexpr, "_BODY_BLOCK", TINY_BLOCK):
+        return [default, run(*args)]
+
+
 def package_csv(text, cells, gene_a, gene_b, min_cells, min_frac):
     matrix = load_triplet_matrix(io.StringIO(text), cells, GENES)
     summaries = coexpression_summary(matrix, gene_a, gene_b, min_cells, min_frac)
@@ -332,7 +347,7 @@ class TestOracle:
         args = (*matrix, gene_a, gene_b, min_cells, min_frac)
         oracle = outcome(oracle_csv, *args)
         assert oracle[2] is None
-        assert outcome(package_csv, *args) == oracle
+        assert at_both_block_sizes(outcome, package_csv, *args) == [oracle, oracle]
 
     @given(st.data())
     @settings(max_examples=300)
@@ -353,12 +368,13 @@ class TestOracle:
         declared = draw(st.sampled_from([len(lines), len(lines), len(lines) + 1]))
         text = format_matrix(draw, ["3", str(len(GENES)), str(declared)], lines)
         args = (text, cells, "ACE2", "TMPRSS2", 1, 0.0)
-        package, oracle = outcome(package_csv, *args), outcome(oracle_csv, *args)
+        oracle = outcome(oracle_csv, *args)
         physical = [n for n, line in enumerate(text.split("\n"), 1) if line.strip()]
         expected = oracle[2] and re.sub(
             r"^matrix line (\d+)", lambda m: f"matrix line {physical[int(m[1]) - 1]}", oracle[2])
-        assert package[2] == expected
-        assert package[:2] == oracle[:2]
+        for package in at_both_block_sizes(outcome, package_csv, *args):
+            assert package[2] == expected
+            assert package[:2] == oracle[:2]
 
     @pytest.mark.parametrize("line", [
         "0 0 1_000", "0 0 \u0663", "0 0 \uff13", "0 0 9223372036854775808",
@@ -390,6 +406,14 @@ def coexpr_args(paths, out):
             "--min-cells", "1", "--out", str(out)]
 
 
+def cli_outcome(paths, out):
+    """(exit code, stderr, coexpr.csv text or None) of one ``coexpr`` run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(coexpr_args(paths, out))
+    return code, err.getvalue(), (out / "coexpr.csv").read_text() if code == 0 else None
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -409,4 +433,71 @@ class TestCliFuzz:
         cells = [CellInfo(f"c{i}", "lung", "AT2") for i in range(3)]
         text = ending.join([f"3 {len(GENES)} {declared}", *lines]) + ending
         paths = write_inputs(fuzz_dir, text, cells)
-        assert main(coexpr_args(paths, fuzz_dir / "out")) in (0, 2)
+        default, tiny = at_both_block_sizes(cli_outcome, paths, fuzz_dir / "out")
+        assert default[0] in (0, 2)
+        assert tiny == default
+
+
+class TestBlocks:
+    """The body is read in blocks of whole lines; an error's place in the
+    order does not depend on the blocks its lines fall in."""
+
+    CELLS = [CellInfo(f"c{i}", "lung", "AT2") for i in range(3)]
+
+    @pytest.mark.parametrize("block", [coexpr._BODY_BLOCK, TINY_BLOCK])
+    @pytest.mark.parametrize("text, message", [
+        # a malformed line after a bad entry
+        ("3 4 3\n9 0 1\n0 0 1\n\n0 x 1\n", "matrix line 5: fields must be integers"),
+        # a wrong entry count after a negative count
+        ("3 4 3\n0 0 -1\n0 1 1\n", "matrix declares 3 entries but file has 2"),
+        # indexes are checked before the columns narrow them to int32
+        ("3 4 2\n0 0 1\n0 4294967297 1\n", "entry (0, 4294967297) outside matrix bounds"),
+        ("3 4 1\n-1099511627776 0 1\n", "entry (-1099511627776, 0) outside matrix bounds"),
+        # the columns are never sized from the header alone
+        ("3 4 1000000000000000\n0 0 1\n",
+         "matrix declares 1000000000000000 entries but file has 1"),
+    ], ids=["syntax_after_bounds", "count_after_sign", "int32_wrap", "below_int32",
+            "huge_count"])
+    def test_error_order(self, tmp_path, capsys, monkeypatch, block, text, message):
+        monkeypatch.setattr(coexpr, "_BODY_BLOCK", block)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_triplet_matrix(io.StringIO(text), self.CELLS, GENES)
+        paths = write_inputs(tmp_path, text, self.CELLS)
+        assert main(coexpr_args(paths, tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bytes_not_utf8_beat_an_earlier_malformed_line(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(coexpr, "_BODY_BLOCK", TINY_BLOCK)
+        paths = write_inputs(tmp_path, "", self.CELLS)
+        # past the text layer's 8 KiB decoding chunk, so read after the malformed line
+        paths["matrix"].write_bytes(b"3 4 2002\n0 x 1\n" + b"0 0 1\n" * 2000 + b"0 0 \xff\n")
+        assert main(coexpr_args(paths, tmp_path / "out")) == 2
+        assert "error: matrix line 2003: not valid UTF-8" in capsys.readouterr().err
+
+    def test_peak_memory_is_the_columns_and_a_few_blocks(self, tmp_path):
+        """tracemalloc sees numpy's buffers.  Past the 16 bytes an entry that
+        the columns keep, the loader holds a block's text, its bytes, its
+        int64 rows and the read buffers: a whole-body read would hold the
+        body's text and 24 bytes an entry."""
+        rng = random.Random(5)
+        n_cells, n_genes, n_entries = 2000, 400, 200_000
+        path = tmp_path / "counts.txt"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(f"{n_cells} {n_genes} {n_entries}\n")
+            handle.writelines(
+                f"{rng.randrange(n_cells)} {rng.randrange(n_genes)} {rng.randrange(1, 30)}\n"
+                for _ in range(n_entries))
+        cells = [cell(i) for i in range(n_cells)]
+        genes = [f"G{i}" for i in range(n_genes)]
+        tracemalloc.start()
+        try:
+            matrix = load_triplet_matrix(str(path), cells, genes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = (matrix._cell_col, matrix._gene_col, matrix._count_col)
+        assert [column.dtype for column in columns] == [np.int32, np.int32, np.int64]
+        stored = sum(column.nbytes for column in columns)
+        assert stored == 16 * n_entries
+        assert peak <= stored + 16 * coexpr._BODY_BLOCK
