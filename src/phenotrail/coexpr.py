@@ -96,7 +96,8 @@ class ExpressionMatrix:
         idx = self._gene_index.get(gene)
         if idx is None:
             raise InputError(f"unknown gene symbol {gene!r}")
-        rows = (self._gene_col == idx) & (self._count_col != 0)
+        rows = (self._gene_col == idx).nonzero()[0]
+        rows = rows[self._count_col[rows] != 0]
         counts: dict[int, int] = {}
         for cell, count in zip(self._cell_col[rows].tolist(), self._count_col[rows].tolist()):
             counts[cell] = counts.get(cell, 0) + count

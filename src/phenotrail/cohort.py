@@ -11,18 +11,19 @@ day and pair counts are bit counts of ANDs with the roster's
 positive-arm bits.
 
 Curation has one entry, ``curate_notes``, and reads a JSON-lines
-corpus once.  Each line is parsed, segmented, fingerprinted, matched and
-classified in one pass that keeps no notes: only a capped count of
-patients per sentence fingerprint and a compact event per accepted
-mention.  Once the pass ends the template fingerprints are known, and
-the events of the other sentences fold into the table.  Notes repeat
-sentence frames with other numbers, so a verdict memo, cleared at
-``_MEMO_CAP`` keys, matches and classifies each frame once: it keys a
-sentence by its text with the ASCII digits made 0, unless a term or rule
-holds a digit or the classifier is no ``RuleClassifier`` (see
-``_sentence_mask``).  A corpus that never repeats costs one lookup per
-sentence.  The pass runs in-process or, chunk by chunk of raw lines, in
-a worker pool; partial passes merge in line order, so the result and
+corpus once, by chunks of lines that one ``json.loads`` decodes where
+``decode_note_chunk`` proves it gives each line's own record.  One loop
+checks, segments, fingerprints, matches and classifies each record and
+keeps no notes: only a capped count of patients per sentence fingerprint
+and a compact event per accepted mention.  Once the pass ends the
+template fingerprints are known, and the events of the other sentences
+fold into the table.  Notes repeat sentence frames with other numbers,
+so a verdict memo, cleared at ``_MEMO_CAP`` keys, matches and classifies
+each frame once: it keys a sentence by its text with the ASCII digits
+made 0, unless a term or rule holds a digit or the classifier is no
+``RuleClassifier`` (see ``_sentence_mask``).  A corpus that never
+repeats costs one lookup per sentence.  Chunks are passed in-process or
+in a worker pool; partial passes merge in line order, so the result and
 the first reported input error are the same for any worker count.  The
 notes path never imports numpy; the export loader imports it to parse
 and index the export in one vectorised pass per chunk.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import threading
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -44,11 +46,12 @@ from .lexicon import TermMatcher
 from .textproc import (
     NEGATIVE,
     POSITIVE,
-    ClinicalNote,
     Roster,
+    decode_note_chunk,
     duplicate_note_error,
+    encodable,
     fingerprint,
-    parse_notes,
+    parse_note_line,
     sentence_texts,
 )
 
@@ -59,8 +62,8 @@ PRESENCE_HEADER = ("group_id", "relative_day", "cohort", "patient_count")
 PRESENCE_LONG_HEADER = ("group_id", "relative_day", "cohort", "patient_id")
 REJECTS_HEADER = ("note_id", "reason")
 
-# Lines per pool task; smaller corpora are scanned in-process.
-_CHUNK = 2000
+# Lines per pool task, and per chunk in-process, where its lines and records add to peak RSS.
+_CHUNK, _SERIAL_CHUNK = 2000, 100
 
 
 class PatientBits(int):
@@ -252,7 +255,7 @@ def _sentence_mask(matcher: TermMatcher, classifier: Classifier | None) -> bytes
 
 
 class _Config(NamedTuple):
-    """What a pass needs besides its lines; pool workers inherit it, each its own memo."""
+    """What a pass needs besides its lines; pool workers inherit it, each its own memo and dates."""
 
     roster: Roster
     matcher: TermMatcher
@@ -262,6 +265,7 @@ class _Config(NamedTuple):
     accepted: frozenset[AssertionLabel]
     mask: bytes | None  # see _sentence_mask
     memo: dict[str | bytes, list[str]]  # sentence key -> group ids of accepted mentions
+    dates: dict  # note date string -> its datetime.date, as parse_note_line reads it
 
     @classmethod
     def of(cls, roster, matcher, classifier, threshold, day_range, include_maybe):
@@ -270,7 +274,7 @@ class _Config(NamedTuple):
         if threshold is not None:
             TemplateCounter(threshold)  # checks it before any note is read
         return cls(roster, matcher, classifier, threshold, day_range, _ACCEPTED[include_maybe],
-                   _sentence_mask(matcher, classifier), {})
+                   _sentence_mask(matcher, classifier), {}, {})
 
 
 class Curation:
@@ -354,31 +358,45 @@ class Curation:
                        for note_id, patient_id in self.unknown), key=lambda r: r.note_id)
 
 
-def _scan(cfg: _Config, part: Curation, notes: Iterable[ClinicalNote]) -> None:
-    """Segment, fingerprint, match and classify each note once.
+def _scan(cfg: _Config, part: Curation, first_lineno: int, lines: list[str]) -> None:
+    """Check, segment, fingerprint, match and classify each note once.
 
-    Every sentence is counted, also those of unknown patients and of
-    notes outside the day range; only the sentences of in-range notes by
-    rostered patients whose fingerprint is no template yet are matched, once per memo key.
+    A record with the four keys, strings without a lone surrogate and a
+    date read before is used as decoded; any other goes to ``parse_note_line``.
+    Every sentence is counted, also those of unknown patients and of notes
+    outside the day range; only the sentences of in-range notes by rostered
+    patients whose fingerprint is no template yet are matched, once per memo key.
     """
-    index, ids, day_of = cfg.roster.index, cfg.roster.ids, cfg.roster.day
+    index, ids, pcr_days = cfg.roster.index, cfg.roster.ids, cfg.roster.pcr_days
     find = cfg.matcher.find_mentions
     classify = None if cfg.classifier is None else cfg.classifier.classify
     count = None if part.counter is None else part.counter.count
-    mask, memo, accepted = cfg.mask, cfg.memo, cfg.accepted
+    mask, memo, accepted, dates = cfg.mask, cfg.memo, cfg.accepted, cfg.dates
     lo, hi = cfg.day_range
-    for note in notes:
-        i = index.get(note.patient_id)
+    for lineno, (line, record) in enumerate(zip(lines, decode_note_chunk(lines)), first_lineno):
+        if record is None and not line.strip():
+            continue
+        try:
+            patient_id, note_id, text = record["patient_id"], record["note_id"], record["text"]
+            note_date = dates[record["date"]]
+            values = "".join((patient_id, note_id, text))  # a TypeError unless all are strings
+        except (KeyError, TypeError):
+            values = None
+        if values is None or not values.isascii() and not encodable(values):
+            patient_id, note_id, note_date, text = parse_note_line(line, lineno, dates)
+        if part.note_lines.setdefault(note_id, lineno) != lineno:
+            raise duplicate_note_error(note_id, lineno)
+        i = index.get(patient_id)
         if i is None:
-            part.unknown.append((note.note_id, note.patient_id))
-            patient_id, day = note.patient_id, None
+            part.unknown.append((note_id, patient_id))
+            day = None
         else:
-            patient_id, day = ids[i], day_of(i, note.date)  # the roster's copy of the id
+            patient_id, day = ids[i], note_date.toordinal() - pcr_days[i]  # the roster's copy
             if day < lo or day > hi:
                 day = None
         if day is None and count is None:
             continue
-        for text in sentence_texts(note.text):
+        for text in sentence_texts(text):
             number = -1 if count is None else count(fingerprint(text), patient_id)
             if number is None or day is None:
                 continue
@@ -401,12 +419,11 @@ def _scan(cfg: _Config, part: Curation, notes: Iterable[ClinicalNote]) -> None:
                 part.events.extend((number, cell, i))
 
 
-def _pass(cfg: _Config, part: Curation, first_lineno: int, lines: Iterable[str]) -> Curation:
-    """The pass over JSON lines, the first numbered ``first_lineno``; the
-    pool runs it on each chunk.  An InputError ends it and is kept in
-    ``part.error``."""
+def _pass(cfg: _Config, part: Curation, first_lineno: int, lines: list[str]) -> Curation:
+    """The pass over a chunk of JSON lines, the first numbered ``first_lineno``.
+    An InputError ends it and is kept in ``part.error``."""
     try:
-        _scan(cfg, part, parse_notes(lines, first_lineno, part.note_lines))
+        _scan(cfg, part, first_lineno, lines)
     except InputError as exc:
         part.error = exc
     return part
@@ -424,15 +441,15 @@ def _pool_pass(chunk: tuple[int, list[str]]) -> Curation:
     return _pass(_pool_config, Curation(_pool_config.threshold), *chunk)
 
 
-def _chunks(lines: Iterable[str], halt) -> Iterator[tuple[int, list[str]]]:
-    """``lines`` in lists of _CHUNK, each with the number of its first
+def _chunks(lines: Iterable[str], size: int, halt) -> Iterator[tuple[int, list[str]]]:
+    """``lines`` in lists of ``size``, each with the number of its first
     line, until the ``halt`` event is set.  A chunk that a read error cuts
     short is yielded before the error is raised."""
     lines, start = iter(lines), 1
     while not halt.is_set():
         chunk: list[str] = []
         try:
-            chunk.extend(islice(lines, _CHUNK))
+            chunk.extend(islice(lines, size))
         except UnicodeDecodeError:
             yield start, chunk
             raise
@@ -488,20 +505,17 @@ def curate_notes(
     """
     cfg = _Config.of(roster, matcher, classifier, template_threshold, day_range, include_maybe)
     total = Curation(cfg.threshold)
-    if workers <= 1:
-        _pass(cfg, total, 1, lines)
-    else:
-        import threading
-
-        halt = threading.Event()
-        chunks = _chunks(lines, halt)
-        head = next(chunks, (1, []))
-        if len(head[1]) < _CHUNK:  # the whole corpus, or up to a read error
-            _pass(cfg, total, *head)
-            next(chunks, None)  # raises that read error, if no earlier error
-        else:
-            head = iter([head])  # an iterator lets go of the first chunk once it is sent
-            _pool_pass_all(cfg, total, chain(head, chunks), workers, halt)
+    halt = threading.Event()
+    chunks = _chunks(lines, _CHUNK if workers > 1 else _SERIAL_CHUNK, halt)
+    head = next(chunks, (1, []))
+    pooled = workers > 1 and len(head[1]) == _CHUNK  # not the whole corpus or up to a read error
+    head = iter([head])  # an iterator lets go of the first chunk once it is read
+    if pooled:
+        _pool_pass_all(cfg, total, chain(head, chunks), workers, halt)
+    else:  # a read error is raised after the chunk before it
+        for start, chunk in chain(head, chunks):
+            if _pass(cfg, total, start, chunk).error is not None:
+                break
     if total.error is not None:
         raise total.error
     total.settle()

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import re
 from array import array
+from contextlib import suppress
 from datetime import date
+from itertools import repeat
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import InputError, csv_rows
@@ -86,10 +88,6 @@ class Roster:
         self.index = index  # patient id -> i
         self.pcr_days = days  # i -> the PCR date's ordinal
         self.positive = int(arms[::-1] or b"0", 2)
-
-    def day(self, i: int, on: date) -> int:
-        """``on`` as a day of patient i's timeline."""
-        return relative_day(on, date.fromordinal(self.pcr_days[i]))
 
     def arms(self) -> list[str]:
         """Each patient's PCR arm, in roster order."""
@@ -170,7 +168,7 @@ def parse_note_line(line: str, lineno: int, dates: dict[str, date]) -> ClinicalN
             raise InputError(
                 f"notes line {lineno}: {key} must be a string, got {value!r}"
             )
-        if not value.isascii() and not _encodable(value):  # isascii is O(1)
+        if not value.isascii() and not encodable(value):  # isascii is O(1)
             raise InputError(f"notes line {lineno}: {key} holds a lone surrogate escape")
     patient_id, note_id, raw_date, text = fields
     note_date = dates.get(raw_date)
@@ -184,7 +182,8 @@ def parse_note_line(line: str, lineno: int, dates: dict[str, date]) -> ClinicalN
     return ClinicalNote(patient_id, note_id, note_date, text)
 
 
-def _encodable(text: str) -> bool:
+def encodable(text: str) -> bool:
+    """Whether ``text`` holds no lone surrogate, so that it encodes as UTF-8."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
@@ -206,6 +205,32 @@ def parse_notes(
         if seen.setdefault(note.note_id, lineno) != lineno:
             raise duplicate_note_error(note.note_id, lineno)
         yield note
+
+
+def decode_note_chunk(lines: list[str]) -> list:
+    """Each line's ``json.loads``, by one decode of ``[line 1,line 2,...]``
+    where the n lines pass a guard, else None for every line.
+
+    The guard: every line ends in ``}`` and LF (the last is given its LF),
+    the lines hold n ``{`` and no ``[``, and the array decodes to n dicts.
+    Proof that dict k is then line k's own: strict JSON has no raw LF in a
+    string, so the ``}`` ending each line closes an object.  The n dicts
+    open at n of the n ``{``, so they are the only objects (with no ``[``,
+    the only containers) and no string holds a ``{``.  So dict k closes
+    where line k ends, and all else is the array's whitespace and the
+    join's commas.  So line k is dict k between whitespace, which
+    ``json.loads`` reads as dict k.
+    """
+    if lines[-1:] and not lines[-1].endswith("\n"):
+        lines = [*lines[:-1], lines[-1] + "\n"]
+    body, records = ",".join(lines), []
+    if all(map(str.endswith, lines, repeat("}\n"))) and body.count("{") == len(lines) \
+            and "[" not in body:
+        with suppress(ValueError, RecursionError):  # json.loads of some line raises it too
+            records = json.loads(f"[{body}]")
+    if len(records) == len(lines) and set(map(type, records)) <= {dict}:
+        return records
+    return [None] * len(lines)
 
 
 def duplicate_note_error(note_id: str, lineno: int) -> InputError:

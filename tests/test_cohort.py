@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from phenotrail import cohort
 from phenotrail.assertion import AssertionLabel, RuleClassifier, RuleConfig
 from phenotrail.bundled import ASSERTION_RULES, data_path
+from phenotrail.cli import main
 from phenotrail.cohort import (
     DEFAULT_DAY_RANGE,
     PatientBits,
@@ -24,9 +25,10 @@ from phenotrail.cohort import (
     write_presence_csv,
     write_presence_long_csv,
 )
-from phenotrail.errors import InputError
+from phenotrail.errors import InputError, open_text
 from phenotrail.lexicon import build_matcher, load_default_lexicon, load_lexicon
 from phenotrail.stats import daily_rows, enrichment_rows, pair_rows
+from phenotrail.synth import write_patients_csv
 from phenotrail.textproc import ClinicalNote, PatientRecord, Roster, parse_notes
 
 from oracles import curate_jsonl, presence_export_oracle, segment_notes, two_pass_curation
@@ -840,3 +842,131 @@ class TestVerdictMemo:
                                            include_maybe=include_maybe, workers=workers)
             assert stream_outcome(curation) == (presence, rejects)
         assert [len(cfg.memo) <= 2 for cfg in configs] == [True, True]  # the parent's memos
+
+
+def note_line(note_id, **fields):
+    """A valid note line by p1, two days before its PCR test, with ``fields`` changed or added."""
+    return json.dumps({"patient_id": "p1", "note_id": note_id, "date": "2020-03-08",
+                       "text": "Fever.", **fields}) + "\n"
+
+
+# Notes that a chunk decode could read otherwise than a line at a time.
+GUARD_CASES = {
+    # Line 1 alone is invalid JSON, yet joined the lines decode to three
+    # notes, one per line: all but the { and [ rules pass.
+    "an array across lines": [
+        '{"patient_id": [{"k":"v"}\n',
+        '{"x":"y"}], "patient_id": "p1", "note_id": "x1", "date": "2020-03-08", "text": "t"}\n',
+        note_line("x2")[:-1] + ", " + note_line("x3"),
+    ],
+    # The same with an object in place of the array: no [, no array.
+    "an object across lines": [
+        '{"patient_id": {"k":"v"}\n',
+        '"x":"y", "patient_id": "p1", "note_id": "x1", "date": "2020-03-08", "text": "t"}\n',
+        note_line("x2")[:-1] + ", " + note_line("x3"),
+    ],
+    # Joined, these decode to a note from lines 1-2, 5 and a dict: all but
+    # the dict rule pass.
+    "a scalar after an object across lines": [
+        note_line("x1", k={"a": "b"})[:-2] + "\n", '"w": "v"}\n', '5, {"z": "y"}\n'],
+    # Joined, these decode to two notes: all but the line-end rule pass.
+    "an object closed on the next line": [
+        note_line("x1", k=1)[:-2] + "\n", '"w": 2}, ' + note_line("x2")],
+    "a scalar and an object across lines": ['null,{"a":{"a":"b"}\n', '"a":"b"}\n'],
+    "two objects on one line": [note_line("x1")[:-1] + note_line("x2"),
+                                note_line("x3")[:-1] + ", " + note_line("x4")],
+    "an object over two lines": ['{"patient_id": "p1", "note_id": "x1",\n',
+                                 '"date": "2020-03-08", "text": "Fever."}\n'],
+    "a whitespace-only line": [note_line("x1"), " \t\n", note_line("x2")],
+    "a BOM on line 1": ["\ufeff" + note_line("x1")],
+    "CRLF line ends": [note_line(f"x{k}")[:-1] + "\r\n" for k in range(4)],
+    "no final LF": [note_line("x1"), note_line("x2")[:-1]],
+    "brackets in the text": [note_line("x1", text="Fever {x} [2]."), note_line("x2", text="}{"),
+                             note_line("x3", text="Cough ]")],
+    "non-ASCII text": [note_line("x1", text="Fièvre. Cough ✓."),
+                       json.dumps({"patient_id": "p1", "note_id": "x2", "date": "2020-03-07",
+                                   "text": "Toux – cough."}, ensure_ascii=False) + "\n"],
+    "a lone surrogate escape": [note_line("x1"), note_line("x2", text="Fever \ud800.")],
+    "duplicate keys": ['{"patient_id": "ghost", "patient_id": "p1", "note_id": "x1", '
+                       '"date": "2020-03-08", "text": "Denies fever.", "text": "Cough."}\n'],
+    "extra keys": [note_line("x1", extra="x", count=3), note_line("x2", nested={"a": [1]})],
+    "a key missing": [note_line("x1"), '{"patient_id": "p1", "note_id": "x2", "text": "t"}\n'],
+    "a value that is no string": [note_line("x1", date=20200308)],
+    # Numbers that add up, as strings would.
+    "numbers for strings": [note_line(2, patient_id=1, text=3),
+                            note_line(0.5, patient_id=True, text=False)],
+    "a bad date": [note_line("x1", date="2020-02-30")],
+    "a duplicate note id": [note_line("x1"), note_line("x1")],
+}
+
+
+class TestChunkDecode:
+    """A chunk decoded at once gives the outcome of reading it a line at a time."""
+
+    @staticmethod
+    def line_reader_outcome(lines, matcher, classifier):
+        try:
+            return oracle_outcome(lines, matcher, classifier, 2, False)[:2]
+        except InputError as exc:
+            return str(exc)
+
+    @staticmethod
+    def curated_outcome(lines, matcher, classifier, workers):
+        try:
+            return stream_outcome(cohort.curate_notes(lines, STREAM_ROSTER, matcher, classifier,
+                                                      2, workers=workers))
+        except InputError as exc:
+            return str(exc)
+
+    @staticmethod
+    def chunk_lines(monkeypatch, size):
+        """Pass ``size`` lines a chunk, in a pool and in-process; None keeps the defaults."""
+        if size is not None:
+            monkeypatch.setattr(cohort, "_CHUNK", size)
+            monkeypatch.setattr(cohort, "_SERIAL_CHUNK", size)
+
+    @pytest.mark.parametrize("case", GUARD_CASES)
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_equals_the_line_reader(self, matcher, classifier, monkeypatch, case, chunk):
+        self.chunk_lines(monkeypatch, chunk)
+        good = [note_line(f"g{k}", patient_id=f"p{k % 3}", text="Cough.") for k in range(6)]
+        for offset in range(3):  # the case at each place in a 3-line chunk
+            lines = good[:offset] + GUARD_CASES[case] + good[offset:]
+            expected = self.line_reader_outcome(lines, matcher, classifier)
+            for workers in (1, 2):
+                assert self.curated_outcome(lines, matcher, classifier, workers) == expected
+
+    @pytest.fixture(scope="class")
+    def patients_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("roster") / "patients.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            write_patients_csv(STREAM_RECORDS.values(), handle)
+        return path
+
+    @pytest.mark.parametrize("case", [*GUARD_CASES, "bad UTF-8 after bad JSON"])
+    def test_cli_exit_and_stderr_equal_the_line_reader(self, monkeypatch, capsys, tmp_path,
+                                                       patients_csv, case):
+        notes = tmp_path / "notes.jsonl"
+        if case in GUARD_CASES:
+            notes.write_bytes("".join(GUARD_CASES[case]).encode("utf-8", "surrogatepass"))
+        else:  # more than a text read's block apart, so that the bad JSON is read first
+            good = [note_line(f"g{k}") for k in range(200)]
+            notes.write_bytes(("{bad\n" + "".join(good)).encode() + b'{"text": "\xff"}\n')
+        try:
+            with open_text(str(notes), "notes") as lines:
+                list(parse_notes(lines))
+            expected = (0, "")
+        except InputError as exc:
+            expected = (2, f"error: {exc}\n")
+        outputs = []
+        for chunk in (None, 3):
+            self.chunk_lines(monkeypatch, chunk)
+            for workers in ("1", "2"):
+                out = tmp_path / f"out{chunk}-{workers}"
+                code = main(["curate", "--notes", str(notes), "--patients", str(patients_csv),
+                             "--per-patient", "--workers", workers, "--out", str(out)])
+                assert (code, capsys.readouterr().err) == expected
+                if code == 0:
+                    outputs.append([(out / name).read_bytes() for name in
+                                    ("presence.csv", "presence_long.csv", "rejects.csv")])
+        assert outputs == outputs[:1] * len(outputs)

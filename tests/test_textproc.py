@@ -11,8 +11,10 @@ from phenotrail.assertion import RuleClassifier
 from phenotrail.errors import InputError
 from phenotrail.lexicon import build_matcher, load_default_lexicon
 from phenotrail.textproc import (
+    NOTE_KEYS,
     ClinicalNote,
     PatientRecord,
+    decode_note_chunk,
     fingerprint,
     load_patients,
     parse_notes,
@@ -298,3 +300,74 @@ class TestLoadPatientsOracle:
         text = "patient_id,pcr_date,pcr_result\n" + "x" * 200_000 + ",2020-03-10,pos\n" + later
         with pytest.raises(InputError, match="patients line 2: field larger than field limit"):
             load_patients(io.StringIO(text))
+
+
+_JSON_TEXT = st.text(alphabet=st.sampled_from('aaaab{}[],:" \\\n\té\ud800'), max_size=6)
+_JSON_SCALARS = st.none() | st.booleans() | st.integers(-9, 99) | _JSON_TEXT
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_JSON_TEXT, inner, max_size=2),
+    max_leaves=4,
+)
+_RECORDS = st.dictionaries(st.sampled_from([*NOTE_KEYS, "x"]),
+                           st.one_of(_JSON_SCALARS, _JSON_SCALARS, _JSON_VALUES), max_size=5)
+
+
+@st.composite
+def cut_streams(draw):
+    """The values of a JSON array, mostly records, cut into lines at
+    random commas: a comma cut gives way to the LF that ends its line,
+    which a chunk's join puts back.  Most cuts fall between values, so
+    that most lines hold one value, as in a JSON-lines stream.  Inside a
+    value, cuts fall mostly after a ``}``, where a line can end as a
+    record's does; a few fall at any point."""
+    size = draw(st.integers(1, 8))
+    values = [draw(_RECORDS if draw(st.integers(0, 7)) else _JSON_VALUES) for _ in range(size)]
+    lines, line = [], ""
+    for k, value in enumerate(values):
+        for j, part in enumerate(json.dumps(value, ensure_ascii=draw(st.booleans())).split(",")):
+            if j and draw(st.integers(0, 1 if line.endswith("}") else 49)):
+                line += ","
+            elif j:  # a cut inside the value
+                lines.append(line + "\n")
+                line = ""
+            line += part
+        if k + 1 < len(values) and not draw(st.integers(0, 4)):
+            line += ", "  # two values on one line
+        else:
+            lines.append(line + "\n")
+            line = ""
+    if not draw(st.integers(0, 3)):
+        k = draw(st.integers(0, len(lines) - 1))
+        cut = draw(st.integers(0, len(lines[k])))
+        lines[k:k + 1] = [lines[k][:cut], lines[k][cut:]]
+    return [line for line in lines if line]
+
+
+class TestDecodeNoteChunk:
+    @given(cut_streams())
+    @settings(max_examples=500, deadline=None)
+    def test_an_accepted_chunk_is_each_line_decoded(self, lines):
+        records = decode_note_chunk(lines)
+        if records != [None] * len(lines):
+            assert records == [json.loads(line) for line in lines]
+
+    def test_plain_note_lines_are_accepted(self):
+        lines = ['{"patient_id": "p1", "note_id": "n1", "date": "2020-03-01", "text": "a."}\n',
+                 '{"note_id": "n2", "x": 3, "text": "é \\ud800 \\" \\\\ , :"}\n',
+                 '  {"patient_id": "p2"}\n', '{}']
+        assert decode_note_chunk(lines) == [json.loads(line) for line in lines]
+        assert decode_note_chunk([]) == []
+
+    @pytest.mark.parametrize("lines", [
+        ['{"patient_id": [{"k":"v"}\n', '{"x":"y"}], "note_id": "n1"}\n', '{"a": 1}, {"b": 2}\n'],
+        ['{"patient_id": {"k":"v"}\n', '"x":"y", "note_id": "n1"}\n', '{"a": 1}, {"b": 2}\n'],
+        ['{"note_id": "n1", "k": {"a": "b"}\n', '"w": "v"}\n', '5, {"z": "y"}\n'],
+        ['{"note_id": "n1", "k": 1\n', '"w": 2}, {"note_id": "n2"}\n'],
+        ['null,{"a":{"a":"b"}\n', '"a":"b"}\n'],
+    ])
+    def test_lines_that_decode_only_when_joined_are_refused(self, lines):
+        json.loads(f"[{','.join(lines)}]")  # joined, they decode
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(lines[0])
+        assert decode_note_chunk(lines) == [None] * len(lines)
