@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Protocol, Sequence
 
 from .bundled import ASSERTION_RULES, data_path
-from .errors import InputError, csv_rows, open_text
+from .errors import InputError, csv_rows, json_value, open_text
 from .lexicon import is_word_char, token_pattern
 
 
@@ -273,10 +273,7 @@ def read_classification_responses(
     for lineno, line in enumerate(source, start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"responses line {lineno}: invalid JSON ({exc.msg})") from None
+        obj = json_value(line, f"responses line {lineno}")
         try:
             label = AssertionLabel(str(obj["label"]).upper())
         except (KeyError, ValueError):

@@ -628,6 +628,9 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Before any command imports numpy: nothing here calls BLAS, so OpenBLAS
+    # would start a thread per CPU for nothing.  A user's own value wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return run(argv)

@@ -94,14 +94,6 @@ def _indexes(bits: int) -> Iterator[int]:
             base += 8
 
 
-def _bits(indexes: Iterable[int], size: int) -> int:
-    """The int whose set bits are ``indexes``, each below ``size``."""
-    cell = bytearray((size + 7) >> 3)
-    for i in indexes:
-        cell[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(cell, "little")
-
-
 @dataclass
 class SymptomPresenceTable:
     presence: dict[tuple[str, int], PatientBits]  # bit i: patient i of the roster
@@ -142,7 +134,8 @@ class SymptomPresenceTable:
         """
         if group_ids is None:
             group_ids = sorted({gid for gid, _day in presence})
-        cells = {key: PatientBits(bits) for key, bits in presence.items()}
+        cells = {key: bits if isinstance(bits, PatientBits) else PatientBits(bits)
+                 for key, bits in presence.items()}
         return cls(cells, day_range, tuple(group_ids), roster)
 
 
@@ -651,10 +644,11 @@ def load_presence_long_csv(
 
 def _walk_export(
     source: IO[str] | str, roster: Roster, known: frozenset[str] | None
-) -> dict[tuple[str, int], int]:
+) -> dict[tuple[str, int], PatientBits]:
     """The export's cells as roster bits, read one csv row at a time."""
     index, arms = roster.index, roster.arms()
-    cells: dict[tuple[str, int], set[int]] = {}
+    width = (len(index) + 7) >> 3
+    cells: dict[tuple[str, int], bytearray] = {}  # -> the cell's roster bits
     for lineno, row in csv_rows(source, "presence", PRESENCE_LONG_HEADER):
         group_id, raw_day, cohort, patient_id = (f.strip() for f in row)
         try:
@@ -673,22 +667,22 @@ def _walk_export(
         if members is None:  # the first row of a group makes one of its keys
             if known is not None and group_id not in known:
                 raise InputError(f"presence line {lineno}: unknown group {group_id!r}")
-            members = cells[(group_id, day)] = set()
-        members.add(i)
-    return {key: _bits(members, len(index)) for key, members in cells.items()}
+            members = cells[(group_id, day)] = bytearray(width)
+        members[i >> 3] |= 1 << (i & 7)
+    return {key: PatientBits.from_bytes(members, "little") for key, members in cells.items()}
 
 
 # ---------------------------------------------------------------------------
 # The vectorised export pass
 
 _EXPORT_HEADER_LINE = (",".join(PRESENCE_LONG_HEADER) + "\n").encode()
-_EXPORT_BLOCK = 1 << 21  # bytes read per chunk
+_EXPORT_BLOCK = 1 << 18  # bytes read per chunk
 _HASH_STEP = 0x9E3779B97F4A7C15
 
 
 def _index_export(
     raw: IO[bytes], roster: Roster, known: frozenset[str] | None
-) -> dict[tuple[str, int], int] | None:
+) -> dict[tuple[str, int], PatientBits] | None:
     """The export's cells as roster bits, or None when a row needs the
     row walker.
 
@@ -701,6 +695,11 @@ def _index_export(
     run of rows that share it.  Patient ids are looked up by a hash of
     their bytes and then compared in whole, as 8-byte words, so a hash
     collision can only send the file to the walker.
+
+    Each chunk's rows are then ORed into a cells x roster-bytes matrix,
+    one OR per distinct (cell, patient byte) whatever the row order, so
+    memory is bounded by the cells and a chunk, not by the rows.  Row c
+    of the matrix becomes cell c's ``PatientBits``.
     """
     import numpy as np
 
@@ -711,30 +710,25 @@ def _index_export(
         return None
     cells: dict[tuple[str, int], int] = {}  # -> cell number
     prefixes: dict[bytes, tuple[int, bool]] = {}  # -> (cell number, positive cohort)
-    row_cells, row_patients = [], []
+    width = (len(roster.ids) + 7) >> 3
+    bits = np.zeros((0, width), dtype=np.uint8)  # row c: cell c's roster bits
     for body in _line_runs(raw):
         rows = _export_rows(np, body, id_keys, cells, prefixes, known)
         if rows is None:
             return None
-        row_cells.append(rows[0])
-        row_patients.append(rows[1])
-
-    presence: dict[tuple[str, int], int] = {}
-    if not cells:
-        return presence
-    cell_of_row = np.concatenate(row_cells)
-    patient_of_row = np.concatenate(row_patients)
-    order = np.argsort(cell_of_row, kind="stable")
-    cell_of_row, patient_of_row = cell_of_row[order], patient_of_row[order]
-    bounds = np.flatnonzero(np.diff(cell_of_row)) + 1
-    member = np.zeros(len(roster.ids), dtype=bool)
-    keys = list(cells)
-    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(cell_of_row)]):
-        member[:] = False
-        member[patient_of_row[lo:hi]] = True
-        packed = np.packbits(member, bitorder="little").tobytes()
-        presence[keys[cell_of_row[lo]]] = int.from_bytes(packed, "little")
-    return presence
+        row_cell, index = rows
+        if not len(index):
+            continue
+        if len(cells) > len(bits):  # grown in place, zero-filled
+            bits.resize((max(len(cells), 2 * len(bits)), width), refcheck=False)
+        # One OR per distinct (cell, patient byte), whatever the row order.
+        keys = row_cell * width + (index >> 3)
+        order = np.argsort(keys)
+        keys = keys[order]
+        heads = np.flatnonzero(np.diff(keys, prepend=-1))
+        masks = (1 << (index[order] & 7)).astype(np.uint8)
+        bits.reshape(-1)[keys[heads]] |= np.bitwise_or.reduceat(masks, heads)
+    return {key: PatientBits.from_bytes(bits[c].tobytes(), "little") for key, c in cells.items()}
 
 
 def _line_runs(raw: IO[bytes]) -> Iterator[bytes]:

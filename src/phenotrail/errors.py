@@ -1,10 +1,12 @@
 """Exception types shared across the package, the one way input text
-files are opened, and the one way CSV inputs are read."""
+files are opened, the one way CSV inputs are read and the one way a
+JSON input's text is decoded."""
 
 from __future__ import annotations
 
 import codecs
 import csv
+import json
 from contextlib import contextmanager
 from typing import IO, Iterator, Sequence
 
@@ -31,6 +33,22 @@ def open_text(path: str, what: str, newline: str | None = None) -> Iterator[IO[s
             line = _first_non_utf8_line(path)
             where = f"{what} line {line}" if line is not None else what
             raise InputError(f"{where}: not valid UTF-8 in {path!r}") from None
+
+
+def json_value(text: str, where: str):
+    """``json.loads(text)``, or InputError "``where``: invalid JSON (...)".
+
+    Besides malformed text, that covers what ``json.loads`` raises as
+    ValueError or RecursionError: an integer of more digits than int
+    conversion allows, or nesting deeper than the recursion limit.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = exc.msg
+    except (ValueError, RecursionError) as exc:
+        reason = str(exc)
+    raise InputError(f"{where}: invalid JSON ({reason})")
 
 
 def _first_non_utf8_line(path: str) -> int | None:

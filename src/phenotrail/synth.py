@@ -26,7 +26,7 @@ from json.encoder import encode_basestring
 from typing import IO, Iterable, Sequence
 
 from .assertion import AssertionLabel
-from .errors import InputError, open_text
+from .errors import InputError, json_value, open_text
 from .lexicon import Lexicon
 from .textproc import PATIENT_HEADER, ClinicalNote, PatientRecord
 
@@ -139,10 +139,7 @@ class SynthConfig:
         if isinstance(source, str):
             with open_text(source, "synth config") as handle:
                 return cls.from_json(handle)
-        try:
-            raw = json.load(source)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad synth config: invalid JSON ({exc.msg})") from None
+        raw = json_value(source.read(), "bad synth config")
         if not isinstance(raw, dict):
             raise InputError("bad synth config: expected a JSON object")
         try:

@@ -17,7 +17,7 @@ from datetime import date
 from itertools import repeat
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import InputError, csv_rows
+from .errors import InputError, csv_rows, json_value
 
 # Tokens whose trailing period is an abbreviation, not a sentence end.
 ABBREVIATION_GUARDS = frozenset({"dr", "pt", "hx", "mr", "mrs", "vs"})
@@ -152,10 +152,7 @@ def _is_guarded(block: str, term_start: int) -> bool:
 
 def parse_note_line(line: str, lineno: int, dates: dict[str, date]) -> ClinicalNote:
     """Parse one JSON-lines record; ``dates`` caches parsed date strings."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"notes line {lineno}: invalid JSON ({exc.msg})") from None
+    obj = json_value(line, f"notes line {lineno}")
     if not isinstance(obj, dict):
         raise InputError(f"notes line {lineno}: expected an object")
     try:
@@ -212,20 +209,19 @@ def decode_note_chunk(lines: list[str]) -> list:
     where the n lines pass a guard, else None for every line.
 
     The guard: every line ends in ``}`` and LF (the last is given its LF),
-    the lines hold n ``{`` and no ``[``, and the array decodes to n dicts.
-    Proof that dict k is then line k's own: strict JSON has no raw LF in a
-    string, so the ``}`` ending each line closes an object.  The n dicts
-    open at n of the n ``{``, so they are the only objects (with no ``[``,
-    the only containers) and no string holds a ``{``.  So dict k closes
-    where line k ends, and all else is the array's whitespace and the
-    join's commas.  So line k is dict k between whitespace, which
-    ``json.loads`` reads as dict k.
+    the lines hold n ``{``, and the array decodes to n dicts.  Proof that
+    dict k is then line k's own: strict JSON has no raw LF in a string,
+    so the ``}`` ending each line closes an object.  The n dicts open at
+    n of the n ``{``, so they are the only objects and no string holds a
+    ``{``; an array in a value holds no ``{``, so no object, and closes
+    inside its dict.  So dict k closes where line k ends, and all else is
+    the array's whitespace and the join's commas.  So line k is dict k
+    between whitespace, which ``json.loads`` reads as dict k.
     """
     if lines[-1:] and not lines[-1].endswith("\n"):
         lines = [*lines[:-1], lines[-1] + "\n"]
     body, records = ",".join(lines), []
-    if all(map(str.endswith, lines, repeat("}\n"))) and body.count("{") == len(lines) \
-            and "[" not in body:
+    if all(map(str.endswith, lines, repeat("}\n"))) and body.count("{") == len(lines):
         with suppress(ValueError, RecursionError):  # json.loads of some line raises it too
             records = json.loads(f"[{body}]")
     if len(records) == len(lines) and set(map(type, records)) <= {dict}:

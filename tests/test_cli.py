@@ -1,7 +1,9 @@
+import ast
 import csv
 import filecmp
 import json
 import os
+import pathlib
 import re
 import shutil
 import subprocess
@@ -997,6 +999,53 @@ class TestMalformedInputExits2:
         assert ("notes line 1: note_id holds a lone surrogate escape"
                 in capsys.readouterr().err)
 
+    # Text that json.loads refuses with a ValueError or a RecursionError,
+    # not a JSONDecodeError: an int past the conversion limit, deep nesting.
+    JSON_BEYOND_LIMITS = {
+        "long_int": '{"x": ' + "1" * 5000 + "}",
+        "deep": '{"x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    }
+    needs_int_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                         reason="no int conversion limit")
+
+    @pytest.mark.parametrize("case", [pytest.param("long_int", marks=needs_int_limit), "deep"])
+    @pytest.mark.parametrize("lineno", [1, 2101])  # in the first 2,000-line chunk, past it
+    def test_notes_json_beyond_the_decoder_limits(self, fuzz_roster, capsys, case, lineno):
+        lines = [json.dumps({"patient_id": "P1", "note_id": f"n{k}", "date": "2020-03-29",
+                             "text": "Fever."}) + "\n" for k in range(2200)]
+        lines[lineno - 1] = self.JSON_BEYOND_LIMITS[case] + "\n"
+        notes = fuzz_roster / "limits.jsonl"
+        notes.write_text("".join(lines))
+        errors = []
+        for workers in ("1", "2"):
+            assert main(["curate", "--notes", str(notes),
+                         "--patients", str(fuzz_roster / "patients.csv"),
+                         "--workers", workers, "--out", str(fuzz_roster / "out")]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith(f"error: notes line {lineno}: invalid JSON (")
+        assert errors[1] == errors[0]
+
+    @pytest.mark.parametrize("case", [pytest.param("long_int", marks=needs_int_limit), "deep"])
+    def test_responses_json_beyond_the_decoder_limits(self, fuzz_roster, capsys, case):
+        notes = fuzz_roster / "one_note.jsonl"
+        notes.write_text('{"patient_id": "P1", "note_id": "n1", "date": "2020-03-29", '
+                         '"text": "Fever."}\n')
+        responses = fuzz_roster / "responses.jsonl"
+        responses.write_text('{"label": "NO", "confidence": 1.0}\n'
+                             + self.JSON_BEYOND_LIMITS[case] + "\n")
+        assert main(["curate", "--notes", str(notes),
+                     "--patients", str(fuzz_roster / "patients.csv"),
+                     "--classification-responses", str(responses),
+                     "--out", str(fuzz_roster / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: responses line 2: invalid JSON (")
+
+    @pytest.mark.parametrize("case", [pytest.param("long_int", marks=needs_int_limit), "deep"])
+    def test_synth_config_json_beyond_the_decoder_limits(self, fuzz_roster, capsys, case):
+        config = fuzz_roster / "config.json"
+        config.write_text(self.JSON_BEYOND_LIMITS[case])
+        assert main(["synth", "--config", str(config), "--out", str(fuzz_roster / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad synth config: invalid JSON (")
+
     def test_presence_field_over_the_csv_limit(self, fuzz_roster, capsys):
         export = fuzz_roster / "long_field.csv"
         export.write_text("group_id,relative_day,cohort,patient_id\n"
@@ -1214,14 +1263,46 @@ class TestManifest:
 def test_cli_import_loads_no_pool_or_numpy():
     # Every command pays the CLI's import time; the worker pool, numpy and
     # hashlib (which loads OpenSSL, about 3 MB) are imported only where
-    # they are used.
+    # they are used.  Importing the package leaves the environment as it is.
     src = os.path.dirname(os.path.dirname(phenotrail.__file__))
-    code = ("import sys, phenotrail.cli; print(sorted(m for m in "
-            "('hashlib', 'multiprocessing', 'numpy') if m in sys.modules))")
+    code = ("import os, sys, phenotrail.cli; print(sorted(m for m in "
+            "('hashlib', 'multiprocessing', 'numpy') if m in sys.modules), "
+            "os.environ.get('OPENBLAS_NUM_THREADS'))")
     env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "[] None"
+
+
+def test_main_runs_openblas_on_one_thread_unless_set(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["--version"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert main(["--version"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_no_src_code_calls_blas():
+    """So ``main`` may keep OpenBLAS to one thread: no matrix product and
+    no ``linalg`` anywhere in the package."""
+    blas = {"@", "dot", "vdot", "matmul", "tensordot", "einsum", "linalg"}
+    offenders = []
+    for path in sorted(pathlib.Path(phenotrail.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = set()
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names = {"@"}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {part for alias in node.names for part in alias.name.split(".")}
+                names.update((getattr(node, "module", None) or "").split("."))
+            offenders += [(path.name, node.lineno, name) for name in names & blas]
+    assert offenders == []
 
 
 class TestGoldenFile:

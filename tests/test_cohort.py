@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 from datetime import date, timedelta
 
 import pytest
@@ -29,7 +30,9 @@ from phenotrail.errors import InputError, open_text
 from phenotrail.lexicon import build_matcher, load_default_lexicon, load_lexicon
 from phenotrail.stats import daily_rows, enrichment_rows, pair_rows
 from phenotrail.synth import write_patients_csv
-from phenotrail.textproc import ClinicalNote, PatientRecord, Roster, parse_notes
+from phenotrail.textproc import (
+    ClinicalNote, PatientRecord, Roster, decode_note_chunk, parse_notes,
+)
 
 from oracles import curate_jsonl, presence_export_oracle, segment_notes, two_pass_curation
 from rosters import roster_of
@@ -520,6 +523,66 @@ class TestExportLoader:
             presence_export_oracle(io.StringIO(text), EXPORT_RECORDS)
 
 
+def wide_export(n_patients, groups, days, per_cell, seed):
+    """A roster and the text of a valid export over it, rows sorted as the
+    CLI writes them, and the same rows shuffled."""
+    rng = random.Random(seed)
+    records = [PatientRecord(f"W{i:05d}", PCR_DAY, "positive" if i % 4 == 0 else "negative")
+               for i in range(n_patients)]
+    rows = [f"{group},{day},{records[i].pcr_result},{records[i].patient_id}\n"
+            for group in groups for day in days
+            for i in sorted(rng.sample(range(n_patients), per_cell))]
+    header = "group_id,relative_day,cohort,patient_id\n"
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    return roster_of(records), header + "".join(rows), header + "".join(shuffled)
+
+
+class TestExportFold:
+    """Each block's rows are ORed into per-cell roster bits as it is read."""
+
+    def test_row_order_and_blocks_give_the_walkers_cells(self, monkeypatch):
+        patients, text, shuffled = wide_export(300, ("cough", "fever_chills", "diarrhea"),
+                                               range(-3, 4), 40, seed=2)
+        expected = cohort._walk_export(io.StringIO(text, newline=""), patients, None)
+        assert cohort._walk_export(io.StringIO(shuffled, newline=""), patients, None) == expected
+        assert {type(bits) for bits in expected.values()} == {PatientBits}
+        for block in (cohort._EXPORT_BLOCK, 64, 100):  # the default, and a few lines
+            monkeypatch.setattr(cohort, "_EXPORT_BLOCK", block)
+            for export in (text, shuffled):
+                cells = cohort._index_export(io.BytesIO(export.encode()), patients, None)
+                assert cells == expected
+                assert {type(bits) for bits in cells.values()} == {PatientBits}
+
+    def test_the_table_keeps_the_loaded_bits(self):
+        patients, text, _ = wide_export(20, ("cough",), range(2), 5, seed=3)
+        cells = cohort._index_export(io.BytesIO(text.encode()), patients, None)
+        table = SymptomPresenceTable.from_roster(cells, patients, DEFAULT_DAY_RANGE)
+        assert all(table.presence[key] is bits for key, bits in cells.items())
+
+    def test_peak_memory_is_the_matrix_and_a_few_blocks(self, tmp_path, monkeypatch):
+        """tracemalloc sees numpy's buffers.  The pass holds the cells x
+        roster-bytes matrix (at most twice the cells), the cells' bits and
+        a block's arrays: arrays over every row of the file would hold
+        8 bytes a row or more, here over 1 MB."""
+        import numpy  # noqa: F401  (imported outside the measurement)
+
+        monkeypatch.setattr(cohort, "_EXPORT_BLOCK", 1 << 16)
+        patients, text, _ = wide_export(2000, [f"g{k}" for k in range(10)],
+                                        range(-14, 15), 500, seed=5)
+        path = tmp_path / "presence_long.csv"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            table = load_presence_long_csv(str(path), patients)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.presence) == 290
+        matrix = len(table.presence) * ((len(patients.ids) + 7) >> 3)
+        assert peak <= 3 * matrix + 24 * cohort._EXPORT_BLOCK
+
+
 class TestPatientBits:
     def test_len_counts_members(self):
         assert len(PatientBits(0b1011)) == 3
@@ -853,13 +916,13 @@ def note_line(note_id, **fields):
 # Notes that a chunk decode could read otherwise than a line at a time.
 GUARD_CASES = {
     # Line 1 alone is invalid JSON, yet joined the lines decode to three
-    # notes, one per line: all but the { and [ rules pass.
+    # notes, one per line: all but the { rule pass.
     "an array across lines": [
         '{"patient_id": [{"k":"v"}\n',
         '{"x":"y"}], "patient_id": "p1", "note_id": "x1", "date": "2020-03-08", "text": "t"}\n',
         note_line("x2")[:-1] + ", " + note_line("x3"),
     ],
-    # The same with an object in place of the array: no [, no array.
+    # The same with an object in place of the array.
     "an object across lines": [
         '{"patient_id": {"k":"v"}\n',
         '"x":"y", "patient_id": "p1", "note_id": "x1", "date": "2020-03-08", "text": "t"}\n',
@@ -883,6 +946,9 @@ GUARD_CASES = {
     "no final LF": [note_line("x1"), note_line("x2")[:-1]],
     "brackets in the text": [note_line("x1", text="Fever {x} [2]."), note_line("x2", text="}{"),
                              note_line("x3", text="Cough ]")],
+    # No {, so one decode reads these (TestChunkDecode checks that it does).
+    "square brackets in the text": [note_line("x1", text="Fever [2]. Cough ]["),
+                                    note_line("x2", text="[[[Cough."), note_line("x3", k=[[1], []])],
     "non-ASCII text": [note_line("x1", text="Fièvre. Cough ✓."),
                        json.dumps({"patient_id": "p1", "note_id": "x2", "date": "2020-03-07",
                                    "text": "Toux – cough."}, ensure_ascii=False) + "\n"],
@@ -935,6 +1001,10 @@ class TestChunkDecode:
             expected = self.line_reader_outcome(lines, matcher, classifier)
             for workers in (1, 2):
                 assert self.curated_outcome(lines, matcher, classifier, workers) == expected
+
+    def test_square_brackets_take_the_one_decode(self):
+        lines = GUARD_CASES["square brackets in the text"]
+        assert decode_note_chunk(lines) == [json.loads(line) for line in lines]
 
     @pytest.fixture(scope="class")
     def patients_csv(self, tmp_path_factory):

@@ -355,7 +355,7 @@ class TestDecodeNoteChunk:
     def test_plain_note_lines_are_accepted(self):
         lines = ['{"patient_id": "p1", "note_id": "n1", "date": "2020-03-01", "text": "a."}\n',
                  '{"note_id": "n2", "x": 3, "text": "é \\ud800 \\" \\\\ , :"}\n',
-                 '  {"patient_id": "p2"}\n', '{}']
+                 '  {"patient_id": "p2"}\n', '{"text": "[a] ]", "k": [[1, "["], []]}\n', '{}']
         assert decode_note_chunk(lines) == [json.loads(line) for line in lines]
         assert decode_note_chunk([]) == []
 
