@@ -14,10 +14,11 @@ Curation has one entry, ``curate_notes``, and reads a JSON-lines
 corpus once, by chunks of lines that one ``json.loads`` decodes where
 ``decode_note_chunk`` proves it gives each line's own record.  One loop
 checks, segments, fingerprints, matches and classifies each record and
-keeps no notes: only a capped count of patients per sentence fingerprint
-and a compact event per accepted mention.  Once the pass ends the
-template fingerprints are known, and the events of the other sentences
-fold into the table.  Notes repeat sentence frames with other numbers,
+keeps no notes: only each note id's UTF-8 for the duplicate check, a
+capped count of patients per 16-byte fingerprint digest and a 32-bit
+event per accepted mention.  Once the pass ends the template
+fingerprints are known, and the events of the other sentences fold into
+the table.  Notes repeat sentence frames with other numbers,
 so a verdict memo, cleared at ``_MEMO_CAP`` keys, matches and classifies
 each frame once: it keys a sentence by its text with the ASCII digits
 made 0, unless a term or rule holds a digit or the classifier is no
@@ -106,9 +107,6 @@ class SymptomPresenceTable:
         ids = self.roster.ids
         return {ids[i] for i in _indexes(bits)}
 
-    def patients(self, group_id: str, day: int) -> set[str]:
-        return self.members(self.presence.get((group_id, day), 0))
-
     def arm_counts(self, bits: int) -> tuple[int, int]:
         """(k_pos, k_neg): how many of the patients in ``bits`` are in each PCR arm."""
         k_pos = (bits & self.roster.positive).bit_count()
@@ -162,22 +160,24 @@ class TemplateCounter:
     template threshold: the one home of the template rule.
 
     A fingerprint is a template once ``threshold`` distinct patients wrote
-    it.  Fingerprints are numbered in first-seen order; a number holds
-    the one patient id that wrote it, a tuple of a few ids, a set of more,
-    or None once it is a template.
+    it.  Fingerprints are numbered in first-seen order, each by its key:
+    curation keys it by the 16-byte BLAKE2s digest of its UTF-8, not its
+    text (the collision bound is in the README).  A number holds the one
+    patient id that wrote it, a tuple of a few ids, a set of more, or None
+    once it is a template.
     """
 
     def __init__(self, threshold: int):
         if threshold < 2:
             raise InputError(f"template threshold must be >= 2, got {threshold}")
         self.threshold = threshold
-        self.numbers: dict[str, int] = {}
+        self.numbers: dict[bytes, int] = {}  # fingerprint key -> number
         self.holders: list = []
 
-    def count(self, fp: str, patient_id: str) -> int | None:
+    def count(self, key: bytes, patient_id: str) -> int | None:
         """Count one sentence of ``patient_id``: its fingerprint's number,
         or None once the fingerprint is a template."""
-        number = self.numbers.setdefault(fp, len(self.holders))
+        number = self.numbers.setdefault(key, len(self.holders))
         if number == len(self.holders):
             self.holders.append(patient_id)
             return number
@@ -208,8 +208,8 @@ class TemplateCounter:
             i = index.get(patient_id)
             return patient_id if i is None else ids[i]
         renumbered = []
-        for fp, held in zip(other.numbers, other.holders):
-            number = self.numbers.setdefault(fp, len(self.holders))
+        for key, held in zip(other.numbers, other.holders):
+            number = self.numbers.setdefault(key, len(self.holders))
             if number == len(self.holders):  # new here: counting would rebuild ``held``
                 self.holders.append(held if held is None else copy(held)
                                     if held.__class__ is str else held.__class__(map(copy, held)))
@@ -217,7 +217,7 @@ class TemplateCounter:
                 self.holders[number] = None
             else:
                 for patient_id in (held,) if held.__class__ is str else held:
-                    self.count(fp, copy(patient_id))
+                    self.count(key, copy(patient_id))
             renumbered.append(number)
         return renumbered
 
@@ -278,26 +278,40 @@ class Curation:
     where no counter runs.  Without a classifier each mention is kept in
     ``tasks`` as (fingerprint number, roster index, day, group ids,
     sentence, start, end) instead, to be labeled by its task index.
+
+    The duplicate check holds each note id's UTF-8 in ``note_ids``, with
+    no line: only the later copy's line is reported.  A chunk's ids keep
+    their lines in ``chunk_ids`` until ``keep_ids`` checks them against
+    the earlier chunks', so a copy is reported at its line at any worker count.
     """
 
     def __init__(self, threshold: int | None):
         self.counter = None if threshold is None else TemplateCounter(threshold)
         self.template_flags = b""  # after settle: 1 at each template's number
-        self.note_lines: dict[str, int] = {}  # note id -> line
+        self.note_ids: set[bytes] = set()  # the ids of the chunks kept so far
+        self.chunk_ids: dict[bytes, int] = {}  # the ids of the chunk last passed -> line
         self.error: InputError | None = None  # what ended the pass early
         self.unknown: list[tuple[str, str]] = []  # (note id, patient id)
         self.cells: dict[tuple[str, int], int] = {}  # (group id, day) -> cell number
-        self.events = array("q")
+        # 32 bits hold each field: fingerprint numbers, cells and roster indexes
+        # count objects this process holds (a 2**31st would take over 100 GB),
+        # and an array raises OverflowError rather than wrap.
+        self.events = array("i")
         self.tasks: list[tuple] = []
+
+    def keep_ids(self, chunk_ids: dict[bytes, int]) -> None:
+        """Add a chunk's note ids to the earlier chunks'; raises at the
+        first one among them."""
+        if not self.note_ids.isdisjoint(chunk_ids):
+            for key, lineno in chunk_ids.items():
+                if key in self.note_ids:
+                    raise duplicate_note_error(key.decode(), lineno)
+        self.note_ids.update(chunk_ids)
 
     def absorb(self, other: Curation, roster: Roster) -> None:
         """Append ``other``, the pass over the lines that follow; raises
         the first input error in line order."""
-        if not self.note_lines.keys().isdisjoint(other.note_lines):
-            for note_id, lineno in other.note_lines.items():
-                if note_id in self.note_lines:
-                    raise duplicate_note_error(note_id, lineno)
-        self.note_lines.update(dict.fromkeys(other.note_lines))  # no need for the lines
+        self.keep_ids(other.chunk_ids)
         if other.error is not None:
             raise other.error
         self.unknown += other.unknown
@@ -306,14 +320,14 @@ class Curation:
         start, events = len(self.events), other.events  # renumbered a field at a time
         self.events += events
         if number is not None:
-            self.events[start::3] = array("q", map(number.__getitem__, events[0::3]))
-        self.events[start + 1::3] = array("q", map(cell.__getitem__, events[1::3]))
+            self.events[start::3] = array("i", map(number.__getitem__, events[0::3]))
+        self.events[start + 1::3] = array("i", map(cell.__getitem__, events[1::3]))
         self.tasks += [(t[0] if number is None else number[t[0]], *t[1:]) for t in other.tasks]
 
     def settle(self) -> None:
         """After the last note the templates are known: their tasks go,
         and the counter and the note ids are freed."""
-        self.note_lines.clear()  # the duplicate check is done
+        self.note_ids, self.chunk_ids = set(), {}  # the duplicate check is done
         if self.counter is not None:
             self.template_flags = flags = bytes(held is None for held in self.counter.holders)
             self.counter = None
@@ -360,12 +374,14 @@ def _scan(cfg: _Config, part: Curation, first_lineno: int, lines: list[str]) -> 
     outside the day range; only the sentences of in-range notes by rostered
     patients whose fingerprint is no template yet are matched, once per memo key.
     """
+    from _blake2 import blake2s  # CPython's own, loaded to curate: hashlib loads OpenSSL (3 MB)
     index, ids, pcr_days = cfg.roster.index, cfg.roster.ids, cfg.roster.pcr_days
     find = cfg.matcher.find_mentions
     classify = None if cfg.classifier is None else cfg.classifier.classify
     count = None if part.counter is None else part.counter.count
     mask, memo, accepted, dates = cfg.mask, cfg.memo, cfg.accepted, cfg.dates
     lo, hi = cfg.day_range
+    chunk_ids = part.chunk_ids = {}
     for lineno, (line, record) in enumerate(zip(lines, decode_note_chunk(lines)), first_lineno):
         if record is None and not line.strip():
             continue
@@ -377,7 +393,7 @@ def _scan(cfg: _Config, part: Curation, first_lineno: int, lines: list[str]) -> 
             values = None
         if values is None or not values.isascii() and not encodable(values):
             patient_id, note_id, note_date, text = parse_note_line(line, lineno, dates)
-        if part.note_lines.setdefault(note_id, lineno) != lineno:
+        if chunk_ids.setdefault(note_id.encode(), lineno) != lineno:
             raise duplicate_note_error(note_id, lineno)
         i = index.get(patient_id)
         if i is None:
@@ -390,7 +406,8 @@ def _scan(cfg: _Config, part: Curation, first_lineno: int, lines: list[str]) -> 
         if day is None and count is None:
             continue
         for text in sentence_texts(text):
-            number = -1 if count is None else count(fingerprint(text), patient_id)
+            number = -1 if count is None else count(
+                blake2s(fingerprint(text).encode(), digest_size=16).digest(), patient_id)
             if number is None or day is None:
                 continue
             if classify is None:
@@ -507,7 +524,8 @@ def curate_notes(
         _pool_pass_all(cfg, total, chain(head, chunks), workers, halt)
     else:  # a read error is raised after the chunk before it
         for start, chunk in chain(head, chunks):
-            if _pass(cfg, total, start, chunk).error is not None:
+            total.keep_ids(_pass(cfg, total, start, chunk).chunk_ids)
+            if total.error is not None:
                 break
     if total.error is not None:
         raise total.error

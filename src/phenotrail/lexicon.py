@@ -238,10 +238,6 @@ class TermMatcher:
         self._by_first = by_first
 
     @property
-    def pattern_count(self) -> int:
-        return len(self._terms)
-
-    @property
     def terms(self) -> Iterable[str]:
         return self._terms.keys()
 

@@ -310,6 +310,9 @@ class TestCurateCommand:
         ]) == 2
 
 
+NE_NOTE = '{"patient_id": "P1", "note_id": "né", "date": "2020-04-01", "text": "Fever."}'
+
+
 class TestCurateStream:
     """curate reads the notes file once, line by line, at any worker count."""
 
@@ -333,6 +336,11 @@ class TestCurateStream:
         ({4090: "bytes"}, "notes line 4091: not valid UTF-8"),
         # a bad line in the chunk that the undecodable bytes cut short
         ({4050: "{bad", 4390: "bytes"}, "notes line 4051: invalid JSON"),
+        # a non-ASCII id, held as its UTF-8, copied just past the boundary:
+        # its first copy by a rostered patient, then by an unknown one
+        ({10: NE_NOTE, 2002: "dup:10"}, "notes line 2003: duplicate note_id 'né'"),
+        ({10: NE_NOTE.replace("P1", "P0"), 2002: "dup:10"},
+         "notes line 2003: duplicate note_id 'né'"),
     ])
     def test_malformed_jsonl_same_error_at_any_worker_count(
             self, fuzz_roster, tmp_path, capsys, edit, message):
@@ -1162,6 +1170,23 @@ def test_notes_path_never_imports_numpy(corpus_dir, tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True, timeout=300)
     assert result.stdout.strip() == "[0, 0] False"
+
+
+def test_curation_digests_fingerprints_without_openssl(corpus_dir):
+    # The template counter keys fingerprints by CPython's own BLAKE2s:
+    # hashlib would load OpenSSL (_hashlib), about 3 MB, during the pass.
+    src = os.path.dirname(os.path.dirname(phenotrail.__file__))
+    notes, patients = str(corpus_dir / "notes.jsonl"), str(corpus_dir / "patients.csv")
+    code = ("import sys; from phenotrail import assertion, cohort, lexicon, textproc; "
+            f"lines = open({notes!r}, encoding='utf-8').readlines(); "
+            "matcher = lexicon.build_matcher(lexicon.load_default_lexicon()); "
+            f"curation = cohort.curate_notes(lines, textproc.load_patients({patients!r}), "
+            "matcher, assertion.RuleClassifier()); "
+            "print(len(curation.events) > 0, '_hashlib' in sys.modules, '_blake2' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True, timeout=300)
+    assert result.stdout.strip() == "True False True"
 
 
 class TestManifest:

@@ -36,6 +36,7 @@ from phenotrail.textproc import (
 
 from oracles import curate_jsonl, presence_export_oracle, segment_notes, two_pass_curation
 from rosters import roster_of
+from views import cell_patients
 
 PCR_DAY = date(2020, 3, 10)
 
@@ -72,7 +73,7 @@ class TestBuildPresence:
             [note("p1", -3, "Patient reports fever.")], patients, matcher, classifier
         )
         assert rejects == []
-        assert table.patients("fever_chills", -3) == {"p1"}
+        assert cell_patients(table, "fever_chills", -3) == {"p1"}
         assert table.cohort_sizes == {"positive": 1, "negative": 0}
 
     def test_denied_mention_excluded(self, matcher, classifier):
@@ -90,7 +91,7 @@ class TestBuildPresence:
         table, _ = curate_jsonl(
             notes, patients, matcher, classifier, include_maybe=True
         )
-        assert table.patients("fever_chills", -2) == {"p1"}
+        assert cell_patients(table, "fever_chills", -2) == {"p1"}
 
     def test_set_semantics_same_day(self, matcher, classifier):
         patients = roster(p1="positive")
@@ -99,7 +100,7 @@ class TestBuildPresence:
             note("p1", -2, "Reports a dry cough tonight.", "b"),
         ]
         table, _ = curate_jsonl(notes, patients, matcher, classifier)
-        assert table.patients("cough", -2) == {"p1"}
+        assert cell_patients(table, "cough", -2) == {"p1"}
 
     def test_unknown_patient_rejected_not_fatal(self, matcher, classifier):
         patients = roster(p1="positive")
@@ -110,7 +111,7 @@ class TestBuildPresence:
         table, rejects = curate_jsonl(notes, patients, matcher, classifier)
         assert [r.note_id for r in rejects] == ["ghost--1-a"]
         assert "unknown patient_id" in rejects[0].reason
-        assert table.patients("fever_chills", -1) == {"p1"}
+        assert cell_patients(table, "fever_chills", -1) == {"p1"}
 
     def test_day_range_excludes_distant_notes(self, matcher, classifier):
         patients = roster(p1="positive")
@@ -118,8 +119,8 @@ class TestBuildPresence:
         table, _ = curate_jsonl(
             notes, patients, matcher, classifier, day_range=(-14, 14)
         )
-        assert table.patients("fever_chills", -20) == set()
-        assert table.patients("fever_chills", 3) == {"p1"}
+        assert cell_patients(table, "fever_chills", -20) == set()
+        assert cell_patients(table, "fever_chills", 3) == {"p1"}
 
     def test_template_sentences_dropped(self, matcher, classifier):
         patients = roster(p1="positive", p2="negative")
@@ -128,7 +129,7 @@ class TestBuildPresence:
         table, _ = curate_jsonl(notes, patients, matcher, classifier, template_threshold=2)
         assert table.presence == {}
         table, _ = curate_jsonl(notes, patients, matcher, classifier, template_threshold=3)
-        assert table.patients("fever_chills", -2) == {"p1", "p2"}
+        assert cell_patients(table, "fever_chills", -2) == {"p1", "p2"}
 
     def test_multi_group_mention_counts_everywhere(self, matcher, classifier):
         patients = roster(p1="positive")
@@ -136,8 +137,8 @@ class TestBuildPresence:
             [note("p1", -4, "Had vomiting diarrhea this morning.")],
             patients, matcher, classifier,
         )
-        assert table.patients("diarrhea", -4) == {"p1"}
-        assert table.patients("gi_upset", -4) == {"p1"}
+        assert cell_patients(table, "diarrhea", -4) == {"p1"}
+        assert cell_patients(table, "gi_upset", -4) == {"p1"}
 
     def test_order_independence(self, matcher, classifier):
         patients = roster(p1="positive", p2="negative", p3="negative")
@@ -180,14 +181,14 @@ class TestBuildPresence:
         segmented = segment_notes(notes)
         assert segmented[0] == [("Fever.", "fever."), ("Denies  Cough.", "denies cough.")]
         table, _ = curate_jsonl(notes, patients, matcher, classifier)
-        assert {key: table.patients(*key) for key in table.presence} == {
+        assert {key: cell_patients(table, *key) for key in table.presence} == {
             ("fever_chills", -2): {"p1"}, ("cough", -1): {"p2"}}
         # A template fingerprint drops its sentence wherever it occurs: a
         # third patient makes "cough today." a template at threshold 2.
         notes.append(note("p3", -1, "COUGH  today."))
         table, _ = curate_jsonl(notes, roster(p1="positive", p2="negative", p3="positive"),
                                 matcher, classifier, template_threshold=2)
-        assert {key: table.patients(*key) for key in table.presence} == {
+        assert {key: cell_patients(table, *key) for key in table.presence} == {
             ("fever_chills", -2): {"p1"}}
 
     def test_invalid_day_range(self, matcher, classifier):
@@ -460,7 +461,7 @@ def _loaded_or_error(source, group_ids):
         table = load_presence_long_csv(source, EXPORT_ROSTER, group_ids=group_ids)
     except InputError as exc:
         return str(exc)
-    return {key: table.patients(*key) for key in table.presence}
+    return {key: cell_patients(table, *key) for key in table.presence}
 
 
 class TestExportLoader:
@@ -488,7 +489,7 @@ class TestExportLoader:
         cells = cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None)
         assert cells is not None
         table = SymptomPresenceTable.from_roster(cells, EXPORT_ROSTER, DEFAULT_DAY_RANGE)
-        assert {key: table.patients(*key) for key in table.presence} == \
+        assert {key: cell_patients(table, *key) for key in table.presence} == \
             presence_export_oracle(io.StringIO(text), EXPORT_RECORDS)
 
     @pytest.mark.parametrize("line", [
@@ -519,7 +520,7 @@ class TestExportLoader:
         text = "group_id,relative_day,cohort,patient_id\n" + "\n".join(rows)  # no final LF
         cells = cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None)
         table = SymptomPresenceTable.from_roster(cells, EXPORT_ROSTER, DEFAULT_DAY_RANGE)
-        assert {key: table.patients(*key) for key in table.presence} == \
+        assert {key: cell_patients(table, *key) for key in table.presence} == \
             presence_export_oracle(io.StringIO(text), EXPORT_RECORDS)
 
 
@@ -642,7 +643,7 @@ def oracle_outcome(lines, matcher, classifier, threshold, include_maybe):
 
 def stream_outcome(curation):
     table = curation.table(STREAM_ROSTER, DEFAULT_DAY_RANGE)
-    presence = {key: table.patients(*key) for key in table.presence}
+    presence = {key: cell_patients(table, *key) for key in table.presence}
     return presence, [(r.note_id, r.reason) for r in curation.rejects()]
 
 
@@ -743,6 +744,29 @@ class TestCurationStream:
         for held in fresh.holders:
             for patient_id in members(held or ()):
                 assert (id(patient_id) in copies) == (patient_id in roster.index)
+
+    def test_peak_memory_per_note(self, matcher, classifier):
+        """What the pass keeps per note: its id for the duplicate check,
+        its sentence's fingerprint and two events.  With the 36-character
+        id as a str in a dict beside its line, the 130-character
+        fingerprint as text and 64-bit events, that is over 420 bytes a
+        note; as UTF-8 in a set, a 16-byte digest and 32-bit events, under
+        310."""
+        n = 5000
+        lines = [json.dumps({
+            "patient_id": f"p{k % 6}", "note_id": f"{k:08x}-8f1c-4a2e-9b7d-{k * 7919:012x}",
+            "date": (PCR_DAY - timedelta(days=k % 9)).isoformat(),
+            "text": f"Reports fever and a dry cough since visit {k} to the walk-in clinic "
+                    "on the north side of town, as the attending physician noted."}) + "\n"
+            for k in range(n)]
+        tracemalloc.start()
+        try:
+            curation = cohort.curate_notes(lines, STREAM_ROSTER, matcher, classifier)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curation.events) == 6 * n  # fever and cough: a triple each
+        assert peak <= 360 * n
 
     def test_one_shot_generator_equals_list(self, matcher, classifier):
         rng = random.Random(4)

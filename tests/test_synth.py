@@ -32,6 +32,7 @@ from phenotrail.textproc import (
 
 from oracles import curate_jsonl, generate_oracle, write_corpus_oracle
 from rosters import roster_of
+from views import cell_patients
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +233,7 @@ class TestGenerate:
         patients = roster_of(corpus.patients)
         table, rejects = curate_jsonl(corpus.notes, patients, matcher, RuleClassifier())
         assert rejects == []
-        assert len(table.patients("fever_chills", -4)) == 60
+        assert len(cell_patients(table, "fever_chills", -4)) == 60
 
     def test_gold_labels_cover_generated_sentences(self, lexicon, matcher):
         corpus = generate(small_config(), lexicon)

@@ -24,6 +24,7 @@ from phenotrail.textproc import (
 
 from oracles import curate_jsonl, load_patients_oracle, segment_notes
 from rosters import records_of, roster_of
+from views import cell_patients
 
 
 def note(text, note_id="n1", patient_id="p1", when=date(2020, 3, 10)):
@@ -101,7 +102,7 @@ def fever_patients(pairs, threshold):
     patients = roster_of(PatientRecord(pid, date(2020, 3, 10), "positive") for _text, pid in pairs)
     table, _ = curate_jsonl(notes, patients, build_matcher(load_default_lexicon()),
                             RuleClassifier(), threshold)
-    return table.patients("fever_chills", 0)
+    return cell_patients(table, "fever_chills", 0)
 
 
 class TestTemplates:
