@@ -75,20 +75,8 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, inputs=None) -> None:
         help="count suspected (MAYBE) mentions as presence",
     )
     parser.add_argument("--workers", type=_positive_int, metavar="N", help=(
-        "curation processes (default: the usable CPUs, at most 4; 1 stays in-process)"))
-
-
-def _default_workers() -> int:
-    """An omitted --workers: the CPUs this process may use, at most 4, as the
-    parent's share of a pooled pass (reading chunks, merging parts) caps
-    the gain; 1 where the pool's fork start method is missing."""
-    import multiprocessing  # only curation needs it; keeps CLI start-up lean
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    affinity = getattr(os, "sched_getaffinity", None)
-    usable = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return min(usable, 4)
+        "curation processes (default 1, in-process; a pool of N pays off only "
+        "past about 100k notes)"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,6 +226,13 @@ def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
     """Run notes+patients through curation; returns (table, rejects), or
     (None, None) once --dump-classification-requests has written its file."""
     _require(args, "notes", "patients")
+    args.workers = args.workers or 1  # resolved here, so that the manifest records it
+    if args.workers > 1:
+        import multiprocessing  # only the pool needs it; keeps CLI start-up lean
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise InputError(f"--workers {args.workers} needs the fork start method, "
+                             "which this platform lacks; use --workers 1")
     # Compiled while the heap is small, so collections stay cheap.
     matcher = build_matcher(lexicon)
     roster = textproc.load_patients(args.patients)
@@ -246,8 +241,6 @@ def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
     # An external classifier labels the mentions once the pass has
     # numbered them; until then each stays a task.
     classifier = None if dump_path or responses_path else assertion.RuleClassifier()
-    if args.workers is None:  # resolved here, so that the manifest records it
-        args.workers = _default_workers()
     with open_text(args.notes, "notes") as lines:
         curation = cohort.curate_notes(
             lines,
@@ -441,8 +434,9 @@ class _Table(NamedTuple):
     output: str
     required: tuple[str, ...]  # required --from-counts columns
     parse: Callable  # (counts row, its line, n_pos, n_neg) -> counts tuple
-    presence_counts: Callable  # (presence table, window) -> counts
-    build: Callable  # (counts, n_pos, n_neg, **options) -> stats rows
+    # Names, looked up as a command runs, so a rebound module function is called.
+    presence_counts: str  # cohort's (presence table, window) -> counts
+    build: str  # stats' (counts, n_pos, n_neg, **options) -> stats rows
     # (header, stats row attribute, render) per output column; a header
     # may name {n_pos} and {n_neg}; render None prints a group's name.
     columns: tuple[tuple[str, str, Callable | None], ...]
@@ -455,7 +449,7 @@ _TABLES = {
     "enrich": _Table(
         "enrichment.csv",
         ("phenotype", "pos_total", "neg_total", "pos_count", "neg_count"),
-        _enrichment_counts, cohort.window_counts, stats.enrichment_rows,
+        _enrichment_counts, "window_counts", "enrichment_rows",
         (("Phenotype", "group_id", None),
          ("COVID+ count (N={n_pos})", "k_pos", str),
          ("COVID- count (N={n_neg})", "k_neg", str),
@@ -467,7 +461,7 @@ _TABLES = {
     "timeline": _Table(
         "timeline.csv",
         ("phenotype", "day", "pos_total", "neg_total"),
-        _daily_counts, cohort.daily_counts, stats.daily_rows,
+        _daily_counts, "daily_counts", "daily_rows",
         (("Phenotype", "group_id", None),
          ("Day", "day", str),
          ("COVID+ % (n={n_pos})", "pct_pos", _FRACTION),
@@ -478,7 +472,7 @@ _TABLES = {
     "pairwise": _Table(
         "pairwise.csv",
         ("phenotype_a", "phenotype_b", "pos_total", "neg_total", "pos_count", "neg_count"),
-        _pair_counts, cohort.pair_counts, stats.pair_rows,
+        _pair_counts, "pair_counts", "pair_rows",
         (("Phenotype 1", "group_a", None),
          ("Phenotype 2", "group_b", None),
          ("COVID+ count (N={n_pos})", "k_pos", str),
@@ -506,12 +500,12 @@ def _cmd_table(args, argv) -> int:
         table, names, inputs = _presence_table(args)
         sizes = table.cohort_sizes
         n_pos, n_neg = sizes[cohort.POSITIVE], sizes[cohort.NEGATIVE]
-        counts = spec.presence_counts(table, args.window)
+        counts = getattr(cohort, spec.presence_counts)(table, args.window)
     options = {}
     if args.command == "pairwise":
         # The BH family size, resolved so that the manifest records it.
         options["m_tests"] = len(counts) if args.m_tests is None else args.m_tests
-    rows = spec.build(counts, n_pos, n_neg, **options)
+    rows = getattr(stats, spec.build)(counts, n_pos, n_neg, **options)
     with open(_out_file(args.out, spec.output), "w", encoding="utf-8") as handle:
         _write_table(spec.columns, rows, names, n_pos, n_neg, handle)
     write_manifest(args.out, argv, inputs, [spec.output],

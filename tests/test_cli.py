@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phenotrail
-from phenotrail import bundled, cli
+from phenotrail import bundled
 from phenotrail.cli import main, rerun_from_manifest, run
 from phenotrail.errors import InputError
 from phenotrail.lexicon import load_default_lexicon
@@ -402,30 +402,26 @@ class TestCurateStream:
 
 
 class TestDefaultWorkers:
-    """An omitted --workers: the usable CPUs, at most 4, and 1 without fork."""
+    """An omitted --workers is 1 on every host; only --workers N > 1 runs the pool."""
 
-    @pytest.mark.parametrize("cpus, expected", [(1, 1), (2, 2), (4, 4), (16, 4)])
-    def test_usable_cpus_capped_at_4(self, monkeypatch, cpus, expected):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # affinity wins
-        assert cli._default_workers() == expected
-
-    def test_one_without_fork(self, monkeypatch):
+    def test_one_without_fork(self, corpus_dir, tmp_path, capsys, monkeypatch):
         import multiprocessing
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)),
-                            raising=False)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert cli._default_workers() == 1
+        assert main(["curate", *corpus_args(corpus_dir), "--out", str(tmp_path / "one")]) == 0
+        requests = tmp_path / "requests.jsonl"
+        for extra in ([], ["--dump-classification-requests", str(requests)]):
+            assert main(["curate", *corpus_args(corpus_dir), "--workers", "2", *extra,
+                         "--out", str(tmp_path / "two")]) == 2
+            assert capsys.readouterr().err == (
+                "error: --workers 2 needs the fork start method, which this platform"
+                " lacks; use --workers 1\n")
+        assert main(["enrich", *corpus_args(corpus_dir), "--workers", "3",
+                     "--out", str(tmp_path / "two")]) == 2
+        assert "error: --workers 3 needs the fork start method" in capsys.readouterr().err
+        assert not (tmp_path / "two").exists() and not requests.exists()
 
-    @pytest.mark.parametrize("count, expected", [(3, 3), (12, 4), (None, 1)])
-    def test_cpu_count_without_affinity(self, monkeypatch, count, expected):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert cli._default_workers() == expected
-
-    def test_omitted_equals_one_worker(self, tmp_path, monkeypatch):
+    def test_omitted_equals_one_worker(self, tmp_path, monkeypatch, curated_dir, corpus_dir):
         from phenotrail import cohort
 
         corpus = tmp_path / "corpus"
@@ -438,22 +434,25 @@ class TestDefaultWorkers:
             return real_pool(cfg, total, chunks, workers, halt)
 
         monkeypatch.setattr(cohort, "_pool_pass_all", pool_pass_all)
-        resolved = cli._default_workers()
         for command, extra, outputs in (
             ("curate", ["--per-patient"], ("presence.csv", "presence_long.csv", "rejects.csv")),
             ("enrich", [], ("enrichment.csv",)),
         ):
-            runs = {"default": [], "one": ["--workers", "1"]}
-            for name, workers in runs.items():
-                assert main([command, *corpus_args(corpus), *extra, *workers,
+            for name, workers, option in (("default", 1, []), ("two", 2, ["--workers", "2"])):
+                pooled.clear()
+                assert main([command, *corpus_args(corpus), *extra, *option,
                              "--out", str(tmp_path / command / name)]) == 0
-            for output in outputs:
-                assert filecmp.cmp(tmp_path / command / "default" / output,
-                                   tmp_path / command / "one" / output, shallow=False), output
-            for name, workers in (("default", resolved), ("one", 1)):
+                assert pooled == ([2] if option else [])  # the pool runs only when asked
                 manifest = json.loads((tmp_path / command / name / "manifest.json").read_text())
                 assert manifest["config"]["workers"] == workers
-        assert pooled == ([resolved] * 2 if resolved > 1 else [])  # the pool ran, if it could
+            for output in outputs:
+                assert filecmp.cmp(tmp_path / command / "default" / output,
+                                   tmp_path / command / "two" / output, shallow=False), output
+        # Runs that curate nothing record no worker count.
+        for source in (presence_args(corpus_dir, curated_dir), ["--from-counts", WEEK]):
+            out = tmp_path / "uncurated"
+            assert main(["enrich", *source, "--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["config"]["workers"] is None
 
 
 class TestFromCounts:
