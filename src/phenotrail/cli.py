@@ -63,7 +63,7 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, inputs=None) -> None:
     parser.add_argument("--patients", help="patient roster CSV")
     parser.add_argument("--lexicon", help="phenotype lexicon CSV (default: bundled)")
     parser.add_argument(
-        "--template-threshold", type=int, default=20, metavar="N",
+        "--template-threshold", type=int, default=cohort.DEFAULT_TEMPLATE_THRESHOLD, metavar="N",
         help="distinct patients before a sentence counts as boilerplate",
     )
     parser.add_argument(
@@ -260,6 +260,20 @@ def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
         responses = assertion.read_classification_responses(responses_path, len(curation.tasks))
         curation.replay(assertion.PrecomputedClassifier(responses), args.include_maybe)
     return curation.table(roster, args.day_range, lexicon.group_ids), curation.rejects()
+
+
+def _reject_curation_options(args: argparse.Namespace) -> None:
+    """A --presence or --from-counts run curates nothing: a curation
+    option given with it would be silently ignored."""
+    source = "--presence" if args.presence else "--from-counts"
+    for option, given in (
+        ("--include-maybe", args.include_maybe),
+        ("--no-template-filter", args.no_template_filter),
+        ("--workers", args.workers is not None),
+        ("--template-threshold", args.template_threshold != cohort.DEFAULT_TEMPLATE_THRESHOLD),
+    ):
+        if given:
+            raise InputError(f"{option} applies only when curating --notes, not with {source}")
 
 
 def _presence_table(args: argparse.Namespace):
@@ -489,6 +503,8 @@ _TABLES = {
 def _cmd_table(args, argv) -> int:
     """enrich, timeline and pairwise: one input's counts -> rows -> CSV."""
     spec = _TABLES[args.command]
+    if args.presence or args.from_counts:
+        _reject_curation_options(args)
     cohort.check_window(args.window, args.day_range)
     if args.from_counts:
         rows_in = _read_counts_csv(args.from_counts, spec.required)

@@ -25,9 +25,8 @@ made 0, unless a term or rule holds a digit or the classifier is no
 ``RuleClassifier`` (see ``_sentence_mask``).  A corpus that never
 repeats costs one lookup per sentence.  Chunks are passed in-process or
 in a worker pool; partial passes merge in line order, so the result and
-the first reported input error are the same for any worker count.  The
-notes path never imports numpy; the export loader imports it to parse
-and index the export in one vectorised pass per chunk.
+the first reported input error are the same for any worker count.
+Neither curation nor the export loader imports numpy.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from .textproc import (
 )
 
 DEFAULT_DAY_RANGE = (-14, 14)
+DEFAULT_TEMPLATE_THRESHOLD = 20
 DEFAULT_WINDOW = (-7, -1)
 
 PRESENCE_HEADER = ("group_id", "relative_day", "cohort", "patient_count")
@@ -500,7 +500,7 @@ def curate_notes(
     roster: Roster,
     matcher: TermMatcher,
     classifier: Classifier | None,
-    template_threshold: int | None = 20,
+    template_threshold: int | None = DEFAULT_TEMPLATE_THRESHOLD,
     day_range: tuple[int, int] = DEFAULT_DAY_RANGE,
     include_maybe: bool = False,
     workers: int = 1,
@@ -639,8 +639,8 @@ def load_presence_long_csv(
     With ``group_ids`` given (a lexicon's groups), the table covers exactly
     those groups and a row naming any other group is an error.
 
-    The export is parsed by ``_index_export`` in one vectorised pass per
-    chunk.  A file that pass does not accept (quoted fields, spaces,
+    The export is parsed by ``_index_export`` in one pass over its
+    lines.  A file that pass does not accept (quoted fields, spaces,
     non-ASCII bytes, CR line ends, a wrong field count or any invalid
     row) is read by ``_walk_export``, the row-by-row reference, which
     raises the error of the first bad row.
@@ -691,11 +691,12 @@ def _walk_export(
 
 
 # ---------------------------------------------------------------------------
-# The vectorised export pass
+# The fast export pass
 
 _EXPORT_HEADER_LINE = (",".join(PRESENCE_LONG_HEADER) + "\n").encode()
 _EXPORT_BLOCK = 1 << 18  # bytes read per chunk
-_HASH_STEP = 0x9E3779B97F4A7C15
+# Bytes a row of the fast pass may hold: "!".."~" except '"', and LF.
+_ROW_BYTES = bytes(b for b in range(0x21, 0x7F) if b != 0x22) + b"\n"
 
 
 def _index_export(
@@ -705,48 +706,46 @@ def _index_export(
     row walker.
 
     Accepted rows are printable ASCII without spaces or double quotes,
-    ended by LF, with exactly four fields; the header is exactly
-    ``PRESENCE_LONG_HEADER``.  Every row must then be valid: a known
-    patient, its own cohort, an int day and, with ``known``, a known
-    group.  Each chunk resolves its rows to (cell, roster index) with
-    array operations; Python parses one ``group,day,cohort`` prefix per
-    run of rows that share it.  Patient ids are looked up by a hash of
-    their bytes and then compared in whole, as 8-byte words, so a hash
-    collision can only send the file to the walker.
-
-    Each chunk's rows are then ORed into a cells x roster-bytes matrix,
-    one OR per distinct (cell, patient byte) whatever the row order, so
-    memory is bounded by the cells and a chunk, not by the rows.  Row c
-    of the matrix becomes cell c's ``PatientBits``.
+    ended by LF, with exactly four fields; blank lines are skipped and
+    the header is exactly ``PRESENCE_LONG_HEADER``.  Every row must then
+    be valid: a known patient, its own cohort, an int day and, with
+    ``known``, a known group.  Each ``group,day,cohort`` prefix is
+    parsed when first seen, and each row sets its patient's bit in its
+    prefix's roster bytes, whatever the row order, so memory is bounded
+    by the prefixes and a block, not by the rows.  After the last row
+    each prefix's bits are checked against the roster's arms and ORed
+    into its cell's ``PatientBits``.
     """
-    import numpy as np
-
     if raw.readline(len(_EXPORT_HEADER_LINE)) != _EXPORT_HEADER_LINE:
         return None
-    id_keys = _RosterKeys(np, roster)
-    if id_keys.ids is None:
+    index, width = roster.index, (len(roster.ids) + 7) >> 3
+    prefixes: dict[str, bytearray] = {}  # "group,day,cohort" -> its patients' roster bits
+    parsed: dict[str, tuple[tuple[str, int], bool]] = {}  # -> ((group id, day), positive)
+    try:
+        for body in _line_runs(raw):
+            if body.translate(None, _ROW_BYTES):
+                return None
+            for line in body.decode("ascii").split():  # LF is the only whitespace left
+                prefix, _, patient_id = line.rpartition(",")
+                bits = prefixes.get(prefix)
+                if bits is None:
+                    group_id, day, cohort = prefix.split(",")
+                    if cohort not in (POSITIVE, NEGATIVE) or known is not None \
+                            and group_id not in known:
+                        return None
+                    parsed[prefix] = ((group_id, int(day)), cohort == POSITIVE)
+                    bits = prefixes[prefix] = bytearray(width)
+                i = index[patient_id]
+                bits[i >> 3] |= 1 << (i & 7)
+    except (KeyError, ValueError):  # an unknown patient, a field too many or few, a bad day
         return None
-    cells: dict[tuple[str, int], int] = {}  # -> cell number
-    prefixes: dict[bytes, tuple[int, bool]] = {}  # -> (cell number, positive cohort)
-    width = (len(roster.ids) + 7) >> 3
-    bits = np.zeros((0, width), dtype=np.uint8)  # row c: cell c's roster bits
-    for body in _line_runs(raw):
-        rows = _export_rows(np, body, id_keys, cells, prefixes, known)
-        if rows is None:
+    cells: dict[tuple[str, int], PatientBits] = {}
+    for prefix, (key, positive) in parsed.items():
+        bits = int.from_bytes(prefixes.pop(prefix), "little")
+        if bits & roster.positive != (bits if positive else 0):
             return None
-        row_cell, index = rows
-        if not len(index):
-            continue
-        if len(cells) > len(bits):  # grown in place, zero-filled
-            bits.resize((max(len(cells), 2 * len(bits)), width), refcheck=False)
-        # One OR per distinct (cell, patient byte), whatever the row order.
-        keys = row_cell * width + (index >> 3)
-        order = np.argsort(keys)
-        keys = keys[order]
-        heads = np.flatnonzero(np.diff(keys, prepend=-1))
-        masks = (1 << (index[order] & 7)).astype(np.uint8)
-        bits.reshape(-1)[keys[heads]] |= np.bitwise_or.reduceat(masks, heads)
-    return {key: PatientBits.from_bytes(bits[c].tobytes(), "little") for key, c in cells.items()}
+        cells[key] = PatientBits(cells.get(key, 0) | bits)
+    return cells
 
 
 def _line_runs(raw: IO[bytes]) -> Iterator[bytes]:
@@ -760,122 +759,3 @@ def _line_runs(raw: IO[bytes]) -> Iterator[bytes]:
         tail = data[cut:]
     if tail:
         yield tail + b"\n"
-
-
-def _words(np, buf, starts, lengths, n_words: int) -> list:
-    """Each field ``buf[start:start + length]`` as ``n_words`` little-endian
-    uint64 words, zero past the field's end.  ``buf`` ends in 8 spare bytes."""
-    windows = np.lib.stride_tricks.as_strided(buf, shape=(len(buf) - 7, 8), strides=(1, 1))
-    masks = np.array([(1 << 8 * v) - 1 for v in range(9)], dtype=np.uint64)
-    last = len(buf) - 8
-    words = []
-    for k in range(n_words):
-        word = windows[np.minimum(starts + 8 * k, last)].view("<u8").ravel()
-        words.append(word & masks[np.clip(lengths - 8 * k, 0, 8)])
-    return words
-
-
-def _hash(np, lengths, words):
-    h = lengths.astype(np.uint64)
-    for word in words:
-        h = (h ^ word) * np.uint64(_HASH_STEP)
-    return h
-
-
-class _RosterKeys:
-    """The roster's ids as hashed words, for matching export fields."""
-
-    def __init__(self, np, roster: Roster):
-        self.ids = None  # stays None when two ids share a hash
-        encoded = [patient_id.encode() for patient_id in roster.ids]
-        self.lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-        self.max_length = int(self.lengths.max()) if encoded else 0
-        self.n_words = max(1, -(-self.max_length // 8))
-        starts = np.cumsum(self.lengths) - self.lengths
-        buf = np.frombuffer(b"".join(encoded) + bytes(8), dtype=np.uint8)
-        self.words = _words(np, buf, starts, self.lengths, self.n_words)
-        hashes = _hash(np, self.lengths, self.words)
-        self.order = np.argsort(hashes, kind="stable")
-        self.sorted_hashes = hashes[self.order]
-        if np.any(self.sorted_hashes[1:] == self.sorted_hashes[:-1]):
-            return  # two ids share a hash
-        n = len(encoded)
-        packed = np.frombuffer(roster.positive.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
-        self.positive = np.unpackbits(packed, count=n, bitorder="little").astype(bool)
-        self.ids = roster.ids
-
-    def lookup(self, np, lengths, words):
-        """Roster index per field, or None when a field is not a rostered id."""
-        if not len(self.ids) or int(lengths.max()) > self.max_length:
-            return None
-        at = np.searchsorted(self.sorted_hashes, _hash(np, lengths, words))
-        at = np.minimum(at, len(self.ids) - 1)
-        index = self.order[at]
-        same = self.lengths[index] == lengths
-        for word, roster_word in zip(words, self.words):
-            same &= roster_word[index] == word
-        return index if same.all() else None
-
-
-# Bytes a row of the vectorised pass may hold: "!".."~" except '"', and LF.
-_ROW_BYTES = frozenset(range(0x21, 0x7F)) - {0x22} | {0x0A}
-
-
-def _export_rows(np, body: bytes, roster: _RosterKeys, cells, prefixes, known):
-    """(cell number, roster index) per row of ``body``, whole LF-ended
-    lines, or None when a row needs the row walker.  New cells and
-    prefixes are added to ``cells`` and ``prefixes``."""
-    buf = np.frombuffer(body + bytes(8), dtype=np.uint8)
-    text = buf[:-8]
-    allowed = np.zeros(256, dtype=bool)
-    allowed[list(_ROW_BYTES)] = True
-    if not allowed[text].all():
-        return None
-    ends = np.flatnonzero(text == 0x0A)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    filled = ends > starts  # blank lines are skipped
-    starts, ends = starts[filled], ends[filled]
-    commas = np.flatnonzero(text == 0x2C)
-    if len(commas) != 3 * len(starts):
-        return None
-    empty = np.zeros(0, dtype=np.int64)
-    if not len(starts):
-        return empty, empty
-    commas = commas.reshape(-1, 3)
-    # With three commas per line in all, each line holds exactly its own three.
-    if np.any(commas[:, 0] < starts) or np.any(commas[:, 2] >= ends):
-        return None
-
-    # The "group,day,cohort" prefix of each row, resolved once per run of
-    # rows that share it (the export is written sorted by it).
-    lengths = commas[:, 2] - starts
-    words = _words(np, buf, starts, lengths, -(-int(lengths.max()) // 8))
-    changed = np.ones(len(starts), dtype=bool)
-    changed[1:] = lengths[1:] != lengths[:-1]
-    for word in words:
-        changed[1:] |= word[1:] != word[:-1]
-    heads = np.flatnonzero(changed)
-    run_cell = np.empty(len(heads), dtype=np.int64)
-    run_positive = np.empty(len(heads), dtype=bool)
-    for j, (lo, hi) in enumerate(zip(starts[heads].tolist(), commas[heads, 2].tolist())):
-        key = body[lo:hi]
-        entry = prefixes.get(key)
-        if entry is None:
-            group_id, raw_day, cohort = key.decode("ascii").split(",")
-            if (known is not None and group_id not in known) or cohort not in (POSITIVE, NEGATIVE):
-                return None
-            try:
-                day = int(raw_day)
-            except ValueError:
-                return None
-            cell = cells.setdefault((group_id, day), len(cells))
-            entry = prefixes[key] = (cell, cohort == POSITIVE)
-        run_cell[j], run_positive[j] = entry
-    run_of_row = np.cumsum(changed) - 1
-
-    starts = commas[:, 2] + 1
-    lengths = ends - starts
-    index = roster.lookup(np, lengths, _words(np, buf, starts, lengths, roster.n_words))
-    if index is None or np.any(roster.positive[index] != run_positive[run_of_row]):
-        return None
-    return run_cell[run_of_row], index

@@ -653,6 +653,21 @@ class TestPipelineStats:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option", [["--include-maybe"], ["--no-template-filter"],
+                                        ["--workers", "1"], ["--template-threshold", "5"]],
+                             ids=lambda option: option[0])
+    @pytest.mark.parametrize("source", ["presence", "from_counts"])
+    def test_curation_option_without_notes_exit_code(
+            self, corpus_dir, curated_dir, tmp_path, capsys, source, option):
+        inputs = {
+            "presence": presence_args(corpus_dir, curated_dir),
+            "from_counts": ["--from-counts", WEEK],
+        }[source]
+        assert main(["enrich", *inputs, *option, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {option[0]} applies only when curating --notes, not with {inputs[0]}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_template_threshold_rejected(self, corpus_dir, tmp_path, capsys):
         assert main(["enrich", *corpus_args(corpus_dir), "--template-threshold", "1",
                      "--out", str(tmp_path / "out")]) == 2
@@ -1157,18 +1172,21 @@ class TestNonUtf8Input:
                 handle.read()
 
 
-def test_notes_path_never_imports_numpy(corpus_dir, tmp_path):
-    # numpy adds about 11 MB to a process; curating and tabulating from
-    # notes must not load it.
+def test_curation_and_table_commands_never_import_numpy(corpus_dir, tmp_path):
+    # numpy adds about 14 MB to a process; curating and tabulating, from
+    # notes or from the presence export, must not load it.
     src = os.path.dirname(os.path.dirname(phenotrail.__file__))
+    export = ["--presence", str(tmp_path / "c" / "presence_long.csv"),
+              "--patients", str(corpus_dir / "patients.csv")]
     runs = [["curate", *corpus_args(corpus_dir), "--per-patient", "--out", str(tmp_path / "c")],
-            ["pairwise", *corpus_args(corpus_dir), "--out", str(tmp_path / "p")]]
+            ["pairwise", *corpus_args(corpus_dir), "--out", str(tmp_path / "p")],
+            ["enrich", *export, "--out", str(tmp_path / "e")]]
     code = ("import sys; from phenotrail.cli import main; "
             f"print([main(argv) for argv in {runs!r}], 'numpy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True, timeout=300)
-    assert result.stdout.strip() == "[0, 0] False"
+    assert result.stdout.strip() == "[0, 0, 0] False"
 
 
 def test_curation_digests_fingerprints_without_openssl(corpus_dir):

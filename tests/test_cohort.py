@@ -464,8 +464,12 @@ def _loaded_or_error(source, group_ids):
     return {key: cell_patients(table, *key) for key in table.presence}
 
 
+def _walker_not_expected(*args):
+    raise AssertionError("the fast export pass refused a plain export")
+
+
 class TestExportLoader:
-    """The vectorised loader against the row-by-row loader it replaced."""
+    """The fast export pass against the row-by-row walker and the oracle."""
 
     @given(st.lists(export_rows(), max_size=25), st.booleans(),
            st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from([None, EXPORT_GROUPS[:2]]))
@@ -481,20 +485,25 @@ class TestExportLoader:
         assert _loaded_or_error(io.StringIO(text), group_ids) == expected
 
     @given(st.lists(st.tuples(st.sampled_from(EXPORT_GROUPS), st.integers(-14, 14),
-                              st.sampled_from(["P1", "P2", "P3", "P10"])), max_size=40))
+                              st.sampled_from(["P1", "P2", "P3", "P10"])), max_size=40),
+           st.booleans(), st.randoms(use_true_random=False), st.lists(st.integers(0, 40)))
     @settings(max_examples=100, deadline=None)
-    def test_plain_exports_take_the_vectorised_pass(self, rows):
-        text = "group_id,relative_day,cohort,patient_id\n" + "".join(
-            f"{g},{day},{EXPORT_RECORDS[p].pcr_result},{p}\n" for g, day, p in rows)
-        cells = cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None)
-        assert cells is not None
-        table = SymptomPresenceTable.from_roster(cells, EXPORT_ROSTER, DEFAULT_DAY_RANGE)
-        assert {key: cell_patients(table, *key) for key in table.presence} == \
-            presence_export_oracle(io.StringIO(text), EXPORT_RECORDS)
+    def test_plain_exports_take_the_fast_pass(self, rows, shuffle, rng, blanks):
+        lines = [f"{g},{day},{EXPORT_RECORDS[p].pcr_result},{p}\n" for g, day, p in sorted(rows)]
+        if shuffle:
+            rng.shuffle(lines)
+        for at in blanks:
+            lines.insert(at, "\n")
+        text = "group_id,relative_day,cohort,patient_id\n" + "".join(lines)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cohort, "_walk_export", _walker_not_expected)
+            assert _loaded_or_error(io.StringIO(text), None) == \
+                presence_export_oracle(io.StringIO(text), EXPORT_RECORDS)
 
     @pytest.mark.parametrize("line", [
         "cough,-3,positive,P1\r\n", 'cough,-3,positive,"P1"\n', "cough, -3,positive,P1\n",
-        "cough,-3,positive,P9\n", "cough,-3,negative,P1\n", "cough,x,positive,P1\n",
+        "cough,-3,positive,P9\n", "cough,-3,negative,P1\n", "cough,-3,banana,P2\n",
+        "cough,x,positive,P1\n",
         "cough,-3,positive\n", "cough,-3,positive,P1,\n", "cough,-3,positive,\xa0P1\n",
         "cough,-3,positive,P1,\ncough,-3,positive\n",  # 4 + 2 commas
         "cough,-3\r,positive,P1\n",  # int() would take "-3\r"; csv ends the row there
@@ -502,16 +511,6 @@ class TestExportLoader:
     def test_rows_left_to_the_walker(self, line):
         text = "group_id,relative_day,cohort,patient_id\ncough,-2,negative,P2\n" + line
         assert cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None) is None
-
-    def test_colliding_hashes_fall_back_to_the_walker(self, export_dir, monkeypatch):
-        text = ("group_id,relative_day,cohort,patient_id\n"
-                "cough,-3,positive,P1\nfever_chills,-2,negative,P2\ncough,-3,negative,P10\n")
-        expected = _oracle_or_error(text, None)
-        monkeypatch.setattr(cohort, "_HASH_STEP", 0)  # every hash of one length is equal
-        assert cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None) is None
-        path = export_dir / "collide.csv"
-        path.write_text(text)
-        assert _loaded_or_error(str(path), None) == expected
 
     @pytest.mark.parametrize("block", [1, 7, 22, 23, 40, 1 << 20])
     def test_rows_span_read_blocks(self, monkeypatch, block):
@@ -562,12 +561,10 @@ class TestExportFold:
         assert all(table.presence[key] is bits for key, bits in cells.items())
 
     def test_peak_memory_is_the_matrix_and_a_few_blocks(self, tmp_path, monkeypatch):
-        """tracemalloc sees numpy's buffers.  The pass holds the cells x
-        roster-bytes matrix (at most twice the cells), the cells' bits and
-        a block's arrays: arrays over every row of the file would hold
-        8 bytes a row or more, here over 1 MB."""
-        import numpy  # noqa: F401  (imported outside the measurement)
-
+        """The pass holds roster bytes per ``group,day,cohort`` prefix (two
+        per cell here, so twice the cells x roster-bytes matrix), the
+        cells' bits and a block's lines: lines kept over every row of the
+        file would take 60 bytes a row or more, here over 8 MB."""
         monkeypatch.setattr(cohort, "_EXPORT_BLOCK", 1 << 16)
         patients, text, _ = wide_export(2000, [f"g{k}" for k in range(10)],
                                         range(-14, 15), 500, seed=5)
