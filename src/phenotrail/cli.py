@@ -604,12 +604,14 @@ def _cmd_synth(args, argv) -> int:
 
 
 def _cmd_coexpr(args, argv) -> int:
-    matrix = coexpr.load_triplet_matrix(args.matrix, args.cells, args.genes)
+    coexpr.check_filters(args.min_cells, args.min_frac)  # before the matrix is read
+    matrix = coexpr.load_triplet_matrix(args.matrix, args.cells, args.genes,
+                                        keep_genes=(args.gene_a, args.gene_b))
     summaries = coexpr.coexpression_summary(
         matrix, args.gene_a, args.gene_b,
         min_cells=args.min_cells, min_frac=args.min_frac,
     )
-    del matrix  # the manifest's hashlib and digests never add to the columns' memory
+    del matrix  # the cells and totals are freed before the manifest's hashlib loads
     with open(_out_file(args.out, "coexpr.csv"), "w", encoding="utf-8") as handle:
         coexpr.write_coexpr_csv(summaries, args.gene_a, args.gene_b, handle)
     write_manifest(

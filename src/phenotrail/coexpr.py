@@ -7,16 +7,18 @@ with non-zero RAW counts for both, plus a pass/fail flag against the
 minimum-cells and minimum-co-expressing-fraction filters.  All
 populations are reported; the flag records the filter outcome.
 
-An ``ExpressionMatrix`` holds its triplets as three columns, one row per
-entry in file order: cell and gene indexes, int32 where the cell and gene
-counts allow, and int64 counts.  The loader reads the matrix body in
-blocks of whole lines, parses each with ``np.loadtxt`` and copies its rows
-into columns allocated once from the header's entry count, so it holds the
-columns (16 bytes an entry) and about one block, not the file.  Cell
-totals are exact integer sums: int64, or Python ints where an int64 sum
-could overflow.  A gene's per-cell counts are gathered only when asked for,
-with duplicate (cell, gene) entries summed.  numpy is imported by the
-functions that use it, so importing this module does not load it.
+An ``ExpressionMatrix`` keeps what the summary reads: exact per-cell
+totals (int64, or Python ints where an int64 sum could overflow) and the
+non-zero entries of the genes it keeps, as three columns: cell and gene
+indexes, int32 where the cell and gene counts allow, and int64 counts.
+The in-memory constructor keeps every gene; the loader keeps only the
+genes it is asked for.  The loader reads the matrix body in blocks of
+whole lines, parses each with ``np.loadtxt`` and folds it into the totals
+and the kept genes' columns, so past what it keeps it holds about one
+block, however many entries the file has.  A gene's per-cell counts are
+gathered only when asked for, with duplicate (cell, gene) entries summed.
+numpy is imported by the functions that use it, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import csv
 import io
 import itertools
 import math
-import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -48,22 +49,54 @@ class CellInfo(NamedTuple):
     cell_type: str
 
 
-class _Columns(NamedTuple):
-    """Triplet columns and the error of their first bad entry, if any."""
+class _Fold:
+    """Exact per-cell totals and the non-zero entries of the kept genes
+    (``keep`` has a flag per gene, or is None for every gene), folded from
+    blocks of int64 (cell, gene, count) rows.  The first bad entry's error
+    is kept in ``bad`` and nothing is folded from then on, so an index
+    outside the matrix never reaches ``np.add.at`` or the gene filter."""
 
-    cell: "np.ndarray"
-    gene: "np.ndarray"
-    count: "np.ndarray"
-    bad: InputError | None
+    def __init__(self, n_cells: int, n_genes: int, keep: Sequence[bool] | None = None):
+        import numpy as np
+
+        self.n_cells, self.n_genes = n_cells, n_genes
+        self.totals = np.zeros(n_cells, np.int64)
+        self.bound = 0  # no total exceeds the sum of each block's largest count times its rows
+        self.keep = None if keep is None else np.array(keep, bool)
+        cell, gene = (np.int32 if n <= 2**31 else np.int64 for n in (n_cells, n_genes))
+        self.columns = (np.empty(0, cell), np.empty(0, gene), np.empty(0, np.int64))
+        self.bad: InputError | None = None
+
+    def add(self, rows) -> None:
+        import numpy as np
+
+        if self.bad is not None or not len(rows):
+            return
+        cell, gene, count = rows.T
+        self.bad = _first_bad_entry(rows, self.n_cells, self.n_genes)
+        if self.bad is not None:
+            return
+        self.bound += int(count.max()) * len(count)
+        if self.bound > _INT64_MAX and self.totals.dtype != object:
+            self.totals = self.totals.astype(object)  # an int64 total could overflow
+        np.add.at(self.totals, cell, count.astype(self.totals.dtype, copy=False))
+        kept = count != 0
+        if self.keep is not None:
+            kept &= self.keep[gene]
+        filled = len(self.columns[2])
+        end = filled + int(kept.sum())
+        for column, values in zip(self.columns, (cell, gene, count)):
+            column.resize(end, refcheck=False)  # in place: never two copies at once
+            column[filled:] = values[kept]
 
 
 class ExpressionMatrix:
     """Sparse non-negative integer counts, cells x genes.
 
     ``entries`` are (cell_index, gene_index, count) rows: an (n, 3) integer
-    array or a sequence of triples.  They are kept as three columns: cell
-    and gene indexes (int32 where the cell and gene counts fit) and int64
-    counts.
+    array or a sequence of triples.  Every gene is kept: its non-zero
+    entries are held as three columns, cell and gene indexes (int32 where
+    the cell and gene counts fit) and int64 counts.
     """
 
     def __init__(self, cells: Sequence[CellInfo], genes: Sequence[str], entries):
@@ -71,33 +104,27 @@ class ExpressionMatrix:
 
         self.cells = tuple(cells)
         self.genes = tuple(genes)
-        n_cells, n_genes = len(self.cells), len(self.genes)
-        if not isinstance(entries, _Columns):  # the loader's columns are checked already
-            cell_col, gene_col, count_col = np.asarray(entries, dtype=np.int64).reshape(-1, 3).T
-            entries = _Columns(
-                cell_col.astype(_index_dtype(n_cells)), gene_col.astype(_index_dtype(n_genes)),
-                np.ascontiguousarray(count_col),
-                _first_bad_entry(cell_col, gene_col, count_col, n_cells, n_genes))
+        if not isinstance(entries, _Fold):  # the loader folds its blocks as it reads them
+            fold = _Fold(len(self.cells), len(self.genes))
+            fold.add(np.asarray(entries, dtype=np.int64).reshape(-1, 3))
+            entries = fold
         self._gene_index = {g: i for i, g in enumerate(self.genes)}
         if len(self._gene_index) != len(self.genes):
             raise InputError("duplicate gene symbols")
         if entries.bad is not None:
             raise entries.bad
-        self._cell_col, self._gene_col, self._count_col = entries.cell, entries.gene, entries.count
-        counts = entries.count
-        if counts.size and int(counts.max()) > _INT64_MAX // counts.size:
-            counts = counts.astype(object)  # an int64 total could overflow
-        totals = np.zeros(n_cells, dtype=counts.dtype)
-        np.add.at(totals, entries.cell, counts)
-        self.cell_totals: list[int] = totals.tolist()
+        self._kept = entries.keep
+        self._cell_col, self._gene_col, self._count_col = entries.columns
+        self.cell_totals: list[int] = entries.totals.tolist()
 
     def gene_counts(self, gene: str) -> dict[int, int]:
         """Cell index -> summed non-zero count of ``gene``."""
         idx = self._gene_index.get(gene)
         if idx is None:
             raise InputError(f"unknown gene symbol {gene!r}")
+        if self._kept is not None and not self._kept[idx]:
+            raise InputError(f"gene {gene!r} was not kept when the matrix was loaded")
         rows = (self._gene_col == idx).nonzero()[0]
-        rows = rows[self._count_col[rows] != 0]
         counts: dict[int, int] = {}
         for cell, count in zip(self._cell_col[rows].tolist(), self._count_col[rows].tolist()):
             counts[cell] = counts.get(cell, 0) + count
@@ -111,25 +138,18 @@ def normalize_cp10k(count: int, cell_total: int) -> float:
     return math.log(count / cell_total * 10000.0 + 1.0)
 
 
-def _index_dtype(n: int):
-    """int32 where it holds every index below ``n``, else int64."""
+def _first_bad_entry(rows, n_cells: int, n_genes: int) -> InputError | None:
+    """The error of the first of the (cell, gene, count) ``rows`` with an
+    index outside the matrix or a negative count, as a row-by-row check
+    would report it; None when every entry is good.  The rows are int64,
+    so the error names the indexes exactly as they were read."""
     import numpy as np
 
-    return np.int32 if n <= 2**31 else np.int64
-
-
-def _first_bad_entry(cell, gene, count, n_cells: int, n_genes: int) -> InputError | None:
-    """The error of the first entry, in order, with an index outside the
-    matrix or a negative count, as a row-by-row check would report it;
-    None when every entry is good.  The columns are int64, so the error
-    names the indexes exactly as they were read."""
-    import numpy as np
-
+    cell, gene, count = rows.T
+    if rows.min() >= 0 and cell.max() < n_cells and gene.max() < n_genes:
+        return None  # a good block costs three reductions, not five masks
     outside = (cell < 0) | (cell >= n_cells) | (gene < 0) | (gene >= n_genes)
-    bad = np.flatnonzero(outside | (count < 0))
-    if not bad.size:
-        return None
-    first = bad[0]
+    first = np.flatnonzero(outside | (count < 0))[0]
     if outside[first]:
         return InputError(f"entry ({cell[first]}, {gene[first]}) outside matrix bounds")
     return InputError("counts must be non-negative")
@@ -146,6 +166,14 @@ class PopulationSummary:
     passes_filter: bool
 
 
+def check_filters(min_cells: int, min_frac: float) -> None:
+    """Refuse a minimum-cells or minimum-co-expressing-fraction filter out of range."""
+    if min_cells < 1:
+        raise InputError("min_cells must be >= 1")
+    if not 0.0 <= min_frac <= 1.0:
+        raise InputError("min_frac must lie in [0, 1]")
+
+
 def coexpression_summary(
     matrix: ExpressionMatrix,
     gene_a: str,
@@ -159,10 +187,7 @@ def coexpression_summary(
     with a warning.  Co-expression is judged on raw counts; means are on
     normalized values.
     """
-    if min_cells < 1:
-        raise InputError("min_cells must be >= 1")
-    if not 0.0 <= min_frac <= 1.0:
-        raise InputError("min_frac must lie in [0, 1]")
+    check_filters(min_cells, min_frac)
     counts_a = matrix.gene_counts(gene_a)
     counts_b = matrix.gene_counts(gene_b)
 
@@ -214,6 +239,7 @@ def load_triplet_matrix(
     matrix_source: IO[str] | str,
     cells_source: IO[str] | str,
     genes_source: IO[str] | str,
+    keep_genes: Sequence[str] | None = None,
 ) -> ExpressionMatrix:
     """Read the sparse triplet matrix plus cell annotations and gene list.
 
@@ -221,16 +247,22 @@ def load_triplet_matrix(
     ``cell_index gene_index count`` lines with 0-based indices.  Blank
     lines are skipped.  Body fields are ASCII integers that fit in int64,
     and a malformed body line is reported by its physical line number.
-    Errors come in this order: bytes that are not UTF-8, the first
-    malformed body line, an entry count other than the header's,
-    duplicate gene symbols, then the first entry outside the matrix or
-    with a negative count.
+    The cell totals count every entry, but only the genes in
+    ``keep_genes`` (every gene where it is None) keep their entries for
+    ``gene_counts``.  Errors come in this order: a gene in ``keep_genes``
+    that the gene list lacks (before the matrix is opened), bytes that are
+    not UTF-8, the first malformed body line, an entry count other than
+    the header's, duplicate gene symbols, then the first entry outside the
+    matrix or with a negative count.
     """
     cells = _load_cells(cells_source)
     genes = _load_genes(genes_source)
+    for gene in keep_genes or ():
+        if gene not in genes:
+            raise InputError(f"unknown gene symbol {gene!r}")
     if isinstance(matrix_source, str):
         with open_text(matrix_source, "matrix") as handle:
-            return load_triplet_matrix(handle, cells, genes)
+            return load_triplet_matrix(handle, cells, genes, keep_genes)
 
     for header_lineno, header in enumerate(matrix_source, start=1):
         if header.strip():
@@ -245,35 +277,22 @@ def load_triplet_matrix(
     except ValueError:
         raise InputError("matrix header fields must be integers") from None
     if n_cells != len(cells):
-        raise InputError(
-            f"matrix declares {n_cells} cells but annotation lists {len(cells)}"
-        )
+        raise InputError(f"matrix declares {n_cells} cells but annotation lists {len(cells)}")
     if n_genes != len(genes):
-        raise InputError(
-            f"matrix declares {n_genes} genes but gene list has {len(genes)}"
-        )
-    body = _read_body(matrix_source, header_lineno, n_cells, n_genes, n_entries)
-    return ExpressionMatrix(cells, genes, body)
+        raise InputError(f"matrix declares {n_genes} genes but gene list has {len(genes)}")
+    keep = None if keep_genes is None else [gene in keep_genes for gene in genes]
+    fold = _Fold(n_cells, n_genes, keep)
+    _read_body(matrix_source, header_lineno, n_entries, fold)
+    return ExpressionMatrix(cells, genes, fold)
 
 
-def _read_body(handle: IO[str], header_lineno: int, n_cells: int, n_genes: int,
-               n_entries: int) -> _Columns:
-    """The columns of the matrix lines after the header, read block by block.
+def _read_body(handle: IO[str], header_lineno: int, n_entries: int, fold: _Fold) -> None:
+    """Fold the matrix lines after the header into ``fold``, block by block.
 
-    Each block of whole lines is parsed to int64 rows, checked by the entry
-    rules and copied into the columns, which are allocated once: for
-    ``n_entries`` rows, or for as many as the file can hold where that is
-    fewer, so a header that overstates the count allocates nothing from it.
-    A handle of unknown size grows its columns instead.  A malformed line
-    raises its error at once and a wrong line count raises after the last
-    block; the first bad entry's error is only returned.
+    A malformed line raises its error at once and a wrong line count
+    raises after the last block; the first bad entry's error is left in
+    ``fold.bad``.
     """
-    import numpy as np
-
-    capacity = max(0, min(n_entries, _max_lines(handle)))
-    columns = [np.empty(capacity, _index_dtype(n_cells)),
-               np.empty(capacity, _index_dtype(n_genes)), np.empty(capacity, np.int64)]
-    bad = None
     filled = 0
     lineno = header_lineno + 1  # the first line of the next block
     blocks = _line_blocks(handle)
@@ -285,30 +304,10 @@ def _read_body(handle: IO[str], header_lineno: int, n_cells: int, n_genes: int,
                 pass  # bytes that are not UTF-8 anywhere in the body are reported first
             raise error
         lineno += block.count("\n")
-        end = filled + len(rows)
-        if end <= n_entries:  # past it only the count is still needed
-            if end > capacity:
-                capacity = min(n_entries, max(end, 2 * capacity))
-                for column in columns:
-                    column.resize(capacity, refcheck=False)
-            if bad is None:
-                bad = _first_bad_entry(*rows.T, n_cells, n_genes)
-            for column, values in zip(columns, rows.T):
-                column[filled:end] = values
-        filled = end
+        fold.add(rows)
+        filled += len(rows)
     if filled != n_entries:
         raise InputError(f"matrix declares {n_entries} entries but file has {filled}")
-    return _Columns(*columns, bad)
-
-
-def _max_lines(handle: IO[str]) -> int:
-    """How many body lines the file behind ``handle`` can hold at most: a
-    line takes 6 characters or more ("0 0 0" and its newline), and a
-    character a byte or more.  0 where the handle has no file size."""
-    try:
-        return (os.fstat(handle.fileno()).st_size + 1) // 6
-    except OSError:
-        return 0
 
 
 def _line_blocks(handle: IO[str]) -> Iterator[str]:

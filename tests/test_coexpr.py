@@ -266,6 +266,16 @@ class TestColumns:
         assert matrix.gene_counts("OTHER") == {}
         assert matrix.cell_totals == [7, 5]
 
+    def test_a_gene_not_kept_is_refused(self):
+        matrix = load_triplet_matrix(io.StringIO(MATRIX_TEXT), io.StringIO(CELLS_TEXT),
+                                     io.StringIO(GENES_TEXT), keep_genes=["TMPRSS2"])
+        assert matrix.cell_totals == [10, 2, 8]
+        assert matrix.gene_counts("TMPRSS2") == {0: 5, 2: 8}
+        with pytest.raises(InputError, match="^gene 'ACE2' was not kept when the matrix"):
+            matrix.gene_counts("ACE2")
+        with pytest.raises(InputError, match="^unknown gene symbol 'NOPE'$"):
+            matrix.gene_counts("NOPE")
+
     def test_first_bad_entry_is_reported(self):
         with pytest.raises(InputError, match="non-negative"):
             toy_matrix([cell(0)], [(0, 0, 1), (0, 1, -1), (5, 0, 1)])
@@ -315,12 +325,16 @@ def at_both_block_sizes(run, *args):
         return [default, run(*args)]
 
 
-def package_csv(text, cells, gene_a, gene_b, min_cells, min_frac):
-    matrix = load_triplet_matrix(io.StringIO(text), cells, GENES)
+def package_csv(text, cells, gene_a, gene_b, min_cells, min_frac, keep_genes=None):
+    matrix = load_triplet_matrix(io.StringIO(text), cells, GENES, keep_genes)
     summaries = coexpression_summary(matrix, gene_a, gene_b, min_cells, min_frac)
     buffer = io.StringIO()
     write_coexpr_csv(summaries, gene_a, gene_b, buffer)
     return buffer.getvalue()
+
+
+def two_gene_csv(text, cells, gene_a, gene_b, min_cells, min_frac):
+    return package_csv(text, cells, gene_a, gene_b, min_cells, min_frac, (gene_a, gene_b))
 
 
 def oracle_csv(text, cells, gene_a, gene_b, min_cells, min_frac):
@@ -348,6 +362,36 @@ class TestOracle:
         oracle = outcome(oracle_csv, *args)
         assert oracle[2] is None
         assert at_both_block_sizes(outcome, package_csv, *args) == [oracle, oracle]
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_two_gene_load_matches_constructor_and_oracle(self, data):
+        """Duplicate (cell, gene) entries, zero counts and cell totals past
+        int64, folded a few characters at a time, keeping two genes."""
+        draw = data.draw
+        cells = [CellInfo(f"c{i}", *draw(st.sampled_from(POPULATIONS)))
+                 for i in range(draw(st.integers(1, 4)))]
+        count = st.one_of(st.just(0), st.integers(0, 6), st.integers(2**62, 2**63 - 1))
+        entry = st.tuples(st.integers(0, len(cells) - 1), st.integers(0, len(GENES) - 1), count)
+        entries = draw(st.lists(entry, max_size=30))
+        entries += draw(st.lists(st.sampled_from(entries), max_size=10)) if entries else []
+        gene_a, gene_b = draw(st.sampled_from(GENES)), draw(st.sampled_from(GENES))
+        text = "".join([f"{len(cells)} {len(GENES)} {len(entries)}\n",
+                        *(f"{c} {g} {v}\n" for c, g, v in entries)])
+        whole = ExpressionMatrix(cells, GENES, entries)
+        with mock.patch.object(coexpr, "_BODY_BLOCK", TINY_BLOCK):
+            two = load_triplet_matrix(io.StringIO(text), cells, GENES, (gene_a, gene_b))
+            csv_text = outcome(two_gene_csv, text, cells, gene_a, gene_b, 1, 0.0)
+        totals = [sum(v for c, _, v in entries if c == i) for i in range(len(cells))]
+        assert two.cell_totals == whole.cell_totals == totals
+        assert all(type(total) is int for total in two.cell_totals)
+        for gene in (gene_a, gene_b):
+            summed = {}
+            for c, g, v in entries:
+                if GENES[g] == gene and v:
+                    summed[c] = summed.get(c, 0) + v
+            assert two.gene_counts(gene) == whole.gene_counts(gene) == summed
+        assert csv_text == outcome(oracle_csv, text, cells, gene_a, gene_b, 1, 0.0)
 
     @given(st.data())
     @settings(max_examples=300)
@@ -438,6 +482,32 @@ class TestCliFuzz:
         assert tiny == default
 
 
+class TestArgumentsFirst:
+    """A bad gene or filter argument exits 2 before the matrix body is read."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--gene-a", "NOPE"], "unknown gene symbol 'NOPE'"),
+        (["--gene-b", "ace2"], "unknown gene symbol 'ace2'"),
+        (["--min-cells", "0"], "min_cells must be >= 1"),
+        (["--min-frac", "1.5"], "min_frac must lie in [0, 1]"),
+        (["--min-frac", "-0.1", "--gene-a", "NOPE"], "min_frac must lie in [0, 1]"),
+    ])
+    def test_exit_2_without_reading_the_body(self, tmp_path, capsys, monkeypatch, flags,
+                                             message):
+        def read_body(*args):
+            raise AssertionError("the matrix body was read")
+
+        monkeypatch.setattr(coexpr, "_read_body", read_body)
+        paths = write_inputs(tmp_path, "1 4 1\n0 x 1\n", [CellInfo("c0", "lung", "AT2")])
+        assert main([*coexpr_args(paths, tmp_path / "out"), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unknown_kept_gene_before_the_matrix_is_opened(self, tmp_path):
+        with pytest.raises(InputError, match="^unknown gene symbol 'NOPE'$"):
+            load_triplet_matrix(str(tmp_path / "missing.txt"), [cell(0)], GENES,
+                                ["ACE2", "NOPE"])
+
+
 class TestBlocks:
     """The body is read in blocks of whole lines; an error's place in the
     order does not depend on the blocks its lines fall in."""
@@ -474,6 +544,58 @@ class TestBlocks:
         paths["matrix"].write_bytes(b"3 4 2002\n0 x 1\n" + b"0 0 1\n" * 2000 + b"0 0 \xff\n")
         assert main(coexpr_args(paths, tmp_path / "out")) == 2
         assert "error: matrix line 2003: not valid UTF-8" in capsys.readouterr().err
+
+    GOOD = "".join(f"{c} {g} 1\n" for c in range(3) for g in range(len(GENES)))
+
+    @pytest.mark.parametrize("entry, message", [
+        ("-1 3 1", "entry (-1, 3) outside matrix bounds"),
+        ("3 3 1", "entry (3, 3) outside matrix bounds"),
+        ("0 -1 1", "entry (0, -1) outside matrix bounds"),
+        ("0 4 1", "entry (0, 4) outside matrix bounds"),
+        ("0 3 -2", "counts must be non-negative"),
+    ], ids=["negative_cell", "cell_past_end", "negative_gene", "gene_past_end",
+            "negative_count"])
+    def test_bad_entry_of_an_unkept_gene_in_a_later_block(self, tmp_path, capsys,
+                                                           monkeypatch, entry, message):
+        """numpy wraps a negative index and raises IndexError past the end,
+        so a bad entry must never be added to the totals or filtered, even
+        in a gene the loader does not keep; good blocks after it do not
+        clear its error, and a malformed line after it is still first."""
+        monkeypatch.setattr(coexpr, "_BODY_BLOCK", TINY_BLOCK)
+        n_good = self.GOOD.count("\n")
+        text = f"3 4 {2 * n_good + 1}\n{self.GOOD}{entry}\n{self.GOOD}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_triplet_matrix(io.StringIO(text), self.CELLS, GENES, ["ACE2", "TMPRSS2"])
+        paths = write_inputs(tmp_path, text, self.CELLS)
+        assert main(coexpr_args(paths, tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        paths["matrix"].write_text(f"{text}0 x 1\n", encoding="utf-8")
+        assert main(coexpr_args(paths, tmp_path / "out")) == 2
+        malformed = f"matrix line {2 * n_good + 3}: fields must be integers"
+        assert capsys.readouterr().err == f"error: {malformed}\n"
+
+    def test_two_gene_peak_memory_does_not_grow_with_entries(self, tmp_path):
+        """Past the two kept genes' entries (1/200 of the rows here), the
+        loader holds the totals and about one block, however long the body."""
+        n_cells, n_genes = 2000, 400
+        cells = [cell(i) for i in range(n_cells)]
+        genes = [f"G{i}" for i in range(n_genes)]
+        peaks = []
+        for n_entries in (200_000, 400_000):
+            rng = random.Random(5)
+            path = tmp_path / f"counts_{n_entries}.txt"
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(f"{n_cells} {n_genes} {n_entries}\n")
+                handle.writelines(
+                    f"{rng.randrange(n_cells)} {rng.randrange(n_genes)} {rng.randrange(1, 30)}\n"
+                    for _ in range(n_entries))
+            tracemalloc.start()
+            try:
+                load_triplet_matrix(str(path), cells, genes, ["G0", "G7"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= coexpr._BODY_BLOCK
 
     def test_peak_memory_is_the_columns_and_a_few_blocks(self, tmp_path):
         """tracemalloc sees numpy's buffers.  Past the 16 bytes an entry that
