@@ -191,31 +191,31 @@ def coexpression_summary(
     counts_a = matrix.gene_counts(gene_a)
     counts_b = matrix.gene_counts(gene_b)
 
-    populations: dict[tuple[str, str], list[int]] = {}
+    # (tissue, cell_type) -> [n, sum_a, sum_b, both], filled in cell index
+    # order, so each population's sums add their terms in that order.
+    populations: dict[tuple[str, str], list] = {}
     dropped = 0
-    for idx, cell in enumerate(matrix.cells):
-        if matrix.cell_totals[idx] == 0:
+    for idx, (cell, total) in enumerate(zip(matrix.cells, matrix.cell_totals)):
+        if total == 0:
             dropped += 1
             continue
-        populations.setdefault((cell.tissue, cell.cell_type), []).append(idx)
+        acc = populations.get((cell.tissue, cell.cell_type))
+        if acc is None:
+            acc = populations[(cell.tissue, cell.cell_type)] = [0, 0.0, 0.0, 0]
+        raw_a = counts_a.get(idx, 0)
+        raw_b = counts_b.get(idx, 0)
+        acc[0] += 1
+        acc[1] += normalize_cp10k(raw_a, total)
+        acc[2] += normalize_cp10k(raw_b, total)
+        if raw_a > 0 and raw_b > 0:
+            acc[3] += 1
     if dropped:
         warnings.warn(
             f"dropped {dropped} cell(s) with zero total counts", stacklevel=2
         )
 
     summaries = []
-    for (tissue, cell_type), members in sorted(populations.items()):
-        n = len(members)
-        sum_a = sum_b = 0.0
-        both = 0
-        for idx in members:
-            total = matrix.cell_totals[idx]
-            raw_a = counts_a.get(idx, 0)
-            raw_b = counts_b.get(idx, 0)
-            sum_a += normalize_cp10k(raw_a, total)
-            sum_b += normalize_cp10k(raw_b, total)
-            if raw_a > 0 and raw_b > 0:
-                both += 1
+    for (tissue, cell_type), (n, sum_a, sum_b, both) in sorted(populations.items()):
         frac = both / n
         summaries.append(
             PopulationSummary(

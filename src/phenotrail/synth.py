@@ -1,14 +1,23 @@
 """Deterministic synthetic cohort generator for end-to-end testing.
 
-Every patient gets an independent random substream derived from
-(seed, patient index) via numpy's SeedSequence, so the corpus is
+Every patient gets an independent random substream, the stream of
+``numpy.random.default_rng((seed, patient index))``, so the corpus is
 reproducible for a fixed seed and could be generated patient-parallel
-without changing the output.  Presence of a phenotype on a relative day
-is an independent Bernoulli draw per (group, cohort, day) cell; present
-cells emit an affirmative sentence, absent cells occasionally emit
-negated / uncertain / family-history phrasings that must NOT count as
-presence, plus boilerplate sentences repeated across patients to
-exercise template removal.
+without changing the output.  That stream is built without numpy's
+per-patient objects: ``_pcg64_states`` restates numpy's SeedSequence
+hashing and PCG64 seeding as integer arithmetic over a block of
+indexes, and one reused PCG64 is set to each patient's state in turn.
+A PCG64's whole state is its 128-bit state and increment plus a
+buffered 32-bit half, which is cleared, and the Generator over it holds
+none, so equal states give equal draws; the tests compare the restated
+states with numpy's own for seeds of one to seven 32-bit words.
+
+Presence of a phenotype on a relative day is an independent Bernoulli
+draw per (group, cohort, day) cell; present cells emit an affirmative
+sentence, absent cells occasionally emit negated / uncertain /
+family-history phrasings that must NOT count as presence, plus
+boilerplate sentences repeated across patients to exercise template
+removal.
 
 Sentence frames are a fixed, versioned bank.  Affirmative frames embed a
 synonym that belongs to exactly one group whenever the group has such a
@@ -245,11 +254,81 @@ _CELL_LABELS = (AssertionLabel.YES, AssertionLabel.NO, AssertionLabel.MAYBE,
 # doubles, so a block's arrays stay a few MB whatever the config's shape.
 _BLOCK_DRAWS = 1 << 20
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
+    """(state, inc) of ``default_rng((seed, index)).bit_generator`` for
+    each index in ``range(first, first + count)``; indexes stay below 2**32.
+
+    This is numpy's own seeding, restated over uint32 arrays of the
+    indexes.  ``SeedSequence((seed, index))`` takes as entropy the seed's
+    little-endian 32-bit words (``[0]`` for 0) followed by the index's one
+    word.  It hashes them into a pool of four words, mixes every pool word
+    into every other, then mixes in any entropy words beyond the fourth.
+    ``generate_state(4, uint64)`` hashes the pool, cycled, into eight
+    words, read in pairs as little-endian uint64 ``w0..w3``.  The hash
+    constants depend only on the step, never on the data, so one pass of
+    array arithmetic modulo 2**32 gives every index's words.  ``PCG64``
+    then sets ``inc = (w2 << 64 | w3) << 1 | 1`` and advances from the
+    initial state ``w0 << 64 | w1`` as ``pcg_setseq_128_srandom_r`` does.
+    """
+    import numpy as np
+
+    u32 = np.uint32
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(count, w, dtype=u32) for w in words]
+    entropy.append(np.arange(first, first + count).astype(u32))
+    entropy += [np.zeros(count, dtype=u32)] * (_POOL_SIZE - len(entropy))
+
+    def hasher(hash_const, mult):
+        def hash_word(value):
+            nonlocal hash_const
+            value = value ^ u32(hash_const)
+            hash_const = hash_const * mult & _MASK32
+            value = value * u32(hash_const)
+            return value ^ (value >> u32(16))
+        return hash_word
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ (result >> u32(16))
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_state = hasher(_INIT_B, _MULT_B)
+    halves = [hash_state(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    w0, w1, w2, w3 = (
+        (halves[2 * j + 1] << np.uint64(32) | halves[2 * j]).tolist() for j in range(4)
+    )
+    states = []
+    for s0, s1, i0, i1 in zip(w0, w1, w2, w3):
+        inc = (i0 << 64 | i1) << 1 | 1
+        states.append((((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128,
+                       inc & _MASK128))
+    return states
+
 
 def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
     """Produce (roster, notes, gold labels); identical output per seed.
 
-    Patient ``index`` draws from its own ``default_rng((seed, index))``:
+    Patient ``index`` draws the stream of ``default_rng((seed, index))``:
     five uniforms per (day, group) cell, as one (5, days, groups) array,
     then two per day.  A cell is present when its first draw is below
     the cell's probability; otherwise a second draw below the summed
@@ -258,8 +337,14 @@ def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
     one day's sentences in group order, ended by a boilerplate sentence
     when the day's first template draw is below ``template_rate``.
 
-    The draws of a block of patients are evaluated as numpy arrays, so
-    Python formats only the cells that emit a sentence.
+    That stream is not built per patient.  ``_pcg64_states`` computes
+    the block's ``(state, inc)`` pairs exactly as ``SeedSequence`` and
+    ``PCG64`` seeding would, and one ``PCG64`` is set to each pair before
+    the patient's row is drawn.  A ``PCG64``'s draws depend on nothing
+    but those two integers (its buffered 32-bit half is cleared too), so
+    each row holds the same doubles as ``default_rng((seed, index))``
+    would give.  The draws of a block of patients are evaluated as numpy
+    arrays, so Python formats only the cells that emit a sentence.
     """
     import numpy as np  # here, so that every other command starts without numpy
 
@@ -299,10 +384,16 @@ def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
     width = cell_draws + 2 * n_days
     block = max(1, _BLOCK_DRAWS // width)
     buffer = np.empty((min(block, n_total), width))
+    # One generator serves every patient; its state is replaced before each
+    # patient's draws, so seed 0 here never reaches the output.
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
     for first in range(0, n_total, block):
         rows = buffer[:min(block, n_total - first)]
-        for offset, row in enumerate(rows):
-            np.random.default_rng((config.seed, first + offset)).random(out=row)
+        for (state, inc), row in zip(_pcg64_states(config.seed, first, len(rows)), rows):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            rng.random(out=row)
         draws = rows[:, :cell_draws].reshape(-1, 5, n_days, n_groups)
         arm = (np.arange(first, first + len(rows)) >= config.n_pos).astype(np.intp)
         present = draws[:, 0] < probs[arm]
@@ -359,6 +450,14 @@ def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
 # Corpus writers (exactly the ingestion formats the pipeline consumes)
 
 
+class _IsoDates(dict):
+    """date -> ``date.isoformat()``, each distinct date formatted once."""
+
+    def __missing__(self, day: date) -> str:
+        text = self[day] = day.isoformat()
+        return text
+
+
 def write_notes_jsonl(notes: Sequence[ClinicalNote], stream: IO[str]) -> None:
     """One line per note, as ``json.dumps(note_dict, ensure_ascii=False)``.
 
@@ -366,18 +465,20 @@ def write_notes_jsonl(notes: Sequence[ClinicalNote], stream: IO[str]) -> None:
     the same key order and the default ``", "`` and ``": "`` separators.
     """
     encode = encode_basestring
+    iso = _IsoDates()
     stream.writelines(
         f'{{"patient_id": {encode(note.patient_id)}, "note_id": {encode(note.note_id)}, '
-        f'"date": {encode(note.date.isoformat())}, "text": {encode(note.text)}}}\n'
+        f'"date": {encode(iso[note.date])}, "text": {encode(note.text)}}}\n'
         for note in notes
     )
 
 
 def write_patients_csv(patients: Sequence[PatientRecord], stream: IO[str]) -> None:
     short = {"positive": "pos", "negative": "neg"}
+    iso = _IsoDates()
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(PATIENT_HEADER)
     writer.writerows(
-        (record.patient_id, record.pcr_date.isoformat(), short[record.pcr_result])
+        (record.patient_id, iso[record.pcr_date], short[record.pcr_result])
         for record in patients
     )

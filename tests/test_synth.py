@@ -5,6 +5,7 @@ import math
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -367,7 +368,7 @@ def generator_cases(draw, group_ids):
     config = SynthConfig(
         n_pos=n_pos, n_neg=n_total - n_pos, day_probs=day_probs,
         negation_rate=negation, uncertainty_rate=uncertainty, other_rate=other,
-        template_rate=draw(PROBABILITY), seed=draw(st.integers(0, 2**63)),
+        template_rate=draw(PROBABILITY), seed=draw(st.integers(0, 2**130)),
     )
     return config, budget
 
@@ -423,6 +424,37 @@ class TestGeneratorOracle:
         assert (written_files([], notes, [])[0]
                 == written_files([], [tuple(n) for n in notes], [],
                                  write_corpus_oracle)[0])
+
+
+class TestSeeding:
+    # Seeds of one to seven 32-bit words: up to three leave part of
+    # SeedSequence's four-word pool to be filled with zeros, more are
+    # mixed in after the pool.
+    SEEDS = st.integers(0, 200).flatmap(lambda bits: st.integers(0, 2**bits))
+
+    @settings(max_examples=300)
+    @given(seed=SEEDS, index=st.integers(0, 2**32 - 1), count=st.integers(1, 3))
+    def test_states_match_default_rng(self, seed, index, count):
+        first = min(index, 2**32 - count)
+        states = synth._pcg64_states(seed, first, count)
+        assert len(states) == count
+        for offset, (state, inc) in enumerate(states):
+            expected = np.random.default_rng((seed, first + offset)).bit_generator.state
+            assert {"state": state, "inc": inc} == expected["state"]
+
+    def test_generate_seeds_no_numpy_object_per_patient(self, lexicon):
+        config = small_config(seed=2**70 + 9)
+        patients, notes, gold = generate_oracle(config, lexicon)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate built a numpy seed sequence")
+
+        with mock.patch.object(np.random, "default_rng", refuse), \
+                mock.patch.object(np.random, "SeedSequence", refuse):
+            corpus = generate(config, lexicon)
+        assert [tuple(n) for n in corpus.notes] == notes
+        assert [tuple(p) for p in corpus.patients] == patients
+        assert corpus.gold == gold
 
 
 class TestGoldenCorpus:
