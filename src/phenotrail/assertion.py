@@ -324,10 +324,11 @@ def write_gold_labels(
 
 
 def load_gold_labels(
-    source: IO[str] | str, what: str = "gold"
+    source: IO[str] | str, what: str = "gold", labels=None
 ) -> dict[tuple[str, int], AssertionLabel]:
-    """Read a ``sentence_id,mention_index,label`` CSV; errors name ``what``."""
-    labels: dict[tuple[str, int], AssertionLabel] = {}
+    """Read a ``sentence_id,mention_index,label`` CSV into ``labels`` (a new
+    dict by default; a key already ``in`` it is a duplicate); errors name ``what``."""
+    labels = {} if labels is None else labels
     for lineno, (sentence_id, raw_index, raw_label) in csv_rows(source, what, GOLD_HEADER):
         try:
             mention_index = int(raw_index.strip())

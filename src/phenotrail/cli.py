@@ -169,6 +169,8 @@ def write_manifest(
     outputs: Iterable[str],
     config: dict,
 ) -> None:
+    """Write manifest.json.  Its digests load OpenSSL (about 3.5 MB, held until
+    the process exits), so callers first let go of their inputs' in-memory forms."""
     manifest = {
         "tool": "phenotrail",
         "version": __version__,
@@ -413,18 +415,16 @@ def _cmd_curate(args, argv) -> int:
     table, rejects = _curate_table(args, lexicon)
     if table is None:  # --dump-classification-requests mode
         return 0
-    outputs = []
-    path = _out_file(args.out, "presence.csv")
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(_out_file(args.out, "presence.csv"), "w", encoding="utf-8") as handle:
         cohort.write_presence_csv(table, handle)
-    outputs.append("presence.csv")
     with open(_out_file(args.out, "rejects.csv"), "w", encoding="utf-8") as handle:
         cohort.write_rejects_csv(rejects, handle)
-    outputs.append("rejects.csv")
+    outputs = ["presence.csv", "rejects.csv"]
     if args.per_patient:
         with open(_out_file(args.out, "presence_long.csv"), "w", encoding="utf-8") as handle:
             cohort.write_presence_long_csv(table, handle)
         outputs.append("presence_long.csv")
+    del table, rejects
     inputs = [args.notes, args.patients, lexicon_path]
     write_manifest(args.out, argv, inputs, outputs, _pipeline_config(args))
     return 0
@@ -517,6 +517,7 @@ def _cmd_table(args, argv) -> int:
         sizes = table.cohort_sizes
         n_pos, n_neg = sizes[cohort.POSITIVE], sizes[cohort.NEGATIVE]
         counts = getattr(cohort, spec.presence_counts)(table, args.window)
+        del table
     options = {}
     if args.command == "pairwise":
         # The BH family size, resolved so that the manifest records it.
@@ -529,17 +530,34 @@ def _cmd_table(args, argv) -> int:
     return 0
 
 
+class _Pairing:
+    """The pred rows paired with gold's labels in pred order, as ``load_gold_labels``
+    stores them.  A paired gold key's label becomes None: a repeat is a duplicate."""
+
+    def __init__(self, gold: dict):
+        self.gold, self.extra, self.gold_labels, self.pred_labels = gold, set(), [], []
+
+    def __contains__(self, key) -> bool:
+        return key in self.extra or (key in self.gold and self.gold[key] is None)
+
+    def __setitem__(self, key, label) -> None:
+        if self.gold.get(key) is None:
+            self.extra.add(key)
+        else:
+            self.gold_labels.append(self.gold[key])
+            self.pred_labels.append(label)
+            self.gold[key] = None
+
+
 def _cmd_eval(args, argv) -> int:
     gold = assertion.load_gold_labels(args.gold)
-    pred = assertion.load_gold_labels(args.pred, "pred")
-    missing = sorted(set(gold) - set(pred))
-    extra = sorted(set(pred) - set(gold))
-    if missing or extra:
-        raise InputError(
-            f"gold/pred key mismatch: {len(missing)} missing, {len(extra)} extra"
-        )
-    keys = sorted(gold)
-    metrics = assertion.evaluate([gold[k] for k in keys], [pred[k] for k in keys])
+    pairs = _Pairing(gold)
+    assertion.load_gold_labels(args.pred, "pred", pairs)
+    missing = sum(label is not None for label in gold.values())
+    if missing or pairs.extra:
+        raise InputError(f"gold/pred key mismatch: {missing} missing, {len(pairs.extra)} extra")
+    metrics = assertion.evaluate(pairs.gold_labels, pairs.pred_labels)
+    del gold, pairs
     with open(_out_file(args.out, "metrics.csv"), "w", encoding="utf-8") as handle:
         _write_metrics_csv(metrics, handle)
     write_manifest(args.out, argv, [args.gold, args.pred], ["metrics.csv"], {})

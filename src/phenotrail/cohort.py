@@ -694,7 +694,7 @@ def _walk_export(
 # The fast export pass
 
 _EXPORT_HEADER_LINE = (",".join(PRESENCE_LONG_HEADER) + "\n").encode()
-_EXPORT_BLOCK = 1 << 18  # bytes read per chunk
+_EXPORT_BLOCK = 1 << 16  # bytes read per chunk; its decoded lines and split list are live at once
 # Bytes a row of the fast pass may hold: "!".."~" except '"', and LF.
 _ROW_BYTES = bytes(b for b in range(0x21, 0x7F) if b != 0x22) + b"\n"
 

@@ -1,6 +1,7 @@
 import ast
 import csv
 import filecmp
+import gc
 import json
 import os
 import pathlib
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, timedelta
 
 import pytest
@@ -712,6 +714,55 @@ class TestEvalCommand:
         ]) == 2
         assert "error: pred line 2: mention_index must be an integer" in capsys.readouterr().err
 
+    GOLD = "sentence_id,mention_index,label\ns1,0,YES\ns1,1,NO\ns2,0,MAYBE\n"
+
+    @pytest.mark.parametrize("pred, message", [
+        ("s2,0,YES\ns1,0,NO\ns2,0,NO\ns1,1,NO\n", "pred line 4: duplicate key ('s2', 0)"),
+        ("s1,0,YES\nzz,0,NO\ns1,1,NO\nzz,0,NO\n", "pred line 5: duplicate key ('zz', 0)"),
+        ("s1,0,YES\nzz,0,NO\ns1,1,SURE\n",
+         "pred line 4: label must be one of ['YES', 'NO', 'MAYBE', 'OTHER']"),
+        ("s1,0,YES\nzz,0,NO\nzz,1,NO\nzz,2,NO\n", "gold/pred key mismatch: 2 missing, 3 extra"),
+        ("s1,1,NO\n", "gold/pred key mismatch: 2 missing, 0 extra"),
+        ("s2,0,NO\ns1,1,YES\ns1,0,NO\ns3,0,NO\n", "gold/pred key mismatch: 0 missing, 1 extra"),
+    ])
+    def test_pred_errors_keep_their_message(self, tmp_path, capsys, pred, message):
+        """The pred file is read as a stream against gold: a row error wins
+        over the key mismatch, which is reported once the stream ends."""
+        gold_path, pred_path = tmp_path / "gold.csv", tmp_path / "pred.csv"
+        gold_path.write_text(self.GOLD)
+        pred_path.write_text("sentence_id,mention_index,label\n" + pred)
+        assert main(["eval", "--gold", str(gold_path), "--pred", str(pred_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_peak_memory_is_one_label_map(self, tmp_path):
+        """eval keeps gold's map and a label pair per pred row; maps of
+        both files, or sets and sorted lists of their keys, would take
+        twice the gold map or more."""
+        from phenotrail import assertion
+
+        labels = ["YES", "NO", "MAYBE", "OTHER"]
+        rows = [(f"{k:08x}-8f1c-4a2e:{k % 7}", k % 3) for k in range(20_000)]
+        gold, pred = tmp_path / "gold.csv", tmp_path / "pred.csv"
+        for path, shift in ((gold, 0), (pred, 1)):
+            path.write_text("sentence_id,mention_index,label\n" + "".join(
+                f"{sid},{index},{labels[(k * shift + k // 5) % 4]}\n"
+                for k, (sid, index) in enumerate(rows)))
+        peaks = []
+        for call in (lambda: assertion.load_gold_labels(str(gold)),
+                     lambda: run(["eval", "--gold", str(gold), "--pred", str(pred),
+                                  "--out", str(tmp_path / "o")])):
+            call()  # warm: imports and first-use caches are not the pass
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert int(read_csv(tmp_path / "o" / "metrics.csv")[1][1]) == len(rows)
+        assert peaks[1] < 1.4 * peaks[0]
+
 
 class TestCoexprCommand:
     def test_toy_fixture(self, tmp_path):
@@ -1251,6 +1302,33 @@ class TestManifest:
     def test_curate_manifest_lists_lexicon(self, curated_dir):
         manifest = json.loads((curated_dir / "manifest.json").read_text())
         assert bundled.data_path(bundled.LEXICON) in manifest["inputs"]
+
+    @pytest.mark.parametrize("command, source", [
+        ("enrich", "presence"), ("timeline", "presence"), ("pairwise", "presence"),
+        ("enrich", "notes"), ("timeline", "notes"), ("pairwise", "notes"),
+        ("curate", "notes"),
+    ])
+    def test_no_presence_table_is_alive_at_the_manifest(
+            self, corpus_dir, curated_dir, tmp_path, monkeypatch, command, source):
+        """Digesting the inputs loads OpenSSL for the rest of the process,
+        so the table is freed before the manifest is written."""
+        from phenotrail import cli
+        from phenotrail.cohort import SymptomPresenceTable
+
+        real_write_manifest, called = cli.write_manifest, []
+
+        def write_manifest(*args, **kwargs):
+            alive = [o for o in gc.get_objects() if isinstance(o, SymptomPresenceTable)]
+            assert alive == []
+            called.append(command)
+            return real_write_manifest(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_manifest", write_manifest)
+        inputs = (corpus_args(corpus_dir) if source == "notes"
+                  else presence_args(corpus_dir, curated_dir))
+        gc.collect()  # tables other tests left in cycles are not this run's
+        assert main([command, *inputs, "--out", str(tmp_path / "out")]) == 0
+        assert called == [command]
 
     @pytest.fixture
     def curated_run(self, tmp_path, corpus_dir):
