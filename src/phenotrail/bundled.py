@@ -1,6 +1,6 @@
 """Access to data files shipped inside the package."""
 
-from importlib import resources
+import os
 
 DAILY_REFERENCE = "daily_percentages.csv"
 LEXICON = "symptom_lexicon.csv"
@@ -10,4 +10,4 @@ ASSERTION_RULES = "assertion_rules.json"
 
 
 def data_path(name: str) -> str:
-    return str(resources.files("phenotrail").joinpath("data", name))
+    return os.path.join(os.path.dirname(__file__), "data", name)

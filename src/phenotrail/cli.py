@@ -15,11 +15,10 @@ import json
 import math
 import os
 import sys
-import traceback
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
-from . import assertion, cohort, coexpr, stats, synth, textproc
+from . import assertion, cohort, stats, textproc
 from .errors import InputError, csv_rows, open_text
 from .lexicon import Lexicon, build_matcher, default_lexicon_path, load_lexicon
 
@@ -141,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genes", required=True, help="gene symbol list")
     p.add_argument("--gene-a", required=True)
     p.add_argument("--gene-b", required=True)
-    p.add_argument("--min-cells", type=int, default=coexpr.COEXPR_FILTER_MIN_CELLS)
-    p.add_argument("--min-frac", type=float, default=coexpr.COEXPR_FILTER_MIN_FRAC)
+    p.add_argument("--min-cells", type=int)  # defaults: coexpr.COEXPR_FILTER_*
+    p.add_argument("--min-frac", type=float)
     p.add_argument("--out", required=True)
 
     return parser
@@ -265,17 +264,21 @@ def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
 
 
 def _reject_curation_options(args: argparse.Namespace) -> None:
-    """A --presence or --from-counts run curates nothing: a curation
-    option given with it would be silently ignored."""
+    """A --presence or --from-counts run curates nothing, and a --from-counts
+    run reads no roster or lexicon: such an option would be silently ignored."""
     source = "--presence" if args.presence else "--from-counts"
-    for option, given in (
-        ("--include-maybe", args.include_maybe),
-        ("--no-template-filter", args.no_template_filter),
-        ("--workers", args.workers is not None),
-        ("--template-threshold", args.template_threshold != cohort.DEFAULT_TEMPLATE_THRESHOLD),
+    curating, reading = "when curating --notes", "with --notes or --presence"
+    for option, given, applies in (
+        ("--include-maybe", args.include_maybe, curating),
+        ("--no-template-filter", args.no_template_filter, curating),
+        ("--workers", args.workers is not None, curating),
+        ("--template-threshold",
+         args.template_threshold != cohort.DEFAULT_TEMPLATE_THRESHOLD, curating),
+        ("--patients", args.from_counts and args.patients is not None, reading),
+        ("--lexicon", args.from_counts and args.lexicon is not None, reading),
     ):
         if given:
-            raise InputError(f"{option} applies only when curating --notes, not with {source}")
+            raise InputError(f"{option} applies only {applies}, not with {source}")
 
 
 def _presence_table(args: argparse.Namespace):
@@ -584,6 +587,8 @@ def _resolve_calibration_rows(path: str, lexicon: Lexicon):
 
 
 def _cmd_synth(args, argv) -> int:
+    from . import synth  # here, so that the other commands need not compile or load it
+
     lexicon, lexicon_path = _load_lexicon_arg(args)
     if args.config:
         config = synth.SynthConfig.from_json(args.config)
@@ -622,6 +627,12 @@ def _cmd_synth(args, argv) -> int:
 
 
 def _cmd_coexpr(args, argv) -> int:
+    from . import coexpr
+
+    if args.min_cells is None:  # resolved here, so that the manifest records it
+        args.min_cells = coexpr.COEXPR_FILTER_MIN_CELLS
+    if args.min_frac is None:
+        args.min_frac = coexpr.COEXPR_FILTER_MIN_FRAC
     coexpr.check_filters(args.min_cells, args.min_frac)  # before the matrix is read
     matrix = coexpr.load_triplet_matrix(args.matrix, args.cells, args.genes,
                                         keep_genes=(args.gene_a, args.gene_b))
@@ -673,6 +684,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse errors use code 2 already
         return int(exc.code or 0)
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 1
 

@@ -640,10 +640,11 @@ def load_presence_long_csv(
     those groups and a row naming any other group is an error.
 
     The export is parsed by ``_index_export`` in one pass over its
-    lines.  A file that pass does not accept (quoted fields, spaces,
-    non-ASCII bytes, CR line ends, a wrong field count or any invalid
-    row) is read by ``_walk_export``, the row-by-row reference, which
-    raises the error of the first bad row.
+    lines into one roster bitmap per cell, each row checked against its
+    patient's arm.  A file that pass does not accept (quoted fields,
+    spaces, non-ASCII bytes, CR line ends, a wrong field count or any
+    invalid row) is read by ``_walk_export``, the row-by-row reference,
+    which raises the error of the first bad row.
     """
     known = None if group_ids is None else frozenset(group_ids)
     if isinstance(source, str):
@@ -710,42 +711,42 @@ def _index_export(
     the header is exactly ``PRESENCE_LONG_HEADER``.  Every row must then
     be valid: a known patient, its own cohort, an int day and, with
     ``known``, a known group.  Each ``group,day,cohort`` prefix is
-    parsed when first seen, and each row sets its patient's bit in its
-    prefix's roster bytes, whatever the row order, so memory is bounded
-    by the prefixes and a block, not by the rows.  After the last row
-    each prefix's bits are checked against the roster's arms and ORed
-    into its cell's ``PatientBits``.
+    parsed when first seen into its ``(group_id, day)`` cell's roster
+    bytes, which both arms of the cell share, and its arm's flag.  Each
+    row checks its patient's flag against its prefix's arm and sets the
+    patient's bit in its cell, whatever the row order, so memory is
+    bounded by one roster's bytes per cell and a block, not by the rows.
     """
     if raw.readline(len(_EXPORT_HEADER_LINE)) != _EXPORT_HEADER_LINE:
         return None
     index, width = roster.index, (len(roster.ids) + 7) >> 3
-    prefixes: dict[str, bytearray] = {}  # "group,day,cohort" -> its patients' roster bits
-    parsed: dict[str, tuple[tuple[str, int], bool]] = {}  # -> ((group id, day), positive)
+    flags = format(roster.positive, "b").zfill(len(roster.ids))[::-1].encode()  # b"1": positive
+    cells: dict[tuple[str, int], bytearray] = {}  # (group id, day) -> its patients' roster bits
+    prefixes: dict[str, tuple[bytearray, int]] = {}  # "group,day,cohort" -> (its cell, arm flag)
     try:
         for body in _line_runs(raw):
             if body.translate(None, _ROW_BYTES):
                 return None
             for line in body.decode("ascii").split():  # LF is the only whitespace left
                 prefix, _, patient_id = line.rpartition(",")
-                bits = prefixes.get(prefix)
-                if bits is None:
+                entry = prefixes.get(prefix)
+                if entry is None:
                     group_id, day, cohort = prefix.split(",")
                     if cohort not in (POSITIVE, NEGATIVE) or known is not None \
                             and group_id not in known:
                         return None
-                    parsed[prefix] = ((group_id, int(day)), cohort == POSITIVE)
-                    bits = prefixes[prefix] = bytearray(width)
+                    key = (group_id, int(day))
+                    entry = prefixes[prefix] = (cells.setdefault(key, bytearray(width)),
+                                                0x31 if cohort == POSITIVE else 0x30)
+                bits, arm = entry
                 i = index[patient_id]
+                if flags[i] != arm:
+                    return None
                 bits[i >> 3] |= 1 << (i & 7)
     except (KeyError, ValueError):  # an unknown patient, a field too many or few, a bad day
         return None
-    cells: dict[tuple[str, int], PatientBits] = {}
-    for prefix, (key, positive) in parsed.items():
-        bits = int.from_bytes(prefixes.pop(prefix), "little")
-        if bits & roster.positive != (bits if positive else 0):
-            return None
-        cells[key] = PatientBits(cells.get(key, 0) | bits)
-    return cells
+    prefixes.clear()  # so each cell's bytes are freed as they convert
+    return {key: PatientBits.from_bytes(cells.pop(key), "little") for key in list(cells)}
 
 
 def _line_runs(raw: IO[bytes]) -> Iterator[bytes]:

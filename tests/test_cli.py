@@ -670,6 +670,16 @@ class TestPipelineStats:
             f"error: {option[0]} applies only when curating --notes, not with {inputs[0]}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option", ["--patients", "--lexicon"])
+    def test_roster_or_lexicon_with_counts_exit_code(self, tmp_path, capsys, option):
+        # A counts table is read without a roster or a lexicon: even a
+        # missing file is an error, since it would be ignored.
+        assert main(["enrich", "--from-counts", WEEK, option, "/nonexistent.csv",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"error: {option} applies only with --notes or "
+                                           "--presence, not with --from-counts\n")
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_template_threshold_rejected(self, corpus_dir, tmp_path, capsys):
         assert main(["enrich", *corpus_args(corpus_dir), "--template-threshold", "1",
                      "--out", str(tmp_path / "out")]) == 2
@@ -1380,19 +1390,36 @@ class TestManifest:
         assert not (root / "replay").exists()
 
 
+# Every name `phenotrail` exports, each from one of its submodules.
+PACKAGE_NAMES = (
+    "AssertionLabel EvalMetrics RuleClassifier evaluate data_path SymptomPresenceTable "
+    "daily_counts pair_counts window_counts window_presence ExpressionMatrix "
+    "coexpression_summary normalize_cp10k InputError Lexicon Mention PhenotypeGroup "
+    "TermMatcher build_matcher load_default_lexicon load_lexicon DailyRow EnrichmentRow "
+    "PairRow bh_adjust daily_rows enrichment_rows fisher_exact_two_sided pair_rows "
+    "proportion_test two_tailed_log10_p SynthConfig calibrate_from_daily_table generate "
+    "ClinicalNote PatientRecord Roster relative_day segment_sentences"
+).split()
+
+
 def test_cli_import_loads_no_pool_or_numpy():
-    # Every command pays the CLI's import time; the worker pool, numpy and
-    # hashlib (which loads OpenSSL, about 3 MB) are imported only where
-    # they are used.  Importing the package leaves the environment as it is.
+    # Every command pays the CLI's import time; the worker pool, numpy,
+    # hashlib (which loads OpenSSL, about 3 MB), traceback and the synth
+    # and coexpr modules are imported only where they are used.  Importing
+    # the package leaves the environment as it is, and each name it
+    # exports still resolves, from its own module.
     src = os.path.dirname(os.path.dirname(phenotrail.__file__))
     code = ("import os, sys, phenotrail.cli; print(sorted(m for m in "
-            "('hashlib', 'multiprocessing', 'numpy') if m in sys.modules), "
-            "os.environ.get('OPENBLAS_NUM_THREADS'))")
+            "('hashlib', 'multiprocessing', 'numpy', 'traceback', 'phenotrail.synth', "
+            "'phenotrail.coexpr') if m in sys.modules), "
+            "os.environ.get('OPENBLAS_NUM_THREADS')); "
+            f"print(all(getattr(phenotrail, name).__module__.startswith('phenotrail.') "
+            f"for name in {PACKAGE_NAMES!r}))")
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("OPENBLAS_NUM_THREADS", None)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "[] None"
+    assert result.stdout.splitlines() == ["[] None", "True"]
 
 
 def test_main_runs_openblas_on_one_thread_unless_set(monkeypatch, capsys):

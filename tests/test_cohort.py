@@ -507,10 +507,15 @@ class TestExportLoader:
         "cough,-3,positive\n", "cough,-3,positive,P1,\n", "cough,-3,positive,\xa0P1\n",
         "cough,-3,positive,P1,\ncough,-3,positive\n",  # 4 + 2 commas
         "cough,-3\r,positive,P1\n",  # int() would take "-3\r"; csv ends the row there
+        # Both arms of a cell share its roster bits: a valid row of the
+        # other arm, after or before it, must not hide a wrong-arm row.
+        "cough,-2,positive,P2\n", "cough,-1,positive,P3\ncough,-1,negative,P2\n",
     ])
-    def test_rows_left_to_the_walker(self, line):
+    def test_rows_left_to_the_walker(self, monkeypatch, line):
         text = "group_id,relative_day,cohort,patient_id\ncough,-2,negative,P2\n" + line
-        assert cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None) is None
+        for block in (1, cohort._EXPORT_BLOCK):  # each line in its own read block, and one
+            monkeypatch.setattr(cohort, "_EXPORT_BLOCK", block)
+            assert cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None) is None
 
     @pytest.mark.parametrize("block", [1, 7, 22, 23, 40, 1 << 20])
     def test_rows_span_read_blocks(self, monkeypatch, block):
@@ -561,13 +566,14 @@ class TestExportFold:
         assert all(table.presence[key] is bits for key, bits in cells.items())
 
     def test_peak_memory_is_the_matrix_and_a_few_blocks(self, tmp_path, monkeypatch):
-        """The pass holds roster bytes per ``group,day,cohort`` prefix (two
-        per cell here, so twice the cells x roster-bytes matrix), the
-        cells' bits and a block's lines: lines kept over every row of the
-        file would take 60 bytes a row or more, here over 8 MB."""
+        """The pass holds one roster's bytes per cell, which both arms
+        share, and a block's lines: roster bytes per ``group,day,cohort``
+        prefix would take twice the cells x roster-bytes matrix here, and
+        lines kept over every row of the file 60 bytes a row or more.  The
+        roster is wide, so that the matrix outweighs the blocks."""
         monkeypatch.setattr(cohort, "_EXPORT_BLOCK", 1 << 16)
-        patients, text, _ = wide_export(2000, [f"g{k}" for k in range(10)],
-                                        range(-14, 15), 500, seed=5)
+        patients, text, _ = wide_export(100_000, [f"g{k}" for k in range(10)],
+                                        range(-14, 15), 20, seed=5)
         path = tmp_path / "presence_long.csv"
         path.write_text(text)
         tracemalloc.start()
@@ -578,7 +584,8 @@ class TestExportFold:
             tracemalloc.stop()
         assert len(table.presence) == 290
         matrix = len(table.presence) * ((len(patients.ids) + 7) >> 3)
-        assert peak <= 3 * matrix + 24 * cohort._EXPORT_BLOCK
+        assert 24 * cohort._EXPORT_BLOCK < matrix / 2
+        assert peak <= matrix + 24 * cohort._EXPORT_BLOCK
 
 
 class TestPatientBits:
