@@ -1,7 +1,7 @@
 """Clinical-note phenotype curation and temporal enrichment engine.
 
-Each name below is imported from its module on first access, so a
-command loads only the modules it runs.
+Each submodule below, and each name it exports, is imported on first
+access, so a command loads only the modules it runs.
 """
 
 __version__ = "0.1.0"
@@ -20,13 +20,18 @@ _EXPORTS = {
     "textproc": "ClinicalNote PatientRecord Roster relative_day segment_sentences",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = [*_EXPORTS, *_MODULE_OF]  # the submodules and their names, as `import *` gave
 
 
 def __getattr__(name: str):
-    if name not in _MODULE_OF:
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
-    globals()[name] = value
+    module = import_module(f".{_MODULE_OF.get(name, name)}", __name__)
+    value = globals()[name] = module if name in _EXPORTS else getattr(module, name)
     return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -719,8 +719,7 @@ def _index_export(
     """
     if raw.readline(len(_EXPORT_HEADER_LINE)) != _EXPORT_HEADER_LINE:
         return None
-    index, width = roster.index, (len(roster.ids) + 7) >> 3
-    flags = format(roster.positive, "b").zfill(len(roster.ids))[::-1].encode()  # b"1": positive
+    index, flags, width = roster.index, roster.flags, (len(roster.ids) + 7) >> 3
     cells: dict[tuple[str, int], bytearray] = {}  # (group id, day) -> its patients' roster bits
     prefixes: dict[str, tuple[bytearray, int]] = {}  # "group,day,cohort" -> (its cell, arm flag)
     try:

@@ -68,15 +68,15 @@ class Roster:
     Patient i is the i-th distinct id of the rows the roster is built
     from.  A patient with several rows keeps the earliest PCR date; when
     two results share that date the positive one wins.  Each patient is
-    in one PCR arm: bit i of ``positive`` is set when patient i tested
-    positive.
+    in one PCR arm: bit i of ``positive`` is set, and byte i of ``flags``
+    is ``b"1"`` rather than ``b"0"``, when patient i tested positive.
     """
 
     def __init__(self, rows: Iterable[tuple[str, int, bool]]):
         """``rows``: (patient id, PCR date ordinal, positive result)."""
         index: dict[str, int] = {}
         days = array("i")
-        arms = bytearray()  # b"1" at each positive patient, b"0" at the others
+        arms = bytearray()
         for patient_id, day, positive in rows:
             i = index.setdefault(patient_id, len(days))
             if i == len(days):
@@ -87,12 +87,12 @@ class Roster:
         self.ids = tuple(index)  # in roster order
         self.index = index  # patient id -> i
         self.pcr_days = days  # i -> the PCR date's ordinal
+        self.flags = bytes(arms)  # i -> b"1" (positive) or b"0"
         self.positive = int(arms[::-1] or b"0", 2)
 
     def arms(self) -> list[str]:
         """Each patient's PCR arm, in roster order."""
-        flags = format(self.positive, "b").zfill(len(self.ids))[::-1]
-        return [POSITIVE if flag == "1" else NEGATIVE for flag in flags[:len(self.ids)]]
+        return [POSITIVE if flag == 0x31 else NEGATIVE for flag in self.flags]
 
 
 def fingerprint(text: str) -> str:

@@ -1390,7 +1390,9 @@ class TestManifest:
         assert not (root / "replay").exists()
 
 
-# Every name `phenotrail` exports, each from one of its submodules.
+# The submodules `phenotrail` exposes as attributes, and every name it
+# exports, each from one of them.
+PACKAGE_MODULES = "assertion bundled cohort coexpr errors lexicon stats synth textproc".split()
 PACKAGE_NAMES = (
     "AssertionLabel EvalMetrics RuleClassifier evaluate data_path SymptomPresenceTable "
     "daily_counts pair_counts window_counts window_presence ExpressionMatrix "
@@ -1406,20 +1408,27 @@ def test_cli_import_loads_no_pool_or_numpy():
     # Every command pays the CLI's import time; the worker pool, numpy,
     # hashlib (which loads OpenSSL, about 3 MB), traceback and the synth
     # and coexpr modules are imported only where they are used.  Importing
-    # the package leaves the environment as it is, and each name it
-    # exports still resolves, from its own module.
+    # the package leaves the environment as it is, and each submodule and
+    # each name it exports still resolves as an attribute of the package,
+    # and through `import *` and `dir`.
     src = os.path.dirname(os.path.dirname(phenotrail.__file__))
+    names = PACKAGE_MODULES + PACKAGE_NAMES
     code = ("import os, sys, phenotrail.cli; print(sorted(m for m in "
             "('hashlib', 'multiprocessing', 'numpy', 'traceback', 'phenotrail.synth', "
             "'phenotrail.coexpr') if m in sys.modules), "
             "os.environ.get('OPENBLAS_NUM_THREADS')); "
-            f"print(all(getattr(phenotrail, name).__module__.startswith('phenotrail.') "
+            f"print(sorted(set({names!r}) - set(dir(phenotrail)))); "
+            "star = {}; exec('from phenotrail import *', star); "
+            f"print(sorted(set({names!r}) - set(star))); "
+            f"print(all(getattr(phenotrail, name).__name__ == 'phenotrail.' + name "
+            f"for name in {PACKAGE_MODULES!r}), "
+            f"all(getattr(phenotrail, name).__module__.startswith('phenotrail.') "
             f"for name in {PACKAGE_NAMES!r}))")
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("OPENBLAS_NUM_THREADS", None)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True, timeout=60)
-    assert result.stdout.splitlines() == ["[] None", "True"]
+    assert result.stdout.splitlines() == ["[] None", "[]", "[]", "True True"]
 
 
 def test_main_runs_openblas_on_one_thread_unless_set(monkeypatch, capsys):

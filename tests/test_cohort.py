@@ -567,13 +567,14 @@ class TestExportFold:
 
     def test_peak_memory_is_the_matrix_and_a_few_blocks(self, tmp_path, monkeypatch):
         """The pass holds one roster's bytes per cell, which both arms
-        share, and a block's lines: roster bytes per ``group,day,cohort``
-        prefix would take twice the cells x roster-bytes matrix here, and
-        lines kept over every row of the file 60 bytes a row or more.  The
-        roster is wide, so that the matrix outweighs the blocks."""
+        share, and a block's lines.  The roster is wide, so that the
+        matrix outweighs the blocks, and the rows many: roster bytes per
+        ``group,day,cohort`` prefix would take twice the cells x
+        roster-bytes matrix here, the file's bytes read at once 3.2 MB
+        more, and its lines kept as str about 10 MB more."""
         monkeypatch.setattr(cohort, "_EXPORT_BLOCK", 1 << 16)
         patients, text, _ = wide_export(100_000, [f"g{k}" for k in range(10)],
-                                        range(-14, 15), 20, seed=5)
+                                        range(-14, 15), 500, seed=5)
         path = tmp_path / "presence_long.csv"
         path.write_text(text)
         tracemalloc.start()
@@ -584,7 +585,7 @@ class TestExportFold:
             tracemalloc.stop()
         assert len(table.presence) == 290
         matrix = len(table.presence) * ((len(patients.ids) + 7) >> 3)
-        assert 24 * cohort._EXPORT_BLOCK < matrix / 2
+        assert 2 * 24 * cohort._EXPORT_BLOCK < min(matrix, len(text))
         assert peak <= matrix + 24 * cohort._EXPORT_BLOCK
 
 
