@@ -265,7 +265,8 @@ def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
 
 def _reject_curation_options(args: argparse.Namespace) -> None:
     """A --presence or --from-counts run curates nothing, and a --from-counts
-    run reads no roster or lexicon: such an option would be silently ignored."""
+    run reads no roster or lexicon and no days: such an option would be
+    silently ignored."""
     source = "--presence" if args.presence else "--from-counts"
     curating, reading = "when curating --notes", "with --notes or --presence"
     for option, given, applies in (
@@ -276,6 +277,9 @@ def _reject_curation_options(args: argparse.Namespace) -> None:
          args.template_threshold != cohort.DEFAULT_TEMPLATE_THRESHOLD, curating),
         ("--patients", args.from_counts and args.patients is not None, reading),
         ("--lexicon", args.from_counts and args.lexicon is not None, reading),
+        ("--window", args.from_counts and args.window != cohort.DEFAULT_WINDOW, reading),
+        ("--day-range", args.from_counts and args.day_range != cohort.DEFAULT_DAY_RANGE,
+         reading),
     ):
         if given:
             raise InputError(f"{option} applies only {applies}, not with {source}")
@@ -497,8 +501,8 @@ _TABLES = {
          ("COVID+ % (N={n_pos})", "pct_pos", _FRACTION),
          ("COVID- % (N={n_neg})", "pct_neg", _FRACTION),
          ("(COVID+)/(COVID-) ratio", "ratio", _RATIO),
-         ("raw p-value", "p_raw", stats.format_p_value),
-         ("BH-corrected p-value", "p_adjusted", stats.format_p_value)),
+         ("raw p-value", "log10_p_raw", stats.format_p),
+         ("BH-corrected p-value", "log10_p_adjusted", stats.format_p)),
     ),
 }
 
@@ -506,9 +510,10 @@ _TABLES = {
 def _cmd_table(args, argv) -> int:
     """enrich, timeline and pairwise: one input's counts -> rows -> CSV."""
     spec = _TABLES[args.command]
+    # First, so that a window outside --day-range gives this error on every input path.
+    cohort.check_window(args.window, args.day_range)
     if args.presence or args.from_counts:
         _reject_curation_options(args)
-    cohort.check_window(args.window, args.day_range)
     if args.from_counts:
         rows_in = _read_counts_csv(args.from_counts, spec.required)
         n_pos, n_neg = _uniform_totals(rows_in, args.from_counts)

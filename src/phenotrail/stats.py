@@ -1,12 +1,13 @@
 """Statistical battery: proportions, exact tests, multiplicity correction.
 
-Two-proportion z-tests carry their p-values in log10 space so that
-extreme tails (z around 30 gives p near 1e-187) survive without
-underflow; beyond the reach of math.erfc the tail is evaluated with the
-asymptotic continued expansion of erfc.  Fisher exact p-values are
-two-sided by the probability-mass convention: every table with the same
-margins whose probability does not exceed the observed one (with a tiny
-relative slack for floating-point ties) contributes.
+Every p-value is carried in log10 space, from the test to the printed
+cell, so that extreme tails (z around 30 gives p near 1e-187; a Fisher
+table at ten times the paper's arms, p near 1e-442) survive without
+underflow.  Beyond the reach of math.erfc the z-test tail is evaluated
+with the asymptotic continued expansion of erfc.  Fisher exact p-values
+are two-sided by the probability-mass convention: every table with the
+same margins whose probability does not exceed the observed one (with a
+tiny relative slack for floating-point ties) contributes.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class ProportionTest:
     z: float
     log10_p: float
 
-    @property
-    def p_value(self) -> float:
-        return 10.0 ** self.log10_p
-
 
 def _check_cohort_sizes(n1: int, n2: int) -> None:
     """Every test compares two arms, and neither may be empty."""
@@ -113,7 +110,7 @@ _LGAMMA = _LogFactorials()
 
 
 def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
-    """Two-sided Fisher exact p for the 2x2 table [[a, b], [c, d]]."""
+    """log10 of the two-sided Fisher exact p for the 2x2 table [[a, b], [c, d]]."""
     if min(a, b, c, d) < 0:
         raise InputError("contingency table entries must be non-negative")
     n = a + b + c + d
@@ -125,7 +122,7 @@ def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
     lo = max(0, c1 - r2)
     hi = min(r1, c1)
     if lo == hi:
-        return 1.0
+        return 0.0
     if n < _LOGFACT_CAP:
         lf = _logfact
         lf.extend(math.lgamma(k + 1) for k in range(len(lf), n + 1))
@@ -174,39 +171,41 @@ def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
             x += step
     m = max(selected)
     total = math.fsum(math.exp(lp - m) for lp in selected)
-    return min(1.0, math.exp(m) * total)
+    return min(0.0, (m + math.log(total)) / _LN10)
 
 
 # ---------------------------------------------------------------------------
 # Benjamini-Hochberg step-up adjustment
 
 
-def bh_adjust(p_values: Sequence[float], m: int | None = None) -> list[float]:
-    """Step-up FDR adjustment; returns adjusted values in input order.
+def bh_adjust(log10_ps: Sequence[float], m: int | None = None) -> list[float]:
+    """Step-up FDR adjustment of log10 p-values; returns the adjusted
+    log10 values in input order.
 
     ``m`` is the total number of hypotheses; it defaults to the number
     of p-values supplied and may be larger when only a subset of the
     tested family is being adjusted.
     """
-    count = len(p_values)
+    count = len(log10_ps)
     if count == 0:
         return []
     if m is None:
         m = count
     if m < count:
         raise InputError(f"m={m} is smaller than the number of p-values ({count})")
-    for p in p_values:
-        if not 0.0 < p <= 1.0:
-            raise InputError(f"p-value {p!r} outside (0, 1]")
-    order = sorted(range(count), key=p_values.__getitem__)
+    for lp in log10_ps:
+        if not -math.inf < lp <= 0.0:
+            raise InputError(f"log10 p-value {lp!r} outside (-inf, 0]")
+    order = sorted(range(count), key=log10_ps.__getitem__)
+    log_m = math.log10(m)
     adjusted = [0.0] * count
-    running = 1.0
+    running = 0.0
     for rank in range(count, 0, -1):
         idx = order[rank - 1]
-        running = min(running, m * p_values[idx] / rank)
+        running = min(running, log_m + log10_ps[idx] - math.log10(rank))
         # In real arithmetic min_{j>=rank} m*p(j)/j >= p(rank); the clamp
         # undoes the one-ulp float shortfall when m == rank.
-        adjusted[idx] = max(running, p_values[idx])
+        adjusted[idx] = max(running, log10_ps[idx])
     return adjusted
 
 
@@ -227,10 +226,6 @@ class EnrichmentRow:
     z: float
     log10_p: float
 
-    @property
-    def p_value(self) -> float:
-        return 10.0 ** self.log10_p
-
 
 @dataclass(frozen=True)
 class DailyRow:
@@ -242,10 +237,6 @@ class DailyRow:
     pct_neg: float
     ratio: float | None
     log10_p: float
-
-    @property
-    def p_value(self) -> float:
-        return 10.0 ** self.log10_p
 
 
 @dataclass(frozen=True)
@@ -259,8 +250,8 @@ class PairRow:
     pct_pos: float
     pct_neg: float
     ratio: float | None
-    p_raw: float
-    p_adjusted: float
+    log10_p_raw: float
+    log10_p_adjusted: float
 
 
 def _ratio_sort_key(row: EnrichmentRow) -> tuple[float, str]:
@@ -334,7 +325,8 @@ def pair_rows(
 
     ``counts`` holds (group_a, group_b, k_pos, k_neg) where the k are
     patients exhibiting both phenotypes.  Pairs are canonicalized so
-    group_a < group_b.  Rows come back sorted by raw p.
+    group_a < group_b.  Both p columns hold log10 values; rows come back
+    sorted by raw p.
     """
     _check_cohort_sizes(n_pos, n_neg)
     prepared: list[tuple[str, str, int, int]] = []
@@ -343,18 +335,18 @@ def pair_rows(
             group_a, group_b = group_b, group_a
         prepared.append((group_a, group_b, k_pos, k_neg))
 
-    raw_ps: list[float] = []
+    raw: list[float] = []
     for _a, _b, k_pos, k_neg in prepared:
         if k_pos == 0 and k_neg == 0:
-            raw_ps.append(1.0)  # degenerate pair: no signal in either arm
+            raw.append(0.0)  # degenerate pair: no signal in either arm
         else:
-            raw_ps.append(
+            raw.append(
                 fisher_exact_two_sided(k_pos, n_pos - k_pos, k_neg, n_neg - k_neg)
             )
-    adjusted = bh_adjust(raw_ps, m=m_tests) if raw_ps else []
+    adjusted = bh_adjust(raw, m=m_tests) if raw else []
 
     rows = []
-    for (group_a, group_b, k_pos, k_neg), p_raw, p_adj in zip(prepared, raw_ps, adjusted):
+    for (group_a, group_b, k_pos, k_neg), lp_raw, lp_adj in zip(prepared, raw, adjusted):
         p_pos, p_neg = k_pos / n_pos, k_neg / n_neg
         rows.append(
             PairRow(
@@ -367,11 +359,11 @@ def pair_rows(
                 pct_pos=p_pos * 100.0,
                 pct_neg=p_neg * 100.0,
                 ratio=(p_pos / p_neg) if p_neg > 0 else None,
-                p_raw=p_raw,
-                p_adjusted=p_adj,
+                log10_p_raw=lp_raw,
+                log10_p_adjusted=lp_adj,
             )
         )
-    rows.sort(key=lambda r: (r.p_raw, r.group_a, r.group_b))
+    rows.sort(key=lambda r: (r.log10_p_raw, r.group_a, r.group_b))
     return rows
 
 
@@ -389,12 +381,6 @@ def format_p(log10_p: float) -> str:
         mantissa /= 10.0
         exponent += 1
     return f"{mantissa:.2f}E{exponent:+03d}"
-
-
-def format_p_value(p: float) -> str:
-    if p <= 0.0:
-        raise InputError("p-value must be positive")
-    return format_p(math.log10(p)) if p < 1.0 else "1.00E+00"
 
 
 def format_ratio(ratio: float | None) -> str:

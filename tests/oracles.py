@@ -226,7 +226,7 @@ def write_corpus_oracle(patients, notes, gold, notes_stream, patients_stream,
         writer.writerow([sentence_id, mention_index, label.value])
 
 
-def fisher_oracle(a: int, b: int, c: int, d: int) -> float:
+def fisher_fraction(a: int, b: int, c: int, d: int) -> Fraction:
     """Exact enumeration with integer hypergeometric numerators.
 
     Tables sharing the margins share the denominator C(n, c1), so the
@@ -244,21 +244,44 @@ def fisher_oracle(a: int, b: int, c: int, d: int) -> float:
     total = sum(
         num for num in numerators.values() if num * 10**7 <= observed * (10**7 + 1)
     )
-    return float(Fraction(total, math.comb(n, c1)))
+    return Fraction(total, math.comb(n, c1))
+
+
+def fisher_oracle(a: int, b: int, c: int, d: int) -> float:
+    """The exact two-sided Fisher p as a float (0.0 below the double range)."""
+    return float(fisher_fraction(a, b, c, d))
+
+
+def fisher_log10_oracle(a: int, b: int, c: int, d: int, dps: int = 40) -> mpmath.mpf:
+    """log10 of the exact two-sided Fisher p, through mpmath, so that a p
+    far below the double range keeps its digits."""
+    p = fisher_fraction(a, b, c, d)
+    with mpmath.workdps(dps):
+        return mpmath.log10(p.numerator) - mpmath.log10(p.denominator)
+
+
+def format_p_oracle(log10_p: mpmath.mpf, dps: int = 40) -> str:
+    """``stats.format_p``'s two-decimal scientific notation, in mpmath."""
+    with mpmath.workdps(dps):
+        exponent = int(mpmath.floor(log10_p))
+        hundredths = int(mpmath.nint(mpmath.power(10, log10_p - exponent) * 100))
+        if hundredths >= 1000:
+            hundredths, exponent = hundredths // 10, exponent + 1
+        return f"{hundredths // 100}.{hundredths % 100:02d}E{exponent:+03d}"
 
 
 _LOG_FACTORIALS: list[float] = []
 
 
 def fisher_full_support(a: int, b: int, c: int, d: int) -> float:
-    """The two-sided Fisher p in floats, summed over every table of the
-    support: what ``stats.fisher_exact_two_sided`` must equal bit for bit."""
+    """log10 of the two-sided Fisher p in floats, summed over every table of
+    the support: what ``stats.fisher_exact_two_sided`` must equal bit for bit."""
     n = a + b + c + d
     r1, r2, c1 = a + b, c + d, a + c
     lo = max(0, c1 - r2)
     hi = min(r1, c1)
     if lo == hi:
-        return 1.0
+        return 0.0
     lf = _LOG_FACTORIALS
     lf.extend(math.lgamma(i + 1) for i in range(len(lf), n + 1))
     const = lf[r1] + lf[r2] + lf[c1] + lf[n - c1] - lf[n]
@@ -273,7 +296,7 @@ def fisher_full_support(a: int, b: int, c: int, d: int) -> float:
             if lp > m:
                 m = lp
     total = math.fsum(math.exp(lp - m) for lp in selected)
-    return min(1.0, math.exp(m) * total)
+    return min(0.0, (m + math.log(total)) / math.log(10.0))
 
 
 def fisher_oracle_all_p(r1: int, r2: int, c1: int) -> dict[int, float]:
@@ -299,23 +322,24 @@ def fisher_oracle_all_p(r1: int, r2: int, c1: int) -> dict[int, float]:
     return result
 
 
-def bh_oracle(p_values, m=None):
-    """Literal step-up definition, O(n^2): adj(i) = min over all j with
-    rank >= rank(i) of m * p(j) / rank(j), capped at 1.  The raw value is
-    a true lower bound in real arithmetic, so the float result is clamped
-    to it exactly as the implementation does."""
-    count = len(p_values)
+def bh_oracle(log10_ps, m=None):
+    """Literal step-up definition over log10 p-values, O(n^2): adj(i) = min
+    over all j with rank >= rank(i) of log10 m + log10 p(j) - log10 rank(j),
+    capped at 0.  The raw value is a true lower bound in real arithmetic,
+    so the float result is clamped to it exactly as the implementation does."""
+    count = len(log10_ps)
     if m is None:
         m = count
-    order = sorted(range(count), key=lambda i: p_values[i])
+    order = sorted(range(count), key=lambda i: log10_ps[i])
     ranks = {idx: pos + 1 for pos, idx in enumerate(order)}
     adjusted = [0.0] * count
     for idx in range(count):
         rank = ranks[idx]
         candidates = [
-            m * p_values[jdx] / ranks[jdx] for jdx in range(count) if ranks[jdx] >= rank
+            math.log10(m) + log10_ps[jdx] - math.log10(ranks[jdx])
+            for jdx in range(count) if ranks[jdx] >= rank
         ]
-        adjusted[idx] = max(min(1.0, min(candidates)), p_values[idx])
+        adjusted[idx] = max(min(0.0, min(candidates)), log10_ps[idx])
     return adjusted
 
 

@@ -278,7 +278,7 @@ def test_criterion_03_pairwise_reproduction():
         for ref in fixture:
             row = by_pair[frozenset((ref["phenotype_a"], ref["phenotype_b"]))]
             assert abs(
-                math.log10(row.p_raw) - math.log10(float(ref["ref_p_raw"]))
+                row.log10_p_raw - math.log10(float(ref["ref_p_raw"]))
             ) <= FACTOR(2.0), ref
 
         # Top five adjusted values within 2%.
@@ -286,7 +286,8 @@ def test_criterion_03_pairwise_reproduction():
         for ref in ordered[:5]:
             row = by_pair[frozenset((ref["phenotype_a"], ref["phenotype_b"]))]
             ref_adj = float(ref["ref_p_adjusted"])
-            assert abs(row.p_adjusted - ref_adj) / ref_adj <= 0.02, ref
+            ratio = 10.0 ** (row.log10_p_adjusted - math.log10(ref_adj))
+            assert abs(ratio - 1.0) <= 0.02, ref
 
         # BH against the brute-force oracle on 1000 random vectors, exact.
         rng = random.Random(277)
@@ -297,7 +298,8 @@ def test_criterion_03_pairwise_reproduction():
                 if rng.random() < 0.15 and i:
                     ps[i] = ps[rng.randrange(i)]  # inject ties
             m = size + rng.randint(0, 300)
-            assert bh_adjust(ps, m=m) == bh_oracle(ps, m=m)
+            log10_ps = [math.log10(p) for p in ps]
+            assert bh_adjust(log10_ps, m=m) == bh_oracle(log10_ps, m=m)
 
 
 def test_criterion_04_fisher_matches_exhaustive_enumeration():
@@ -313,7 +315,9 @@ def test_criterion_04_fisher_matches_exhaustive_enumeration():
                     for a, ref in expected.items():
                         got = fisher_exact_two_sided(
                             a, r1 - a, c1 - a, r2 - (c1 - a))
-                        assert abs(got - ref) <= 1e-10 * ref, (r1, r2, c1, a)
+                        # A relative 1e-10 in p is 1e-10 / ln 10 in log10 p.
+                        assert abs(got - math.log10(ref)) <= 1e-10 / math.log(10.0), \
+                            (r1, r2, c1, a)
                         total += 1
         elapsed = time.perf_counter() - start
         assert total == 494_500

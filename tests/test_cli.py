@@ -22,7 +22,7 @@ from phenotrail.cli import main, rerun_from_manifest, run
 from phenotrail.errors import InputError
 from phenotrail.lexicon import load_default_lexicon
 
-from oracles import load_patients_oracle
+from oracles import fisher_log10_oracle, format_p_oracle, load_patients_oracle
 
 DAILY = bundled.data_path(bundled.DAILY_REFERENCE)
 PAIRS = bundled.data_path(bundled.PAIR_REFERENCE)
@@ -497,6 +497,22 @@ class TestFromCounts:
         }
         assert top[8] == "2.55E-43"
 
+    @pytest.mark.parametrize("k_pos, n_pos, k_neg, n_neg, printed", [
+        (380, 6_350, 310, 298_590, "1.32E-442"),
+        (1_077, 18_000, 874, 842_000, "8.37E-1250"),
+        (206, 635, 33, 29_859, "8.90E-323"),
+    ])
+    def test_pairwise_below_the_double_range(self, tmp_path, k_pos, n_pos, k_neg, n_neg,
+                                             printed):
+        counts = tmp_path / "pairs.csv"
+        counts.write_text("phenotype_a,phenotype_b,pos_total,neg_total,pos_count,neg_count\n"
+                          f"Cough,Fever,{n_pos},{n_neg},{k_pos},{k_neg}\n")
+        out = tmp_path / "out"
+        assert main(["pairwise", "--from-counts", str(counts), "--out", str(out)]) == 0
+        exact = fisher_log10_oracle(k_pos, n_pos - k_pos, k_neg, n_neg - k_neg)
+        (row,) = read_csv(out / "pairwise.csv")[1:]
+        assert row[7] == row[8] == format_p_oracle(exact) == printed  # m = 1: BH keeps p
+
     def test_malformed_counts_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("phenotype,pos_total,neg_total,pos_count,neg_count\nx,10,10,eleven,1\n")
@@ -670,13 +686,18 @@ class TestPipelineStats:
             f"error: {option[0]} applies only when curating --notes, not with {inputs[0]}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("option", ["--patients", "--lexicon"])
+    @pytest.mark.parametrize("option", [["--patients", "/nonexistent.csv"],
+                                        ["--lexicon", "/nonexistent.csv"],
+                                        ["--window=-5..-2"], ["--day-range=-10..10"]],
+                             ids=lambda option: option[0].split("=")[0])
     def test_roster_or_lexicon_with_counts_exit_code(self, tmp_path, capsys, option):
-        # A counts table is read without a roster or a lexicon: even a
-        # missing file is an error, since it would be ignored.
-        assert main(["enrich", "--from-counts", WEEK, option, "/nonexistent.csv",
+        # A counts table is read without a roster or a lexicon, and its
+        # counts are already tabulated by day: even a missing file is an
+        # error, since it would be ignored.
+        assert main(["enrich", "--from-counts", WEEK, *option,
                      "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (f"error: {option} applies only with --notes or "
+        name = option[0].split("=")[0]
+        assert capsys.readouterr().err == (f"error: {name} applies only with --notes or "
                                            "--presence, not with --from-counts\n")
         assert not (tmp_path / "out").exists()
 

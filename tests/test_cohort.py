@@ -332,7 +332,7 @@ class TestTableBridges:
         assert len(rows) == 1
         assert (rows[0].group_a, rows[0].group_b) == ("cough", "fever_chills")
         assert rows[0].k_pos == 1 and rows[0].k_neg == 1
-        assert rows[0].p_adjusted >= rows[0].p_raw
+        assert rows[0].log10_p_adjusted >= rows[0].log10_p_raw
 
     def test_pairwise_needs_two_groups(self, matcher, classifier):
         patients = roster(p1="positive")

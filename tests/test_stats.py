@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,16 +15,23 @@ from phenotrail.stats import (
     fisher_exact_two_sided,
     format_fraction,
     format_p,
-    format_p_value,
     format_ratio,
     pair_rows,
     proportion_test,
     two_tailed_log10_p,
 )
 
-from oracles import bh_oracle, fisher_full_support, fisher_oracle, log10_two_tailed_oracle
+from oracles import (
+    bh_oracle,
+    fisher_full_support,
+    fisher_log10_oracle,
+    fisher_oracle,
+    format_p_oracle,
+    log10_two_tailed_oracle,
+)
 
 N_POS, N_NEG = 635, 29859
+LN10 = math.log(10.0)  # a relative error e in p is an absolute e / LN10 in log10 p
 
 
 class TestProportionTest:
@@ -43,18 +51,18 @@ class TestProportionTest:
         result = proportion_test(5, 10, 5, 10)
         assert result.ratio == 1.0
         assert result.z == 0.0
-        assert result.p_value == 1.0
+        assert result.log10_p == 0.0
 
     def test_degenerate_all_zero(self):
         result = proportion_test(0, 10, 0, 20)
         assert result.ratio is None
         assert result.z == 0.0
-        assert result.p_value == 1.0
+        assert result.log10_p == 0.0
 
     def test_degenerate_all_one(self):
         result = proportion_test(10, 10, 20, 20)
         assert result.z == 0.0
-        assert result.p_value == 1.0
+        assert result.log10_p == 0.0
 
     def test_errors(self):
         with pytest.raises(InputError):
@@ -89,16 +97,15 @@ class TestTailPrecision:
 
 class TestFisher:
     def test_balanced_table(self):
-        assert fisher_exact_two_sided(1, 1, 1, 1) == pytest.approx(1.0, rel=1e-12)
+        assert abs(fisher_exact_two_sided(1, 1, 1, 1)) <= 1e-12 / LN10
 
     def test_reference_pair(self):
-        p = fisher_exact_two_sided(79, 556, 1175, 28684)
-        assert abs(math.log10(p) - math.log10(1.89e-18)) < math.log10(2)
+        log10_p = fisher_exact_two_sided(79, 556, 1175, 28684)
+        assert abs(log10_p - math.log10(1.89e-18)) < math.log10(2)
 
     def test_enumeration_example(self):
-        assert fisher_exact_two_sided(3, 7, 5, 5) == pytest.approx(
-            fisher_oracle(3, 7, 5, 5), rel=1e-12
-        )
+        got = fisher_exact_two_sided(3, 7, 5, 5)
+        assert abs(got - math.log10(fisher_oracle(3, 7, 5, 5))) <= 1e-12 / LN10
 
     def test_errors(self):
         with pytest.raises(InputError):
@@ -111,8 +118,8 @@ class TestFisher:
             fisher_exact_two_sided(1, 10**7, 1, 1)
 
     def test_degenerate_margin(self):
-        assert fisher_exact_two_sided(0, 0, 5, 5) == 1.0
-        assert fisher_exact_two_sided(3, 0, 2, 0) == 1.0
+        assert fisher_exact_two_sided(0, 0, 5, 5) == 0.0
+        assert fisher_exact_two_sided(3, 0, 2, 0) == 0.0
 
     @given(st.integers(0, 25), st.integers(0, 25),
            st.integers(0, 25), st.integers(0, 25))
@@ -120,9 +127,8 @@ class TestFisher:
     def test_oracle_agreement_random_tables(self, a, b, c, d):
         if a + b + c + d == 0:
             return
-        assert fisher_exact_two_sided(a, b, c, d) == pytest.approx(
-            fisher_oracle(a, b, c, d), rel=1e-10, abs=0.0
-        )
+        got = fisher_exact_two_sided(a, b, c, d)
+        assert abs(got - math.log10(fisher_oracle(a, b, c, d))) <= 1e-10 / LN10
 
     def test_tail_walk_equals_full_support_sum_on_every_small_table(self):
         mismatches = [
@@ -145,9 +151,9 @@ class TestFisher:
 
     def test_log_factorial_table_stays_within_its_cap(self):
         table = (1, 2_000_000, 1, 1)
-        p = fisher_exact_two_sided(*table)
+        log10_p = fisher_exact_two_sided(*table)
         assert len(stats._logfact) <= stats._LOGFACT_CAP
-        assert 0.0 < p <= 1.0
+        assert -math.inf < log10_p <= 0.0
 
     @pytest.mark.parametrize("n", [stats._LOGFACT_CAP - 1, stats._LOGFACT_CAP,
                                    stats._LOGFACT_CAP + 1, stats._LOGFACT_CAP + 40_000])
@@ -180,54 +186,86 @@ class TestFisher:
             a, b, c, d = (rng.randint(0, 30) for _ in range(4))
             if a + b + c + d == 0:
                 continue
-            p = fisher_exact_two_sided(a, b, c, d)
-            assert fisher_exact_two_sided(c, d, a, b) == pytest.approx(p, rel=1e-9)
-            assert fisher_exact_two_sided(b, a, d, c) == pytest.approx(p, rel=1e-9)
-            assert 0.0 < p <= 1.0
+            log10_p = fisher_exact_two_sided(a, b, c, d)
+            assert abs(fisher_exact_two_sided(c, d, a, b) - log10_p) <= 1e-9 / LN10
+            assert abs(fisher_exact_two_sided(b, a, d, c) - log10_p) <= 1e-9 / LN10
+            assert -math.inf < log10_p <= 0.0
+
+
+def log10s(ps):
+    return [math.log10(p) for p in ps]
 
 
 class TestBH:
     def test_single(self):
-        assert bh_adjust([0.04]) == [0.04]
+        assert bh_adjust(log10s([0.04])) == log10s([0.04])
 
     def test_step_up_with_monotonicity(self):
-        assert bh_adjust([0.01, 0.02, 0.04], m=3) == pytest.approx([0.03, 0.03, 0.04])
+        got = bh_adjust(log10s([0.01, 0.02, 0.04]), m=3)
+        assert got == pytest.approx(log10s([0.03, 0.03, 0.04]), rel=0.0, abs=1e-12)
 
     def test_family_larger_than_batch(self):
-        (adjusted,) = bh_adjust([9.22e-46], m=277)
-        assert adjusted == pytest.approx(9.22e-46 * 277, rel=1e-12)
+        (adjusted,) = bh_adjust(log10s([9.22e-46]), m=277)
+        assert abs(adjusted - math.log10(9.22e-46 * 277)) <= 1e-12 / LN10
+
+    def test_below_the_double_range(self):
+        (adjusted,) = bh_adjust([-441.5], m=100)
+        assert adjusted == -439.5
 
     def test_errors(self):
-        with pytest.raises(InputError):
-            bh_adjust([0.5, 0.2], m=1)
-        with pytest.raises(InputError):
-            bh_adjust([0.0])
-        with pytest.raises(InputError):
-            bh_adjust([1.5])
+        with pytest.raises(InputError, match="smaller than"):
+            bh_adjust(log10s([0.5, 0.2]), m=1)
+        for log10_p in (0.5, 1e-300, math.inf, -math.inf, math.nan):
+            with pytest.raises(InputError, match="outside"):
+                bh_adjust([-1.0, log10_p])
 
     def test_empty(self):
         assert bh_adjust([]) == []
 
-    @given(st.lists(st.floats(1e-30, 1.0, exclude_min=False), min_size=1, max_size=40),
+    @given(st.lists(st.floats(-30.0, 0.0), min_size=1, max_size=40),
            st.integers(0, 50))
     @settings(max_examples=300)
-    def test_oracle_agreement(self, ps, extra):
-        m = len(ps) + extra
-        got = bh_adjust(ps, m=m)
-        expected = bh_oracle(ps, m=m)
+    def test_oracle_agreement(self, lps, extra):
+        m = len(lps) + extra
+        got = bh_adjust(lps, m=m)
+        expected = bh_oracle(lps, m=m)
         assert got == expected
-        # adjusted >= raw, all within (0, 1]
-        for raw, adj in zip(ps, got):
-            assert adj >= min(raw * m / len(ps), 1.0) - 1e-15
-            assert raw <= adj <= 1.0
+        # adjusted >= raw, all within (-inf, 0]
+        for raw, adj in zip(lps, got):
+            assert 10.0 ** adj >= min(10.0 ** raw * m / len(lps), 1.0) - 1e-15
+            assert raw <= adj <= 0.0
         # monotone when ordered by raw p
-        order = sorted(range(len(ps)), key=lambda i: ps[i])
+        order = sorted(range(len(lps)), key=lambda i: lps[i])
         seq = [got[i] for i in order]
         assert seq == sorted(seq)
 
     def test_ties_share_adjusted_value(self):
-        got = bh_adjust([0.02, 0.02, 0.5])
+        got = bh_adjust(log10s([0.02, 0.02, 0.5]))
         assert got[0] == got[1]
+
+
+# (k_pos, n_pos, k_neg, n_neg, printed raw p), each p below the double
+# range: the paper's top pair at ten times its arms, a pair shaped like a
+# 1M-note corpus, both with totals past the log-factorial table, and a pair
+# at the paper's own arms whose p is subnormal.
+BELOW_DOUBLE_RANGE = [
+    (380, 6_350, 310, 298_590, "1.32E-442"),
+    (1_077, 18_000, 874, 842_000, "8.37E-1250"),
+    (206, 635, 33, 29_859, "8.90E-323"),
+]
+
+
+class TestBelowDoubleRange:
+    @pytest.mark.parametrize("k_pos, n_pos, k_neg, n_neg, printed", BELOW_DOUBLE_RANGE)
+    def test_pair_rows_match_the_exact_sum(self, k_pos, n_pos, k_neg, n_neg, printed):
+        (row,) = pair_rows([("a", "b", k_pos, k_neg)], n_pos, n_neg, m_tests=277)
+        with mpmath.workdps(40):
+            exact = fisher_log10_oracle(k_pos, n_pos - k_pos, k_neg, n_neg - k_neg)
+            adjusted = exact + mpmath.log10(277)
+        assert abs(row.log10_p_raw - float(exact)) <= 1e-9
+        assert format_p(row.log10_p_raw) == format_p_oracle(exact) == printed
+        assert abs(row.log10_p_adjusted - float(adjusted)) <= 1e-9
+        assert format_p(row.log10_p_adjusted) == format_p_oracle(adjusted)
 
 
 class TestRowAssembly:
@@ -241,7 +279,7 @@ class TestRowAssembly:
     def test_enrichment_empty_counts(self):
         rows = enrichment_rows([("a", 0, 0)], 10, 10)
         assert rows[0].ratio is None
-        assert rows[0].p_value == 1.0
+        assert rows[0].log10_p == 0.0
 
     def test_enrichment_undefined_ratio_sorts_first(self):
         rows = enrichment_rows([("a", 5, 0), ("b", 9, 1)], 10, 10)
@@ -265,7 +303,7 @@ class TestRowAssembly:
     def test_daily_all_zero(self):
         row = daily_rows([("x", -3, 0, 0)], 10, 10)[0]
         assert row.ratio is None
-        assert row.p_value == 1.0
+        assert row.log10_p == 0.0
 
     def test_pair_rows_reference(self):
         rows = pair_rows([("cough", "diarrhea", 79, 1175)], N_POS, N_NEG)
@@ -273,7 +311,7 @@ class TestRowAssembly:
         assert row.pct_pos == pytest.approx(12.44, abs=0.01)
         assert row.pct_neg == pytest.approx(3.94, abs=0.01)
         assert row.ratio == pytest.approx(3.16, abs=0.01)
-        assert abs(math.log10(row.p_raw) - math.log10(1.89e-18)) < math.log10(2)
+        assert abs(row.log10_p_raw - math.log10(1.89e-18)) < math.log10(2)
 
     def test_pair_rows_canonical_order_and_count(self):
         rows = pair_rows(
@@ -282,12 +320,12 @@ class TestRowAssembly:
         assert len(rows) == 3
         assert all(r.group_a < r.group_b for r in rows)
         degenerate = next(r for r in rows if (r.group_a, r.group_b) == ("b", "c"))
-        assert degenerate.p_raw == 1.0
+        assert degenerate.log10_p_raw == 0.0
 
     def test_pair_rows_bh_family_override(self):
         rows = pair_rows([("a", "b", 9, 1), ("a", "c", 5, 5)], 10, 10, m_tests=50)
         for row in rows:
-            assert row.p_adjusted >= row.p_raw
+            assert row.log10_p_adjusted >= row.log10_p_raw
 
 
 class TestFormatting:
@@ -295,8 +333,7 @@ class TestFormatting:
         assert format_p(math.log10(2.95e-187)) == "2.95E-187"
         assert format_p(math.log10(1.40e-9)) == "1.40E-09"
         assert format_p(0.0) == "1.00E+00"
-        assert format_p_value(0.9637) == "9.64E-01"
-        assert format_p_value(1.0) == "1.00E+00"
+        assert format_p(math.log10(0.9637)) == "9.64E-01"
 
     def test_p_mantissa_rounding_carries(self):
         assert format_p(math.log10(9.999e-10)) == "1.00E-09"
