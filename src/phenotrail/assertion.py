@@ -295,19 +295,6 @@ def read_classification_responses(
     return responses
 
 
-class PrecomputedClassifier:
-    """Externally produced labels, looked up by task index: the position
-    of a mention among the dumped classification requests."""
-
-    def __init__(self, responses: Sequence[tuple[AssertionLabel, float]]):
-        self._responses = tuple(responses)
-
-    def classify_task(self, task: int) -> tuple[AssertionLabel, float]:
-        if not 0 <= task < len(self._responses):
-            raise InputError(f"no classifier response for task {task}")
-        return self._responses[task]
-
-
 GOLD_HEADER = ("sentence_id", "mention_index", "label")
 _LABEL_OF = {lab.value: lab for lab in LABELS}
 

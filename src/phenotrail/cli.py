@@ -259,7 +259,7 @@ def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
         return None, None
     if responses_path:
         responses = assertion.read_classification_responses(responses_path, len(curation.tasks))
-        curation.replay(assertion.PrecomputedClassifier(responses), args.include_maybe)
+        curation.replay(responses, args.include_maybe)
     return curation.table(roster, args.day_range, lexicon.group_ids), curation.rejects()
 
 
@@ -329,11 +329,22 @@ def _field(row: dict[str, str], key: str, lineno: int, kind: type = int):
     return value
 
 
+def _bounded(row: dict[str, str], key: str, lineno: int, top: int | None, kind: type = int):
+    """``row[key]``: a count or percentage in [0, ``top``], or with ``top``
+    None a cohort size above 0."""
+    value = _field(row, key, lineno, kind)
+    if top is None and value < 1:
+        raise InputError(f"counts line {lineno}: cohort sizes must be positive, got {key} {value}")
+    if top is not None and not 0 <= value <= top:
+        raise InputError(f"counts line {lineno}: {key} {value} outside [0, {top}]")
+    return value
+
+
 def _uniform_totals(rows, path) -> tuple[int, int]:
     """The pos_total and neg_total that every row repeats."""
     totals = None
     for lineno, row in rows:
-        these = (_field(row, "pos_total", lineno), _field(row, "neg_total", lineno))
+        these = tuple(_bounded(row, key, lineno, None) for key in ("pos_total", "neg_total"))
         totals = totals or these
         if these != totals:
             raise InputError(f"counts line {lineno}: pos_total/neg_total must be uniform")
@@ -355,26 +366,26 @@ def derive_count(pct: float, total: int, lineno: int) -> int:
 
 def _enrichment_counts(row, lineno, n_pos, n_neg) -> tuple[str, int, int]:
     return (row["phenotype"],
-            _field(row, "pos_count", lineno),
-            _field(row, "neg_count", lineno))
+            _bounded(row, "pos_count", lineno, n_pos),
+            _bounded(row, "neg_count", lineno, n_neg))
 
 
 def _daily_counts(row, lineno, n_pos, n_neg) -> tuple[str, int, int, int]:
     """Counts, or counts recovered from the percentages when absent."""
     day = _field(row, "day", lineno)
     if row.get("pos_count"):
-        k_pos = _field(row, "pos_count", lineno)
-        k_neg = _field(row, "neg_count", lineno)
+        k_pos = _bounded(row, "pos_count", lineno, n_pos)
+        k_neg = _bounded(row, "neg_count", lineno, n_neg)
     else:
-        k_pos = derive_count(_field(row, "pos_pct", lineno, float), n_pos, lineno)
-        k_neg = derive_count(_field(row, "neg_pct", lineno, float), n_neg, lineno)
+        k_pos = derive_count(_bounded(row, "pos_pct", lineno, 100, float), n_pos, lineno)
+        k_neg = derive_count(_bounded(row, "neg_pct", lineno, 100, float), n_neg, lineno)
     return (row["phenotype"], day, k_pos, k_neg)
 
 
 def _pair_counts(row, lineno, n_pos, n_neg) -> tuple[str, str, int, int]:
     return (row["phenotype_a"], row["phenotype_b"],
-            _field(row, "pos_count", lineno),
-            _field(row, "neg_count", lineno))
+            _bounded(row, "pos_count", lineno, n_pos),
+            _bounded(row, "neg_count", lineno, n_neg))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +596,8 @@ def _resolve_calibration_rows(path: str, lexicon: Lexicon):
         rows.append(
             (group_id,
              _field(row, "day", lineno),
-             _field(row, "pos_pct", lineno, float),
-             _field(row, "neg_pct", lineno, float))
+             _bounded(row, "pos_pct", lineno, 100, float),
+             _bounded(row, "neg_pct", lineno, 100, float))
         )
     return rows
 

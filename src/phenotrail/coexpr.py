@@ -31,9 +31,9 @@ import re
 import warnings
 from dataclasses import dataclass
 from sys import intern
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
-from .errors import InputError, csv_rows, open_text
+from .errors import InputError, csv_rows, line_blocks, open_text
 
 COEXPR_FILTER_MIN_CELLS = 100
 COEXPR_FILTER_MIN_FRAC = 0.01
@@ -295,7 +295,7 @@ def _read_body(handle: IO[str], header_lineno: int, n_entries: int, fold: _Fold)
     """
     filled = 0
     lineno = header_lineno + 1  # the first line of the next block
-    blocks = _line_blocks(handle)
+    blocks = line_blocks(handle, _BODY_BLOCK)
     for block in blocks:
         rows = _parse_lines(block)
         if rows is None:
@@ -308,24 +308,6 @@ def _read_body(handle: IO[str], header_lineno: int, n_entries: int, fold: _Fold)
         filled += len(rows)
     if filled != n_entries:
         raise InputError(f"matrix declares {n_entries} entries but file has {filled}")
-
-
-def _line_blocks(handle: IO[str]) -> Iterator[str]:
-    """The rest of ``handle`` in blocks of whole lines: each read of
-    ``_BODY_BLOCK`` characters is cut after its last newline.  The last
-    block holds what follows the last newline."""
-    pending: list[str] = []
-    for block in iter(lambda: handle.read(_BODY_BLOCK), ""):
-        cut = block.rfind("\n") + 1
-        if not cut:
-            pending.append(block)
-            continue
-        lines = "".join([*pending, block[:cut]])
-        pending = [block[cut:]]
-        yield lines
-    tail = "".join(pending)
-    if tail:
-        yield tail
 
 
 def _parse_lines(text: str):

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .assertion import AssertionLabel, Classifier, PrecomputedClassifier, RuleClassifier
-from .errors import InputError, csv_rows
+from .assertion import AssertionLabel, Classifier, RuleClassifier
+from .errors import InputError, csv_rows, line_blocks
 from .lexicon import TermMatcher
 from .textproc import (
     NEGATIVE,
@@ -264,8 +264,6 @@ class _Config(NamedTuple):
     def of(cls, roster, matcher, classifier, threshold, day_range, include_maybe):
         if day_range[0] > day_range[1]:
             raise InputError(f"empty day range {day_range}")
-        if threshold is not None:
-            TemplateCounter(threshold)  # checks it before any note is read
         return cls(roster, matcher, classifier, threshold, day_range, _ACCEPTED[include_maybe],
                    _sentence_mask(matcher, classifier), {}, {})
 
@@ -280,17 +278,15 @@ class Curation:
     sentence, start, end) instead, to be labeled by its task index.
 
     The duplicate check holds each note id's UTF-8 in ``note_ids``, with
-    no line: only the later copy's line is reported.  A chunk's ids keep
-    their lines in ``chunk_ids`` until ``keep_ids`` checks them against
-    the earlier chunks', so a copy is reported at its line at any worker count.
+    no line: only the later copy's line is reported.  A pass returns its
+    chunk's ids with their lines, which ``keep_ids`` checks against the
+    earlier chunks', so a copy is reported at its line at any worker count.
     """
 
     def __init__(self, threshold: int | None):
         self.counter = None if threshold is None else TemplateCounter(threshold)
         self.template_flags = b""  # after settle: 1 at each template's number
         self.note_ids: set[bytes] = set()  # the ids of the chunks kept so far
-        self.chunk_ids: dict[bytes, int] = {}  # the ids of the chunk last passed -> line
-        self.error: InputError | None = None  # what ended the pass early
         self.unknown: list[tuple[str, str]] = []  # (note id, patient id)
         self.cells: dict[tuple[str, int], int] = {}  # (group id, day) -> cell number
         # 32 bits hold each field: fingerprint numbers, cells and roster indexes
@@ -299,21 +295,19 @@ class Curation:
         self.events = array("i")
         self.tasks: list[tuple] = []
 
-    def keep_ids(self, chunk_ids: dict[bytes, int]) -> None:
-        """Add a chunk's note ids to the earlier chunks'; raises at the
-        first one among them."""
+    def keep_ids(self, chunk_ids: dict[bytes, int], error: InputError | None) -> None:
+        """Add a chunk's note ids (-> line) to the earlier chunks'; raises the
+        first one an earlier chunk holds, then ``error``, what ended its pass."""
         if not self.note_ids.isdisjoint(chunk_ids):
             for key, lineno in chunk_ids.items():
                 if key in self.note_ids:
                     raise duplicate_note_error(key.decode(), lineno)
+        if error is not None:
+            raise error
         self.note_ids.update(chunk_ids)
 
     def absorb(self, other: Curation, roster: Roster) -> None:
-        """Append ``other``, the pass over the lines that follow; raises
-        the first input error in line order."""
-        self.keep_ids(other.chunk_ids)
-        if other.error is not None:
-            raise other.error
+        """Append ``other``, the pass over the lines that follow."""
         self.unknown += other.unknown
         number = None if self.counter is None else self.counter.merge(other.counter, roster)
         cell = [self.cells.setdefault(key, len(self.cells)) for key in other.cells]
@@ -327,7 +321,7 @@ class Curation:
     def settle(self) -> None:
         """After the last note the templates are known: their tasks go,
         and the counter and the note ids are freed."""
-        self.note_ids, self.chunk_ids = set(), {}  # the duplicate check is done
+        self.note_ids = set()  # the duplicate check is done
         if self.counter is not None:
             self.template_flags = flags = bytes(held is None for held in self.counter.holders)
             self.counter = None
@@ -337,10 +331,12 @@ class Curation:
         """(sentence, span start, span end) per task, in task-index order."""
         return [task[4:] for task in self.tasks]
 
-    def replay(self, classifier: PrecomputedClassifier, include_maybe: bool = False) -> None:
-        """Label each task by its index; the accepted ones become events."""
-        for index, (_fp, i, day, group_ids, *_request) in enumerate(self.tasks):
-            if classifier.classify_task(index)[0] in _ACCEPTED[include_maybe]:
+    def replay(self, responses: Sequence[tuple], include_maybe: bool = False) -> None:
+        """Label each task by the (label, confidence) response at its index;
+        the accepted ones become events."""
+        for (_fp, i, day, group_ids, *_request), (label, _confidence) in zip(
+                self.tasks, responses, strict=True):
+            if label in _ACCEPTED[include_maybe]:
                 for group_id in group_ids:
                     cell = self.cells.setdefault((group_id, day), len(self.cells))
                     self.events.extend((-1, cell, i))
@@ -365,8 +361,10 @@ class Curation:
                        for note_id, patient_id in self.unknown), key=lambda r: r.note_id)
 
 
-def _scan(cfg: _Config, part: Curation, first_lineno: int, lines: list[str]) -> None:
-    """Check, segment, fingerprint, match and classify each note once.
+def _scan(cfg: _Config, part: Curation, chunk_ids: dict[bytes, int], first_lineno: int,
+          lines: list[str]) -> None:
+    """Check, segment, fingerprint, match and classify each note once, and
+    hold each note id's UTF-8 in ``chunk_ids`` with its line.
 
     A record with the four keys, strings without a lone surrogate and a
     date read before is used as decoded; any other goes to ``parse_note_line``.
@@ -381,7 +379,6 @@ def _scan(cfg: _Config, part: Curation, first_lineno: int, lines: list[str]) -> 
     count = None if part.counter is None else part.counter.count
     mask, memo, accepted, dates = cfg.mask, cfg.memo, cfg.accepted, cfg.dates
     lo, hi = cfg.day_range
-    chunk_ids = part.chunk_ids = {}
     for lineno, (line, record) in enumerate(zip(lines, decode_note_chunk(lines)), first_lineno):
         if record is None and not line.strip():
             continue
@@ -429,14 +426,15 @@ def _scan(cfg: _Config, part: Curation, first_lineno: int, lines: list[str]) -> 
                 part.events.extend((number, cell, i))
 
 
-def _pass(cfg: _Config, part: Curation, first_lineno: int, lines: list[str]) -> Curation:
-    """The pass over a chunk of JSON lines, the first numbered ``first_lineno``.
-    An InputError ends it and is kept in ``part.error``."""
+def _pass(cfg: _Config, part: Curation, first_lineno: int, lines: list[str]) -> tuple:
+    """The pass into ``part`` over a chunk of JSON lines, the first numbered
+    ``first_lineno``: (its note ids -> line, the InputError that ended it or None)."""
+    chunk_ids: dict[bytes, int] = {}
     try:
-        _scan(cfg, part, first_lineno, lines)
+        _scan(cfg, part, chunk_ids, first_lineno, lines)
     except InputError as exc:
-        part.error = exc
-    return part
+        return chunk_ids, exc
+    return chunk_ids, None
 
 
 _pool_config: _Config | None = None  # set in each pool worker, never in the parent
@@ -447,8 +445,9 @@ def _pool_init(cfg: _Config) -> None:
     _pool_config = cfg
 
 
-def _pool_pass(chunk: tuple[int, list[str]]) -> Curation:
-    return _pass(_pool_config, Curation(_pool_config.threshold), *chunk)
+def _pool_pass(chunk: tuple[int, list[str]]) -> tuple:
+    part = Curation(_pool_config.threshold)
+    return (part, *_pass(_pool_config, part, *chunk))
 
 
 def _chunks(lines: Iterable[str], size: int, halt) -> Iterator[tuple[int, list[str]]]:
@@ -475,24 +474,18 @@ def _pool_pass_all(cfg: _Config, total: Curation, chunks: Iterator, workers: int
     import multiprocessing  # only the pool needs it; keeps CLI start-up lean
 
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_pool_init, initargs=(cfg,)) as pool:
-        parts = pool.imap(_pool_pass, chunks)
-        try:
-            for part in parts:
-                total.absorb(part, cfg.roster)
-        finally:
-            # Leaving the pool terminates its workers, and a worker stopped
-            # while it writes a result leaves the result queue locked.  So
-            # after an early end no further chunk is read, and the passes
-            # already started are collected first; their errors are moot.
-            halt.set()
-            while True:
-                try:
-                    next(parts)
-                except StopIteration:
-                    break
-                except Exception:
-                    pass
+    pool = ctx.Pool(workers, initializer=_pool_init, initargs=(cfg,))
+    try:
+        for part, chunk_ids, error in pool.imap(_pool_pass, chunks):
+            total.keep_ids(chunk_ids, error)
+            total.absorb(part, cfg.roster)
+    finally:
+        # After an early end no further chunk is read.  Closing, unlike
+        # terminating, lets the passes already started finish, so no worker
+        # is stopped while it writes a result and leaves the queue locked.
+        halt.set()
+        pool.close()
+        pool.join()
 
 
 def curate_notes(
@@ -514,7 +507,7 @@ def curate_notes(
     order is raised, whatever the worker count.
     """
     cfg = _Config.of(roster, matcher, classifier, template_threshold, day_range, include_maybe)
-    total = Curation(cfg.threshold)
+    total = Curation(cfg.threshold)  # its counter checks the threshold before a line is read
     halt = threading.Event()
     chunks = _chunks(lines, _CHUNK if workers > 1 else _SERIAL_CHUNK, halt)
     head = next(chunks, (1, []))
@@ -524,11 +517,7 @@ def curate_notes(
         _pool_pass_all(cfg, total, chain(head, chunks), workers, halt)
     else:  # a read error is raised after the chunk before it
         for start, chunk in chain(head, chunks):
-            total.keep_ids(_pass(cfg, total, start, chunk).chunk_ids)
-            if total.error is not None:
-                break
-    if total.error is not None:
-        raise total.error
+            total.keep_ids(*_pass(cfg, total, start, chunk))
     total.settle()
     return total
 
@@ -723,7 +712,7 @@ def _index_export(
     cells: dict[tuple[str, int], bytearray] = {}  # (group id, day) -> its patients' roster bits
     prefixes: dict[str, tuple[bytearray, int]] = {}  # "group,day,cohort" -> (its cell, arm flag)
     try:
-        for body in _line_runs(raw):
+        for body in line_blocks(raw, _EXPORT_BLOCK):
             if body.translate(None, _ROW_BYTES):
                 return None
             for line in body.decode("ascii").split():  # LF is the only whitespace left
@@ -746,16 +735,3 @@ def _index_export(
         return None
     prefixes.clear()  # so each cell's bytes are freed as they convert
     return {key: PatientBits.from_bytes(cells.pop(key), "little") for key in list(cells)}
-
-
-def _line_runs(raw: IO[bytes]) -> Iterator[bytes]:
-    """The rest of ``raw`` as runs of whole lines, each ended by LF."""
-    tail = b""
-    for block in iter(lambda: raw.read(_EXPORT_BLOCK), b""):
-        data = tail + block
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            yield data[:cut]
-        tail = data[cut:]
-    if tail:
-        yield tail + b"\n"

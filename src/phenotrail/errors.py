@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the one way input text
-files are opened, the one way CSV inputs are read and the one way a
-JSON input's text is decoded."""
+"""Exception types shared across the package, and the one way each of
+these is done: input text files are opened, CSV inputs are read, inputs
+are read in runs of whole lines and a JSON input's text is decoded."""
 
 from __future__ import annotations
 
@@ -33,6 +33,25 @@ def open_text(path: str, what: str, newline: str | None = None) -> Iterator[IO[s
             line = _first_non_utf8_line(path)
             where = f"{what} line {line}" if line is not None else what
             raise InputError(f"{where}: not valid UTF-8 in {path!r}") from None
+
+
+def line_blocks(handle: IO, size: int) -> Iterator:
+    """The rest of ``handle``, text or binary, in runs of whole lines: each
+    read of ``size`` characters or bytes is cut after its last newline, and
+    a read without one is held until one comes.  The last run holds what
+    follows the last newline.  No run is empty."""
+    pending: list = []
+    while block := handle.read(size):
+        cut = block.rfind("\n" if isinstance(block, str) else b"\n") + 1
+        if not cut:
+            pending.append(block)
+            continue
+        pending.append(block[:cut])
+        yield block[:0].join(pending)
+        pending = [block[cut:]]
+    tail = block.join(pending)  # ``block`` is the last read: "" or b""
+    if tail:
+        yield tail
 
 
 def json_value(text: str, where: str):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from phenotrail.assertion import (
     AssertionLabel,
-    PrecomputedClassifier,
     RuleClassifier,
     RuleConfig,
     evaluate,
@@ -345,15 +344,6 @@ class TestBatchProtocol:
         with pytest.raises(InputError, match="outside"):
             read_classification_responses(
                 io.StringIO('{"label": "NO", "confidence": 1.5}\n'), expected=1)
-
-    def test_precomputed_classifier_replays_in_order(self):
-        clf = PrecomputedClassifier([(N, 1.0), (Y, 0.5)])
-        assert clf.classify_task(1) == (Y, 0.5)
-        assert clf.classify_task(0) == (N, 1.0)
-        assert clf.classify_task(1) == (Y, 0.5)  # a lookup, not a cursor
-        for task in (2, -1):
-            with pytest.raises(InputError, match=f"no classifier response for task {task}"):
-                clf.classify_task(task)
 
 
 class TestGoldLabels:

@@ -1048,6 +1048,20 @@ class TestMalformedInputExits2:
         ("pairwise", "phenotype_a,phenotype_b,pos_total,neg_total,pos_count,neg_count\n"
                      "A,B,10,20,1,2\n\"A\nB\",C,10,20,1,2\nA,C,10,20,1,-\n",
          "counts line 5: bad integer in column 'neg_count': '-'"),
+        # Counts outside [0, total], percentages outside [0, 100] and cohort
+        # sizes below 1 are refused as the row is read.
+        ("enrich", "phenotype,pos_total,neg_total,pos_count,neg_count\n"
+                   "Cough,10,20,1,2\nFever,10,20,-1,4\n",
+         "counts line 3: pos_count -1 outside [0, 10]"),
+        ("timeline", "phenotype,day,pos_total,neg_total,pos_pct,neg_pct\n"
+                     "Cough,-7,10,20,10,5\nCough,-6,10,20,130,5\n",
+         "counts line 3: pos_pct 130.0 outside [0, 100]"),
+        ("pairwise", "phenotype_a,phenotype_b,pos_total,neg_total,pos_count,neg_count\n"
+                     "A,B,10,20,1,2\nA,C,10,20,11,1\n",
+         "counts line 3: pos_count 11 outside [0, 10]"),
+        ("timeline", "phenotype,day,pos_total,neg_total,pos_count,neg_count\n"
+                     "\nCough,-7,0,20,0,5\n",
+         "counts line 3: cohort sizes must be positive, got pos_total 0"),
     ])
     def test_counts_value_errors_name_their_line(self, fuzz_roster, capsys, command, text,
                                                  message):
@@ -1060,6 +1074,7 @@ class TestMalformedInputExits2:
     @pytest.mark.parametrize("row, message", [
         ("Nonsense,1,2.0,1.0", "counts line 3: unknown phenotype 'Nonsense'"),
         ("Cough,1,abc,1.0", "counts line 3: bad number in column 'pos_pct': 'abc'"),
+        ("Cough,1,130,1.0", "counts line 3: pos_pct 130.0 outside [0, 100]"),
     ])
     def test_calibration_value_errors_name_their_line(self, tmp_path, capsys, row, message):
         table = tmp_path / "daily.csv"

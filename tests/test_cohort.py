@@ -658,7 +658,8 @@ def chunked_curation(lines, matcher, classifier, threshold, include_maybe, size)
                             include_maybe)
     total = cohort.Curation(threshold)
     for start in range(0, len(lines), size):
-        part = cohort._pass(cfg, cohort.Curation(threshold), start + 1, lines[start:start + size])
+        part = cohort.Curation(threshold)
+        total.keep_ids(*cohort._pass(cfg, part, start + 1, lines[start:start + size]))
         total.absorb(part, STREAM_ROSTER)
     total.settle()
     return total

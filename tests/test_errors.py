@@ -2,13 +2,14 @@ import csv
 import io
 import pathlib
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phenotrail
-from phenotrail.errors import InputError, csv_rows
+from phenotrail.errors import InputError, csv_rows, line_blocks
 
 HEADER = ("a", "b", "c")
 
@@ -101,6 +102,29 @@ class TestCsvRows:
     def test_without_a_header_the_header_row_comes_first(self):
         rows = csv_rows(io.StringIO("b, a\n1,2\n\n"), "t")
         assert list(rows) == [(1, ["b", " a"]), (2, ["1", "2"])]
+
+
+class TestLineBlocks:
+    @given(st.text(alphabet="ab\n\r\u00e9", max_size=60), st.integers(1, 70), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_runs_are_whole_lines_that_rejoin_to_the_input(self, text, size, binary):
+        data = text.encode() if binary else text
+        handle = io.BytesIO(data) if binary else io.StringIO(text, newline="")
+        runs = list(line_blocks(handle, size))
+        newline = b"\n" if binary else "\n"
+        assert data[:0].join(runs) == data
+        assert all(run for run in runs)
+        assert all(run.endswith(newline) for run in runs[:-1])
+
+    def test_one_long_line_costs_linear_time(self):
+        # A reader that recopied its held tail at each read would copy about
+        # 32 GB here (16,384 reads of 256 bytes, each recopying up to 4 MB),
+        # over 3 s on a host where this reader takes under 0.01 s.
+        data = b"x" * (4 << 20) + b"\nlast"
+        started = time.perf_counter()
+        runs = list(line_blocks(io.BytesIO(data), 256))
+        assert time.perf_counter() - started < 1.0
+        assert runs == [data[:-4], b"last"]
 
 
 def test_only_the_shared_reader_parses_csv():

@@ -6,8 +6,9 @@ Each case runs one command through ``cli.run`` and hashes what it writes;
 fails here.  The table inputs are the bundled reference count files and a
 seeded ``synth`` corpus, read both as notes and as its ``curate
 --per-patient`` export.  ``curate`` runs on that corpus with each setting
-that changes a verdict, with an external classifier's requests dumped and
-its responses replayed, and in a pool of two workers over chunks small
+that changes a verdict, with a roster that lacks some of its patients,
+with an external classifier's requests dumped and its responses
+replayed, and with that roster in a pool of two workers over chunks small
 enough that the corpus spans more than two.  ``eval`` scores the corpus's
 gold labels against a copy with every seventh label changed, and
 ``coexpr`` reads a small seeded matrix.  After an intended change to these
@@ -68,11 +69,20 @@ def _curate_digests(name: str, argv: list[str], out: str) -> dict[str, str]:
 
 
 def _curate_cases(notes: list[str], work: str) -> dict[str, str]:
-    """The digests of curate's files under each setting, of the dumped
-    requests, of a replay of responses to them and of a pooled pass."""
+    """The digests of curate's files under each setting, with a roster
+    that lacks some of the corpus's patients, of the dumped requests, of a
+    replay of responses to them and of that roster's pass in a pool."""
     digests = {}
     for name, extra in CURATE_SETTINGS.items():
         digests.update(_curate_digests(name, [*notes, *extra], os.path.join(work, name)))
+    roster = os.path.join(work, "patients.csv")  # every seventh patient left out
+    with open(notes[3], encoding="utf-8") as handle:
+        header, *rows = handle.read().splitlines()
+    kept = [header, *(row for k, row in enumerate(rows) if k % 7)]
+    with open(roster, "w", encoding="utf-8") as handle:
+        handle.writelines(f"{row}\n" for row in kept)
+    unknown = [*notes[:2], "--patients", roster]
+    digests.update(_curate_digests("unknown_patients", unknown, os.path.join(work, "unknown")))
     requests = os.path.join(work, "requests.jsonl")
     assert run(["curate", *notes, "--dump-classification-requests", requests,
                 "--out", os.path.join(work, "ignored")]) == 0
@@ -90,7 +100,7 @@ def _curate_cases(notes: list[str], work: str) -> dict[str, str]:
     with open(notes[1], "rb") as handle:
         assert len(handle.read().splitlines()) > 2 * POOL_CHUNK
     with mock.patch.object(cohort, "_CHUNK", POOL_CHUNK):
-        digests.update(_curate_digests("workers2", [*notes, "--workers", "2"],
+        digests.update(_curate_digests("workers2", [*unknown, "--workers", "2"],
                                        os.path.join(work, "workers2")))
     return digests
 
@@ -188,7 +198,8 @@ def test_notes_and_presence_export_give_the_same_table(digests, command):
 
 
 @pytest.mark.parametrize("case", [
-    *(f"curate/{setting}/{file}" for setting in [*CURATE_SETTINGS, "replay", "workers2"]
+    *(f"curate/{setting}/{file}" for setting in
+      [*CURATE_SETTINGS, "unknown_patients", "replay", "workers2"]
       for file in CURATED),
     "curate/requests.jsonl", "eval/metrics.csv", "coexpr/coexpr.csv",
 ])
@@ -198,7 +209,7 @@ def test_output_bytes_match_golden_digest(digests, golden, case):
 
 @pytest.mark.parametrize("file", CURATED)
 def test_two_workers_give_the_one_worker_files(digests, file):
-    assert digests[f"curate/workers2/{file}"] == digests[f"curate/default/{file}"]
+    assert digests[f"curate/workers2/{file}"] == digests[f"curate/unknown_patients/{file}"]
 
 
 if __name__ == "__main__":
