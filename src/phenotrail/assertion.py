@@ -16,7 +16,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Protocol, Sequence
+from typing import IO, Iterable, Iterator, Protocol, Sequence
 
 from .bundled import ASSERTION_RULES, data_path
 from .errors import InputError, csv_rows, json_value, open_text
@@ -310,12 +310,11 @@ def write_gold_labels(
     )
 
 
-def load_gold_labels(
-    source: IO[str] | str, what: str = "gold", labels=None
-) -> dict[tuple[str, int], AssertionLabel]:
-    """Read a ``sentence_id,mention_index,label`` CSV into ``labels`` (a new
-    dict by default; a key already ``in`` it is a duplicate); errors name ``what``."""
-    labels = {} if labels is None else labels
+def label_rows(
+    source: IO[str] | str, what: str
+) -> Iterator[tuple[int, tuple[str, int], AssertionLabel]]:
+    """(line, (sentence_id, mention_index), label) per row of a
+    ``sentence_id,mention_index,label`` CSV; errors name ``what``."""
     for lineno, (sentence_id, raw_index, raw_label) in csv_rows(source, what, GOLD_HEADER):
         try:
             mention_index = int(raw_index.strip())
@@ -325,7 +324,15 @@ def load_gold_labels(
         if label is None:
             raise InputError(
                 f"{what} line {lineno}: label must be one of {[lab.value for lab in LABELS]}")
-        key = (sentence_id.strip(), mention_index)
+        yield lineno, (sentence_id.strip(), mention_index), label
+
+
+def load_gold_labels(
+    source: IO[str] | str, what: str = "gold"
+) -> dict[tuple[str, int], AssertionLabel]:
+    """The labels of a ``label_rows`` file by key; a repeated key is refused."""
+    labels = {}
+    for lineno, key, label in label_rows(source, what):
         if key in labels:
             raise InputError(f"{what} line {lineno}: duplicate key {key}")
         labels[key] = label

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -44,17 +45,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_window_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--window", type=_parse_span, default=cohort.DEFAULT_WINDOW,
-        metavar="A..B", help="analysis window of relative days (default -7..-1)",
-    )
-    parser.add_argument(
-        "--day-range", type=_parse_span, default=cohort.DEFAULT_DAY_RANGE,
-        metavar="A..B", help="days kept during curation (default -14..14)",
-    )
-
-
 def _add_pipeline_args(parser: argparse.ArgumentParser, inputs=None) -> None:
     """The curation options; ``--notes`` goes into ``inputs``, a group of
     ``parser``, when one is given."""
@@ -73,6 +63,10 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, inputs=None) -> None:
         "--include-maybe", action="store_true",
         help="count suspected (MAYBE) mentions as presence",
     )
+    parser.add_argument(
+        "--day-range", type=_parse_span, default=cohort.DEFAULT_DAY_RANGE,
+        metavar="A..B", help="days kept during curation (default -14..14)",
+    )
     parser.add_argument("--workers", type=_positive_int, metavar="N", help=(
         "curation processes (default 1, in-process; a pool of N pays off only "
         "past about 100k notes)"))
@@ -88,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curate", help="notes -> symptom presence table")
     _add_pipeline_args(p)
-    _add_window_args(p)
     p.add_argument("--per-patient", action="store_true",
                    help="also export the per-patient long presence table")
-    p.add_argument("--dump-classification-requests", metavar="PATH",
-                   help="write the classifier batch requests and stop")
-    p.add_argument("--classification-responses", metavar="PATH",
-                   help="use externally produced classifier responses")
+    external = p.add_mutually_exclusive_group()  # one use of an external classifier
+    external.add_argument("--dump-classification-requests", metavar="PATH",
+                          help="write the classifier batch requests and stop")
+    external.add_argument("--classification-responses", metavar="PATH",
+                          help="use externally produced classifier responses")
     p.add_argument("--out", required=True)
 
     for name, help_text in (
@@ -105,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         inputs = p.add_mutually_exclusive_group()  # one source of counts
         _add_pipeline_args(p, inputs)
-        _add_window_args(p)
+        p.add_argument(
+            "--window", type=_parse_span, default=cohort.DEFAULT_WINDOW,
+            metavar="A..B", help="analysis window of relative days (default -7..-1)",
+        )
         inputs.add_argument("--from-counts", metavar="PATH",
                             help="skip curation; read pre-tabulated counts")
         inputs.add_argument("--presence", metavar="PATH",
@@ -226,6 +223,9 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 def _curate_table(args: argparse.Namespace, lexicon: Lexicon):
     """Run notes+patients through curation; returns (table, rejects), or
     (None, None) once --dump-classification-requests has written its file."""
+    if args.no_template_filter and args.template_threshold != cohort.DEFAULT_TEMPLATE_THRESHOLD:
+        raise InputError("--template-threshold applies only with the template filter, "
+                         "not with --no-template-filter")
     _require(args, "notes", "patients")
     args.workers = args.workers or 1  # resolved here, so that the manifest records it
     if args.workers > 1:
@@ -428,7 +428,12 @@ def _out_file(out_dir: str, name: str) -> str:
 
 
 def _cmd_curate(args, argv) -> int:
-    cohort.check_window(args.window, args.day_range)
+    if args.dump_classification_requests:
+        for option, given in (("--include-maybe", args.include_maybe),
+                              ("--per-patient", args.per_patient)):
+            if given:
+                raise InputError(f"{option} applies only when the presence tables are "
+                                 "written, not with --dump-classification-requests")
     lexicon, lexicon_path = _load_lexicon_arg(args)
     table, rejects = _curate_table(args, lexicon)
     if table is None:  # --dump-classification-requests mode
@@ -450,7 +455,6 @@ def _cmd_curate(args, argv) -> int:
 
 def _pipeline_config(args) -> dict:
     return {
-        "window": list(args.window),
         "day_range": list(args.day_range),
         "template_threshold": args.template_threshold,
         "template_filter": not args.no_template_filter,
@@ -545,38 +549,30 @@ def _cmd_table(args, argv) -> int:
     with open(_out_file(args.out, spec.output), "w", encoding="utf-8") as handle:
         _write_table(spec.columns, rows, names, n_pos, n_neg, handle)
     write_manifest(args.out, argv, inputs, [spec.output],
-                   {**_pipeline_config(args), **options})
+                   {**_pipeline_config(args), "window": list(args.window), **options})
     return 0
-
-
-class _Pairing:
-    """The pred rows paired with gold's labels in pred order, as ``load_gold_labels``
-    stores them.  A paired gold key's label becomes None: a repeat is a duplicate."""
-
-    def __init__(self, gold: dict):
-        self.gold, self.extra, self.gold_labels, self.pred_labels = gold, set(), [], []
-
-    def __contains__(self, key) -> bool:
-        return key in self.extra or (key in self.gold and self.gold[key] is None)
-
-    def __setitem__(self, key, label) -> None:
-        if self.gold.get(key) is None:
-            self.extra.add(key)
-        else:
-            self.gold_labels.append(self.gold[key])
-            self.pred_labels.append(label)
-            self.gold[key] = None
 
 
 def _cmd_eval(args, argv) -> int:
     gold = assertion.load_gold_labels(args.gold)
-    pairs = _Pairing(gold)
-    assertion.load_gold_labels(args.pred, "pred", pairs)
+    # The pred rows are paired with gold's labels in pred order.  A paired
+    # gold key's label becomes None, so that a repeat of it is a duplicate.
+    gold_labels, pred_labels, extra = [], [], set()
+    for lineno, key, label in assertion.label_rows(args.pred, "pred"):
+        expected = gold.get(key)
+        if key in extra or (expected is None and key in gold):
+            raise InputError(f"pred line {lineno}: duplicate key {key}")
+        if expected is None:
+            extra.add(key)
+        else:
+            gold_labels.append(expected)
+            pred_labels.append(label)
+            gold[key] = None
     missing = sum(label is not None for label in gold.values())
-    if missing or pairs.extra:
-        raise InputError(f"gold/pred key mismatch: {missing} missing, {len(pairs.extra)} extra")
-    metrics = assertion.evaluate(pairs.gold_labels, pairs.pred_labels)
-    del gold, pairs
+    if missing or extra:
+        raise InputError(f"gold/pred key mismatch: {missing} missing, {len(extra)} extra")
+    metrics = assertion.evaluate(gold_labels, pred_labels)
+    del gold, gold_labels, pred_labels
     with open(_out_file(args.out, "metrics.csv"), "w", encoding="utf-8") as handle:
         _write_metrics_csv(metrics, handle)
     write_manifest(args.out, argv, [args.gold, args.pred], ["metrics.csv"], {})
@@ -612,16 +608,11 @@ def _cmd_synth(args, argv) -> int:
     else:
         _require(args, "calibrate_daily", "n_pos", "n_neg")
         rows = _resolve_calibration_rows(args.calibrate_daily, lexicon)
-        config = synth.calibrate_from_daily_table(
-            rows,
-            n_pos=args.n_pos,
-            n_neg=args.n_neg,
-            negation_rate=args.negation_rate,
-            uncertainty_rate=args.uncertainty_rate,
-            other_rate=args.other_rate,
-            template_rate=args.template_rate,
-            seed=args.seed,
-        )
+        # Every config field but day_probs comes from the option of its name.
+        config = synth.calibrate_from_daily_table(rows, **{
+            field.name: getattr(args, field.name)
+            for field in dataclasses.fields(synth.SynthConfig) if field.name != "day_probs"
+        })
         inputs = [args.calibrate_daily]
     inputs.append(lexicon_path)
 
@@ -691,10 +682,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return run(argv)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse errors use code 2 already

@@ -29,6 +29,7 @@ import itertools
 import math
 import re
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from sys import intern
 from typing import IO, Iterable, NamedTuple, Sequence
@@ -260,29 +261,28 @@ def load_triplet_matrix(
     for gene in keep_genes or ():
         if gene not in genes:
             raise InputError(f"unknown gene symbol {gene!r}")
-    if isinstance(matrix_source, str):
-        with open_text(matrix_source, "matrix") as handle:
-            return load_triplet_matrix(handle, cells, genes, keep_genes)
-
-    for header_lineno, header in enumerate(matrix_source, start=1):
-        if header.strip():
-            break
-    else:
-        raise InputError("matrix file is empty")
-    parts = header.split()
-    if len(parts) != 3:
-        raise InputError("matrix header must be 'n_cells n_genes n_entries'")
-    try:
-        n_cells, n_genes, n_entries = (int(p) for p in parts)
-    except ValueError:
-        raise InputError("matrix header fields must be integers") from None
-    if n_cells != len(cells):
-        raise InputError(f"matrix declares {n_cells} cells but annotation lists {len(cells)}")
-    if n_genes != len(genes):
-        raise InputError(f"matrix declares {n_genes} genes but gene list has {len(genes)}")
-    keep = None if keep_genes is None else [gene in keep_genes for gene in genes]
-    fold = _Fold(n_cells, n_genes, keep)
-    _read_body(matrix_source, header_lineno, n_entries, fold)
+    opened = (open_text(matrix_source, "matrix") if isinstance(matrix_source, str)
+              else nullcontext(matrix_source))
+    with opened as handle:
+        for header_lineno, header in enumerate(handle, start=1):
+            if header.strip():
+                break
+        else:
+            raise InputError("matrix file is empty")
+        parts = header.split()
+        if len(parts) != 3:
+            raise InputError("matrix header must be 'n_cells n_genes n_entries'")
+        try:
+            n_cells, n_genes, n_entries = (int(p) for p in parts)
+        except ValueError:
+            raise InputError("matrix header fields must be integers") from None
+        if n_cells != len(cells):
+            raise InputError(f"matrix declares {n_cells} cells but annotation lists {len(cells)}")
+        if n_genes != len(genes):
+            raise InputError(f"matrix declares {n_genes} genes but gene list has {len(genes)}")
+        keep = None if keep_genes is None else [gene in keep_genes for gene in genes]
+        fold = _Fold(n_cells, n_genes, keep)
+        _read_body(handle, header_lineno, n_entries, fold)
     return ExpressionMatrix(cells, genes, fold)
 
 
@@ -351,18 +351,14 @@ def _body_error(blocks: Iterable[str], lineno: int) -> InputError:
     return InputError("matrix body must be 'cell_index gene_index count' lines")
 
 
-def _load_cells(source: IO[str] | str | Sequence[CellInfo]):
-    if isinstance(source, (list, tuple)):
-        return source
+def _load_cells(source: IO[str] | str) -> list[CellInfo]:
     make = tuple.__new__  # skips the NamedTuple's Python-level __new__
     # one string object per distinct tissue and cell type, not one per row
     return [make(CellInfo, (cell_id.strip(), intern(tissue.strip()), intern(cell_type.strip())))
             for _, (cell_id, tissue, cell_type) in csv_rows(source, "cells", CellInfo._fields)]
 
 
-def _load_genes(source: IO[str] | str | Sequence[str]):
-    if isinstance(source, (list, tuple)):
-        return source
+def _load_genes(source: IO[str] | str) -> list[str]:
     if isinstance(source, str):
         with open_text(source, "genes") as handle:
             return _load_genes(handle)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Sequence
@@ -127,18 +127,9 @@ class SynthConfig:
         return tuple(sorted({g for g, _c, _d in self.day_probs}))
 
     def to_json(self, stream: IO[str]) -> None:
-        payload = {
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "negation_rate": self.negation_rate,
-            "uncertainty_rate": self.uncertainty_rate,
-            "other_rate": self.other_rate,
-            "template_rate": self.template_rate,
-            "seed": self.seed,
-            "day_probs": {
-                f"{g}|{cohort}|{day}": p
-                for (g, cohort, day), p in sorted(self.day_probs.items())
-            },
+        payload = asdict(self)
+        payload["day_probs"] = {
+            f"{g}|{cohort}|{day}": p for (g, cohort, day), p in sorted(self.day_probs.items())
         }
         json.dump(payload, stream, indent=2, sort_keys=True)
         stream.write("\n")
@@ -188,39 +179,19 @@ def _number(name: str, value) -> float:
 
 
 def calibrate_from_daily_table(
-    rows: Iterable[tuple[str, int, float, float]],
-    n_pos: int,
-    n_neg: int,
-    negation_rate: float = 0.0,
-    uncertainty_rate: float = 0.0,
-    other_rate: float = 0.0,
-    template_rate: float = 0.0,
-    seed: int = 0,
+    rows: Iterable[tuple[str, int, float, float]], n_pos: int, n_neg: int, **settings
 ) -> SynthConfig:
-    """Turn (group_id, day, pct_pos, pct_neg) percentage rows into a config.
+    """Turn (group_id, day, pct_pos, pct_neg) percentage rows into a config
+    with ``settings``, the rates and seed of ``SynthConfig``.
 
     Percentages become per-cell probabilities (pct / 100), so an expected
     count is recoverable as round(pct * N / 100).
     """
-    day_probs: dict[tuple[str, str, int], float] = {}
+    day_probs = {}
     for group_id, day, pct_pos, pct_neg in rows:
-        for cohort, pct in (("positive", pct_pos), ("negative", pct_neg)):
-            if not 0.0 <= pct <= 100.0:
-                raise InputError(
-                    f"percentage {pct!r} for ({group_id}, {cohort}, {day}) "
-                    "outside [0, 100]"
-                )
-            day_probs[(group_id, cohort, day)] = pct / 100.0
-    return SynthConfig(
-        n_pos=n_pos,
-        n_neg=n_neg,
-        day_probs=day_probs,
-        negation_rate=negation_rate,
-        uncertainty_rate=uncertainty_rate,
-        other_rate=other_rate,
-        template_rate=template_rate,
-        seed=seed,
-    )
+        day_probs[(group_id, "positive", day)] = pct_pos / 100.0
+        day_probs[(group_id, "negative", day)] = pct_neg / 100.0
+    return SynthConfig(n_pos, n_neg, day_probs, **settings)
 
 
 @dataclass

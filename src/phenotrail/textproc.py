@@ -188,14 +188,11 @@ def encodable(text: str) -> bool:
     return True
 
 
-def parse_notes(
-    lines: Iterable[str], lineno: int = 1, seen: dict[str, int] | None = None
-) -> Iterator[ClinicalNote]:
-    """Parse JSON-lines records, the first numbered ``lineno``, enforcing
-    unique note ids; ``seen`` maps each note id read so far to its line."""
-    seen = {} if seen is None else seen
+def parse_notes(lines: Iterable[str]) -> Iterator[ClinicalNote]:
+    """Parse JSON-lines records, enforcing unique note ids."""
+    seen: dict[str, int] = {}  # note id -> its line
     dates: dict[str, date] = {}
-    for lineno, line in enumerate(lines, start=lineno):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         note = parse_note_line(line, lineno, dates)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import phenotrail
 from phenotrail import bundled
-from phenotrail.cli import main, rerun_from_manifest, run
+from phenotrail.cli import build_parser, main, rerun_from_manifest, run
 from phenotrail.errors import InputError
 from phenotrail.lexicon import load_default_lexicon
 
@@ -93,6 +93,15 @@ def duplicate_roster(tmp_path_factory, corpus_dir):
 def corpus_args(corpus_dir):
     return ["--notes", str(corpus_dir / "notes.jsonl"),
             "--patients", str(corpus_dir / "patients.csv")]
+
+
+def usage_error(message, command=None):
+    """The stderr of an argparse refusal: the usage of the top-level parser,
+    or of ``command``'s, then its error line."""
+    parser = build_parser()
+    if command:
+        parser = parser._subparsers._group_actions[0].choices[command]
+    return f"{parser.format_usage()}{parser.prog}: error: {message}\n"
 
 
 def presence_args(corpus_dir, curated_dir):
@@ -264,13 +273,60 @@ class TestCurateCommand:
 
     @pytest.mark.parametrize("dump", [False, True], ids=["curate", "dump_requests"])
     def test_bad_window_rejected_before_any_output(self, corpus_dir, tmp_path, capsys, dump):
+        # curate writes no window's counts, so it takes no --window at all.
         requests = tmp_path / "requests.jsonl"
         extra = ["--dump-classification-requests", str(requests)] if dump else []
         assert main([
             "curate", *corpus_args(corpus_dir), "--window=-20..-1", *extra,
             "--out", str(tmp_path / "out"),
         ]) == 2
-        assert "outside day range" in capsys.readouterr().err
+        assert capsys.readouterr().err == usage_error(
+            "unrecognized arguments: --window=-20..-1")
+        assert not (tmp_path / "out").exists()
+        assert not requests.exists()
+
+    def test_window_is_not_a_curate_option(self, corpus_dir, tmp_path, capsys):
+        """A window inside the day range changed no curate output, so it
+        was ignored; it is refused like any other unknown option."""
+        assert main(["curate", *corpus_args(corpus_dir), "--window=-3..-1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == usage_error("unrecognized arguments: --window=-3..-1")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, dump", [
+        ("curate", False), ("curate", True), ("enrich", False), ("timeline", False),
+        ("pairwise", False)], ids=["curate", "dump_requests", "enrich", "timeline",
+                                   "pairwise"])
+    def test_template_threshold_without_the_filter_exit_code(
+            self, corpus_dir, tmp_path, capsys, command, dump):
+        requests = tmp_path / "requests.jsonl"
+        extra = ["--dump-classification-requests", str(requests)] if dump else []
+        assert main([command, *corpus_args(corpus_dir), "--no-template-filter",
+                     "--template-threshold", "1", *extra, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: --template-threshold applies only with the "
+                                           "template filter, not with --no-template-filter\n")
+        assert not (tmp_path / "out").exists()
+        assert not requests.exists()
+
+    @pytest.mark.parametrize("option", ["--include-maybe", "--per-patient"])
+    def test_table_option_with_a_dump_exit_code(self, corpus_dir, tmp_path, capsys, option):
+        requests = tmp_path / "requests.jsonl"
+        assert main(["curate", *corpus_args(corpus_dir), "--dump-classification-requests",
+                     str(requests), option, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {option} applies only when the presence tables are written, "
+            "not with --dump-classification-requests\n")
+        assert not (tmp_path / "out").exists()
+        assert not requests.exists()
+
+    def test_dump_with_responses_exit_code(self, corpus_dir, tmp_path, capsys):
+        requests = tmp_path / "requests.jsonl"
+        assert main(["curate", *corpus_args(corpus_dir), "--dump-classification-requests",
+                     str(requests), "--classification-responses", "/nonexistent",
+                     "--include-maybe", "--per-patient", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == usage_error(
+            "argument --classification-responses: not allowed with argument "
+            "--dump-classification-requests", "curate")
         assert not (tmp_path / "out").exists()
         assert not requests.exists()
 

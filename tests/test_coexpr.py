@@ -325,8 +325,20 @@ def at_both_block_sizes(run, *args):
         return [default, run(*args)]
 
 
+def cells_file(cells):
+    """A text stream of ``cells`` as a cell annotation CSV."""
+    return io.StringIO("cell_id,tissue,cell_type\n" + "".join(
+        f"{c.cell_id},{c.tissue},{c.cell_type}\n" for c in cells))
+
+
+def genes_file(genes):
+    """A text stream of ``genes`` as a gene list."""
+    return io.StringIO("".join(f"{gene}\n" for gene in genes))
+
+
 def package_csv(text, cells, gene_a, gene_b, min_cells, min_frac, keep_genes=None):
-    matrix = load_triplet_matrix(io.StringIO(text), cells, GENES, keep_genes)
+    matrix = load_triplet_matrix(io.StringIO(text), cells_file(cells), genes_file(GENES),
+                                 keep_genes)
     summaries = coexpression_summary(matrix, gene_a, gene_b, min_cells, min_frac)
     buffer = io.StringIO()
     write_coexpr_csv(summaries, gene_a, gene_b, buffer)
@@ -380,7 +392,8 @@ class TestOracle:
                         *(f"{c} {g} {v}\n" for c, g, v in entries)])
         whole = ExpressionMatrix(cells, GENES, entries)
         with mock.patch.object(coexpr, "_BODY_BLOCK", TINY_BLOCK):
-            two = load_triplet_matrix(io.StringIO(text), cells, GENES, (gene_a, gene_b))
+            two = load_triplet_matrix(io.StringIO(text), cells_file(cells), genes_file(GENES),
+                                      (gene_a, gene_b))
             csv_text = outcome(two_gene_csv, text, cells, gene_a, gene_b, 1, 0.0)
         totals = [sum(v for c, _, v in entries if c == i) for i in range(len(cells))]
         assert two.cell_totals == whole.cell_totals == totals
@@ -438,9 +451,8 @@ class TestOracle:
 def write_inputs(directory, matrix_text, cells):
     paths = {name: directory / f"{name}.txt" for name in ("matrix", "cells", "genes")}
     paths["matrix"].write_text(matrix_text, encoding="utf-8")
-    paths["cells"].write_text("cell_id,tissue,cell_type\n" + "".join(
-        f"{c.cell_id},{c.tissue},{c.cell_type}\n" for c in cells), encoding="utf-8")
-    paths["genes"].write_text("\n".join(GENES) + "\n", encoding="utf-8")
+    paths["cells"].write_text(cells_file(cells).getvalue(), encoding="utf-8")
+    paths["genes"].write_text(genes_file(GENES).getvalue(), encoding="utf-8")
     return paths
 
 
@@ -504,8 +516,8 @@ class TestArgumentsFirst:
 
     def test_unknown_kept_gene_before_the_matrix_is_opened(self, tmp_path):
         with pytest.raises(InputError, match="^unknown gene symbol 'NOPE'$"):
-            load_triplet_matrix(str(tmp_path / "missing.txt"), [cell(0)], GENES,
-                                ["ACE2", "NOPE"])
+            load_triplet_matrix(str(tmp_path / "missing.txt"), cells_file([cell(0)]),
+                                genes_file(GENES), ["ACE2", "NOPE"])
 
 
 class TestBlocks:
@@ -531,7 +543,7 @@ class TestBlocks:
     def test_error_order(self, tmp_path, capsys, monkeypatch, block, text, message):
         monkeypatch.setattr(coexpr, "_BODY_BLOCK", block)
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            load_triplet_matrix(io.StringIO(text), self.CELLS, GENES)
+            load_triplet_matrix(io.StringIO(text), cells_file(self.CELLS), genes_file(GENES))
         paths = write_inputs(tmp_path, text, self.CELLS)
         assert main(coexpr_args(paths, tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -565,7 +577,8 @@ class TestBlocks:
         n_good = self.GOOD.count("\n")
         text = f"3 4 {2 * n_good + 1}\n{self.GOOD}{entry}\n{self.GOOD}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            load_triplet_matrix(io.StringIO(text), self.CELLS, GENES, ["ACE2", "TMPRSS2"])
+            load_triplet_matrix(io.StringIO(text), cells_file(self.CELLS), genes_file(GENES),
+                                ["ACE2", "TMPRSS2"])
         paths = write_inputs(tmp_path, text, self.CELLS)
         assert main(coexpr_args(paths, tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -591,7 +604,7 @@ class TestBlocks:
                     for _ in range(n_entries))
             tracemalloc.start()
             try:
-                load_triplet_matrix(str(path), cells, genes, ["G0", "G7"])
+                load_triplet_matrix(str(path), cells_file(cells), genes_file(genes), ["G0", "G7"])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -599,9 +612,9 @@ class TestBlocks:
 
     def test_peak_memory_is_the_columns_and_a_few_blocks(self, tmp_path):
         """tracemalloc sees numpy's buffers.  Past the 16 bytes an entry that
-        the columns keep, the loader holds a block's text, its bytes, its
-        int64 rows and the read buffers: a whole-body read would hold the
-        body's text and 24 bytes an entry."""
+        the columns keep, the loader holds the cells and genes it reads, a
+        block's text, its bytes, its int64 rows and the read buffers: a
+        whole-body read would hold the body's text and 24 bytes an entry."""
         rng = random.Random(5)
         n_cells, n_genes, n_entries = 2000, 400, 200_000
         path = tmp_path / "counts.txt"
@@ -614,7 +627,7 @@ class TestBlocks:
         genes = [f"G{i}" for i in range(n_genes)]
         tracemalloc.start()
         try:
-            matrix = load_triplet_matrix(str(path), cells, genes)
+            matrix = load_triplet_matrix(str(path), cells_file(cells), genes_file(genes))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -48,7 +48,7 @@ CURATE_SETTINGS = {
     "default": [],
     "include_maybe": ["--include-maybe"],
     "no_template_filter": ["--no-template-filter"],
-    "day_range": ["--day-range=-6..6", "--window=-6..-1"],
+    "day_range": ["--day-range=-6..6"],
 }
 POOL_CHUNK = 1000  # lines per pool task, so that the corpus spans six
 

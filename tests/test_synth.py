@@ -459,11 +459,13 @@ class TestSeeding:
 
 class TestGoldenCorpus:
     # SHA-256 of the synth files for one small calibrated config, taken
-    # from the cell-by-cell generator this one replaced.
+    # from the cell-by-cell generator this one replaced; the config's from
+    # the field-by-field ``to_json`` that ``dataclasses.fields`` replaced.
     DIGESTS = {
         "notes.jsonl": "a8c25226d0a316d3f95fd026920b966d20c2e7ccb8bf20912c99a58c74358183",
         "patients.csv": "9297ecc539fcdf6243536ccd4093bf160ecd13a3beb9f2051f20fd84b063be4d",
         "gold_labels.csv": "a7a10bcd038014ecd206509e37ac6dc5de96ed43b34148912cc2c9a30a2ea45c",
+        "synth_config.json": "ce1239162f1b6259536b112d3614783619c6307995d0eb22298e11fd83998232",
     }
 
     def test_files_match_recorded_digests(self, tmp_path):
