@@ -10,7 +10,6 @@ JSON config file.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import re
@@ -297,17 +296,6 @@ def read_classification_responses(
 
 GOLD_HEADER = ("sentence_id", "mention_index", "label")
 _LABEL_OF = {lab.value: lab for lab in LABELS}
-
-
-def write_gold_labels(
-    rows: Iterable[tuple[str, int, AssertionLabel]], stream: IO[str]
-) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(GOLD_HEADER)
-    writer.writerows(
-        (sentence_id, mention_index, label.value)
-        for sentence_id, mention_index, label in rows
-    )
 
 
 def label_rows(

@@ -118,16 +118,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
-    p.add_argument("--config", metavar="PATH", help="synth config JSON")
-    p.add_argument("--calibrate-daily", metavar="PATH",
-                   help="daily percentage table to calibrate from")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", metavar="PATH", help="synth config JSON")
+    source.add_argument("--calibrate-daily", metavar="PATH",
+                        help="daily percentage table to calibrate from")
+    # Omitted settings take SynthConfig's defaults, their one home.
     p.add_argument("--n-pos", type=int)
     p.add_argument("--n-neg", type=int)
-    p.add_argument("--negation-rate", type=float, default=0.0)
-    p.add_argument("--uncertainty-rate", type=float, default=0.0)
-    p.add_argument("--other-rate", type=float, default=0.0)
-    p.add_argument("--template-rate", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--negation-rate", type=float)
+    p.add_argument("--uncertainty-rate", type=float)
+    p.add_argument("--other-rate", type=float)
+    p.add_argument("--template-rate", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--lexicon", help="phenotype lexicon CSV (default: bundled)")
     p.add_argument("--out", required=True)
 
@@ -601,28 +603,29 @@ def _resolve_calibration_rows(path: str, lexicon: Lexicon):
 def _cmd_synth(args, argv) -> int:
     from . import synth  # here, so that the other commands need not compile or load it
 
+    # Every config field but day_probs comes from the option of its name.
+    settings = {field.name: getattr(args, field.name)
+                for field in dataclasses.fields(synth.SynthConfig) if field.name != "day_probs"}
     lexicon, lexicon_path = _load_lexicon_arg(args)
     if args.config:
+        for name, value in settings.items():
+            if value is not None:
+                raise InputError(f"--{name.replace('_', '-')} applies only with "
+                                 "--calibrate-daily, not with --config")
         config = synth.SynthConfig.from_json(args.config)
         inputs = [args.config]
     else:
         _require(args, "calibrate_daily", "n_pos", "n_neg")
         rows = _resolve_calibration_rows(args.calibrate_daily, lexicon)
-        # Every config field but day_probs comes from the option of its name.
-        config = synth.calibrate_from_daily_table(rows, **{
-            field.name: getattr(args, field.name)
-            for field in dataclasses.fields(synth.SynthConfig) if field.name != "day_probs"
-        })
+        config = synth.calibrate_from_daily_table(
+            rows, **{name: value for name, value in settings.items() if value is not None})
         inputs = [args.calibrate_daily]
     inputs.append(lexicon_path)
-
-    corpus = synth.generate(config, lexicon)
-    with open(_out_file(args.out, "notes.jsonl"), "w", encoding="utf-8") as handle:
-        synth.write_notes_jsonl(corpus.notes, handle)
-    with open(_out_file(args.out, "patients.csv"), "w", encoding="utf-8") as handle:
-        synth.write_patients_csv(corpus.patients, handle)
-    with open(_out_file(args.out, "gold_labels.csv"), "w", encoding="utf-8") as handle:
-        assertion.write_gold_labels(corpus.gold, handle)
+    config.groups(lexicon)  # refuse an unknown group before a file is opened
+    with open(_out_file(args.out, "notes.jsonl"), "w", encoding="utf-8") as notes, \
+            open(_out_file(args.out, "patients.csv"), "w", encoding="utf-8") as patients, \
+            open(_out_file(args.out, "gold_labels.csv"), "w", encoding="utf-8") as gold:
+        synth.generate(config, lexicon, notes, patients, gold)
     with open(_out_file(args.out, "synth_config.json"), "w", encoding="utf-8") as handle:
         config.to_json(handle)
     write_manifest(

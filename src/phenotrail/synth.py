@@ -23,21 +23,28 @@ Sentence frames are a fixed, versioned bank.  Affirmative frames embed a
 synonym that belongs to exactly one group whenever the group has such a
 term, so cross-listed synonyms cannot leak presence into other groups
 and daily proportions stay calibrated.
+
+``generate`` writes each block of patients' note and gold lines as soon
+as the block is drawn, so memory holds one block, not the corpus.  It
+formats the lines itself: only a note's text can hold a character that
+JSON escapes, while the ids, dates and gold rows are synth's own ASCII
+formats and need no escaping or quoting.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from json.encoder import encode_basestring
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
-from .assertion import AssertionLabel
+from .assertion import GOLD_HEADER, AssertionLabel
 from .errors import InputError, json_value, open_text
 from .lexicon import Lexicon
-from .textproc import PATIENT_HEADER, ClinicalNote, PatientRecord
+from .textproc import PATIENT_HEADER, PatientRecord
 
 FRAME_BANK_VERSION = 2
 
@@ -126,6 +133,14 @@ class SynthConfig:
     def group_ids(self) -> tuple[str, ...]:
         return tuple(sorted({g for g, _c, _d in self.day_probs}))
 
+    def groups(self, lexicon: Lexicon) -> list[str]:
+        """The config's groups in the lexicon's order; refuses any it lacks."""
+        known, wanted = set(lexicon.group_ids), set(self.group_ids)
+        if wanted - known:
+            raise InputError("config references groups missing from lexicon: "
+                             f"{[g for g in self.group_ids if g not in known]}")
+        return [g for g in lexicon.group_ids if g in wanted]
+
     def to_json(self, stream: IO[str]) -> None:
         payload = asdict(self)
         payload["day_probs"] = {
@@ -192,13 +207,6 @@ def calibrate_from_daily_table(
         day_probs[(group_id, "positive", day)] = pct_pos / 100.0
         day_probs[(group_id, "negative", day)] = pct_neg / 100.0
     return SynthConfig(n_pos, n_neg, day_probs, **settings)
-
-
-@dataclass
-class SynthCorpus:
-    patients: list[PatientRecord]
-    notes: list[ClinicalNote]
-    gold: list[tuple[str, int, AssertionLabel]]  # (sentence_id, mention_index, label)
 
 
 def _exclusive_terms(lexicon: Lexicon, group_id: str) -> tuple[str, ...]:
@@ -296,8 +304,18 @@ def _pcg64_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
     return states
 
 
-def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
-    """Produce (roster, notes, gold labels); identical output per seed.
+def _note_line(patient_id: str, note_id: str, iso_date: str, text: str) -> str:
+    """``json.dumps(note, ensure_ascii=False)`` and LF, for ids and a date
+    that hold no character JSON escapes; the text goes through the
+    string encoder that call uses, with its key order and separators."""
+    return (f'{{"patient_id": "{patient_id}", "note_id": "{note_id}", "date": "{iso_date}", '
+            f'"text": {encode_basestring(text)}}}\n')
+
+
+def generate(config: SynthConfig, lexicon: Lexicon, notes: IO[str], patients: IO[str],
+             gold: IO[str]) -> None:
+    """Write the roster, the notes as JSON lines and the gold labels as
+    CSV to the three streams; identical bytes per seed.
 
     Patient ``index`` draws the stream of ``default_rng((seed, index))``:
     five uniforms per (day, group) cell, as one (5, days, groups) array,
@@ -316,28 +334,32 @@ def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
     each row holds the same doubles as ``default_rng((seed, index))``
     would give.  The draws of a block of patients are evaluated as numpy
     arrays, so Python formats only the cells that emit a sentence.
+
+    Each block's note and gold lines are written before the next block
+    is drawn, so what this holds is one block, not the corpus.  A line is
+    ``json.dumps(note, ensure_ascii=False)`` and a gold row is the csv
+    module's row, built directly: only the note text goes through
+    ``encode_basestring``, the encoder that call uses.  The ids
+    (``SP{index:06d}``, ``SP{index:06d}-D{day:+03d}`` and
+    ``{note_id}:{sentence}``), the ISO dates and the mention index hold
+    ASCII letters, digits, ``+``, ``-`` and ``:`` only, and the labels are
+    upper-case words: no character that JSON escapes or that CSV quotes.
     """
     import numpy as np  # here, so that every other command starts without numpy
 
-    known = set(lexicon.group_ids)
-    missing = [g for g in config.group_ids if g not in known]
-    if missing:
-        raise InputError(f"config references groups missing from lexicon: {missing}")
-
-    groups = [g for g in lexicon.group_ids if g in set(config.group_ids)]
+    groups = config.groups(lexicon)
     days = config.days
     n_days, n_groups = len(days), len(groups)
     n_total = config.n_pos + config.n_neg
     pcr_dates = [_BASE_DATE + timedelta(days=k) for k in range(_DATE_CYCLE)]
-    patients = [
+    write_patients_csv((
         PatientRecord(f"SP{index:06d}", pcr_dates[index % _DATE_CYCLE],
                       "positive" if index < config.n_pos else "negative")
         for index in range(n_total)
-    ]
-    notes: list[ClinicalNote] = []
-    gold: list[tuple[str, int, AssertionLabel]] = []
+    ), patients)
+    gold.write(",".join(GOLD_HEADER) + "\n")
     if n_days == 0 or n_groups == 0:
-        return SynthCorpus(patients=patients, notes=notes, gold=gold)
+        return
 
     terms = [_exclusive_terms(lexicon, g) for g in groups]
     n_terms = np.array([len(t) for t in terms])
@@ -350,6 +372,10 @@ def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
     noise_total = config.negation_rate + config.uncertainty_rate + config.other_rate
     noise_cut1 = config.negation_rate
     noise_cut2 = config.negation_rate + config.uncertainty_rate
+    # Text of each (PCR date slot, day), note id suffix and gold row end.
+    note_dates = [[(pcr + timedelta(days=d)).isoformat() for d in days] for pcr in pcr_dates]
+    day_ids = [f"-D{d:+03d}" for d in days]
+    row_ends = [f",0,{label.value}\n" for label in _CELL_LABELS]
 
     cell_draws = 5 * n_days * n_groups
     width = cell_draws + 2 * n_days
@@ -395,61 +421,38 @@ def generate(config: SynthConfig, lexicon: Lexicon) -> SynthCorpus:
         note_key = np.union1d(cell_key, template_key)
         template = np.full(note_key.shape, -1, dtype=np.intp)
         template[np.searchsorted(note_key, template_key)] = variants
+        note_lines, gold_lines = [], []
         for key, start, end, variant in zip(
             note_key.tolist(),
             np.searchsorted(cell_key, note_key).tolist(),
             np.searchsorted(cell_key, note_key, side="right").tolist(),
             template.tolist(),
         ):
-            record = patients[first + key // n_days]
-            day_offset = days[key % n_days]
-            note_id = f"{record.patient_id}-D{day_offset:+03d}"
-            gold.extend((f"{note_id}:{i}", 0, _CELL_LABELS[c])
-                        for i, c in enumerate(codes[start:end]))
+            index, day_index = divmod(first * n_days + key, n_days)
+            patient_id = f"SP{index:06d}"
+            note_id = patient_id + day_ids[day_index]
+            gold_lines += [f"{note_id}:{i}{row_ends[c]}"
+                           for i, c in enumerate(codes[start:end])]
             sentences = texts[start:end]
             if variant >= 0:
                 sentences.append(TEMPLATE_SENTENCES[variant])
-            notes.append(ClinicalNote(
-                record.patient_id, note_id,
-                record.pcr_date + timedelta(days=day_offset), " ".join(sentences),
-            ))
-
-    return SynthCorpus(patients=patients, notes=notes, gold=gold)
+            note_lines.append(_note_line(patient_id, note_id,
+                                         note_dates[index % _DATE_CYCLE][day_index],
+                                         " ".join(sentences)))
+        notes.writelines(note_lines)
+        gold.writelines(gold_lines)
 
 
 # ---------------------------------------------------------------------------
-# Corpus writers (exactly the ingestion formats the pipeline consumes)
+# Roster writer (exactly the ingestion format the pipeline consumes)
 
 
-class _IsoDates(dict):
-    """date -> ``date.isoformat()``, each distinct date formatted once."""
-
-    def __missing__(self, day: date) -> str:
-        text = self[day] = day.isoformat()
-        return text
-
-
-def write_notes_jsonl(notes: Sequence[ClinicalNote], stream: IO[str]) -> None:
-    """One line per note, as ``json.dumps(note_dict, ensure_ascii=False)``.
-
-    The line is assembled here with the string encoder that call uses,
-    the same key order and the default ``", "`` and ``": "`` separators.
-    """
-    encode = encode_basestring
-    iso = _IsoDates()
-    stream.writelines(
-        f'{{"patient_id": {encode(note.patient_id)}, "note_id": {encode(note.note_id)}, '
-        f'"date": {encode(iso[note.date])}, "text": {encode(note.text)}}}\n'
-        for note in notes
-    )
-
-
-def write_patients_csv(patients: Sequence[PatientRecord], stream: IO[str]) -> None:
+def write_patients_csv(patients: Iterable[PatientRecord], stream: IO[str]) -> None:
     short = {"positive": "pos", "negative": "neg"}
-    iso = _IsoDates()
+    iso = functools.cache(date.isoformat)  # each distinct date formatted once
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(PATIENT_HEADER)
     writer.writerows(
-        (record.patient_id, iso[record.pcr_date], short[record.pcr_result])
+        (record.patient_id, iso(record.pcr_date), short[record.pcr_result])
         for record in patients
     )

