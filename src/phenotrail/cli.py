@@ -289,7 +289,7 @@ def _reject_curation_options(args: argparse.Namespace) -> None:
 
 def _presence_table(args: argparse.Namespace):
     """Table from the --presence export or by curating notes, over the
-    lexicon's groups; returns (table, display names, input files)."""
+    lexicon's groups; returns (table, each group's display name, input files)."""
     lexicon, lexicon_path = _load_lexicon_arg(args)
     if args.presence:
         _require(args, "patients")
@@ -394,16 +394,12 @@ def _pair_counts(row, lineno, n_pos, n_neg) -> tuple[str, str, int, int]:
 # Table writers
 
 
-def _write_table(columns, rows, names, n_pos, n_neg, stream: IO[str]) -> None:
+def _write_table(columns, rows, n_pos, n_neg, stream: IO[str]) -> None:
     """One CSV row per stats row, one field per column of a ``_Table``."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow([header.format(n_pos=n_pos, n_neg=n_neg) for header, _, _ in columns])
     for row in rows:
-        fields = []
-        for _header, attr, render in columns:
-            value = getattr(row, attr)
-            fields.append(names.get(value, value) if render is None else render(value))
-        writer.writerow(fields)
+        writer.writerow([render(getattr(row, attr)) for _header, attr, render in columns])
 
 
 def _write_metrics_csv(metrics: assertion.EvalMetrics, stream: IO[str]) -> None:
@@ -475,9 +471,8 @@ class _Table(NamedTuple):
     # Names, looked up as a command runs, so a rebound module function is called.
     presence_counts: str  # cohort's (presence table, window) -> counts
     build: str  # stats' (counts, n_pos, n_neg, **options) -> stats rows
-    # (header, stats row attribute, render) per output column; a header
-    # may name {n_pos} and {n_neg}; render None prints a group's name.
-    columns: tuple[tuple[str, str, Callable | None], ...]
+    # (header, stats row attribute, render) per column; a header may name {n_pos}, {n_neg}.
+    columns: tuple[tuple[str, str, Callable], ...]
 
 
 _FRACTION = stats.format_fraction
@@ -488,7 +483,7 @@ _TABLES = {
         "enrichment.csv",
         ("phenotype", "pos_total", "neg_total", "pos_count", "neg_count"),
         _enrichment_counts, "window_counts", "enrichment_rows",
-        (("Phenotype", "group_id", None),
+        (("Phenotype", "group_id", str),
          ("COVID+ count (N={n_pos})", "k_pos", str),
          ("COVID- count (N={n_neg})", "k_neg", str),
          ("COVID+ proportion (N={n_pos})", "p_pos", _FRACTION),
@@ -500,7 +495,7 @@ _TABLES = {
         "timeline.csv",
         ("phenotype", "day", "pos_total", "neg_total"),
         _daily_counts, "daily_counts", "daily_rows",
-        (("Phenotype", "group_id", None),
+        (("Phenotype", "group_id", str),
          ("Day", "day", str),
          ("COVID+ % (n={n_pos})", "pct_pos", _FRACTION),
          ("COVID- % (n={n_neg})", "pct_neg", _FRACTION),
@@ -511,8 +506,8 @@ _TABLES = {
         "pairwise.csv",
         ("phenotype_a", "phenotype_b", "pos_total", "neg_total", "pos_count", "neg_count"),
         _pair_counts, "pair_counts", "pair_rows",
-        (("Phenotype 1", "group_a", None),
-         ("Phenotype 2", "group_b", None),
+        (("Phenotype 1", "group_a", str),
+         ("Phenotype 2", "group_b", str),
          ("COVID+ count (N={n_pos})", "k_pos", str),
          ("COVID- count (N={n_neg})", "k_neg", str),
          ("COVID+ % (N={n_pos})", "pct_pos", _FRACTION),
@@ -535,13 +530,14 @@ def _cmd_table(args, argv) -> int:
         rows_in = _read_counts_csv(args.from_counts, spec.required)
         n_pos, n_neg = _uniform_totals(rows_in, args.from_counts)
         counts = [spec.parse(row, lineno, n_pos, n_neg) for lineno, row in rows_in]
-        names: dict[str, str] = {}  # labels print as read
         inputs = [args.from_counts]
     else:
         table, names, inputs = _presence_table(args)
         sizes = table.cohort_sizes
         n_pos, n_neg = sizes[cohort.POSITIVE], sizes[cohort.NEGATIVE]
-        counts = getattr(cohort, spec.presence_counts)(table, args.window)
+        # Group fields take their printed names: stats orders every path's rows alike.
+        counts = [tuple(names[f] if isinstance(f, str) else f for f in row)
+                  for row in getattr(cohort, spec.presence_counts)(table, args.window)]
         del table
     options = {}
     if args.command == "pairwise":
@@ -549,7 +545,7 @@ def _cmd_table(args, argv) -> int:
         options["m_tests"] = len(counts) if args.m_tests is None else args.m_tests
     rows = getattr(stats, spec.build)(counts, n_pos, n_neg, **options)
     with open(_out_file(args.out, spec.output), "w", encoding="utf-8") as handle:
-        _write_table(spec.columns, rows, names, n_pos, n_neg, handle)
+        _write_table(spec.columns, rows, n_pos, n_neg, handle)
     write_manifest(args.out, argv, inputs, [spec.output],
                    {**_pipeline_config(args), "window": list(args.window), **options})
     return 0

@@ -131,10 +131,10 @@ def load_lexicon(source: IO[str] | str) -> Lexicon:
     """Parse a two-column ``group_id,term`` CSV stream into a Lexicon.
 
     Raises InputError (with the offending line number) for a missing or
-    wrong header, blank fields, terms that normalize to nothing, or an
-    exactly repeated record.
+    wrong header, blank fields, terms that normalize to nothing, an
+    exactly repeated record, or a group whose display name another group has.
     """
-    order: list[str] = []
+    group_by_name: dict[str, str] = {}  # display name -> group_id, first seen first
     terms_by_group: dict[str, list[str]] = {}
     seen_records: set[tuple[str, str]] = set()
     caps_votes: dict[str, bool] = {}
@@ -152,19 +152,19 @@ def load_lexicon(source: IO[str] | str) -> Lexicon:
             )
         seen_records.add(record)
         if group_id not in terms_by_group:
-            order.append(group_id)
+            name = DEFAULT_DISPLAY_NAMES.get(group_id, group_id)
+            other = group_by_name.setdefault(name, group_id)
+            if other != group_id:
+                raise InputError(f"lexicon line {lineno}: groups {other!r} and {group_id!r} "
+                                 f"share the display name {name!r}")
             terms_by_group[group_id] = []
         terms_by_group[group_id].append(term)
         caps = _caps_only(raw_term)
         caps_votes[term] = caps_votes.get(term, True) and caps
 
     groups = [
-        PhenotypeGroup(
-            group_id=g,
-            display_name=DEFAULT_DISPLAY_NAMES.get(g, g),
-            terms=tuple(terms_by_group[g]),
-        )
-        for g in order
+        PhenotypeGroup(group_id=g, display_name=name, terms=tuple(terms_by_group[g]))
+        for name, g in group_by_name.items()
     ]
     return Lexicon(groups, (t for t, caps in caps_votes.items() if caps))
 

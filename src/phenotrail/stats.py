@@ -155,6 +155,8 @@ def fisher_exact_two_sided(a: int, b: int, c: int, d: int) -> float:
         else:
             below = mid + 1
     right = below
+    if right == left + 1:  # every table is selected: p is 1, not the sum's rounding
+        return 0.0
 
     top = max(log_p(x) for x in (left, right) if lo <= x <= hi)
     # Outward from each boundary the terms only shrink.  math.fsum is
@@ -324,9 +326,9 @@ def pair_rows(
     """Fisher-tested pair rows with BH adjustment across all pairs.
 
     ``counts`` holds (group_a, group_b, k_pos, k_neg) where the k are
-    patients exhibiting both phenotypes.  Pairs are canonicalized so
-    group_a < group_b.  Both p columns hold log10 values; rows come back
-    sorted by raw p.
+    patients exhibiting both phenotypes.  Each pair's two labels are put
+    in order, group_a < group_b.  Both p columns hold log10 values; rows
+    come back sorted by raw p, then by those labels.
     """
     _check_cohort_sizes(n_pos, n_neg)
     prepared: list[tuple[str, str, int, int]] = []

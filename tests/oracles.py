@@ -297,7 +297,8 @@ _LOG_FACTORIALS: list[float] = []
 
 def fisher_full_support(a: int, b: int, c: int, d: int) -> float:
     """log10 of the two-sided Fisher p in floats, summed over every table of
-    the support: what ``stats.fisher_exact_two_sided`` must equal bit for bit."""
+    the support: what ``stats.fisher_exact_two_sided`` must equal bit for bit.
+    When every table is selected, p is 1 exactly, whatever the sum rounds to."""
     n = a + b + c + d
     r1, r2, c1 = a + b, c + d, a + c
     lo = max(0, c1 - r2)
@@ -317,6 +318,8 @@ def fisher_full_support(a: int, b: int, c: int, d: int) -> float:
             selected.append(lp)
             if lp > m:
                 m = lp
+    if len(selected) == hi - lo + 1:
+        return 0.0
     total = math.fsum(math.exp(lp - m) for lp in selected)
     return min(0.0, (m + math.log(total)) / math.log(10.0))
 

@@ -666,6 +666,25 @@ class TestPipelineStats:
         assert filecmp.cmp(direct / "enrichment.csv",
                            via_presence / "enrichment.csv", shallow=False)
 
+    def test_rows_sort_and_pair_by_printed_label(self, corpus_dir, tmp_path):
+        out = tmp_path / "out"
+        for command in ("timeline", "pairwise"):
+            assert main([command, *corpus_args(corpus_dir), "--out", str(out)]) == 0
+        days = [(row[0], int(row[1])) for row in read_csv(out / "timeline.csv")[1:]]
+        assert days == sorted(days)
+        assert days[0] == ("Altered or diminished sense of taste or smell", -7)
+        pairs = read_csv(out / "pairwise.csv")[1:]
+        assert all(row[0] < row[1] for row in pairs)
+        assert ["Cardiac", "Change in appetite/intake"] in [row[:2] for row in pairs]
+
+    def test_two_groups_with_one_display_name_exit_code(self, corpus_dir, tmp_path, capsys):
+        lexicon = tmp_path / "lexicon.csv"
+        lexicon.write_text("group_id,term\ncough,cough\nCough,tussis\n")
+        assert main(["enrich", *corpus_args(corpus_dir), "--lexicon", str(lexicon),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: lexicon line 3: groups 'cough' and "
+                                           "'Cough' share the display name 'Cough'\n")
+
     def test_empty_presence_export_gives_zero_count_table(self, corpus_dir, tmp_path):
         empty = tmp_path / "presence_long.csv"
         empty.write_text("group_id,relative_day,cohort,patient_id\n")

@@ -11,12 +11,15 @@ with an external classifier's requests dumped and its responses
 replayed, and with that roster in a pool of two workers over chunks small
 enough that the corpus spans more than two.  ``eval`` scores the corpus's
 gold labels against a copy with every seventh label changed, and
-``coexpr`` reads a small seeded matrix.  After an intended change to these
-files, regenerate the digests with
+``coexpr`` reads a small seeded matrix.  The corpus's tables are also
+checked to be the same bytes from notes, from the export and from counts
+files written from its table, at two windows.  After an intended change to
+these files, regenerate the digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -27,8 +30,9 @@ from unittest import mock
 
 import pytest
 
-from phenotrail import bundled, cohort
+from phenotrail import bundled, cohort, textproc
 from phenotrail.cli import run
+from phenotrail.lexicon import load_default_lexicon
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 TABLES = {"enrich": "enrichment.csv", "timeline": "timeline.csv", "pairwise": "pairwise.csv"}
@@ -51,6 +55,12 @@ CURATE_SETTINGS = {
     "day_range": ["--day-range=-6..6"],
 }
 POOL_CHUNK = 1000  # lines per pool task, so that the corpus spans six
+# Per table command: cohort's counts and the counts-file columns of a row's key.
+COUNTS_KEYS = {
+    "enrich": (cohort.window_counts, ("phenotype",)),
+    "timeline": (cohort.daily_counts, ("phenotype", "day")),
+    "pairwise": (cohort.pair_counts, ("phenotype_a", "phenotype_b")),
+}
 
 
 def _digest(path: str) -> str:
@@ -147,6 +157,28 @@ def _coexpr_digest(work: str) -> str:
     return _digest(os.path.join(out, "coexpr.csv"))
 
 
+def _corpus_paths(work: str) -> tuple[str, str, str]:
+    """The notes, roster and default ``curate --per-patient`` export that
+    ``compute_digests`` writes under ``work``."""
+    corpus = os.path.join(work, "corpus")
+    return (os.path.join(corpus, "notes.jsonl"), os.path.join(corpus, "patients.csv"),
+            os.path.join(work, "curate", "default", "presence_long.csv"))
+
+
+def _write_counts(command: str, table, window: tuple[int, int], path: str) -> None:
+    """``table``'s counts over ``window`` as a counts file for ``command``,
+    each group by its display name, as the bundled reference files are."""
+    count, keys = COUNTS_KEYS[command]
+    names = load_default_lexicon().display_names
+    n_pos, n_neg = table.cohort_sizes[cohort.POSITIVE], table.cohort_sizes[cohort.NEGATIVE]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow([*keys, "pos_total", "neg_total", "pos_count", "neg_count"])
+        for *key, k_pos, k_neg in count(table, window):
+            writer.writerow([*(names[f] if isinstance(f, str) else f for f in key),
+                             n_pos, n_neg, k_pos, k_neg])
+
+
 def compute_digests(work: str) -> dict[str, str]:
     """Every case's digest, with ``work`` as scratch space."""
     corpus, curated = os.path.join(work, "corpus"), os.path.join(work, "curate")
@@ -173,8 +205,13 @@ def compute_digests(work: str) -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    return compute_digests(str(tmp_path_factory.mktemp("golden")))
+def work(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def digests(work):
+    return compute_digests(work)
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +232,27 @@ def test_table_bytes_match_golden_digest(digests, golden, case):
 @pytest.mark.parametrize("command", sorted(TABLES))
 def test_notes_and_presence_export_give_the_same_table(digests, command):
     assert digests[f"{command}/notes"] == digests[f"{command}/presence"]
+
+
+@pytest.mark.parametrize("window", ["-7..-1", "-4..3"])
+@pytest.mark.parametrize("command", sorted(TABLES))
+def test_notes_presence_and_counts_give_the_same_table(digests, work, command, window):
+    notes, patients, export = _corpus_paths(work)
+    span = tuple(int(day) for day in window.split(".."))
+    table = cohort.load_presence_long_csv(export, textproc.load_patients(patients),
+                                          group_ids=load_default_lexicon().group_ids)
+    counts = os.path.join(work, f"{command}{window}.csv")
+    _write_counts(command, table, span, counts)
+    out = os.path.join(work, "paths", command, window)
+    found = {
+        source: _table_digest([command, *argv], os.path.join(out, source))
+        for source, argv in (
+            ("notes", ["--notes", notes, "--patients", patients, f"--window={window}"]),
+            ("presence", ["--presence", export, "--patients", patients, f"--window={window}"]),
+            ("from_counts", ["--from-counts", counts]),
+        )
+    }
+    assert found["notes"] == found["presence"] == found["from_counts"], found
 
 
 @pytest.mark.parametrize("case", [

@@ -48,6 +48,7 @@ class TestLoadLexicon:
         assert "watery bm" in by_id["diarrhea"].terms
         assert "dysuria" in by_id
         assert by_id["fever_chills"].display_name == "Fever / chills"
+        assert len(set(lexicon.display_names.values())) == 26
 
     def test_cross_listed_terms(self, lexicon):
         assert lexicon.term_index["cold"] == {"myalgia_arthralgia", "generalized_symptoms"}
@@ -96,6 +97,14 @@ class TestLoadLexicon:
     def test_malformed_record(self):
         with pytest.raises(InputError, match="line 2"):
             load_lexicon(io.StringIO("group_id,term\na,b,c\n"))
+
+    def test_two_groups_with_one_display_name(self):
+        # "cough" prints as "Cough", the name a group called "Cough" prints as.
+        with pytest.raises(InputError) as error:
+            make_lexicon([("cough", "cough"), ("fever", "fever"), ("Cough", "tussis"),
+                          ("Cough", "hack")])
+        assert str(error.value) == ("lexicon line 4: groups 'cough' and 'Cough' "
+                                    "share the display name 'Cough'")
 
 
 class TestNormalization:

@@ -117,6 +117,12 @@ class TestFisher:
         with pytest.raises(InputError, match="exceeds 10000000"):
             fisher_exact_two_sided(1, 10**7, 1, 1)
 
+    def test_whole_support_gives_p_exactly_one(self):
+        # Summed, these supports round to just below 1 (log10 near -3e-15).
+        assert fisher_exact_two_sided(4, 6, 4, 6) == 0.0
+        assert fisher_exact_two_sided(5, 5, 5, 5) == 0.0
+        assert fisher_exact_two_sided(3, 7, 2, 8) == 0.0
+
     def test_degenerate_margin(self):
         assert fisher_exact_two_sided(0, 0, 5, 5) == 0.0
         assert fisher_exact_two_sided(3, 0, 2, 0) == 0.0
@@ -321,6 +327,11 @@ class TestRowAssembly:
         assert all(r.group_a < r.group_b for r in rows)
         degenerate = next(r for r in rows if (r.group_a, r.group_b) == ("b", "c"))
         assert degenerate.log10_p_raw == 0.0
+
+    def test_pair_rows_at_p_one_sort_by_name(self):
+        rows = pair_rows([("c", "d", 4, 4), ("b", "a", 5, 5)], 10, 10)
+        assert [(r.group_a, r.group_b, r.log10_p_raw) for r in rows] == [
+            ("a", "b", 0.0), ("c", "d", 0.0)]
 
     def test_pair_rows_bh_family_override(self):
         rows = pair_rows([("a", "b", 9, 1), ("a", "c", 5, 5)], 10, 10, m_tests=50)
