@@ -87,13 +87,10 @@ class RuleConfig:
         )
 
     @classmethod
-    def load(cls, source: IO[str] | str | None = None) -> "RuleConfig":
-        if source is None:
-            source = data_path(ASSERTION_RULES)
-        if isinstance(source, str):
-            with open(source, "r", encoding="utf-8") as handle:
-                return cls.from_dict(json.load(handle))
-        return cls.from_dict(json.load(source))
+    def load(cls) -> "RuleConfig":
+        """The bundled rules."""
+        with open(data_path(ASSERTION_RULES), "r", encoding="utf-8") as handle:
+            return cls.from_dict(json.load(handle))
 
 
 class RuleClassifier:

@@ -390,6 +390,19 @@ def _pair_counts(row, lineno, n_pos, n_neg) -> tuple[str, str, int, int]:
             _bounded(row, "neg_count", lineno, n_neg))
 
 
+def _refuse_repeats(rows_in: Sequence[tuple[int, dict]], rows: Iterable[tuple]) -> None:
+    """No two counts rows may share a name, their fields before the two counts or
+    percentages: a phenotype, a (phenotype, day) or a pair of phenotypes in either order."""
+    first: dict[frozenset, int] = {}
+    for (lineno, _), row in zip(rows_in, rows):
+        name = frozenset(row[:-2])  # a day is an int, so it equals no phenotype
+        if len(name) < len(row) - 2:
+            raise InputError(f"counts line {lineno}: pair names {row[0]!r} twice")
+        if first.setdefault(name, lineno) != lineno:
+            raise InputError(f"counts line {lineno}: {', '.join(map(repr, row[:-2]))} "
+                             f"repeats line {first[name]}")
+
+
 # ---------------------------------------------------------------------------
 # Table writers
 
@@ -452,14 +465,13 @@ def _cmd_curate(args, argv) -> int:
 
 
 def _pipeline_config(args) -> dict:
-    return {
-        "day_range": list(args.day_range),
-        "template_threshold": args.template_threshold,
-        "template_filter": not args.no_template_filter,
-        "include_maybe": args.include_maybe,
-        "workers": args.workers,
-        "lexicon": args.lexicon or "bundled",
-    }
+    """The settings that a --presence run reads, and a curating run's too."""
+    config = {"day_range": list(args.day_range), "lexicon": args.lexicon or "bundled"}
+    if not getattr(args, "presence", None):
+        config.update(template_threshold=args.template_threshold, workers=args.workers,
+                      template_filter=not args.no_template_filter,
+                      include_maybe=args.include_maybe)
+    return config
 
 
 class _Table(NamedTuple):
@@ -530,6 +542,7 @@ def _cmd_table(args, argv) -> int:
         rows_in = _read_counts_csv(args.from_counts, spec.required)
         n_pos, n_neg = _uniform_totals(rows_in, args.from_counts)
         counts = [spec.parse(row, lineno, n_pos, n_neg) for lineno, row in rows_in]
+        _refuse_repeats(rows_in, counts)
         inputs = [args.from_counts]
     else:
         table, names, inputs = _presence_table(args)
@@ -546,8 +559,8 @@ def _cmd_table(args, argv) -> int:
     rows = getattr(stats, spec.build)(counts, n_pos, n_neg, **options)
     with open(_out_file(args.out, spec.output), "w", encoding="utf-8") as handle:
         _write_table(spec.columns, rows, n_pos, n_neg, handle)
-    write_manifest(args.out, argv, inputs, [spec.output],
-                   {**_pipeline_config(args), "window": list(args.window), **options})
+    config = {} if args.from_counts else {**_pipeline_config(args), "window": list(args.window)}
+    write_manifest(args.out, argv, inputs, [spec.output], {**config, **options})
     return 0
 
 
@@ -587,12 +600,10 @@ def _resolve_calibration_rows(path: str, lexicon: Lexicon):
         group_id = reverse.get(label, label if label in known else None)
         if group_id is None:
             raise InputError(f"counts line {lineno}: unknown phenotype {label!r}")
-        rows.append(
-            (group_id,
-             _field(row, "day", lineno),
-             _bounded(row, "pos_pct", lineno, 100, float),
-             _bounded(row, "neg_pct", lineno, 100, float))
-        )
+        rows.append((group_id, _field(row, "day", lineno),
+                     _bounded(row, "pos_pct", lineno, 100, float),
+                     _bounded(row, "neg_pct", lineno, 100, float)))
+    _refuse_repeats(rows_in, rows)
     return rows
 
 

@@ -8,7 +8,8 @@ held as the set bits of a Python int, where bit i stands for patient i
 of the ``Roster``, so repeated mentions of one phenotype by one patient
 on one day collapse.  A window is the OR of its days, and the window,
 day and pair counts are bit counts of ANDs with the roster's
-positive-arm bits.
+positive-arm bits.  Curation and the export loader set each cell's bits
+in roster-wide bytes, which ``SymptomPresenceTable.from_cells`` converts once.
 
 Curation has one entry, ``curate_notes``, and reads a JSON-lines
 corpus once, by chunks of lines that one ``json.loads`` decodes where
@@ -32,13 +33,12 @@ Neither curation nor the export loader imports numpy.
 from __future__ import annotations
 
 import csv
-import io
 import re
 import threading
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .assertion import AssertionLabel, Classifier, RuleClassifier
 from .errors import InputError, csv_rows, line_blocks
@@ -119,28 +119,17 @@ class SymptomPresenceTable:
         return {POSITIVE: n_pos, NEGATIVE: len(self.roster.ids) - n_pos}
 
     @classmethod
-    def from_roster(
-        cls,
-        presence: Mapping[tuple[str, int], int],
-        roster: Roster,
-        day_range: tuple[int, int],
-        group_ids: Sequence[str] | None = None,
-    ) -> SymptomPresenceTable:
-        """The table over every rostered patient.
-
-        ``group_ids`` defaults to the groups that occur in ``presence``.
-        """
+    def from_cells(cls, cells: dict[tuple[str, int], bytearray], roster: Roster,
+                   day_range: tuple[int, int], group_ids: Sequence[str] | None = None):
+        """The table over every rostered patient, from each cell's roster
+        bytes (little-endian: bit i is patient i), the one conversion of
+        every input path.  Each cell is popped as it converts, so that its
+        bytes can be freed before the next.  ``group_ids`` defaults to the
+        groups that occur in ``cells``."""
         if group_ids is None:
-            group_ids = sorted({gid for gid, _day in presence})
-        cells = {key: bits if isinstance(bits, PatientBits) else PatientBits(bits)
-                 for key, bits in presence.items()}
-        return cls(cells, day_range, tuple(group_ids), roster)
-
-
-@dataclass(frozen=True)
-class RejectedNote:
-    note_id: str
-    reason: str
+            group_ids = sorted({gid for gid, _day in cells})
+        presence = {key: PatientBits.from_bytes(cells.pop(key), "little") for key in list(cells)}
+        return cls(presence, day_range, tuple(group_ids), roster)
 
 
 def check_window(window: tuple[int, int], day_range: tuple[int, int]) -> None:
@@ -352,13 +341,14 @@ class Curation:
                 if bits[c] is None:
                     bits[c] = bytearray((len(roster.ids) + 7) >> 3)
                 bits[c][i >> 3] |= 1 << (i & 7)
-        presence = {key: int.from_bytes(cell, "little")
-                    for key, cell in zip(self.cells, bits) if cell is not None}
-        return SymptomPresenceTable.from_roster(presence, roster, day_range, group_ids)
+        cells = {key: cell for key, cell in zip(self.cells, bits) if cell is not None}
+        del bits  # so that each cell's bytes are freed as it converts
+        return SymptomPresenceTable.from_cells(cells, roster, day_range, group_ids)
 
-    def rejects(self) -> list[RejectedNote]:
-        return sorted((RejectedNote(note_id, f"unknown patient_id {patient_id!r}")
-                       for note_id, patient_id in self.unknown), key=lambda r: r.note_id)
+    def rejects(self) -> list[tuple[str, str]]:
+        """(note id, reason) per note of an unknown patient, by note id."""
+        return sorted((note_id, f"unknown patient_id {patient_id!r}")
+                      for note_id, patient_id in self.unknown)
 
 
 def _scan(cfg: _Config, part: Curation, chunk_ids: dict[bytes, int], first_lineno: int,
@@ -610,54 +600,45 @@ def write_presence_long_csv(table: SymptomPresenceTable, stream: IO[str]) -> Non
             writer.writerow([group_id, day, arms[i], patient_id])
 
 
-def write_rejects_csv(rejects: Sequence[RejectedNote], stream: IO[str]) -> None:
+def write_rejects_csv(rejects: Sequence[tuple[str, str]], stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(REJECTS_HEADER)
-    for reject in rejects:
-        writer.writerow([reject.note_id, reject.reason])
+    writer.writerows(rejects)
 
 
 def load_presence_long_csv(
-    source: IO[str] | str,
+    path: str,
     roster: Roster,
     day_range: tuple[int, int] = DEFAULT_DAY_RANGE,
     group_ids: Sequence[str] | None = None,
 ) -> SymptomPresenceTable:
-    """Rebuild a presence table from the per-patient long export.
+    """Rebuild a presence table from the per-patient long export file at ``path``.
 
     With ``group_ids`` given (a lexicon's groups), the table covers exactly
     those groups and a row naming any other group is an error.
 
-    The export is parsed by ``_index_export`` in one pass over its
-    lines into one roster bitmap per cell, each row checked against its
-    patient's arm.  A file that pass does not accept (quoted fields,
-    spaces, non-ASCII bytes, CR line ends, a wrong field count or any
-    invalid row) is read by ``_walk_export``, the row-by-row reference,
-    which raises the error of the first bad row.
+    ``_index_export`` parses the file in one pass into roster bytes per
+    cell, each row checked against its patient's arm.  A file it does
+    not accept (quoted fields, spaces, non-ASCII bytes, CR line ends, a
+    wrong field count or any invalid row) is read again by
+    ``_walk_export``, the row-by-row reference, which raises the error
+    of the first bad row.  ``from_cells`` converts either's cells.
     """
     known = None if group_ids is None else frozenset(group_ids)
-    if isinstance(source, str):
-        with open(source, "rb") as raw:
-            presence = _index_export(raw, roster, known)
-        if presence is None:
-            presence = _walk_export(source, roster, known)
-    else:
-        text = source.read()
-        presence = _index_export(io.BytesIO(text.encode()), roster, known) \
-            if text.isascii() else None
-        if presence is None:
-            presence = _walk_export(io.StringIO(text, newline=""), roster, known)
-    return SymptomPresenceTable.from_roster(presence, roster, day_range, group_ids)
+    with open(path, "rb") as raw:
+        cells = _index_export(raw, roster, known)
+    if cells is None:
+        cells = _walk_export(path, roster, known)
+    return SymptomPresenceTable.from_cells(cells, roster, day_range, group_ids)
 
 
-def _walk_export(
-    source: IO[str] | str, roster: Roster, known: frozenset[str] | None
-) -> dict[tuple[str, int], PatientBits]:
-    """The export's cells as roster bits, read one csv row at a time."""
+def _walk_export(path: str, roster: Roster,
+                 known: frozenset[str] | None) -> dict[tuple[str, int], bytearray]:
+    """The export's cells as roster bytes, read one csv row at a time."""
     index, arms = roster.index, roster.arms()
     width = (len(index) + 7) >> 3
     cells: dict[tuple[str, int], bytearray] = {}  # -> the cell's roster bits
-    for lineno, row in csv_rows(source, "presence", PRESENCE_LONG_HEADER):
+    for lineno, row in csv_rows(path, "presence", PRESENCE_LONG_HEADER):
         group_id, raw_day, cohort, patient_id = (f.strip() for f in row)
         try:
             day = int(raw_day)
@@ -677,7 +658,7 @@ def _walk_export(
                 raise InputError(f"presence line {lineno}: unknown group {group_id!r}")
             members = cells[(group_id, day)] = bytearray(width)
         members[i >> 3] |= 1 << (i & 7)
-    return {key: PatientBits.from_bytes(members, "little") for key, members in cells.items()}
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +670,9 @@ _EXPORT_BLOCK = 1 << 16  # bytes read per chunk; its decoded lines and split lis
 _ROW_BYTES = bytes(b for b in range(0x21, 0x7F) if b != 0x22) + b"\n"
 
 
-def _index_export(
-    raw: IO[bytes], roster: Roster, known: frozenset[str] | None
-) -> dict[tuple[str, int], PatientBits] | None:
-    """The export's cells as roster bits, or None when a row needs the
+def _index_export(raw: IO[bytes], roster: Roster,
+                  known: frozenset[str] | None) -> dict[tuple[str, int], bytearray] | None:
+    """The export's cells as roster bytes, or None when a row needs the
     row walker.
 
     Accepted rows are printable ASCII without spaces or double quotes,
@@ -733,5 +713,5 @@ def _index_export(
                 bits[i >> 3] |= 1 << (i & 7)
     except (KeyError, ValueError):  # an unknown patient, a field too many or few, a bad day
         return None
-    prefixes.clear()  # so each cell's bytes are freed as they convert
-    return {key: PatientBits.from_bytes(cells.pop(key), "little") for key in list(cells)}
+    prefixes.clear()  # so that each cell's bytes are freed as it converts
+    return cells

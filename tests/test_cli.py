@@ -553,7 +553,7 @@ class TestDefaultWorkers:
         for source in (presence_args(corpus_dir, curated_dir), ["--from-counts", WEEK]):
             out = tmp_path / "uncurated"
             assert main(["enrich", *source, "--out", str(out)]) == 0
-            assert json.loads((out / "manifest.json").read_text())["config"]["workers"] is None
+            assert "workers" not in json.loads((out / "manifest.json").read_text())["config"]
 
 
 class TestFromCounts:
@@ -697,15 +697,6 @@ class TestPipelineStats:
         rows = read_csv(out / "enrichment.csv")
         assert len(rows) == 27  # header + every group of the bundled lexicon
         assert all(row[1:3] == ["0", "0"] for row in rows[1:])
-
-    @pytest.mark.parametrize("command", sorted(TABLE_FILES))
-    def test_notes_and_presence_export_give_identical_tables(
-            self, corpus_dir, curated_dir, tmp_path, command):
-        direct, via = tmp_path / "direct", tmp_path / "via"
-        assert main([command, *corpus_args(corpus_dir), "--out", str(direct)]) == 0
-        assert main([command, *presence_args(corpus_dir, curated_dir), "--out", str(via)]) == 0
-        name = TABLE_FILES[command]
-        assert filecmp.cmp(direct / name, via / name, shallow=False)
 
     @pytest.mark.parametrize("command", sorted(TABLE_FILES))
     def test_duplicate_roster_rows_give_identical_tables(self, corpus_dir, duplicate_roster,
@@ -1201,6 +1192,32 @@ class TestMalformedInputExits2:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    PAIR_HEADER = "phenotype_a,phenotype_b,pos_total,neg_total,pos_count,neg_count\n"
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("enrich", "phenotype,pos_total,neg_total,pos_count,neg_count\n"
+                   "Cough,10,20,1,2\nFever,10,20,1,2\nCough,10,20,3,4\n",
+         "counts line 4: 'Cough' repeats line 2"),
+        ("timeline", "phenotype,day,pos_total,neg_total,pos_count,neg_count\n"
+                     "Cough,-3,10,20,1,2\nCough,-2,10,20,1,2\nCough,-03,10,20,3,4\n",
+         "counts line 4: 'Cough', -3 repeats line 2"),
+        ("pairwise", PAIR_HEADER + "Cough,Fever,10,20,1,2\nFever,Cough,10,20,1,2\n",
+         "counts line 3: 'Fever', 'Cough' repeats line 2"),
+        ("pairwise", PAIR_HEADER + "Cough,Fever,10,20,1,2\nCough,Cough,10,20,1,2\n",
+         "counts line 3: pair names 'Cough' twice"),
+        # Calibration compares the groups that its labels resolve to.
+        ("synth", "phenotype,day,pos_pct,neg_pct\nCough,-3,5.0,2.0\ncough,-3,1.0,1.0\n",
+         "counts line 3: 'cough', -3 repeats line 2"),
+    ])
+    def test_repeated_counts_keys(self, tmp_path, capsys, command, text, message):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(text)
+        argv = (["synth", "--calibrate-daily", str(counts), "--n-pos", "5", "--n-neg", "5"]
+                if command == "synth" else [command, "--from-counts", str(counts)])
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("rows", ["", "P1,2020-04-01,pos\n"], ids=["no_arm", "positive_only"])
     def test_pairwise_from_notes_with_an_empty_arm(self, fuzz_roster, capsys, rows):
         patients = fuzz_roster / "one_arm.csv"
@@ -1462,6 +1479,24 @@ class TestManifest:
         replay = tmp_path / "replay"
         assert rerun_from_manifest(str(first / "manifest.json"), str(replay)) == 0
         assert filecmp.cmp(first / "pairwise.csv", replay / "pairwise.csv", shallow=False)
+
+    CURATION_SETTINGS = {"template_threshold", "template_filter", "include_maybe", "workers"}
+
+    @pytest.mark.parametrize("source", ["notes", "presence", "from_counts"])
+    @pytest.mark.parametrize("command", sorted(TABLE_FILES))
+    def test_manifest_records_only_the_settings_read(self, corpus_dir, curated_dir, tmp_path,
+                                                     source, command):
+        inputs = {"notes": corpus_args(corpus_dir),
+                  "presence": presence_args(corpus_dir, curated_dir),
+                  "from_counts": ["--from-counts", REFERENCES[command]]}[source]
+        assert main([command, *inputs, "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        expected = {"from_counts": set(), "presence": {"lexicon", "day_range", "window"},
+                    "notes": {"lexicon", "day_range", "window", *self.CURATION_SETTINGS}}[source]
+        assert set(config) == expected | ({"m_tests"} if command == "pairwise" else set())
+        if source != "from_counts":
+            assert config["lexicon"] == "bundled" and config["window"] == [-7, -1]
+            assert config["day_range"] == [-14, 14]
 
     def test_curate_manifest_lists_lexicon(self, curated_dir):
         manifest = json.loads((curated_dir / "manifest.json").read_text())

@@ -109,8 +109,8 @@ class TestBuildPresence:
             note("p1", -1, "Fever."),
         ]
         table, rejects = curate_jsonl(notes, patients, matcher, classifier)
-        assert [r.note_id for r in rejects] == ["ghost--1-a"]
-        assert "unknown patient_id" in rejects[0].reason
+        assert [note_id for note_id, _reason in rejects] == ["ghost--1-a"]
+        assert "unknown patient_id" in rejects[0][1]
         assert cell_patients(table, "fever_chills", -1) == {"p1"}
 
     def test_day_range_excludes_distant_notes(self, matcher, classifier):
@@ -355,7 +355,7 @@ class TestExports:
         assert "fever_chills,-3,positive,1" in lines
         assert "fever_chills,-3,negative,1" in lines
 
-    def test_long_export_roundtrip(self, matcher, classifier):
+    def test_long_export_roundtrip(self, matcher, classifier, tmp_path):
         patients = roster(p1="positive", p2="negative")
         notes = [
             note("p1", -3, "Fever."),
@@ -363,48 +363,48 @@ class TestExports:
             note("p2", -3, "Fever and cough."),
         ]
         table, _ = curate_jsonl(notes, patients, matcher, classifier)
-        buffer = io.StringIO()
-        write_presence_long_csv(table, buffer)
-        buffer.seek(0)
-        loaded = load_presence_long_csv(buffer, patients, day_range=table.day_range)
+        path = tmp_path / "presence_long.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            write_presence_long_csv(table, handle)
+        loaded = load_presence_long_csv(str(path), patients, day_range=table.day_range)
         assert loaded.presence == table.presence
         assert loaded.cohort_sizes == table.cohort_sizes
 
-    def test_long_import_over_lexicon_groups(self):
-        stream = io.StringIO(
-            "group_id,relative_day,cohort,patient_id\nfever_chills,-3,positive,p1\n"
+    def test_long_import_over_lexicon_groups(self, tmp_path):
+        path = export_file(
+            tmp_path, "group_id,relative_day,cohort,patient_id\nfever_chills,-3,positive,p1\n"
         )
-        loaded = load_presence_long_csv(stream, roster(p1="positive", p2="negative"),
+        loaded = load_presence_long_csv(path, roster(p1="positive", p2="negative"),
                                         group_ids=("cough", "fever_chills"))
         assert loaded.group_ids == ("cough", "fever_chills")
         assert loaded.cohort_sizes == {"positive": 1, "negative": 1}
         assert window_counts(loaded, (-7, -1)) == [("cough", 0, 0), ("fever_chills", 1, 0)]
 
-    def test_long_import_rejects_group_outside_lexicon(self):
-        stream = io.StringIO(
-            "group_id,relative_day,cohort,patient_id\n"
+    def test_long_import_rejects_group_outside_lexicon(self, tmp_path):
+        path = export_file(
+            tmp_path, "group_id,relative_day,cohort,patient_id\n"
             "fever_chills,-3,positive,p1\nhiccups,-3,positive,p1\n"
         )
         with pytest.raises(InputError, match="presence line 3: unknown group 'hiccups'"):
-            load_presence_long_csv(stream, roster(p1="positive"), group_ids=("fever_chills",))
+            load_presence_long_csv(path, roster(p1="positive"), group_ids=("fever_chills",))
 
-    def test_long_import_rejects_unknown_patient(self):
-        stream = io.StringIO(
-            "group_id,relative_day,cohort,patient_id\nfever_chills,-3,positive,zzz\n"
+    def test_long_import_rejects_unknown_patient(self, tmp_path):
+        path = export_file(
+            tmp_path, "group_id,relative_day,cohort,patient_id\nfever_chills,-3,positive,zzz\n"
         )
         with pytest.raises(InputError, match="unknown patient"):
-            load_presence_long_csv(stream, roster(p1="positive"))
+            load_presence_long_csv(path, roster(p1="positive"))
 
     @pytest.mark.parametrize("cohort", ["negative", "banana", "Positive"])
-    def test_long_import_rejects_cohort_not_matching_roster(self, cohort):
-        stream = io.StringIO(
-            "group_id,relative_day,cohort,patient_id\n"
+    def test_long_import_rejects_cohort_not_matching_roster(self, tmp_path, cohort):
+        path = export_file(
+            tmp_path, "group_id,relative_day,cohort,patient_id\n"
             f"fever_chills,-3,positive,p1\nfever_chills,-2,{cohort},p1\n"
         )
         with pytest.raises(InputError, match=(
                 f"presence line 3: cohort '{cohort}' does not match patient 'p1' "
                 r"\(positive\)")):
-            load_presence_long_csv(stream, roster(p1="positive", p2="negative"))
+            load_presence_long_csv(path, roster(p1="positive", p2="negative"))
 
 
 EXPORT_RECORDS = {
@@ -449,6 +449,13 @@ def export_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("export")
 
 
+def export_file(directory, text):
+    """The path of ``text``, written as its bytes to an export file in ``directory``."""
+    path = directory / "presence_long.csv"
+    path.write_bytes(text.encode())
+    return str(path)
+
+
 def _oracle_or_error(text, group_ids):
     try:
         return presence_export_oracle(io.StringIO(text, newline=""), EXPORT_RECORDS, group_ids)
@@ -456,9 +463,9 @@ def _oracle_or_error(text, group_ids):
         return str(exc)
 
 
-def _loaded_or_error(source, group_ids):
+def _loaded_or_error(path, group_ids):
     try:
-        table = load_presence_long_csv(source, EXPORT_ROSTER, group_ids=group_ids)
+        table = load_presence_long_csv(path, EXPORT_ROSTER, group_ids=group_ids)
     except InputError as exc:
         return str(exc)
     return {key: cell_patients(table, *key) for key in table.presence}
@@ -478,17 +485,14 @@ class TestExportLoader:
         if sort:
             rows = sorted(rows)
         text = newline.join(["group_id,relative_day,cohort,patient_id", *rows]) + newline
-        path = export_dir / "presence_long.csv"
-        path.write_bytes(text.encode())
         expected = _oracle_or_error(text, group_ids)
-        assert _loaded_or_error(str(path), group_ids) == expected
-        assert _loaded_or_error(io.StringIO(text), group_ids) == expected
+        assert _loaded_or_error(export_file(export_dir, text), group_ids) == expected
 
     @given(st.lists(st.tuples(st.sampled_from(EXPORT_GROUPS), st.integers(-14, 14),
                               st.sampled_from(["P1", "P2", "P3", "P10"])), max_size=40),
            st.booleans(), st.randoms(use_true_random=False), st.lists(st.integers(0, 40)))
     @settings(max_examples=100, deadline=None)
-    def test_plain_exports_take_the_fast_pass(self, rows, shuffle, rng, blanks):
+    def test_plain_exports_take_the_fast_pass(self, export_dir, rows, shuffle, rng, blanks):
         lines = [f"{g},{day},{EXPORT_RECORDS[p].pcr_result},{p}\n" for g, day, p in sorted(rows)]
         if shuffle:
             rng.shuffle(lines)
@@ -497,7 +501,7 @@ class TestExportLoader:
         text = "group_id,relative_day,cohort,patient_id\n" + "".join(lines)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cohort, "_walk_export", _walker_not_expected)
-            assert _loaded_or_error(io.StringIO(text), None) == \
+            assert _loaded_or_error(export_file(export_dir, text), None) == \
                 presence_export_oracle(io.StringIO(text), EXPORT_RECORDS)
 
     @pytest.mark.parametrize("line", [
@@ -523,7 +527,7 @@ class TestExportLoader:
         rows = [f"cough,{day},negative,P{p}" for day in range(-3, 3) for p in (2, 3, 10)]
         text = "group_id,relative_day,cohort,patient_id\n" + "\n".join(rows)  # no final LF
         cells = cohort._index_export(io.BytesIO(text.encode()), EXPORT_ROSTER, None)
-        table = SymptomPresenceTable.from_roster(cells, EXPORT_ROSTER, DEFAULT_DAY_RANGE)
+        table = SymptomPresenceTable.from_cells(cells, EXPORT_ROSTER, DEFAULT_DAY_RANGE)
         assert {key: cell_patients(table, *key) for key in table.presence} == \
             presence_export_oracle(io.StringIO(text), EXPORT_RECORDS)
 
@@ -546,24 +550,30 @@ def wide_export(n_patients, groups, days, per_cell, seed):
 class TestExportFold:
     """Each block's rows are ORed into per-cell roster bits as it is read."""
 
-    def test_row_order_and_blocks_give_the_walkers_cells(self, monkeypatch):
+    def test_row_order_and_blocks_give_the_walkers_cells(self, tmp_path, monkeypatch):
         patients, text, shuffled = wide_export(300, ("cough", "fever_chills", "diarrhea"),
                                                range(-3, 4), 40, seed=2)
-        expected = cohort._walk_export(io.StringIO(text, newline=""), patients, None)
-        assert cohort._walk_export(io.StringIO(shuffled, newline=""), patients, None) == expected
-        assert {type(bits) for bits in expected.values()} == {PatientBits}
+        expected = cohort._walk_export(export_file(tmp_path, text), patients, None)
+        assert cohort._walk_export(export_file(tmp_path, shuffled), patients, None) == expected
+        width = (len(patients.ids) + 7) >> 3
+        assert {(type(bits), len(bits)) for bits in expected.values()} == {(bytearray, width)}
         for block in (cohort._EXPORT_BLOCK, 64, 100):  # the default, and a few lines
             monkeypatch.setattr(cohort, "_EXPORT_BLOCK", block)
             for export in (text, shuffled):
                 cells = cohort._index_export(io.BytesIO(export.encode()), patients, None)
                 assert cells == expected
-                assert {type(bits) for bits in cells.values()} == {PatientBits}
+                assert {(type(bits), len(bits)) for bits in cells.values()} == \
+                    {(bytearray, width)}
 
     def test_the_table_keeps_the_loaded_bits(self):
+        """``from_cells`` converts each loaded cell once, and pops it."""
         patients, text, _ = wide_export(20, ("cough",), range(2), 5, seed=3)
         cells = cohort._index_export(io.BytesIO(text.encode()), patients, None)
-        table = SymptomPresenceTable.from_roster(cells, patients, DEFAULT_DAY_RANGE)
-        assert all(table.presence[key] is bits for key, bits in cells.items())
+        expected = {key: int.from_bytes(bits, "little") for key, bits in cells.items()}
+        table = SymptomPresenceTable.from_cells(cells, patients, DEFAULT_DAY_RANGE)
+        assert cells == {}
+        assert table.presence == expected
+        assert {type(bits) for bits in table.presence.values()} == {PatientBits}
 
     def test_peak_memory_is_the_matrix_and_a_few_blocks(self, tmp_path, monkeypatch):
         """The pass holds one roster's bytes per cell, which both arms
@@ -587,6 +597,32 @@ class TestExportFold:
         matrix = len(table.presence) * ((len(patients.ids) + 7) >> 3)
         assert 2 * 24 * cohort._EXPORT_BLOCK < min(matrix, len(text))
         assert peak <= matrix + 24 * cohort._EXPORT_BLOCK
+
+
+class TestCurationTable:
+    def test_peak_memory_is_one_copy_of_the_cells(self):
+        """Each cell's roster bytes convert once, into the int that the
+        table keeps, and are freed as the cell converts: 100,000 patients
+        by 60 cells peak at no more than 1.5 times the cells' bytes, where
+        a second copy of each cell would take twice them."""
+        n, rng = 100_000, random.Random(4)
+        patients = roster_of(PatientRecord(f"M{i:06d}", PCR_DAY, "positive" if i % 4 else
+                                           "negative") for i in range(n))
+        curation = cohort.Curation(None)
+        for key in ((group, day) for group in ("cough", "fever_chills") for day in range(30)):
+            cell = curation.cells.setdefault(key, len(curation.cells))
+            for i in (*rng.sample(range(n - 1), 50), n - 1):  # the last makes a full-width int
+                curation.events.extend((-1, cell, i))
+        tracemalloc.start()
+        try:
+            table = curation.table(patients, (0, 29))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cell_bytes = len(curation.cells) * ((n + 7) >> 3)
+        assert len(table.presence) == 60 and cell_bytes == 750_000
+        assert all(len(bits) == 51 for bits in table.presence.values())
+        assert peak <= 1.5 * cell_bytes, peak / cell_bytes
 
 
 class TestPatientBits:
@@ -649,7 +685,7 @@ def oracle_outcome(lines, matcher, classifier, threshold, include_maybe):
 def stream_outcome(curation):
     table = curation.table(STREAM_ROSTER, DEFAULT_DAY_RANGE)
     presence = {key: cell_patients(table, *key) for key in table.presence}
-    return presence, [(r.note_id, r.reason) for r in curation.rejects()]
+    return presence, curation.rejects()
 
 
 def chunked_curation(lines, matcher, classifier, threshold, include_maybe, size):

@@ -229,11 +229,6 @@ def test_table_bytes_match_golden_digest(digests, golden, case):
     assert digests[case] == golden[case], case
 
 
-@pytest.mark.parametrize("command", sorted(TABLES))
-def test_notes_and_presence_export_give_the_same_table(digests, command):
-    assert digests[f"{command}/notes"] == digests[f"{command}/presence"]
-
-
 @pytest.mark.parametrize("window", ["-7..-1", "-4..3"])
 @pytest.mark.parametrize("command", sorted(TABLES))
 def test_notes_presence_and_counts_give_the_same_table(digests, work, command, window):
